@@ -5,7 +5,7 @@ for LF/FL/phi/phi-inverse, streaming BWT inversion and SA/DA enumeration, and
 bit-packed serialization.
 """
 
-from .bitpack import ColumnSpec, PackedMatrix, matrix_new, min_width
+from .bitpack import ColumnSpec, PackedMatrix, min_width
 from .core import (
     ABSOLUTE,
     EXPONENTIAL,
@@ -39,7 +39,6 @@ from .rlbwt import (
     build_bwt,
     build_fl,
     build_lf,
-    build_phi_sorted,
     build_phi_via_lf,
     collect_sa_samples,
     load_rlbwt,

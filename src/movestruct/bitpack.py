@@ -129,7 +129,3 @@ class PackedMatrix:
                     f"column {spec.name!r}: width {spec.width} is not minimal "
                     f"for max value {mx}"
                 )
-
-
-def matrix_new(columns: Sequence[ColumnSpec], row_count: int) -> PackedMatrix:
-    return PackedMatrix(columns, row_count)

@@ -6,7 +6,6 @@ Subcommands: build-rlbwt, build, invert, sa, da, bench, inspect, verify.
 from __future__ import annotations
 
 import argparse
-import bisect
 import os
 import sys
 import time
@@ -205,27 +204,14 @@ def cmd_verify(args) -> int:
         check("max interval length <= L", table.max_len <= table.cap_len)
         check(
             "per-query fast forwards <= L",
-            _max_fast_forwards(table) <= table.cap_len,
+            oracle.max_fast_forwards(table) <= table.cap_len,
         )
     if table.alpha >= 2:
         check(
             "per-query fast forwards < 2*alpha",
-            _max_fast_forwards(table) < 2 * table.alpha,
+            oracle.max_fast_forwards(table) < 2 * table.alpha,
         )
     return 1 if failures else 0
-
-
-def _max_fast_forwards(table: IntervalTable) -> int:
-    """Worst case over all queries: starts strictly inside each output interval."""
-    starts = table.materialized_starts()
-    worst = 0
-    for j in range(len(table)):
-        v = starts[table.dest_rank[j]] + table.dest_offset[j]
-        inside = bisect.bisect_left(starts, v + table.lengths[j]) - bisect.bisect_right(
-            starts, v
-        )
-        worst = max(worst, inside)
-    return worst
 
 
 def _print_stats(stats: traversal.TraversalStats) -> None:

@@ -4,6 +4,8 @@ A table holds, per interval j, its length, the rank of the predecessor of its
 image among interval starts (dest_rank) and the offset of the image within
 that destination interval (dest_offset). Absolute mode additionally stores the
 interval starts; relative mode stores only lengths plus sampled prefix sums.
+Both modes answer linear-search queries with the same lengths-based step;
+the stored starts serve position lookups and exponential search.
 """
 
 from __future__ import annotations
@@ -159,15 +161,16 @@ class IntervalTable:
         t = cls(n, ABSOLUTE, lengths, dest_rank, dest_offset, starts=starts, **kw)
         return t.to_relative() if mode == RELATIVE else t
 
-    def to_relative(self) -> "IntervalTable":
-        if self.mode == RELATIVE:
-            return self
-        return IntervalTable(
-            self.n,
-            RELATIVE,
-            self.lengths,
-            self.dest_rank,
-            self.dest_offset,
+    def replace(self, **fields) -> "IntervalTable":
+        """A new table with the given constructor fields changed and every
+        other field, metadata included, carried over."""
+        kw = dict(
+            n=self.n,
+            mode=self.mode,
+            lengths=self.lengths,
+            dest_rank=self.dest_rank,
+            dest_offset=self.dest_offset,
+            starts=self.starts,
             source_runs=self.source_runs,
             kind=self.kind,
             cap=self.cap,
@@ -175,24 +178,18 @@ class IntervalTable:
             alpha=self.alpha,
             extras=self.extras,
         )
+        kw.update(fields)
+        return IntervalTable(**kw)
+
+    def to_relative(self) -> "IntervalTable":
+        if self.mode == RELATIVE:
+            return self
+        return self.replace(mode=RELATIVE)
 
     def to_absolute(self) -> "IntervalTable":
         if self.mode == ABSOLUTE:
             return self
-        return IntervalTable(
-            self.n,
-            ABSOLUTE,
-            self.lengths,
-            self.dest_rank,
-            self.dest_offset,
-            starts=self.materialized_starts(),
-            source_runs=self.source_runs,
-            kind=self.kind,
-            cap=self.cap,
-            cap_len=self.cap_len,
-            alpha=self.alpha,
-            extras=self.extras,
-        )
+        return self.replace(mode=ABSOLUTE, starts=self.materialized_starts())
 
     # --------------------------------------------------------------- cursors
 
@@ -230,66 +227,17 @@ class IntervalTable:
     def move(self, cur: MoveCursor, config: QueryConfig = QueryConfig()) -> MoveResult:
         self._check_cursor(cur)
         if config.search == EXPONENTIAL:
-            return self._move_exponential(cur)
-        return self._move_linear(cur)
-
-    def _move_linear(self, cur: MoveCursor) -> MoveResult:
-        j, k = cur.j, cur.k
-        q = self.dest_rank[j]
-        if self.starts is not None:
-            starts = self.starts
-            p = starts[q] + self.dest_offset[j] + k
-            r = len(starts)
-            ff = 0
-            while q + 1 < r and starts[q + 1] <= p:
-                q += 1
-                ff += 1
-            probes = ff + (1 if q + 1 < r else 0)
-            return MoveResult(MoveCursor(q, p - starts[q]), ff, probes)
-        lengths = self.lengths
-        off = self.dest_offset[j] + k
-        ff = 0
-        while off >= lengths[q]:
-            off -= lengths[q]
-            q += 1
-            ff += 1
+            q, off, ff, probes = gallop(
+                self._require_starts(), self.dest_rank, self.dest_offset, cur.j, cur.k
+            )
+            return MoveResult(MoveCursor(q, off), ff, probes)
+        q, off, ff = step(self.lengths, self.dest_rank, self.dest_offset, cur.j, cur.k)
         return MoveResult(MoveCursor(q, off), ff, ff + 1)
 
-    def _move_exponential(self, cur: MoveCursor) -> MoveResult:
+    def _require_starts(self) -> list[int]:
         if self.starts is None:
             raise UnsupportedModeError("exponential search requires absolute mode")
-        j, k = cur.j, cur.k
-        starts = self.starts
-        r = len(starts)
-        q0 = self.dest_rank[j]
-        p = starts[q0] + self.dest_offset[j] + k
-        probes = 0
-        # Gallop: double the step until a start beyond p (or the table end)
-        # brackets the destination rank.
-        lo = q0
-        step = 1
-        hi = q0 + step
-        while hi < r:
-            probes += 1
-            if starts[hi] <= p:
-                lo = hi
-                step <<= 1
-                hi = q0 + step
-            else:
-                break
-        if hi > r:
-            hi = r
-        # Binary search: largest q in [lo, hi) with starts[q] <= p.
-        a, b = lo, hi
-        while b - a > 1:
-            mid = (a + b) >> 1
-            probes += 1
-            if starts[mid] <= p:
-                a = mid
-            else:
-                b = mid
-        q = a
-        return MoveResult(MoveCursor(q, p - starts[q]), q - q0, probes)
+        return self.starts
 
     def eval_abs(self, i: int) -> int:
         """Evaluate the permutation at i via predecessor binary search."""
@@ -343,6 +291,64 @@ class IntervalTable:
         for name, vals in self.extras.items():
             if len(vals) != r:
                 raise InvalidInputError(f"extra column {name!r} has wrong length")
+
+
+def step(
+    lengths: list[int], dest_rank: list[int], dest_offset: list[int], j: int, k: int
+) -> tuple[int, int, int]:
+    """One move query by linear fast forward, in either storage mode.
+
+    Returns the destination cursor (q, off) of cursor (j, k) and the number
+    of interval boundaries skipped; a linear search probes one more length
+    than it skips.
+    """
+    q = dest_rank[j]
+    off = dest_offset[j] + k
+    ff = 0
+    while off >= lengths[q]:
+        off -= lengths[q]
+        q += 1
+        ff += 1
+    return q, off, ff
+
+
+def gallop(
+    starts: list[int], dest_rank: list[int], dest_offset: list[int], j: int, k: int
+) -> tuple[int, int, int, int]:
+    """One move query by exponential search over the interval starts.
+
+    Returns the destination cursor (q, off), the fast forwards it stands for
+    and the number of starts probed.
+    """
+    r = len(starts)
+    q0 = dest_rank[j]
+    p = starts[q0] + dest_offset[j] + k
+    probes = 0
+    # Gallop: double the step until a start beyond p (or the table end)
+    # brackets the destination rank.
+    lo = q0
+    span = 1
+    hi = q0 + span
+    while hi < r:
+        probes += 1
+        if starts[hi] <= p:
+            lo = hi
+            span <<= 1
+            hi = q0 + span
+        else:
+            break
+    if hi > r:
+        hi = r
+    # Binary search: largest q in [lo, hi) with starts[q] <= p.
+    a, b = lo, hi
+    while b - a > 1:
+        mid = (a + b) >> 1
+        probes += 1
+        if starts[mid] <= p:
+            a = mid
+        else:
+            b = mid
+    return a, p - starts[a], a - q0, probes
 
 
 def from_permutation(

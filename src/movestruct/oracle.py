@@ -9,8 +9,10 @@ from __future__ import annotations
 import bisect
 from typing import Sequence
 
-from .core import IntervalTable
+from .core import ABSOLUTE, IntervalTable
 from .errors import BoundsError, InvalidInputError
+from .rlbwt import Rlbwt, collect_sa_samples
+from .splitting import _inside_count
 
 MAX_ORACLE_N = 1_000_000
 
@@ -95,3 +97,47 @@ def simulate_fast_forwards(t: IntervalTable, i: int) -> int:
     v = starts[t.dest_rank[j]] + t.dest_offset[j] + (i - starts[j])
     true_rank = bisect.bisect_right(starts, v) - 1
     return true_rank - t.dest_rank[j]
+
+
+def max_fast_forwards(t: IntervalTable) -> int:
+    """Exact worst case over all n queries: the most interval starts strictly
+    inside one interval's output range."""
+    starts = t.materialized_starts()
+    return max(
+        _inside_count(starts, starts[q] + off, ell)
+        for q, off, ell in zip(t.dest_rank, t.dest_offset, t.lengths)
+    )
+
+
+def build_phi_sorted(rl: Rlbwt, inverse: bool = False) -> IntervalTable:
+    """Same contract as build_phi_via_lf, deriving dest_rank by sorting the
+    images; provided as an independent cross-check of the traversal builder."""
+    samples = collect_sa_samples(rl)
+    r = rl.r
+    if inverse:
+        pairs = [(samples.tail_sa[j], samples.head_sa[(j + 1) % r]) for j in range(r)]
+    else:
+        pairs = [(samples.head_sa[j], samples.tail_sa[(j - 1) % r]) for j in range(r)]
+    pairs.sort()
+    starts = [s for s, _ in pairs]
+    images = [v for _, v in pairs]
+    lengths = [starts[j + 1] - starts[j] for j in range(r - 1)] + [rl.n - starts[-1]]
+    order = sorted(range(r), key=images.__getitem__)
+    dest_rank = [0] * r
+    dest_offset = [0] * r
+    p = 0
+    for j in order:
+        v = images[j]
+        while p + 1 < r and starts[p + 1] <= v:
+            p += 1
+        dest_rank[j] = p
+        dest_offset[j] = v - starts[p]
+    return IntervalTable(
+        rl.n,
+        ABSOLUTE,
+        lengths,
+        dest_rank,
+        dest_offset,
+        starts=starts,
+        kind="phi_inv" if inverse else "phi",
+    )

@@ -1,6 +1,6 @@
 """Run-length encoded BWT: ingestion, desk-scale construction, and the
 specialized interval-table builders for LF/FL (O(r)) and phi/phi-inverse
-(O(n) via an LF traversal, with a sort-based cross-check).
+(O(n) via an LF traversal; the sort-based cross-check is in the oracle).
 
 The sentinel is byte 0x00 and compares smallest; symbol order is byte order.
 """
@@ -12,7 +12,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO, Optional, Sequence
 
-from .core import ABSOLUTE, IntervalTable
+from .core import ABSOLUTE, IntervalTable, step
 from .errors import FormatError, InvalidInputError
 
 SENTINEL = 0
@@ -249,7 +249,7 @@ def build_fl(rl: Rlbwt) -> IntervalTable:
 
 
 def _lf_traversal_rows(rl: Rlbwt, lf: IntervalTable):
-    """Yield (row, sa_value, run, is_head, is_tail) over one full LF cycle.
+    """Yield (sa_value, run, is_head, is_tail) over one full LF cycle.
 
     Starts at BWT row 0 (the sentinel rotation), whose SA value is n - 1;
     each LF step decreases the SA value by one.
@@ -257,16 +257,11 @@ def _lf_traversal_rows(rl: Rlbwt, lf: IntervalTable):
     lengths = lf.lengths
     dest_rank = lf.dest_rank
     dest_offset = lf.dest_offset
-    starts = lf.starts
     j, k = 0, 0
     v = rl.n - 1
     for _ in range(rl.n):
-        yield starts[j] + k, v, j, k == 0, k == lengths[j] - 1
-        q = dest_rank[j]
-        p = starts[q] + dest_offset[j] + k
-        while q + 1 < rl.r and starts[q + 1] <= p:
-            q += 1
-        j, k = q, p - starts[q]
+        yield v, j, k == 0, k == lengths[j] - 1
+        j, k, _ff = step(lengths, dest_rank, dest_offset, j, k)
         v -= 1
 
 
@@ -275,7 +270,7 @@ def collect_sa_samples(rl: Rlbwt, lf: Optional[IntervalTable] = None) -> SaSampl
     lf = lf or build_lf(rl)
     head = [0] * rl.r
     tail = [0] * rl.r
-    for _row, v, run, is_head, is_tail in _lf_traversal_rows(rl, lf):
+    for v, run, is_head, is_tail in _lf_traversal_rows(rl, lf):
         if is_head:
             head[run] = v
         if is_tail:
@@ -305,7 +300,7 @@ def build_phi_via_lf(
     discovered = 0
     pending: list[int] = []
 
-    for _row, v, run, is_head, is_tail in _lf_traversal_rows(rl, lf):
+    for v, run, is_head, is_tail in _lf_traversal_rows(rl, lf):
         if is_head:
             head[run] = v
         if is_tail:
@@ -365,40 +360,6 @@ def build_phi_via_lf(
     return table, SaSamples(head_sa=head, tail_sa=tail)
 
 
-def build_phi_sorted(rl: Rlbwt, inverse: bool = False) -> IntervalTable:
-    """Same contract as build_phi_via_lf, deriving dest_rank by sorting the
-    images; provided as an independent cross-check of the traversal builder."""
-    samples = collect_sa_samples(rl)
-    r = rl.r
-    if inverse:
-        pairs = [(samples.tail_sa[j], samples.head_sa[(j + 1) % r]) for j in range(r)]
-    else:
-        pairs = [(samples.head_sa[j], samples.tail_sa[(j - 1) % r]) for j in range(r)]
-    pairs.sort()
-    starts = [s for s, _ in pairs]
-    images = [v for _, v in pairs]
-    lengths = [starts[j + 1] - starts[j] for j in range(r - 1)] + [rl.n - starts[-1]]
-    order = sorted(range(r), key=images.__getitem__)
-    dest_rank = [0] * r
-    dest_offset = [0] * r
-    p = 0
-    for j in order:
-        v = images[j]
-        while p + 1 < r and starts[p + 1] <= v:
-            p += 1
-        dest_rank[j] = p
-        dest_offset[j] = v - starts[p]
-    return IntervalTable(
-        rl.n,
-        ABSOLUTE,
-        lengths,
-        dest_rank,
-        dest_offset,
-        starts=starts,
-        kind="phi_inv" if inverse else "phi",
-    )
-
-
 def sample_docs(samples: SaSamples, bounds: DocBounds) -> SaSamples:
     """Annotate each SA sample with its document id (predecessor rank)."""
     return SaSamples(
@@ -424,21 +385,7 @@ def attach_docs(table: IntervalTable, bounds: DocBounds) -> IntervalTable:
         doc0.append(d)
         nxt = bounds.starts[d + 1] if d + 1 < bounds.d else table.n
         dist.append(nxt - s)
-    out = IntervalTable(
-        table.n,
-        table.mode,
-        table.lengths,
-        table.dest_rank,
-        table.dest_offset,
-        starts=table.starts,
-        source_runs=table.source_runs,
-        kind=table.kind,
-        cap=table.cap,
-        cap_len=table.cap_len,
-        alpha=table.alpha,
-        extras={**table.extras, "doc": doc0, "docdist": dist},
-    )
-    return out
+    return table.replace(extras={**table.extras, "doc": doc0, "docdist": dist})
 
 
 # ------------------------------------------------------------------ file I/O

@@ -10,9 +10,9 @@ import bisect
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
-from .core import ABSOLUTE, RELATIVE, IntervalTable
+from .core import IntervalTable
 from .errors import InvalidParameterError
 
 CapFactor = Union[int, float, str, Fraction]
@@ -50,35 +50,6 @@ def _triples(t: IntervalTable) -> tuple[list[int], list[int], list[int]]:
     starts = t.materialized_starts()
     images = [starts[q] + off for q, off in zip(t.dest_rank, t.dest_offset)]
     return starts, images, list(t.lengths)
-
-
-def _result(
-    t: IntervalTable,
-    starts: list[int],
-    images: list[int],
-    dest_rank: list[int],
-    dest_offset: list[int],
-    lengths: list[int],
-    extras: dict[str, list[int]],
-    cap: Optional[Fraction] = None,
-    cap_len: int = 0,
-    alpha: int = 0,
-) -> IntervalTable:
-    out = IntervalTable(
-        t.n,
-        ABSOLUTE,
-        lengths,
-        dest_rank,
-        dest_offset,
-        starts=starts,
-        source_runs=t.source_runs,
-        kind=t.kind,
-        cap=cap if cap is not None else t.cap,
-        cap_len=cap_len or t.cap_len,
-        alpha=alpha or t.alpha,
-        extras=extras,
-    )
-    return out.to_relative() if t.mode == RELATIVE else out
 
 
 def length_cap(t: IntervalTable, c: CapFactor) -> IntervalTable:
@@ -119,16 +90,19 @@ def length_cap(t: IntervalTable, c: CapFactor) -> IntervalTable:
     for i in range(rp):
         v = new_images[i]
         if piece_no[i] == 0:
-            q = old_to_new[t.dest_rank[src[i]]]
+            # Start at the piece of the destination interval that holds the
+            # image; later pieces of the same source only move forward.
+            j = src[i]
+            q = old_to_new[t.dest_rank[j]] + t.dest_offset[j] // L
         while q + 1 < rp and new_starts[q + 1] <= v:
             q += 1
         dest_rank[i] = q
         dest_offset[i] = v - new_starts[q]
 
     extras = {name: [vals[j] for j in src] for name, vals in t.extras.items()}
-    return _result(
-        t, new_starts, new_images, dest_rank, dest_offset, new_lens, extras,
-        cap=c, cap_len=L,
+    return t.replace(
+        lengths=new_lens, dest_rank=dest_rank, dest_offset=dest_offset,
+        starts=new_starts, extras=extras, cap=c, cap_len=L,
     )
 
 
@@ -217,9 +191,9 @@ def balance(t: IntervalTable, alpha: int) -> IntervalTable:
     extras = {
         name: [vals[src_[i]] for i in order] for name, vals in t.extras.items()
     }
-    return _result(
-        t, new_starts, new_images, dest_rank, dest_offset, new_lens, extras,
-        alpha=alpha,
+    return t.replace(
+        lengths=new_lens, dest_rank=dest_rank, dest_offset=dest_offset,
+        starts=new_starts, extras=extras, alpha=alpha,
     )
 
 

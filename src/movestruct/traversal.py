@@ -1,8 +1,8 @@
 """Streaming algorithms driven by chained move queries: BWT inversion,
 SA enumeration, DA enumeration, and an instrumented traversal driver.
 
-All loops carry fast-forward accounting so the amortized bounds can be
-checked exactly.
+Every walk steps with core.step and counts its fast forwards per step, so
+the amortized bounds can be checked exactly.
 """
 
 from __future__ import annotations
@@ -11,13 +11,8 @@ import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO, Optional
 
-from .core import EXPONENTIAL, LINEAR, IntervalTable, MoveCursor, QueryConfig
-from .errors import (
-    BoundsError,
-    InvalidInputError,
-    MissingColumnError,
-    UnsupportedModeError,
-)
+from .core import EXPONENTIAL, IntervalTable, MoveCursor, QueryConfig, gallop, step
+from .errors import BoundsError, InvalidInputError, MissingColumnError
 from .rlbwt import DocBounds
 
 _FLUSH_BYTES = 1 << 16
@@ -32,21 +27,32 @@ class TraversalStats:
     total_probes: int = 0
     max_probes: int = 0
 
-    def record(self, ff: int, probes: int = 0) -> None:
-        self.steps += 1
-        self.total_fast_forwards += ff
-        if ff > self.max_fast_forwards:
-            self.max_fast_forwards = ff
-        self.histogram[ff] = self.histogram.get(ff, 0) + 1
-        self.total_probes += probes
-        if probes > self.max_probes:
-            self.max_probes = probes
+    @classmethod
+    def from_histogram(cls, counts: list[int]) -> "TraversalStats":
+        """Stats of a walk whose counts[ff] steps each took ff fast forwards.
+
+        Probes are left at 0; only traverse_counted accounts for them.
+        """
+        stats = cls()
+        for ff, count in enumerate(counts):
+            if count:
+                stats.histogram[ff] = count
+                stats.steps += count
+                stats.total_fast_forwards += ff * count
+                stats.max_fast_forwards = ff
+        return stats
 
     def check_consistency(self) -> None:
         if sum(self.histogram.values()) != self.steps:
             raise InvalidInputError("histogram does not sum to steps")
         if sum(f * c for f, c in self.histogram.items()) != self.total_fast_forwards:
             raise InvalidInputError("histogram-weighted sum != total fast forwards")
+
+
+def _ff_counts(table: IntervalTable) -> list[int]:
+    """Zeroed per-step fast-forward counts. On a valid table a query skips
+    fewer boundaries than its interval's length and than r'."""
+    return [0] * min(table.max_len, len(table))
 
 
 class ByteSink:
@@ -115,41 +121,18 @@ def invert_bwt(lf_table: IntervalTable, sink: ByteSink) -> TraversalStats:
     sentinel. Needs the run symbol attached as extra column "sym".
     """
     sym = _require_extra(lf_table, "sym")
-    stats = TraversalStats()
-    record = stats.record
     put = sink.put
-    n = lf_table.n
+    lengths = lf_table.lengths
     dest_rank = lf_table.dest_rank
     dest_offset = lf_table.dest_offset
+    counts = _ff_counts(lf_table)
     j, k = 0, 0
-    if lf_table.starts is not None:
-        starts = lf_table.starts
-        r = len(starts)
-        for _ in range(n):
-            put(sym[j])
-            q = dest_rank[j]
-            p = starts[q] + dest_offset[j] + k
-            ff = 0
-            while q + 1 < r and starts[q + 1] <= p:
-                q += 1
-                ff += 1
-            j, k = q, p - starts[q]
-            record(ff)
-    else:
-        lengths = lf_table.lengths
-        for _ in range(n):
-            put(sym[j])
-            q = dest_rank[j]
-            off = dest_offset[j] + k
-            ff = 0
-            while off >= lengths[q]:
-                off -= lengths[q]
-                q += 1
-                ff += 1
-            j, k = q, off
-            record(ff)
+    for _ in range(lf_table.n):
+        put(sym[j])
+        j, k, ff = step(lengths, dest_rank, dest_offset, j, k)
+        counts[ff] += 1
     sink.close()
-    return stats
+    return TraversalStats.from_histogram(counts)
 
 
 def recover_text(lf_table: IntervalTable) -> bytes:
@@ -164,31 +147,23 @@ def recover_text(lf_table: IntervalTable) -> bytes:
     return data[1:] + data[:1]
 
 
-def _absolute_walk(table: IntervalTable, first_value: int, sink, emit):
+def _value_walk(table: IntervalTable, first_value: int, sink, emit):
     """Shared n-step walk in value space; emit(j, k, v) pushes to the sink."""
-    t = table.to_absolute()
-    if not 0 <= first_value < t.n:
+    if not 0 <= first_value < table.n:
         raise BoundsError(f"start value {first_value} out of range")
-    stats = TraversalStats()
-    record = stats.record
-    starts = t.starts
-    r = len(starts)
-    dest_rank = t.dest_rank
-    dest_offset = t.dest_offset
-    cur = t.cursor_of(first_value)
+    starts = table.materialized_starts()
+    lengths = table.lengths
+    dest_rank = table.dest_rank
+    dest_offset = table.dest_offset
+    counts = _ff_counts(table)
+    cur = table.cursor_of(first_value)
     j, k = cur.j, cur.k
-    for _ in range(t.n):
+    for _ in range(table.n):
         emit(j, k, starts[j] + k)
-        q = dest_rank[j]
-        p = starts[q] + dest_offset[j] + k
-        ff = 0
-        while q + 1 < r and starts[q + 1] <= p:
-            q += 1
-            ff += 1
-        j, k = q, p - starts[q]
-        record(ff)
+        j, k, ff = step(lengths, dest_rank, dest_offset, j, k)
+        counts[ff] += 1
     sink.close()
-    return stats
+    return TraversalStats.from_histogram(counts)
 
 
 def enumerate_sa(
@@ -202,7 +177,7 @@ def enumerate_sa(
     def emit(j: int, k: int, v: int) -> None:
         put(v)
 
-    return _absolute_walk(phi_inv_table, first_sa, sink, emit)
+    return _value_walk(phi_inv_table, first_sa, sink, emit)
 
 
 def enumerate_da(
@@ -230,7 +205,7 @@ def enumerate_da(
                 "interval spans several documents; bounds required"
             )
 
-    return _absolute_walk(phi_inv_table, first_sa, sink, emit)
+    return _value_walk(phi_inv_table, first_sa, sink, emit)
 
 
 def traverse_counted(
@@ -241,42 +216,28 @@ def traverse_counted(
 ) -> tuple[MoveCursor, TraversalStats]:
     """Chained move queries from `start`, aggregating fast-forward stats."""
     table._check_cursor(start)
-    stats = TraversalStats()
-    record = stats.record
     j, k = start.j, start.k
     dest_rank = table.dest_rank
     dest_offset = table.dest_offset
-    if config.search == EXPONENTIAL and table.starts is None:
-        raise UnsupportedModeError("exponential search requires absolute mode")
-    if table.starts is not None:
-        starts = table.starts
-        r = len(starts)
-        if config.search == EXPONENTIAL:
-            move = table._move_exponential
-            for _ in range(steps):
-                res = move(MoveCursor(j, k))
-                j, k = res.cursor.j, res.cursor.k
-                record(res.fast_forwards, res.probes)
-        else:
-            for _ in range(steps):
-                q = dest_rank[j]
-                p = starts[q] + dest_offset[j] + k
-                ff = 0
-                while q + 1 < r and starts[q + 1] <= p:
-                    q += 1
-                    ff += 1
-                record(ff, ff + (1 if q + 1 < r else 0))
-                j, k = q, p - starts[q]
+    counts = _ff_counts(table)
+    if config.search == EXPONENTIAL:
+        starts = table._require_starts()
+        total_probes = max_probes = 0
+        for _ in range(steps):
+            j, k, ff, probes = gallop(starts, dest_rank, dest_offset, j, k)
+            counts[ff] += 1
+            total_probes += probes
+            if probes > max_probes:
+                max_probes = probes
+        stats = TraversalStats.from_histogram(counts)
     else:
         lengths = table.lengths
         for _ in range(steps):
-            q = dest_rank[j]
-            off = dest_offset[j] + k
-            ff = 0
-            while off >= lengths[q]:
-                off -= lengths[q]
-                q += 1
-                ff += 1
-            record(ff, ff + 1)
-            j, k = q, off
+            j, k, ff = step(lengths, dest_rank, dest_offset, j, k)
+            counts[ff] += 1
+        stats = TraversalStats.from_histogram(counts)
+        total_probes = stats.steps + stats.total_fast_forwards
+        max_probes = stats.max_fast_forwards + 1 if stats.steps else 0
+    stats.total_probes = total_probes
+    stats.max_probes = max_probes
     return MoveCursor(j, k), stats

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
 import random
 from fractions import Fraction
 
@@ -94,21 +93,6 @@ def random_runny_permutation(
             pi[i] = pos
             pos += 1
     return pi
-
-
-def max_fast_forwards(table: IntervalTable) -> int:
-    """Exact worst case over all n queries: the maximum over intervals of the
-    number of starts strictly inside the interval's output range."""
-    starts = table.materialized_starts()
-    worst = 0
-    for j in range(len(table)):
-        v = starts[table.dest_rank[j]] + table.dest_offset[j]
-        inside = bisect.bisect_left(
-            starts, v + table.lengths[j]
-        ) - bisect.bisect_right(starts, v)
-        if inside > worst:
-            worst = inside
-    return worst
 
 
 def sweep_fast_forwards(table: IntervalTable) -> tuple[int, int]:

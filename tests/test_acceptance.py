@@ -35,7 +35,13 @@ from movestruct import (
     traverse_counted,
     ValueSink,
 )
-from movestruct.oracle import naive_fl, naive_lf, naive_phi, naive_sa
+from movestruct.oracle import (
+    max_fast_forwards,
+    naive_fl,
+    naive_lf,
+    naive_phi,
+    naive_sa,
+)
 from support import (
     ALPHAS,
     CAPS,
@@ -45,7 +51,6 @@ from support import (
     REF_STARTS,
     adversarial_permutation,
     ceil_div,
-    max_fast_forwards,
     random_text,
     repetitive_text,
     run_blocks_text,
@@ -232,11 +237,7 @@ def test_criterion_07_reference_permutation_regression(capsys):
 
 def _core_only(t: IntervalTable) -> IntervalTable:
     """The same permutation table without any extra payload columns."""
-    return IntervalTable(
-        t.n, t.mode, t.lengths, t.dest_rank, t.dest_offset, starts=t.starts,
-        source_runs=t.source_runs, kind=t.kind, cap=t.cap, cap_len=t.cap_len,
-        alpha=t.alpha,
-    )
+    return t.replace(extras={})
 
 
 def test_criterion_08_space_accounting(grid, capsys):

@@ -12,7 +12,6 @@ from movestruct import (
     InvalidSpecError,
     PackedMatrix,
     ValueOverflowError,
-    matrix_new,
     min_width,
 )
 
@@ -29,20 +28,20 @@ def test_min_width():
 
 
 def test_stride_and_payload_size():
-    m = matrix_new([("len", 2), ("off", 2), ("rank", 4)], 9)
+    m = PackedMatrix([("len", 2), ("off", 2), ("rank", 4)], 9)
     assert m.row_stride_bits == 8
     assert m.payload_bits == 72
     assert len(m.payload) == 9
 
 
 def test_max_width_round_trip():
-    m = matrix_new([("x", 64)], 1)
+    m = PackedMatrix([("x", 64)], 1)
     m.set(0, 0, 2**64 - 1)
     assert m.get(0, 0) == 2**64 - 1
 
 
 def test_row_major_write_read():
-    m = matrix_new([("a", 3), ("b", 5)], 4)
+    m = PackedMatrix([("a", 3), ("b", 5)], 4)
     v = 0
     for row in range(4):
         for col in range(2):
@@ -56,14 +55,14 @@ def test_row_major_write_read():
 
 
 def test_set_get_round_trip_and_zero_init():
-    m = matrix_new([("a", 4), ("b", 4), ("c", 4)], 16)
+    m = PackedMatrix([("a", 4), ("b", 4), ("c", 4)], 16)
     assert all(m.get(r, c) == 0 for r in range(16) for c in range(3))
     m.set(3, 0, 5)
     assert m.get(3, 0) == 5
 
 
 def test_set_does_not_perturb_neighbors():
-    m = matrix_new([("a", 7), ("b", 7), ("c", 7)], 16)
+    m = PackedMatrix([("a", 7), ("b", 7), ("c", 7)], 16)
     vals = {}
     for r in range(16):
         for c in range(3):
@@ -80,11 +79,11 @@ def test_width_validation():
     with pytest.raises(InvalidSpecError):
         ColumnSpec("x", 65)
     with pytest.raises(InvalidSpecError):
-        matrix_new([("x", 1)], -1)
+        PackedMatrix([("x", 1)], -1)
 
 
 def test_bounds_and_overflow():
-    m = matrix_new([("a", 3)], 4)
+    m = PackedMatrix([("a", 3)], 4)
     with pytest.raises(BoundsError):
         m.get(4, 0)
     with pytest.raises(BoundsError):
@@ -98,7 +97,7 @@ def test_bounds_and_overflow():
 
 
 def test_from_payload_round_trip():
-    m = matrix_new([("a", 5), ("b", 11)], 7)
+    m = PackedMatrix([("a", 5), ("b", 11)], 7)
     rng = random.Random(0)
     for r in range(7):
         m.set(r, 0, rng.randrange(32))
@@ -111,10 +110,10 @@ def test_from_payload_round_trip():
 
 
 def test_check_min_widths():
-    m = matrix_new([("a", 4)], 3)
+    m = PackedMatrix([("a", 4)], 3)
     m.set_column("a", [1, 9, 3])
     m.check_min_widths()
-    m2 = matrix_new([("a", 5)], 3)
+    m2 = PackedMatrix([("a", 5)], 3)
     m2.set_column("a", [1, 9, 3])
     with pytest.raises(InvalidSpecError):
         m2.check_min_widths()

@@ -15,7 +15,6 @@ from movestruct import (
     build_bwt,
     build_fl,
     build_lf,
-    build_phi_sorted,
     build_phi_via_lf,
     collect_sa_samples,
     load_rlbwt,
@@ -25,7 +24,7 @@ from movestruct import (
     save_rlbwt,
     table_to_permutation,
 )
-from movestruct.oracle import naive_fl, naive_lf, naive_phi, naive_sa
+from movestruct.oracle import build_phi_sorted, naive_fl, naive_lf, naive_phi, naive_sa
 from support import random_text
 
 ABAABA_SA = [6, 5, 2, 3, 0, 4, 1]

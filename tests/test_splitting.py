@@ -16,11 +16,11 @@ from movestruct import (
     length_cap,
     table_to_permutation,
 )
+from movestruct.oracle import max_fast_forwards
 from support import (
     REF_PERM,
     adversarial_permutation,
     ceil_div,
-    max_fast_forwards,
     random_runny_permutation,
     sweep_fast_forwards,
 )

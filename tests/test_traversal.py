@@ -1,6 +1,7 @@
 """Streaming traversals: BWT inversion, SA/DA enumeration, counted driver."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,9 +14,11 @@ from movestruct import (
     MissingColumnError,
     MoveCursor,
     QueryConfig,
+    SplitConfig,
     TraversalStats,
     UnsupportedModeError,
     ValueSink,
+    apply_splits,
     build_bwt,
     build_lf,
     build_phi_via_lf,
@@ -27,7 +30,7 @@ from movestruct import (
     recover_text,
     traverse_counted,
 )
-from movestruct.oracle import naive_sa
+from movestruct.oracle import naive_lf, naive_phi, naive_sa, simulate_fast_forwards
 from support import random_text
 
 
@@ -177,6 +180,52 @@ def test_traverse_counted_relative_and_exponential():
     with pytest.raises(UnsupportedModeError):
         traverse_counted(rel, MoveCursor(0, 0), 1, exp)
 
+    # Both storage modes and both search kinds agree with each other and
+    # with the oracles on random texts, capped, balanced or neither.
+    rng = random.Random(43)
+    configs = (SplitConfig(), SplitConfig(c=1), SplitConfig(c=8), SplitConfig(c=8, alpha=2))
+    for _ in range(6):
+        text = random_text(rng, 2, 400)
+        rl, _ = build_bwt(text)
+        n = rl.n
+        sa = naive_sa(text + b"\x00")
+        bounds = DocBounds([0] + sorted(rng.sample(range(1, n - 1), min(3, n - 2))))
+        oracles = {"lf": naive_lf(rl.expand()), "phi_inv": naive_phi(sa, inverse=True)}
+        for cfg in configs:
+            tables = {
+                "lf": apply_splits(build_lf(rl), cfg),
+                "phi_inv": apply_splits(build_phi_via_lf(rl, inverse=True)[0], cfg),
+            }
+            for kind, table in tables.items():
+                # Oracle walk: positions via the permutation, fast forwards
+                # counted from the starts between rank and predecessor.
+                pos = start = rng.randrange(n)
+                ffs = []
+                for _ in range(n + 7):
+                    ffs.append(simulate_fast_forwards(table, pos))
+                    pos = oracles[kind][pos]
+                expected = (n + 7, sum(ffs), max(ffs), dict(Counter(ffs)))
+                ends = []
+                for t, config in ((table, QueryConfig()), (table.to_relative(), QueryConfig()),
+                                  (table, exp)):
+                    end, stats = traverse_counted(t, t.cursor_of(start), n + 7, config)
+                    assert t.position_of(end) == pos
+                    assert (stats.steps, stats.total_fast_forwards, stats.max_fast_forwards,
+                            stats.histogram) == expected
+                    ends.append(end)
+                assert ends[0] == ends[1] == ends[2]
+
+            lf = tables["lf"]
+            inverted = [recover_text(t) for t in (lf, lf.to_relative())]
+            assert inverted == [text + b"\x00"] * 2
+            for t in (tables["phi_inv"], tables["phi_inv"].to_relative()):
+                sink = ValueSink()
+                enumerate_sa(t, n - 1, sink)
+                assert sink.data() == sa
+                sink = ValueSink()
+                enumerate_da(attach_docs(t, bounds), n - 1, sink, bounds=bounds)
+                assert sink.data() == [bounds.doc_of(v) for v in sa]
+
 
 def test_traverse_counted_bad_start():
     rl, _ = build_bwt(b"abaaba")
@@ -186,10 +235,9 @@ def test_traverse_counted_bad_start():
 
 
 def test_stats_consistency_check():
-    s = TraversalStats()
-    s.record(2)
-    s.record(0)
+    s = TraversalStats.from_histogram([1, 0, 1])
     assert s.histogram == {2: 1, 0: 1}
+    assert (s.steps, s.total_fast_forwards, s.max_fast_forwards) == (2, 2, 2)
     s.check_consistency()
     s.steps = 5
     with pytest.raises(InvalidInputError):
