@@ -11,12 +11,14 @@ from .core import (
     EXPONENTIAL,
     LINEAR,
     RELATIVE,
+    RUN_COLUMNS,
     IntervalTable,
     MoveCursor,
     MoveResult,
     QueryConfig,
     from_permutation,
     from_runs,
+    inverse,
     table_to_permutation,
 )
 from .errors import (
@@ -37,7 +39,6 @@ from .rlbwt import (
     SaSamples,
     attach_docs,
     build_bwt,
-    build_fl,
     build_lf,
     build_phi_via_lf,
     collect_sa_samples,
@@ -49,9 +50,7 @@ from .rlbwt import (
 )
 from .splitting import SplitConfig, apply_splits, balance, cap_length, length_cap
 from .traversal import (
-    ByteSink,
     TraversalStats,
-    ValueSink,
     enumerate_da,
     enumerate_sa,
     invert_bwt,

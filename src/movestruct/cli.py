@@ -12,15 +12,24 @@ import time
 from fractions import Fraction
 
 from . import files, oracle, rlbwt, splitting, traversal
-from .core import ABSOLUTE, EXPONENTIAL, LINEAR, RELATIVE, IntervalTable, QueryConfig
+from .core import (
+    ABSOLUTE,
+    EXPONENTIAL,
+    LINEAR,
+    RELATIVE,
+    IntervalTable,
+    QueryConfig,
+    inverse,
+    table_to_permutation,
+)
 from .errors import InvalidInputError, MoveStructError
 from .rlbwt import DocBounds
 
 _PERM_BUILDERS = {
     "lf": lambda rl: rlbwt.build_lf(rl),
-    "fl": lambda rl: rlbwt.build_fl(rl),
-    "phi": lambda rl: rlbwt.build_phi_via_lf(rl, inverse=False)[0],
-    "phi-inv": lambda rl: rlbwt.build_phi_via_lf(rl, inverse=True)[0],
+    "fl": lambda rl: inverse(rlbwt.build_lf(rl)),
+    "phi": lambda rl: rlbwt.build_phi_via_lf(rl)[0],
+    "phi-inv": lambda rl: inverse(rlbwt.build_phi_via_lf(rl)[0]),
 }
 
 DEFAULT_CAP = "8"
@@ -34,8 +43,11 @@ def _fraction(text: str) -> Fraction:
 
 
 def _load_bounds(path: str) -> DocBounds:
-    with open(path) as fp:
-        starts = [int(line) for line in fp if line.strip()]
+    try:
+        with open(path) as fp:
+            starts = [int(line) for line in fp if line.strip()]
+    except ValueError as e:  # a line that is not an integer, or not text
+        raise InvalidInputError(f"bad document bounds file {path}: {e}") from None
     return DocBounds(starts)
 
 
@@ -80,25 +92,17 @@ def cmd_build(args) -> int:
 
 def cmd_invert(args) -> int:
     with open(args.input, "rb") as fp:
-        magic = fp.read(4)
-    if magic == rlbwt.RLBWT_MAGIC:
-        with open(args.input, "rb") as fp:
+        is_rlbwt = fp.read(4) == rlbwt.RLBWT_MAGIC
+        fp.seek(0)
+        if is_rlbwt:
             rl = rlbwt.load_rlbwt(fp)
-        table = splitting.length_cap(rlbwt.build_lf(rl), Fraction(DEFAULT_CAP))
-    else:
-        table = _read_table(args.input)
-        if "sym" not in table.extras:
-            raise InvalidInputError("move file lacks the symbol column")
+            table = splitting.length_cap(rlbwt.build_lf(rl), Fraction(DEFAULT_CAP))
+        else:
+            table = files.load_move(fp)
+    if "sym" not in table.extras:
+        raise InvalidInputError("move file lacks the symbol column")
     with open(args.output, "wb") as fp:
-        sink = traversal.ByteSink(fp)
-        stats = traversal.invert_bwt(table, sink)
-    # The traversal emits the text in reverse with the sentinel last; the
-    # second pass flips the file and rotates the sentinel to the end.
-    with open(args.output, "rb") as fp:
-        data = fp.read()
-    data = data[::-1]
-    with open(args.output, "wb") as fp:
-        fp.write(data[1:] + data[:1])
+        stats = traversal.invert_bwt(table, fp)
     _print_stats(stats)
     return 0
 
@@ -106,8 +110,7 @@ def cmd_invert(args) -> int:
 def cmd_sa(args) -> int:
     table = _read_table(args.input)
     with open(args.output, "wb") as fp:
-        sink = traversal.ValueSink(fp)
-        stats = traversal.enumerate_sa(table, table.n - 1, sink)
+        stats = traversal.enumerate_sa(table, table.n - 1, fp)
     _print_stats(stats)
     return 0
 
@@ -120,8 +123,7 @@ def cmd_da(args) -> int:
             raise InvalidInputError("move file lacks doc columns; pass --docs")
         table = rlbwt.attach_docs(table, bounds)
     with open(args.output, "wb") as fp:
-        sink = traversal.ValueSink(fp)
-        stats = traversal.enumerate_da(table, table.n - 1, sink, bounds=bounds)
+        stats = traversal.enumerate_da(table, table.n - 1, fp, bounds=bounds)
     _print_stats(stats)
     return 0
 
@@ -191,8 +193,6 @@ def cmd_verify(args) -> int:
     else:
         raise InvalidInputError(f"cannot verify tables of kind {table.kind!r}")
 
-    from .core import table_to_permutation
-
     check("evaluation equals oracle", table_to_permutation(table) == reference)
     try:
         table.validate()
@@ -245,7 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("invert", help="recover the text from an LF move file or RLBWT")
+    p = sub.add_parser(
+        "invert", help="recover the text from an LF or FL move file or an RLBWT"
+    )
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_invert)
@@ -284,7 +286,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MoveStructError as e:
+    except (MoveStructError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

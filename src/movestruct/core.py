@@ -31,8 +31,13 @@ EXPONENTIAL = "exp"
 # Interval rank between two prefix-sum samples in relative mode.
 PREFIX_SAMPLE_EVERY = 64
 
-# Exhaustive bijectivity checking in validate() is skipped above this size.
-VALIDATE_EXHAUSTIVE_MAX_N = 100_000
+# Extra columns that are constant over an interval, and so stay right when
+# intervals are split or inverted; "doc"/"docdist" depend on the position.
+RUN_COLUMNS = ("sym",)
+
+_INVERSE_KIND = {
+    "generic": "generic", "lf": "fl", "fl": "lf", "phi": "phi_inv", "phi_inv": "phi",
+}
 
 
 @dataclass(frozen=True)
@@ -251,46 +256,86 @@ class IntervalTable:
     # ------------------------------------------------------------- validation
 
     def validate(self) -> None:
-        """Check structural invariants; raises InvalidInputError on violation."""
-        r = len(self.lengths)
+        """Check the structural invariants in O(r' log r'); raises
+        InvalidInputError on a violation."""
+        lengths = self.lengths
+        r = len(lengths)
         if r == 0 or self.n <= 0:
             raise InvalidInputError("empty table")
-        if sum(self.lengths) != self.n:
-            raise InvalidInputError("interval lengths do not sum to n")
-        if min(self.lengths) < 1:
+        if len(self.dest_rank) != r or len(self.dest_offset) != r:
+            raise InvalidInputError("core columns differ in length")
+        if min(lengths) < 1:
             raise InvalidInputError("zero-length interval")
+        if sum(lengths) != self.n:
+            raise InvalidInputError("interval lengths do not sum to n")
         starts = self.materialized_starts()
-        if self.starts is not None:
-            if starts[0] != 0 or any(
-                starts[j] >= starts[j + 1] for j in range(r - 1)
-            ):
-                raise InvalidInputError("starts not strictly increasing from 0")
-        for j in range(r):
-            q = self.dest_rank[j]
+        if self.starts is not None and (
+            len(starts) != r
+            or starts[0] != 0
+            or any(starts[j + 1] - starts[j] != lengths[j] for j in range(r - 1))
+        ):
+            raise InvalidInputError("starts disagree with interval lengths")
+        # An offset below its rank's length makes the rank the predecessor
+        # rank of the image.
+        for j, (q, off) in enumerate(zip(self.dest_rank, self.dest_offset)):
             if not 0 <= q < r:
                 raise InvalidInputError(f"dest_rank[{j}] out of range")
-            if not 0 <= self.dest_offset[j] < self.lengths[q]:
+            if not 0 <= off < lengths[q]:
                 raise InvalidInputError(
-                    f"dest_offset[{j}]={self.dest_offset[j]} not below "
-                    f"len[{q}]={self.lengths[q]}"
+                    f"dest_offset[{j}]={off} not below len[{q}]={lengths[q]}"
                 )
-            v = starts[q] + self.dest_offset[j]
-            exact = bisect.bisect_right(starts, v) - 1
-            if exact != q:
-                raise InvalidInputError(
-                    f"dest_rank[{j}] is not the predecessor rank of its image"
-                )
-        if self.n <= VALIDATE_EXHAUSTIVE_MAX_N:
-            seen = bytearray(self.n)
-            for j in range(r):
-                v = starts[self.dest_rank[j]] + self.dest_offset[j]
-                for k in range(self.lengths[j]):
-                    if seen[v + k]:
-                        raise InvalidInputError("evaluated images collide")
-                    seen[v + k] = 1
+        _check_tiling(self.n, self.images(), lengths)
         for name, vals in self.extras.items():
             if len(vals) != r:
                 raise InvalidInputError(f"extra column {name!r} has wrong length")
+
+
+def _check_tiling(n: int, images: Sequence[int], lengths: Sequence[int]) -> None:
+    """Raise unless the ranges [image, image + length) tile [0, n) exactly."""
+    pos = 0
+    for v, ell in sorted(zip(images, lengths)):
+        if v != pos:
+            raise InvalidInputError("interval images do not tile [0, n)")
+        pos += ell
+    if pos != n:
+        raise InvalidInputError("interval images do not tile [0, n)")
+
+
+def run_columns(t: IntervalTable, src: Sequence[int]) -> dict[str, list[int]]:
+    """t's extra columns for a table whose interval i comes from t's interval
+    src[i]. Only RUN_COLUMNS carry over; any other column raises."""
+    for name in t.extras:
+        if name not in RUN_COLUMNS:
+            raise InvalidInputError(
+                f"extra column {name!r} depends on the position within an "
+                "interval; attach it after splitting or inverting"
+            )
+    return {name: [vals[j] for j in src] for name, vals in t.extras.items()}
+
+
+def inverse(t: IntervalTable) -> IntervalTable:
+    """Move structure of the inverse permutation, in t's storage mode.
+
+    Interval j maps [s_j, s_j + len_j) onto [v_j, v_j + len_j), so the image
+    ranges are the intervals of the inverse and map back onto the starts.
+    Lengths are unchanged, so the cap and its bounds still hold; balancing
+    does not survive, so alpha resets to 0. LF and FL swap kinds, as do phi
+    and phi-inverse.
+    """
+    images = t.images()
+    order = sorted(range(len(images)), key=images.__getitem__)
+    starts = t.materialized_starts()
+    return IntervalTable.from_intervals(
+        t.n,
+        [images[j] for j in order],
+        [starts[j] for j in order],
+        mode=t.mode,
+        source_runs=t.source_runs,
+        kind=_INVERSE_KIND[t.kind],
+        cap=t.cap,
+        cap_len=t.cap_len,
+        extras=run_columns(t, order),
+    )
 
 
 def step(
@@ -388,14 +433,7 @@ def from_runs(
     images = [v for _, v in runs]
     r = len(runs)
     lengths = [starts[j + 1] - starts[j] for j in range(r - 1)] + [n - starts[-1]]
-    spans = sorted(zip(images, lengths))
-    pos = 0
-    for v, ell in spans:
-        if v != pos:
-            raise InvalidInputError("run images do not tile [0, n)")
-        pos += ell
-    if pos != n:
-        raise InvalidInputError("run images do not tile [0, n)")
+    _check_tiling(n, images, lengths)
     return IntervalTable.from_intervals(n, starts, images, mode=mode)
 
 

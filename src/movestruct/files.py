@@ -17,7 +17,7 @@ from typing import BinaryIO
 
 from .bitpack import ColumnSpec, PackedMatrix, min_width
 from .core import ABSOLUTE, RELATIVE, IntervalTable
-from .errors import FormatError
+from .errors import FormatError, InvalidInputError, InvalidSpecError
 
 MOVE_MAGIC = b"RPMV"
 MOVE_VERSION = 1
@@ -101,23 +101,46 @@ def save_move(table: IntervalTable, fp: BinaryIO) -> None:
     fp.write(struct.pack("<Q", fnv1a64(payload)))
 
 
+def read_exact(fp: BinaryIO, size: int) -> bytes:
+    """The next size bytes of fp; a short read means a truncated file.
+
+    Reads at most 1 MiB at a time, so that a size declared by a corrupt
+    header is never allocated before the file proves that long.
+    """
+    parts = []
+    while size > 0:
+        part = fp.read(min(size, 1 << 20))
+        if not part:
+            raise FormatError("truncated file")
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
 def _read_header(fp: BinaryIO):
     if fp.read(4) != MOVE_MAGIC:
         raise FormatError("not a move-structure file")
-    version, mode_tag, kind_tag = fp.read(1)[0], fp.read(1)[0], fp.read(1)[0]
+    version, mode_tag, kind_tag = read_exact(fp, 3)
     if version != MOVE_VERSION:
         raise FormatError(f"unsupported version {version}")
     if mode_tag not in _MODE_NAMES or kind_tag not in _KIND_NAMES:
         raise FormatError("unknown mode or kind tag")
-    n, r_prime, cap_len, c_num, c_den, alpha = struct.unpack("<QQQQQQ", fp.read(48))
-    (ncols,) = struct.unpack("<I", fp.read(4))
+    n, r_prime, cap_len, c_num, c_den, alpha = struct.unpack(
+        "<QQQQQQ", read_exact(fp, 48)
+    )
+    if c_num and not c_den:
+        raise FormatError("cap factor has a zero denominator")
+    (ncols,) = struct.unpack("<I", read_exact(fp, 4))
     specs = []
     header_len = 7 + 48 + 4
     for _ in range(ncols):
-        name_len = fp.read(1)[0]
-        name = fp.read(name_len).decode()
-        width = fp.read(1)[0]
-        specs.append(ColumnSpec(name, width))
+        (name_len,) = read_exact(fp, 1)
+        name_bytes = read_exact(fp, name_len)
+        (width,) = read_exact(fp, 1)
+        try:
+            specs.append(ColumnSpec(name_bytes.decode(), width))
+        except (UnicodeDecodeError, InvalidSpecError) as e:
+            raise FormatError(f"bad column spec: {e}") from e
         header_len += 2 + name_len
     return (
         _MODE_NAMES[mode_tag],
@@ -134,20 +157,17 @@ def _read_header(fp: BinaryIO):
 
 
 def load_move(fp: BinaryIO) -> IntervalTable:
+    """Read a table and check its structure; any malformed input raises
+    FormatError."""
     (mode, kind, n, r_prime, cap_len, c_num, c_den, alpha, specs, header_len) = (
         _read_header(fp)
     )
     stride = sum(s.width for s in specs)
     payload_len = (r_prime * stride + 7) // 8
-    payload = fp.read(payload_len)
-    if len(payload) != payload_len:
-        raise FormatError("truncated payload")
+    payload = read_exact(fp, payload_len)
     pad = (-(header_len + payload_len)) % 8
     fp.read(pad)
-    tail = fp.read(8)
-    if len(tail) != 8:
-        raise FormatError("missing checksum")
-    (checksum,) = struct.unpack("<Q", tail)
+    (checksum,) = struct.unpack("<Q", read_exact(fp, 8))
     if checksum != fnv1a64(payload):
         raise FormatError("payload checksum mismatch")
     m = PackedMatrix.from_payload(specs, r_prime, payload)
@@ -159,13 +179,11 @@ def load_move(fp: BinaryIO) -> IntervalTable:
     extras = {k: v for k, v in cols.items() if k not in core}
     if mode == ABSOLUTE:
         starts = cols["start"]
-        lengths = [starts[j + 1] - starts[j] for j in range(r_prime - 1)]
-        lengths.append(n - starts[-1])
+        lengths = [b - a for a, b in zip(starts, starts[1:] + [n])]
     else:
         starts = None
         lengths = cols["len"]
-    cap = Fraction(c_num, c_den) if c_num else None
-    return IntervalTable(
+    table = IntervalTable(
         n,
         mode,
         lengths,
@@ -173,11 +191,16 @@ def load_move(fp: BinaryIO) -> IntervalTable:
         cols["off"],
         starts=starts,
         kind=kind,
-        cap=cap,
+        cap=Fraction(c_num, c_den) if c_num else None,
         cap_len=cap_len,
         alpha=alpha,
         extras=extras,
     )
+    try:
+        table.validate()
+    except InvalidInputError as e:
+        raise FormatError(f"malformed table: {e}") from e
+    return table
 
 
 def inspect_move(fp: BinaryIO) -> dict:

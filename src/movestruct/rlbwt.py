@@ -1,6 +1,7 @@
 """Run-length encoded BWT: ingestion, desk-scale construction, and the
-specialized interval-table builders for LF/FL (O(r)) and phi/phi-inverse
-(O(n) via an LF traversal; the sort-based cross-check is in the oracle).
+specialized interval-table builders for LF (O(r)) and phi (O(n) via an LF
+traversal; the sort-based cross-check is in the oracle). FL and
+phi-inverse are core.inverse of these.
 
 The sentinel is byte 0x00 and compares smallest; symbol order is byte order.
 """
@@ -14,6 +15,7 @@ from typing import BinaryIO, Optional, Sequence
 
 from .core import ABSOLUTE, IntervalTable, step
 from .errors import FormatError, InvalidInputError
+from .files import read_exact
 
 SENTINEL = 0
 
@@ -157,7 +159,7 @@ def build_bwt(text: bytes) -> tuple[Rlbwt, list[int]]:
     return Rlbwt.from_bwt(bwt), sa
 
 
-# ------------------------------------------------------------------- LF / FL
+# ------------------------------------------------------------------------ LF
 
 
 def _runs_by_symbol(rl: Rlbwt) -> list[list[int]]:
@@ -204,47 +206,6 @@ def build_lf(rl: Rlbwt) -> IntervalTable:
     )
 
 
-def build_fl(rl: Rlbwt) -> IntervalTable:
-    """FL (inverse LF) interval table; symmetric single-merge construction."""
-    r = rl.r
-    b = rl.run_starts()
-    C = rl.c_array()
-    occ = [0] * 256
-    fl_starts = [0] * r
-    fl_lens = [0] * r
-    fl_sym = [0] * r
-    pos_of_run = [0] * r
-    # Emit FL intervals in symbol-bucket order: their starts are ascending.
-    pos = 0
-    for c, bucket in enumerate(_runs_by_symbol(rl)):
-        for j in bucket:
-            fl_starts[pos] = C[c] + occ[c]
-            occ[c] += rl.runs[j][1]
-            fl_lens[pos] = rl.runs[j][1]
-            fl_sym[pos] = c
-            pos_of_run[j] = pos
-            pos += 1
-    dest_rank = [0] * r
-    dest_offset = [0] * r
-    p = 0
-    for j in range(r):  # images b[j] are ascending in j
-        v = b[j]
-        while p + 1 < r and fl_starts[p + 1] <= v:
-            p += 1
-        dest_rank[pos_of_run[j]] = p
-        dest_offset[pos_of_run[j]] = v - fl_starts[p]
-    return IntervalTable(
-        rl.n,
-        ABSOLUTE,
-        fl_lens,
-        dest_rank,
-        dest_offset,
-        starts=fl_starts,
-        kind="fl",
-        extras={"sym": fl_sym},
-    )
-
-
 # ----------------------------------------------------------------- phi family
 
 
@@ -278,10 +239,9 @@ def collect_sa_samples(rl: Rlbwt, lf: Optional[IntervalTable] = None) -> SaSampl
     return SaSamples(head_sa=head, tail_sa=tail)
 
 
-def build_phi_via_lf(
-    rl: Rlbwt, inverse: bool = False
-) -> tuple[IntervalTable, SaSamples]:
-    """Move structure for phi (or phi-inverse) in O(n) time and O(r) space.
+def build_phi_via_lf(rl: Rlbwt) -> tuple[IntervalTable, SaSamples]:
+    """Move structure for phi in O(n) time and O(r) space; phi-inverse is
+    core.inverse of it.
 
     One LF traversal visits SA values in descending order, so interval starts
     are discovered already sorted and predecessor ranks of images are assigned
@@ -301,28 +261,17 @@ def build_phi_via_lf(
     pending: list[int] = []
 
     for v, run, is_head, is_tail in _lf_traversal_rows(rl, lf):
-        if is_head:
-            head[run] = v
-        if is_tail:
-            tail[run] = v
         # Queue the image first: if this value is also a start, it is its
         # own predecessor and must be flushed by this very discovery.
-        if inverse:
-            # phi_inv interval of run j starts at tail_sa[j] and maps to
-            # head_sa[j + 1]; the image is seen when visiting a head row.
-            if is_head:
-                owner = (run - 1) % r
-                image_of_run[owner] = v
-                pending.append(owner)
-        else:
-            # phi interval of run j starts at head_sa[j] and maps to
+        if is_tail:
+            # The phi interval of run j starts at head_sa[j] and maps to
             # tail_sa[j - 1]; the image is seen when visiting a tail row.
-            if is_tail:
-                owner = (run + 1) % r
-                image_of_run[owner] = v
-                pending.append(owner)
-        starts_here = is_tail if inverse else is_head
-        if starts_here:
+            tail[run] = v
+            owner = (run + 1) % r
+            image_of_run[owner] = v
+            pending.append(owner)
+        if is_head:
+            head[run] = v
             disc_of_run[run] = discovered
             for owner in pending:
                 pred_disc_of_run[owner] = discovered
@@ -336,10 +285,9 @@ def build_phi_via_lf(
     lengths = [0] * r
     dest_rank = [0] * r
     dest_offset = [0] * r
-    base = tail if inverse else head
     for run in range(r):
         rank = r - 1 - disc_of_run[run]
-        starts[rank] = base[run]
+        starts[rank] = head[run]
     for j in range(r - 1):
         lengths[j] = starts[j + 1] - starts[j]
     lengths[r - 1] = rl.n - starts[r - 1]
@@ -349,13 +297,7 @@ def build_phi_via_lf(
         dest_rank[rank] = q
         dest_offset[rank] = image_of_run[run] - starts[q]
     table = IntervalTable(
-        rl.n,
-        ABSOLUTE,
-        lengths,
-        dest_rank,
-        dest_offset,
-        starts=starts,
-        kind="phi_inv" if inverse else "phi",
+        rl.n, ABSOLUTE, lengths, dest_rank, dest_offset, starts=starts, kind="phi"
     )
     return table, SaSamples(head_sa=head, tail_sa=tail)
 
@@ -405,12 +347,12 @@ def load_rlbwt(fp: BinaryIO) -> Rlbwt:
     version = fp.read(1)
     if version != bytes([RLBWT_VERSION]):
         raise FormatError(f"unsupported RLBWT version {version!r}")
-    n, r = struct.unpack("<QQ", fp.read(16))
-    runs = []
-    for _ in range(r):
-        c, l = struct.unpack("<BQ", fp.read(9))
-        runs.append((c, l))
-    rl = Rlbwt.from_runs(runs)
+    n, r = struct.unpack("<QQ", read_exact(fp, 16))
+    runs = [struct.unpack("<BQ", read_exact(fp, 9)) for _ in range(r)]
+    try:
+        rl = Rlbwt.from_runs(runs)
+    except InvalidInputError as e:
+        raise FormatError(f"malformed RLBWT: {e}") from e
     if rl.n != n:
         raise FormatError("run lengths do not sum to the declared n")
     return rl

@@ -1,7 +1,10 @@
 """Interval-splitting transforms: length capping and alpha-balancing.
 
 Both consume and produce an IntervalTable and preserve the evaluated
-permutation exactly; only the interval partition gets finer.
+permutation exactly; only the interval partition gets finer. Each piece
+copies the extra columns of the interval it is cut from, which is right
+only for the run-constant columns in core.RUN_COLUMNS; any other column
+raises InvalidInputError.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .core import IntervalTable
+from .core import IntervalTable, run_columns
 from .errors import InvalidParameterError
 
 CapFactor = Union[int, float, str, Fraction]
@@ -99,10 +102,9 @@ def length_cap(t: IntervalTable, c: CapFactor) -> IntervalTable:
         dest_rank[i] = q
         dest_offset[i] = v - new_starts[q]
 
-    extras = {name: [vals[j] for j in src] for name, vals in t.extras.items()}
     return t.replace(
         lengths=new_lens, dest_rank=dest_rank, dest_offset=dest_offset,
-        starts=new_starts, extras=extras, cap=c, cap_len=L,
+        starts=new_starts, extras=run_columns(t, src), cap=c, cap_len=L,
     )
 
 
@@ -188,12 +190,10 @@ def balance(t: IntervalTable, alpha: int) -> IntervalTable:
         q = bisect.bisect_right(new_starts, new_images[j]) - 1
         dest_rank[j] = q
         dest_offset[j] = new_images[j] - new_starts[q]
-    extras = {
-        name: [vals[src_[i]] for i in order] for name, vals in t.extras.items()
-    }
     return t.replace(
         lengths=new_lens, dest_rank=dest_rank, dest_offset=dest_offset,
-        starts=new_starts, extras=extras, alpha=alpha,
+        starts=new_starts, extras=run_columns(t, [src_[i] for i in order]),
+        alpha=alpha,
     )
 
 

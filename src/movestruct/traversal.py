@@ -2,20 +2,33 @@
 SA enumeration, DA enumeration, and an instrumented traversal driver.
 
 Every walk steps with core.step and counts its fast forwards per step, so
-the amortized bounds can be checked exactly.
+the amortized bounds can be checked exactly. The streaming walks write to a
+binary file object in blocks of _BLOCK entries: bytes for the text,
+little-endian u64 values for SA and DA. Their working space is O(r').
 """
 
 from __future__ import annotations
 
-import struct
+import io
+import sys
+from array import array
 from dataclasses import dataclass, field
-from typing import BinaryIO, Optional
+from typing import BinaryIO, Callable, Iterator, Optional
 
-from .core import EXPONENTIAL, IntervalTable, MoveCursor, QueryConfig, gallop, step
+from .core import (
+    EXPONENTIAL,
+    IntervalTable,
+    MoveCursor,
+    QueryConfig,
+    gallop,
+    inverse,
+    step,
+)
 from .errors import BoundsError, InvalidInputError, MissingColumnError
 from .rlbwt import DocBounds
 
-_FLUSH_BYTES = 1 << 16
+# Entries buffered between two writes to the output file.
+_BLOCK = 1 << 16
 
 
 @dataclass
@@ -55,58 +68,6 @@ def _ff_counts(table: IntervalTable) -> list[int]:
     return [0] * min(table.max_len, len(table))
 
 
-class ByteSink:
-    """Byte stream destination: in-memory unless a file object is given."""
-
-    def __init__(self, fileobj: Optional[BinaryIO] = None):
-        self._file = fileobj
-        self._buf = bytearray()
-
-    def put(self, b: int) -> None:
-        self._buf.append(b)
-        if self._file is not None and len(self._buf) >= _FLUSH_BYTES:
-            self._file.write(self._buf)
-            self._buf.clear()
-
-    def close(self) -> None:
-        if self._file is not None and self._buf:
-            self._file.write(self._buf)
-            self._buf.clear()
-
-    def data(self) -> bytes:
-        if self._file is not None:
-            raise InvalidInputError("file-backed sink holds no in-memory data")
-        return bytes(self._buf)
-
-
-class ValueSink:
-    """Stream of 64-bit little-endian values."""
-
-    def __init__(self, fileobj: Optional[BinaryIO] = None):
-        self._file = fileobj
-        self._values: list[int] = []
-        self._buf = bytearray()
-
-    def put(self, v: int) -> None:
-        if self._file is None:
-            self._values.append(v)
-        else:
-            self._buf += struct.pack("<Q", v)
-            if len(self._buf) >= _FLUSH_BYTES:
-                self._file.write(self._buf)
-                self._buf.clear()
-
-    def close(self) -> None:
-        if self._file is not None and self._buf:
-            self._file.write(self._buf)
-            self._buf.clear()
-
-    def data(self) -> list[int]:
-        if self._file is not None:
-            raise InvalidInputError("file-backed sink holds no in-memory data")
-        return list(self._values)
-
-
 def _require_extra(table: IntervalTable, name: str) -> list[int]:
     try:
         return table.extras[name]
@@ -114,41 +75,57 @@ def _require_extra(table: IntervalTable, name: str) -> list[int]:
         raise MissingColumnError(f"table lacks extra column {name!r}") from None
 
 
-def invert_bwt(lf_table: IntervalTable, sink: ByteSink) -> TraversalStats:
-    """Emit the text in reverse (sentinel first) by walking LF from row 0.
+def _blocks(n: int) -> Iterator[int]:
+    """Sizes of the consecutive blocks of at most _BLOCK entries that cover n."""
+    return (min(_BLOCK, n - i) for i in range(0, n, _BLOCK))
 
-    Reversing the emitted stream yields the original text with its trailing
-    sentinel. Needs the run symbol attached as extra column "sym".
+
+def invert_bwt(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
+    """Write the text and then its sentinel to fp, in text order.
+
+    Walks FL from row 0, the sentinel's row: each step lands on the row of
+    the next suffix, whose first symbol is the FL interval's "sym" column.
+    An LF table is inverted into FL first.
     """
-    sym = _require_extra(lf_table, "sym")
-    put = sink.put
-    lengths = lf_table.lengths
-    dest_rank = lf_table.dest_rank
-    dest_offset = lf_table.dest_offset
-    counts = _ff_counts(lf_table)
+    if table.kind == "lf":
+        table = inverse(table)
+    elif table.kind != "fl":
+        raise InvalidInputError(
+            f"inversion needs an LF or FL table, not kind {table.kind!r}"
+        )
+    sym = _require_extra(table, "sym")
+    lengths = table.lengths
+    dest_rank = table.dest_rank
+    dest_offset = table.dest_offset
+    counts = _ff_counts(table)
+    buf = bytearray()
+    put = buf.append
     j, k = 0, 0
-    for _ in range(lf_table.n):
-        put(sym[j])
-        j, k, ff = step(lengths, dest_rank, dest_offset, j, k)
-        counts[ff] += 1
-    sink.close()
+    for size in _blocks(table.n):
+        for _ in range(size):
+            j, k, ff = step(lengths, dest_rank, dest_offset, j, k)
+            counts[ff] += 1
+            put(sym[j])
+        fp.write(buf)
+        buf.clear()
     return TraversalStats.from_histogram(counts)
 
 
-def recover_text(lf_table: IntervalTable) -> bytes:
-    """Convenience wrapper: invert into memory and undo the reversal.
-
-    The chain emits T[n-2], ..., T[0] and finally the sentinel, so the
-    reversed stream starts with the sentinel, which belongs at the end.
-    """
-    sink = ByteSink()
-    invert_bwt(lf_table, sink)
-    data = sink.data()[::-1]
-    return data[1:] + data[:1]
+def recover_text(table: IntervalTable) -> bytes:
+    """The text with its trailing sentinel, from an LF or FL table."""
+    out = io.BytesIO()
+    invert_bwt(table, out)
+    return out.getvalue()
 
 
-def _value_walk(table: IntervalTable, first_value: int, sink, emit):
-    """Shared n-step walk in value space; emit(j, k, v) pushes to the sink."""
+def _value_walk(
+    table: IntervalTable,
+    first_value: int,
+    fp: BinaryIO,
+    label: Optional[Callable[[int, int, int], int]],
+) -> TraversalStats:
+    """Shared n-step walk in value space from first_value. Writes each value
+    v at cursor (j, k), or label(j, k, v) if a label is given, as u64."""
     if not 0 <= first_value < table.n:
         raise BoundsError(f"start value {first_value} out of range")
     starts = table.materialized_starts()
@@ -156,56 +133,54 @@ def _value_walk(table: IntervalTable, first_value: int, sink, emit):
     dest_rank = table.dest_rank
     dest_offset = table.dest_offset
     counts = _ff_counts(table)
+    buf = array("Q")
+    put = buf.append
     cur = table.cursor_of(first_value)
     j, k = cur.j, cur.k
-    for _ in range(table.n):
-        emit(j, k, starts[j] + k)
-        j, k, ff = step(lengths, dest_rank, dest_offset, j, k)
-        counts[ff] += 1
-    sink.close()
+    for size in _blocks(table.n):
+        for _ in range(size):
+            v = starts[j] + k
+            put(v if label is None else label(j, k, v))
+            j, k, ff = step(lengths, dest_rank, dest_offset, j, k)
+            counts[ff] += 1
+        if sys.byteorder == "big":
+            buf.byteswap()
+        fp.write(buf)
+        del buf[:]
     return TraversalStats.from_histogram(counts)
 
 
 def enumerate_sa(
-    phi_inv_table: IntervalTable, first_sa: int, sink: ValueSink
+    phi_inv_table: IntervalTable, first_sa: int, fp: BinaryIO
 ) -> TraversalStats:
-    """Emit SA[0..n-1] by chaining the lexicographic-successor permutation
-    from SA[0] = n - 1. Works on a phi table too, emitting the reverse order
+    """Write SA[0..n-1] by chaining the lexicographic-successor permutation
+    from SA[0] = n - 1. Works on a phi table too, writing the reverse order
     when started from SA[n-1]."""
-    put = sink.put
-
-    def emit(j: int, k: int, v: int) -> None:
-        put(v)
-
-    return _value_walk(phi_inv_table, first_sa, sink, emit)
+    return _value_walk(phi_inv_table, first_sa, fp, None)
 
 
 def enumerate_da(
     phi_inv_table: IntervalTable,
     first_sa: int,
-    sink: ValueSink,
+    fp: BinaryIO,
     bounds: Optional[DocBounds] = None,
 ) -> TraversalStats:
-    """Emit DA[0..n-1]: the document of each SA value in lexicographic order.
+    """Write DA[0..n-1]: the document of each SA value in lexicographic order.
 
     Uses the per-interval (doc id, distance to next boundary) columns; an
     interval spanning several documents falls back to the bounds index.
     """
     doc0 = _require_extra(phi_inv_table, "doc")
     dist = _require_extra(phi_inv_table, "docdist")
-    put = sink.put
 
-    def emit(j: int, k: int, v: int) -> None:
+    def label(j: int, k: int, v: int) -> int:
         if k < dist[j]:
-            put(doc0[j])
-        elif bounds is not None:
-            put(bounds.doc_of(v))
-        else:
-            raise InvalidInputError(
-                "interval spans several documents; bounds required"
-            )
+            return doc0[j]
+        if bounds is not None:
+            return bounds.doc_of(v)
+        raise InvalidInputError("interval spans several documents; bounds required")
 
-    return _value_walk(phi_inv_table, first_sa, sink, emit)
+    return _value_walk(phi_inv_table, first_sa, fp, label)
 
 
 def traverse_counted(

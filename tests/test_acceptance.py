@@ -7,6 +7,7 @@ terminal (bypassing capture) in addition to the normal pytest verdict.
 import io
 import math
 import random
+import struct
 import time
 from fractions import Fraction
 from types import SimpleNamespace
@@ -21,19 +22,18 @@ from movestruct import (
     QueryConfig,
     balance,
     build_bwt,
-    build_fl,
     build_lf,
     build_phi_via_lf,
     enumerate_sa,
     from_permutation,
     inspect_move,
+    inverse,
     length_cap,
     load_move,
     recover_text,
     save_move,
     table_to_permutation,
     traverse_counted,
-    ValueSink,
 )
 from movestruct.oracle import (
     max_fast_forwards,
@@ -66,15 +66,16 @@ def _instance(text: bytes) -> SimpleNamespace:
     reference_sa = naive_sa(text + b"\x00")
     assert sa == reference_sa
     bwt = rl.expand()
+    phi = build_phi_via_lf(rl)[0]
     return SimpleNamespace(
         text=text,
         rl=rl,
         sa=reference_sa,
         base={
             "lf": build_lf(rl),
-            "fl": build_fl(rl),
-            "phi": build_phi_via_lf(rl, inverse=False)[0],
-            "phi_inv": build_phi_via_lf(rl, inverse=True)[0],
+            "fl": inverse(build_lf(rl)),
+            "phi": phi,
+            "phi_inv": inverse(phi),
         },
         oracles={
             "lf": naive_lf(bwt),
@@ -216,9 +217,9 @@ def test_criterion_06_streaming_round_trips(grid, capsys):
     for idx, inst in enumerate(grid.instances):
         if recover_text(inst.base["lf"]) != inst.text + b"\x00":
             bad.append(f"inversion {idx}")
-        sink = ValueSink()
+        sink = io.BytesIO()
         enumerate_sa(inst.base["phi_inv"], inst.rl.n - 1, sink)
-        if sink.data() != inst.sa:
+        if sink.getvalue() != struct.pack(f"<{inst.rl.n}Q", *inst.sa):
             bad.append(f"sa stream {idx}")
     _report(capsys, 6, "text inversion and SA enumeration round trips", not bad)
     assert not bad, bad[:10]

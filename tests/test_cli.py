@@ -196,3 +196,27 @@ def test_sa_values_fit_u64(ws):
     raw = sa_out.read_bytes()
     assert len(raw) == 7 * 8
     struct.unpack("<7Q", raw)
+
+
+def test_missing_input_file(tmp_path, capsys):
+    assert main(["invert", str(tmp_path / "absent.mv"), "-o", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_bad_document_bounds_line(ws, capsys):
+    docs = ws / "docs"
+    docs.write_text("0\nthree\n")
+    argv = ["build", str(ws / "rl"), "--perm", "phi-inv", "--docs", str(docs),
+            "-o", str(ws / "pi.mv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("mode", ["abs", "rel"])
+def test_invert_round_trip_fl(ws, mode):
+    out = ws / "fl.mv"
+    assert main(["build", str(ws / "rl"), "--perm", "fl", "--mode", mode,
+                 "-o", str(out)]) == 0
+    rec = ws / "rec"
+    assert main(["invert", str(out), "-o", str(rec)]) == 0
+    assert rec.read_bytes() == b"abaaba\x00"

@@ -15,7 +15,11 @@ from movestruct import (
     QueryConfig,
     UnsupportedModeError,
     from_permutation,
+    apply_splits,
+    balance,
     from_runs,
+    inverse,
+    length_cap,
     table_to_permutation,
 )
 from support import (
@@ -154,6 +158,56 @@ def test_validator_catches_corruption():
         t2.validate()
     with pytest.raises(InvalidInputError):
         IntervalTable(4, ms.ABSOLUTE, [2, 3], [0, 0], [0, 2], starts=[0, 2]).validate()
+
+
+def _split_variants(t):
+    """t uncapped, capped, balanced, and each of these in relative mode."""
+    for cfg in (ms.SplitConfig(), ms.SplitConfig(c=1), ms.SplitConfig(c=1, alpha=2),
+                ms.SplitConfig(alpha=2)):
+        split = apply_splits(t, cfg)
+        yield split
+        yield split.to_relative()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 2**32))
+def test_inverse_evaluates_to_inverse_array(n, seed):
+    rng = random.Random(seed)
+    pi = random_runny_permutation(rng, n, rng.randint(1, max(1, n // 3)))
+    pi_inv = [0] * n
+    for i, v in enumerate(pi):
+        pi_inv[v] = i
+    for t in _split_variants(from_permutation(pi)):
+        inv = inverse(t)
+        inv.validate()
+        assert table_to_permutation(inv) == pi_inv
+        # The image ranges, in order, are the intervals of the inverse.
+        by_image = [ell for _, ell in sorted(zip(t.images(), t.lengths))]
+        assert (inv.mode, inv.lengths, inv.alpha) == (t.mode, by_image, 0)
+        assert (inv.cap, inv.cap_len, inv.source_runs) == (t.cap, t.cap_len, t.source_runs)
+
+
+def test_inverse_twice_is_identity():
+    rng = random.Random(12)
+    fields = ("n", "mode", "lengths", "dest_rank", "dest_offset", "starts",
+              "source_runs", "kind", "cap", "cap_len", "alpha", "extras")
+    for _ in range(20):
+        n = rng.randint(1, 400)
+        t = from_permutation(random_runny_permutation(rng, n, rng.randint(1, 40)))
+        t.extras["sym"] = [rng.randrange(256) for _ in range(len(t))]
+        for v in _split_variants(t):
+            if v.alpha:
+                continue
+            twice = inverse(inverse(v))
+            assert [getattr(twice, f) for f in fields] == [getattr(v, f) for f in fields]
+
+
+def test_inverse_kinds_and_extras(ref_table):
+    for kind, inv_kind in (("lf", "fl"), ("phi", "phi_inv"), ("generic", "generic")):
+        assert inverse(ref_table.replace(kind=kind)).kind == inv_kind
+        assert inverse(ref_table.replace(kind=inv_kind)).kind == kind
+    with pytest.raises(InvalidInputError):
+        inverse(ref_table.replace(extras={"doc": [0] * len(ref_table)}))
 
 
 def test_move_result_probe_counts(ref_table):

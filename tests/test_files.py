@@ -2,6 +2,7 @@
 
 import io
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -9,16 +10,20 @@ import pytest
 import movestruct as ms
 from movestruct import (
     FormatError,
+    IntervalTable,
     apply_splits,
     build_bwt,
     build_lf,
     from_permutation,
     inspect_move,
     load_move,
+    load_rlbwt,
     pack_table,
     save_move,
+    save_rlbwt,
     table_to_permutation,
 )
+from movestruct.cli import main
 from support import REF_PERM, random_runny_permutation
 
 
@@ -122,3 +127,61 @@ def test_alignment_and_trailer():
     save_move(t, buf)
     # Everything before the 8-byte checksum is padded to an 8-byte boundary.
     assert (len(buf.getvalue()) - 8) % 8 == 0
+
+
+def _saved(table) -> bytes:
+    buf = io.BytesIO()
+    save_move(table, buf)
+    return buf.getvalue()
+
+
+def _lf_abaaba():
+    rl, _ = build_bwt(b"abaaba")
+    return rl, build_lf(rl)
+
+
+def _lf_with(column: str, value) -> bytes:
+    """A checksummed LF file whose last entry of a core column is replaced."""
+    _, lf = _lf_abaaba()
+    vals = list(getattr(lf, column))
+    vals[-1] = value(lf)
+    return _saved(lf.replace(**{column: vals}))
+
+
+def _lf_with_row_count(count: int) -> bytes:
+    """An LF file whose header declares r' = count; r' is the u64 after the
+    7 tag bytes and n."""
+    raw = _saved(_lf_abaaba()[1])
+    return raw[:15] + struct.pack("<Q", count) + raw[23:]
+
+
+def _rlbwt_prefix(size: int) -> bytes:
+    rl, _ = _lf_abaaba()
+    buf = io.BytesIO()
+    save_rlbwt(rl, buf)
+    return buf.getvalue()[:size]
+
+
+MALFORMED = {
+    "move-5-bytes": lambda: _saved(_lf_abaaba()[1])[:5],
+    "move-30-byte-header": lambda: _saved(_lf_abaaba()[1])[:30],
+    "move-no-intervals": lambda: _saved(
+        IntervalTable(7, ms.ABSOLUTE, [], [], [], starts=[], kind="lf")
+    ),
+    "lf-rank-beyond-table": lambda: _lf_with("dest_rank", lambda t: len(t) + 3),
+    "lf-offset-n": lambda: _lf_with("dest_offset", lambda t: t.n),
+    "rlbwt-20-bytes": lambda: _rlbwt_prefix(20),
+    "move-huge-row-count": lambda: _lf_with_row_count(1 << 60),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_files_raise_format_error(case, tmp_path, capsys):
+    data = MALFORMED[case]()
+    load = load_rlbwt if case.startswith("rlbwt") else load_move
+    with pytest.raises(FormatError):
+        load(io.BytesIO(data))
+    path = tmp_path / "bad"
+    path.write_bytes(data)
+    assert main(["invert", str(path), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error:")

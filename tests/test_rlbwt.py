@@ -13,10 +13,10 @@ from movestruct import (
     MoveCursor,
     Rlbwt,
     build_bwt,
-    build_fl,
     build_lf,
     build_phi_via_lf,
     collect_sa_samples,
+    inverse,
     load_rlbwt,
     rlbwt_from_text,
     rlbwt_to_text,
@@ -84,7 +84,7 @@ def test_build_lf_abaaba():
 
 def test_build_fl_inverse_of_lf():
     rl, _ = build_bwt(b"abaaba")
-    fl = build_fl(rl)
+    fl = inverse(build_lf(rl))
     fl.validate()
     assert table_to_permutation(fl) == naive_fl(ABAABA_BWT)
     lf_perm = table_to_permutation(build_lf(rl))
@@ -121,17 +121,18 @@ def test_phi_abaaba():
 def test_phi_inverse_composition():
     rl, sa = build_bwt(b"abaaba")
     phi = table_to_permutation(build_phi_via_lf(rl)[0])
-    phi_inv = table_to_permutation(build_phi_via_lf(rl, inverse=True)[0])
+    phi_inv = table_to_permutation(inverse(build_phi_via_lf(rl)[0]))
     assert all(phi_inv[phi[x]] == x for x in range(rl.n))
     assert phi_inv == naive_phi(sa, inverse=True)
 
 
 def test_phi_sorted_matches_traversal_builder():
     rl, _ = build_bwt(b"abaaba")
-    for inverse in (False, True):
-        a = table_to_permutation(build_phi_via_lf(rl, inverse)[0])
-        b = table_to_permutation(build_phi_sorted(rl, inverse))
-        assert a == b
+    phi = build_phi_via_lf(rl)[0]
+    assert table_to_permutation(phi) == table_to_permutation(build_phi_sorted(rl))
+    assert table_to_permutation(inverse(phi)) == table_to_permutation(
+        build_phi_sorted(rl, inverse=True)
+    )
 
 
 def test_phi_unary():
@@ -147,11 +148,11 @@ def test_builders_random_sweep():
         bwt = rl.expand()
         assert sa == naive_sa(text + b"\x00")
         assert table_to_permutation(build_lf(rl)) == naive_lf(bwt)
-        assert table_to_permutation(build_fl(rl)) == naive_fl(bwt)
-        for inverse in (False, True):
-            via_lf = table_to_permutation(build_phi_via_lf(rl, inverse)[0])
-            srt = table_to_permutation(build_phi_sorted(rl, inverse))
-            assert via_lf == srt == naive_phi(sa, inverse)
+        assert table_to_permutation(inverse(build_lf(rl))) == naive_fl(bwt)
+        phi = build_phi_via_lf(rl)[0]
+        for inv, table in ((False, phi), (True, inverse(phi))):
+            srt = table_to_permutation(build_phi_sorted(rl, inv))
+            assert table_to_permutation(table) == srt == naive_phi(sa, inv)
 
 
 def test_collect_sa_samples_standalone():

@@ -1,18 +1,27 @@
 """Length capping and balancing: worked examples, bounds, and preservation."""
 
+import io
 import random
+import struct
 from fractions import Fraction
 
 import pytest
 
 import movestruct as ms
 from movestruct import (
+    DocBounds,
+    InvalidInputError,
     InvalidParameterError,
     SplitConfig,
     apply_splits,
+    attach_docs,
     balance,
+    build_bwt,
+    build_phi_via_lf,
     cap_length,
+    enumerate_da,
     from_permutation,
+    inverse,
     length_cap,
     table_to_permutation,
 )
@@ -193,13 +202,34 @@ def test_split_metadata_propagation():
 
 def test_extras_follow_splits():
     t = from_permutation(REF_PERM)
-    t.extras["tag"] = list(range(len(t)))
+    t.extras["sym"] = list(range(len(t)))
     capped = length_cap(t, 1)
-    # Each piece inherits the tag of the interval it came from.
+    # Each piece inherits the symbol of the interval it came from.
     starts = capped.starts
     orig = t.starts
     for j, s in enumerate(starts):
         src = max(i for i, os in enumerate(orig) if os <= s)
-        assert capped.extras["tag"][j] == src
+        assert capped.extras["sym"][j] == src
     balanced = balance(capped, 2)
-    assert len(balanced.extras["tag"]) == len(balanced)
+    assert len(balanced.extras["sym"]) == len(balanced)
+
+
+def test_position_columns_attach_after_splitting():
+    text = b"abracadabra" * 20
+    bounds = DocBounds([0, 70, 150])
+    rl, sa = build_bwt(text)
+    phi_inv = inverse(build_phi_via_lf(rl)[0])
+    # Doc columns depend on the position within an interval, so splitting
+    # or inverting a table that carries them is refused ...
+    with_docs = attach_docs(phi_inv, bounds)
+    for split in (lambda t: length_cap(t, 1), lambda t: balance(t, 2), inverse):
+        with pytest.raises(InvalidInputError):
+            split(with_docs)
+    # ... and attaching them after the split gives the oracle DA.
+    for cfg in (SplitConfig(c=1), SplitConfig(c=1, alpha=2)):
+        table = attach_docs(apply_splits(phi_inv, cfg), bounds)
+        out = io.BytesIO()
+        enumerate_da(table, rl.n - 1, out, bounds=bounds)
+        assert out.getvalue() == struct.pack(
+            f"<{rl.n}Q", *(bounds.doc_of(v) for v in sa)
+        )

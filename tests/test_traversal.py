@@ -1,6 +1,9 @@
 """Streaming traversals: BWT inversion, SA/DA enumeration, counted driver."""
 
+import io
 import random
+import struct
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -8,16 +11,15 @@ import pytest
 import movestruct as ms
 from movestruct import (
     BoundsError,
-    ByteSink,
     DocBounds,
     InvalidInputError,
     MissingColumnError,
     MoveCursor,
     QueryConfig,
+    Rlbwt,
     SplitConfig,
     TraversalStats,
     UnsupportedModeError,
-    ValueSink,
     apply_splits,
     build_bwt,
     build_lf,
@@ -25,13 +27,22 @@ from movestruct import (
     attach_docs,
     enumerate_da,
     enumerate_sa,
+    inverse,
     invert_bwt,
     length_cap,
     recover_text,
+    save_rlbwt,
     traverse_counted,
 )
+from movestruct import traversal
+from movestruct.cli import main
 from movestruct.oracle import naive_lf, naive_phi, naive_sa, simulate_fast_forwards
 from support import random_text
+
+
+def u64s(buf: io.BytesIO) -> list[int]:
+    raw = buf.getvalue()
+    return list(struct.unpack(f"<{len(raw) // 8}Q", raw))
 
 
 def test_invert_abaaba():
@@ -42,13 +53,13 @@ def test_invert_abaaba():
 
 def test_invert_emission_order():
     rl, _ = build_bwt(b"abaaba")
-    lf = build_lf(rl)
-    sink = ByteSink()
-    stats = invert_bwt(lf, sink)
-    assert stats.steps == rl.n
-    stats.check_consistency()
-    # Emitted in reverse text order with the sentinel last.
-    assert sink.data() == b"abaaba\x00"[::-1][1:] + b"\x00"
+    for table in (build_lf(rl), inverse(build_lf(rl))):
+        out = io.BytesIO()
+        stats = invert_bwt(table, out)
+        assert stats.steps == rl.n
+        stats.check_consistency()
+        # Written in text order with the sentinel last.
+        assert out.getvalue() == b"abaaba\x00"
 
 
 def test_invert_unary():
@@ -61,7 +72,14 @@ def test_invert_requires_symbol_column():
     lf = build_lf(rl)
     lf.extras.pop("sym")
     with pytest.raises(MissingColumnError):
-        invert_bwt(lf, ByteSink())
+        invert_bwt(lf, io.BytesIO())
+
+
+def test_invert_rejects_other_kinds():
+    rl, _ = build_bwt(b"abaaba")
+    phi_inv = inverse(build_phi_via_lf(rl)[0])
+    with pytest.raises(InvalidInputError):
+        invert_bwt(phi_inv.replace(extras={"sym": [0] * len(phi_inv)}), io.BytesIO())
 
 
 def test_invert_random_sweep_with_caps():
@@ -78,10 +96,10 @@ def test_invert_random_sweep_with_caps():
 
 def test_enumerate_sa_abaaba():
     rl, _ = build_bwt(b"abaaba")
-    phi_inv, _ = build_phi_via_lf(rl, inverse=True)
-    sink = ValueSink()
+    phi_inv = inverse(build_phi_via_lf(rl)[0])
+    sink = io.BytesIO()
     stats = enumerate_sa(phi_inv, rl.n - 1, sink)
-    assert sink.data() == [6, 5, 2, 3, 0, 4, 1]
+    assert u64s(sink) == [6, 5, 2, 3, 0, 4, 1]
     assert stats.steps == rl.n
     stats.check_consistency()
 
@@ -91,10 +109,10 @@ def test_enumerate_sa_is_permutation():
     for _ in range(20):
         text = random_text(rng, 2, 1500)
         rl, sa = build_bwt(text)
-        phi_inv, _ = build_phi_via_lf(rl, inverse=True)
-        sink = ValueSink()
+        phi_inv = inverse(build_phi_via_lf(rl)[0])
+        sink = io.BytesIO()
         enumerate_sa(phi_inv, rl.n - 1, sink)
-        out = sink.data()
+        out = u64s(sink)
         assert out == sa == naive_sa(text + b"\x00")
         assert sorted(out) == list(range(rl.n))
 
@@ -102,42 +120,42 @@ def test_enumerate_sa_is_permutation():
 def test_phi_traversal_emits_reverse_stream():
     rl, sa = build_bwt(b"abaaba")
     phi, _ = build_phi_via_lf(rl)
-    sink = ValueSink()
+    sink = io.BytesIO()
     enumerate_sa(phi, sa[-1], sink)
-    assert sink.data() == sa[::-1]
+    assert u64s(sink) == sa[::-1]
 
 
 def test_enumerate_sa_bounds():
     rl, _ = build_bwt(b"abaaba")
-    phi_inv, _ = build_phi_via_lf(rl, inverse=True)
+    phi_inv = inverse(build_phi_via_lf(rl)[0])
     with pytest.raises(BoundsError):
-        enumerate_sa(phi_inv, rl.n, ValueSink())
+        enumerate_sa(phi_inv, rl.n, io.BytesIO())
 
 
 def test_enumerate_da_abaaba():
     rl, _ = build_bwt(b"abaaba")
-    phi_inv, _ = build_phi_via_lf(rl, inverse=True)
+    phi_inv = inverse(build_phi_via_lf(rl)[0])
     bounds = DocBounds([0, 3])
     table = attach_docs(phi_inv, bounds)
-    sink = ValueSink()
+    sink = io.BytesIO()
     enumerate_da(table, rl.n - 1, sink, bounds=bounds)
-    assert sink.data() == [1, 1, 0, 1, 0, 1, 0]
+    assert u64s(sink) == [1, 1, 0, 1, 0, 1, 0]
 
 
 def test_enumerate_da_single_document():
     rl, _ = build_bwt(b"abaaba")
-    phi_inv, _ = build_phi_via_lf(rl, inverse=True)
+    phi_inv = inverse(build_phi_via_lf(rl)[0])
     table = attach_docs(phi_inv, DocBounds([0]))
-    sink = ValueSink()
+    sink = io.BytesIO()
     enumerate_da(table, rl.n - 1, sink)
-    assert sink.data() == [0] * rl.n
+    assert u64s(sink) == [0] * rl.n
 
 
 def test_enumerate_da_requires_doc_columns():
     rl, _ = build_bwt(b"abaaba")
-    phi_inv, _ = build_phi_via_lf(rl, inverse=True)
+    phi_inv = inverse(build_phi_via_lf(rl)[0])
     with pytest.raises(MissingColumnError):
-        enumerate_da(phi_inv, rl.n - 1, ValueSink())
+        enumerate_da(phi_inv, rl.n - 1, io.BytesIO())
 
 
 def test_enumerate_da_random_multi_doc():
@@ -151,11 +169,11 @@ def test_enumerate_da_random_multi_doc():
             pos += len(d)
         bounds = DocBounds(starts)
         rl, sa = build_bwt(text)
-        phi_inv, _ = build_phi_via_lf(rl, inverse=True)
+        phi_inv = inverse(build_phi_via_lf(rl)[0])
         table = attach_docs(phi_inv, bounds)
-        sink = ValueSink()
+        sink = io.BytesIO()
         enumerate_da(table, rl.n - 1, sink, bounds=bounds)
-        assert sink.data() == [bounds.doc_of(v) for v in sa]
+        assert u64s(sink) == [bounds.doc_of(v) for v in sa]
 
 
 def test_traverse_counted_cycle_closure():
@@ -194,7 +212,7 @@ def test_traverse_counted_relative_and_exponential():
         for cfg in configs:
             tables = {
                 "lf": apply_splits(build_lf(rl), cfg),
-                "phi_inv": apply_splits(build_phi_via_lf(rl, inverse=True)[0], cfg),
+                "phi_inv": apply_splits(inverse(build_phi_via_lf(rl)[0]), cfg),
             }
             for kind, table in tables.items():
                 # Oracle walk: positions via the permutation, fast forwards
@@ -219,12 +237,12 @@ def test_traverse_counted_relative_and_exponential():
             inverted = [recover_text(t) for t in (lf, lf.to_relative())]
             assert inverted == [text + b"\x00"] * 2
             for t in (tables["phi_inv"], tables["phi_inv"].to_relative()):
-                sink = ValueSink()
+                sink = io.BytesIO()
                 enumerate_sa(t, n - 1, sink)
-                assert sink.data() == sa
-                sink = ValueSink()
+                assert u64s(sink) == sa
+                sink = io.BytesIO()
                 enumerate_da(attach_docs(t, bounds), n - 1, sink, bounds=bounds)
-                assert sink.data() == [bounds.doc_of(v) for v in sa]
+                assert u64s(sink) == [bounds.doc_of(v) for v in sa]
 
 
 def test_traverse_counted_bad_start():
@@ -244,24 +262,53 @@ def test_stats_consistency_check():
         s.check_consistency()
 
 
-def test_file_backed_sinks(tmp_path):
+def test_walks_write_to_files(tmp_path):
     rl, sa = build_bwt(b"abaaba")
-    lf = build_lf(rl)
     path = tmp_path / "text.bin"
     with open(path, "wb") as fp:
-        invert_bwt(lf, ByteSink(fp))
-    data = path.read_bytes()[::-1]
-    assert data[1:] + data[:1] == b"abaaba\x00"
+        invert_bwt(build_lf(rl), fp)
+    assert path.read_bytes() == b"abaaba\x00"
 
-    phi_inv, _ = build_phi_via_lf(rl, inverse=True)
+    phi_inv = inverse(build_phi_via_lf(rl)[0])
     vpath = tmp_path / "sa.bin"
     with open(vpath, "wb") as fp:
-        enumerate_sa(phi_inv, rl.n - 1, ValueSink(fp))
+        enumerate_sa(phi_inv, rl.n - 1, fp)
     raw = vpath.read_bytes()
     vals = [int.from_bytes(raw[i : i + 8], "little") for i in range(0, len(raw), 8)]
     assert vals == sa
 
-    with pytest.raises(InvalidInputError):
-        with open(vpath, "wb") as fp:
-            sink = ValueSink(fp)
-            sink.data()
+
+def test_walks_flush_in_blocks(monkeypatch):
+    # Outputs longer than one block come out whole and in order.
+    monkeypatch.setattr(traversal, "_BLOCK", 3)
+    rl, sa = build_bwt(b"abaaba")
+    assert recover_text(build_lf(rl)) == b"abaaba\x00"
+    out = io.BytesIO()
+    enumerate_sa(inverse(build_phi_via_lf(rl)[0]), rl.n - 1, out)
+    assert u64s(out) == sa
+    bounds = DocBounds([0, 3])
+    out = io.BytesIO()
+    enumerate_da(attach_docs(inverse(build_phi_via_lf(rl)[0]), bounds), rl.n - 1, out)
+    assert u64s(out) == [1, 1, 0, 1, 0, 1, 0]
+
+
+def test_invert_cli_working_space(tmp_path):
+    # n = 1,000,001 in r = 2 runs: the inversion keeps O(r) state and one
+    # output block, never the text.
+    rl = Rlbwt.from_runs([(97, 10**6), (0, 1)])
+    for runs, name in (([(97, 3), (0, 1)], "warm.rl"), (rl.runs, "a.rl")):
+        with open(tmp_path / name, "wb") as fp:
+            save_rlbwt(Rlbwt.from_runs(runs), fp)
+    # A first small run makes the one-time allocations of the command line
+    # parser and lazy imports, which do not grow with n.
+    assert main(["invert", str(tmp_path / "warm.rl"), "-o", str(tmp_path / "w")]) == 0
+    src = tmp_path / "a.rl"
+    out = tmp_path / "a.txt"
+    tracemalloc.start()
+    try:
+        assert main(["invert", str(src), "-o", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rl.n // 4
+    assert out.read_bytes() == b"a" * 10**6 + b"\x00"
