@@ -107,8 +107,18 @@ def cmd_invert(args) -> int:
     return 0
 
 
+def _read_phi_inv(path: str) -> IntervalTable:
+    """A phi-inverse table: the SA and DA walks start at SA[0] = n - 1."""
+    table = _read_table(path)
+    if table.kind != "phi_inv":
+        raise InvalidInputError(
+            f"{path} holds a {table.kind!r} table; sa and da need phi_inv"
+        )
+    return table
+
+
 def cmd_sa(args) -> int:
-    table = _read_table(args.input)
+    table = _read_phi_inv(args.input)
     with open(args.output, "wb") as fp:
         stats = traversal.enumerate_sa(table, table.n - 1, fp)
     _print_stats(stats)
@@ -116,7 +126,7 @@ def cmd_sa(args) -> int:
 
 
 def cmd_da(args) -> int:
-    table = _read_table(args.input)
+    table = _read_phi_inv(args.input)
     bounds = _load_bounds(args.docs) if args.docs else None
     if "doc" not in table.extras:
         if bounds is None:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import bisect
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate, groupby
 from typing import BinaryIO, Optional, Sequence
 
 from .core import ABSOLUTE, IntervalTable, step
@@ -59,16 +61,7 @@ class Rlbwt:
     def from_bwt(cls, bwt: bytes) -> "Rlbwt":
         if not bwt:
             raise InvalidInputError("empty BWT")
-        runs = []
-        prev, length = bwt[0], 0
-        for b in bwt:
-            if b == prev:
-                length += 1
-            else:
-                runs.append((prev, length))
-                prev, length = b, 1
-        runs.append((prev, length))
-        return cls.from_runs(runs)
+        return cls.from_runs([(c, len(list(g))) for c, g in groupby(bwt)])
 
     def expand(self) -> bytes:
         return b"".join(bytes([c]) * l for c, l in self.runs)
@@ -119,31 +112,100 @@ class SaSamples:
 # --------------------------------------------------------------------- build
 
 
-def _suffix_array(s: bytes) -> list[int]:
-    """Prefix-doubling suffix sort; exact for any byte string."""
-    n = len(s)
-    sa = sorted(range(n), key=s.__getitem__)
-    rank = [0] * n
-    prev_key = s[sa[0]]
-    rk = 0
-    for i in sa:
-        if s[i] != prev_key:
-            rk += 1
-            prev_key = s[i]
-        rank[i] = rk
-    k = 1
-    tmp = [0] * n
-    while rk < n - 1:
-        def key(i: int) -> tuple[int, int]:
-            return (rank[i], rank[i + k] if i + k < n else -1)
+# Suffix types for SA-IS. A suffix is S-type if it is smaller than the next
+# suffix, L-type if larger; LMS marks an S-type suffix preceded by an L-type.
+_L, _S, _LMS = 0, 1, 2
 
-        sa.sort(key=key)
-        tmp[sa[0]] = 0
-        for t in range(1, n):
-            tmp[sa[t]] = tmp[sa[t - 1]] + (key(sa[t]) != key(sa[t - 1]))
-        rank, tmp = tmp, rank
-        rk = rank[sa[-1]]
-        k <<= 1
+
+def _suffix_array(s: Sequence[int], sigma: int = 256) -> list[int]:
+    """Suffix array by SA-IS (Nong, Zhang & Chan, DCC 2009), in O(n) time.
+
+    s is a sequence of ints in [0, sigma) (bytes at the top level, lists of
+    LMS-substring names below it) whose last symbol is unique and smallest.
+    """
+    n = len(s)
+    if n == 1:
+        return [0]
+    # Classify right to left: equal neighbours share a type, and an L-type
+    # symbol before an S-type one makes the latter LMS. The last suffix is
+    # S-type, and LMS because the symbol before it is larger.
+    kind = bytearray(n)
+    kind[-1] = _S
+    lms = []
+    is_s = True
+    nxt = s[-1]
+    for i in range(n - 2, -1, -1):
+        c = s[i]
+        if c != nxt:
+            if c > nxt and is_s:
+                kind[i + 1] = _LMS
+                lms.append(i + 1)
+            is_s = c < nxt
+            nxt = c
+        if is_s:
+            kind[i] = _S
+    lms.reverse()
+
+    counts = [0] * sigma
+    for c, k in Counter(s).items():
+        counts[c] = k
+    # Sort the LMS substrings: induce from the LMS positions in text order.
+    sorted_lms = [j for j in _induce(s, kind, counts, lms) if kind[j] == _LMS]
+
+    # Name the LMS substrings in sorted order; each runs from its LMS
+    # position to the next one, inclusive. LMS positions are at least two
+    # apart, so p // 2 indexes one slot per position: it holds the end of the
+    # substring at p until p is named, then its name.
+    slot = [0] * (n // 2 + 1)
+    for p, q in zip(lms, lms[1:]):
+        slot[p // 2] = q + 1
+    slot[(n - 1) // 2] = n
+    name = -1
+    prev = None
+    for p in sorted_lms:
+        sub = s[p : slot[p // 2]]
+        if sub != prev:
+            name += 1
+            prev = sub
+        slot[p // 2] = name
+    if name + 1 < len(lms):
+        # Equal names: sort the LMS suffixes by the reduced string, whose
+        # last name (the sentinel's) is again unique and smallest.
+        reduced = [slot[p // 2] for p in lms]
+        sorted_lms = [lms[k] for k in _suffix_array(reduced, name + 1)]
+    return _induce(s, kind, counts, sorted_lms)
+
+
+def _induce(
+    s: Sequence[int], kind: bytearray, counts: list[int], seeds: list[int]
+) -> list[int]:
+    """Induced sort: seeds (LMS positions) at the tails of their buckets in
+    the given order, then the L-type suffixes left to right, then the S-type
+    suffixes right to left. The list iterators read entries written ahead of
+    them, which is what the induction needs."""
+    sa = [-1] * len(s)
+    ends = list(accumulate(counts))
+    tail = ends[:]
+    for j in reversed(seeds):
+        c = s[j]
+        tail[c] -= 1
+        sa[tail[c]] = j
+    head = [e - k for e, k in zip(ends, counts)]
+    for j in sa:
+        if j > 0:
+            j -= 1
+            if not kind[j]:  # L-type
+                c = s[j]
+                sa[head[c]] = j
+                head[c] += 1
+    tail = ends
+    for j in reversed(sa):
+        if j > 0:
+            j -= 1
+            if kind[j]:  # S-type or LMS
+                c = s[j]
+                tail[c] -= 1
+                sa[tail[c]] = j
     return sa
 
 
@@ -155,7 +217,9 @@ def build_bwt(text: bytes) -> tuple[Rlbwt, list[int]]:
         raise InvalidInputError("text must not contain the 0x00 sentinel byte")
     s = bytes(text) + bytes([SENTINEL])
     sa = _suffix_array(s)
-    bwt = bytes(s[i - 1] for i in sa)  # i == 0 wraps to the sentinel
+    # BWT[i] = s[sa[i] - 1]: read sa through s rotated right by one, so that
+    # sa[i] == 0 reads the sentinel.
+    bwt = bytes(map((s[-1:] + s[:-1]).__getitem__, sa))
     return Rlbwt.from_bwt(bwt), sa
 
 
@@ -337,8 +401,7 @@ def save_rlbwt(rl: Rlbwt, fp: BinaryIO) -> None:
     fp.write(RLBWT_MAGIC)
     fp.write(bytes([RLBWT_VERSION]))
     fp.write(struct.pack("<QQ", rl.n, rl.r))
-    for c, l in rl.runs:
-        fp.write(struct.pack("<BQ", c, l))
+    fp.write(b"".join(struct.pack("<BQ", c, l) for c, l in rl.runs))
 
 
 def load_rlbwt(fp: BinaryIO) -> Rlbwt:
@@ -348,7 +411,7 @@ def load_rlbwt(fp: BinaryIO) -> Rlbwt:
     if version != bytes([RLBWT_VERSION]):
         raise FormatError(f"unsupported RLBWT version {version!r}")
     n, r = struct.unpack("<QQ", read_exact(fp, 16))
-    runs = [struct.unpack("<BQ", read_exact(fp, 9)) for _ in range(r)]
+    runs = list(struct.iter_unpack("<BQ", read_exact(fp, 9 * r)))
     try:
         rl = Rlbwt.from_runs(runs)
     except InvalidInputError as e:

@@ -118,6 +118,15 @@ def recover_text(table: IntervalTable) -> bytes:
     return out.getvalue()
 
 
+def _require_phi(table: IntervalTable) -> None:
+    """Only phi and phi-inverse map SA values to SA values; walking another
+    kind would write one of its cycles, which is not the SA."""
+    if table.kind not in ("phi", "phi_inv"):
+        raise InvalidInputError(
+            f"SA and DA walks need a phi or phi-inverse table, not {table.kind!r}"
+        )
+
+
 def _value_walk(
     table: IntervalTable,
     first_value: int,
@@ -155,7 +164,8 @@ def enumerate_sa(
 ) -> TraversalStats:
     """Write SA[0..n-1] by chaining the lexicographic-successor permutation
     from SA[0] = n - 1. Works on a phi table too, writing the reverse order
-    when started from SA[n-1]."""
+    when started from SA[n-1]. Any other kind raises InvalidInputError."""
+    _require_phi(phi_inv_table)
     return _value_walk(phi_inv_table, first_sa, fp, None)
 
 
@@ -170,6 +180,7 @@ def enumerate_da(
     Uses the per-interval (doc id, distance to next boundary) columns; an
     interval spanning several documents falls back to the bounds index.
     """
+    _require_phi(phi_inv_table)
     doc0 = _require_extra(phi_inv_table, "doc")
     dist = _require_extra(phi_inv_table, "docdist")
 

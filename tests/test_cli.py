@@ -108,6 +108,21 @@ def test_da_command(ws):
     assert read_values(da_out) == [1, 1, 0, 1, 0, 1, 0]
 
 
+@pytest.mark.parametrize("perm", ["lf", "fl", "phi"])
+def test_sa_da_reject_other_kinds(ws, capsys, perm):
+    # SA[0] = n - 1 starts the walk, which only phi-inverse continues.
+    table = ws / f"{perm}.mv"
+    assert main(["build", str(ws / "rl"), "--perm", perm, "-o", str(table)]) == 0
+    docs = ws / "docs"
+    docs.write_text("0\n3\n")
+    capsys.readouterr()
+    for argv in (["sa", str(table)], ["da", str(table), "--docs", str(docs)]):
+        out = ws / "out"
+        assert main(argv + ["-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+
 def test_da_requires_doc_columns(ws):
     out = ws / "pi.mv"
     main(["build", str(ws / "rl"), "--perm", "phi-inv", "-o", str(out)])

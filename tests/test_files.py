@@ -155,11 +155,18 @@ def _lf_with_row_count(count: int) -> bytes:
     return raw[:15] + struct.pack("<Q", count) + raw[23:]
 
 
-def _rlbwt_prefix(size: int) -> bytes:
+def _rlbwt_bytes() -> bytes:
     rl, _ = _lf_abaaba()
     buf = io.BytesIO()
     save_rlbwt(rl, buf)
-    return buf.getvalue()[:size]
+    return buf.getvalue()
+
+
+def _rlbwt_with_run_count(count: int) -> bytes:
+    """An .rl file whose header declares r = count; r is the u64 after the
+    magic, the version byte and n."""
+    raw = _rlbwt_bytes()
+    return raw[:13] + struct.pack("<Q", count) + raw[21:]
 
 
 MALFORMED = {
@@ -170,7 +177,8 @@ MALFORMED = {
     ),
     "lf-rank-beyond-table": lambda: _lf_with("dest_rank", lambda t: len(t) + 3),
     "lf-offset-n": lambda: _lf_with("dest_offset", lambda t: t.n),
-    "rlbwt-20-bytes": lambda: _rlbwt_prefix(20),
+    "rlbwt-20-bytes": lambda: _rlbwt_bytes()[:20],
+    "rlbwt-huge-run-count": lambda: _rlbwt_with_run_count(1 << 60),
     "move-huge-row-count": lambda: _lf_with_row_count(1 << 60),
 }
 

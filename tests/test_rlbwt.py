@@ -5,7 +5,10 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from movestruct import rlbwt
 from movestruct import (
     DocBounds,
     FormatError,
@@ -18,14 +21,23 @@ from movestruct import (
     collect_sa_samples,
     inverse,
     load_rlbwt,
+    recover_text,
     rlbwt_from_text,
     rlbwt_to_text,
     sample_docs,
     save_rlbwt,
     table_to_permutation,
 )
-from movestruct.oracle import build_phi_sorted, naive_fl, naive_lf, naive_phi, naive_sa
-from support import random_text
+from movestruct.oracle import (
+    MAX_ORACLE_N,
+    build_phi_sorted,
+    naive_bwt,
+    naive_fl,
+    naive_lf,
+    naive_phi,
+    naive_sa,
+)
+from support import random_text, repetitive_text
 
 ABAABA_SA = [6, 5, 2, 3, 0, 4, 1]
 ABAABA_BWT = b"abba\x00aa"
@@ -57,6 +69,81 @@ def test_build_bwt_errors():
         build_bwt(b"")
     with pytest.raises(InvalidInputError):
         build_bwt(b"ab\x00ab")
+
+
+def _fibonacci_word(k: int) -> bytes:
+    a, b = b"b", b"a"
+    for _ in range(k):
+        a, b = b, b + a
+    return b
+
+
+def _random_over(sigma: int, n: int, seed: int) -> bytes:
+    rng = random.Random(seed)
+    return bytes(rng.randint(1, sigma) for _ in range(n))
+
+
+# name -> (text, least number of SA-IS levels it must reach: 1 means no
+# recursion, 3 means the reduced string is itself reduced again).
+SUFFIX_SORT_CASES = {
+    "fibonacci-10": (_fibonacci_word(10), 3),
+    "fibonacci-15": (_fibonacci_word(15), 3),
+    "ab-times-200": (b"ab" * 200, 2),
+    "a-times-300": (b"a" * 300, 1),
+    "abc-times-100-then-b": (b"abc" * 100 + b"b", 2),
+    "random-sigma-1": (_random_over(1, 257, 1), 1),
+    "random-sigma-2": (_random_over(2, 600, 2), 2),
+    "random-sigma-4": (_random_over(4, 600, 4), 2),
+    "bytes-1-to-255": (bytes(range(1, 256)) * 4, 2),
+    "random-bytes-with-ff": (_random_over(255, 500, 5) + b"\xff" * 9, 1),
+    "repetitive": (repetitive_text(random.Random(1), 8, 64, 2), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUFFIX_SORT_CASES))
+def test_suffix_sort_matches_naive(case, monkeypatch):
+    text, least_levels = SUFFIX_SORT_CASES[case]
+    # Each level recurses at most once, so the calls count the levels; the
+    # check keeps each case covering the levels it was chosen for.
+    levels = []
+    sort = rlbwt._suffix_array
+
+    def counted(s, sigma=256):
+        levels.append(len(s))
+        return sort(s, sigma)
+
+    monkeypatch.setattr(rlbwt, "_suffix_array", counted)
+    rl, sa = build_bwt(text)
+    s = text + b"\x00"
+    assert sa == naive_sa(s)
+    assert rl.expand() == naive_bwt(s, sa)
+    assert len(levels) >= least_levels
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_suffix_sort_matches_naive_hypothesis(data):
+    alphabets = [b"a", b"ab", b"abcd", bytes(range(1, 256))]
+    symbols = st.sampled_from(data.draw(st.sampled_from(alphabets)))
+    text = bytes(data.draw(st.lists(symbols, min_size=1, max_size=300)))
+    assert build_bwt(text)[1] == naive_sa(text + b"\x00")
+
+
+def test_build_bwt_at_roadmap_scale():
+    # n = 200,001, the ROADMAP corpus. The oracle checks are O(n): the LF
+    # chain from row 0 visits SA values n - 1, n - 2, ..., 0, and inverting
+    # the BWT gives back the text, so the BWT and the SA are both the text's.
+    text = repetitive_text(random.Random(3), 100, 2000, 20)
+    rl, sa = build_bwt(text)
+    assert rl.n == 200_001 <= MAX_ORACLE_N
+    lf = naive_lf(rl.expand())
+    expected = [0] * rl.n
+    row = 0
+    for v in range(rl.n - 1, -1, -1):
+        expected[row] = v
+        row = lf[row]
+    assert sa == expected
+    assert recover_text(build_lf(rl)) == text + b"\x00"
 
 
 def test_rlbwt_validation():

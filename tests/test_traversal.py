@@ -27,6 +27,7 @@ from movestruct import (
     attach_docs,
     enumerate_da,
     enumerate_sa,
+    from_permutation,
     inverse,
     invert_bwt,
     length_cap,
@@ -149,6 +150,18 @@ def test_enumerate_da_single_document():
     sink = io.BytesIO()
     enumerate_da(table, rl.n - 1, sink)
     assert u64s(sink) == [0] * rl.n
+
+
+def test_sa_da_walks_reject_other_kinds():
+    # An LF or FL walk from n - 1 writes a cycle of LF or FL, not the SA.
+    rl, _ = build_bwt(b"abaaba")
+    bounds = DocBounds([0, 3])
+    lf = build_lf(rl)
+    for table in (lf, inverse(lf), from_permutation(list(range(rl.n)))):
+        with pytest.raises(InvalidInputError, match="phi"):
+            enumerate_sa(table, rl.n - 1, io.BytesIO())
+        with pytest.raises(InvalidInputError, match="phi"):
+            enumerate_da(attach_docs(table, bounds), rl.n - 1, io.BytesIO(), bounds)
 
 
 def test_enumerate_da_requires_doc_columns():
