@@ -1,14 +1,20 @@
-"""Row-contiguous bit-packed matrix with per-column fixed bitwidths.
+"""Fixed-width integer columns and their bit-packed, row-major file format.
 
-Fields of one row are stored adjacent (row-major) so that a full row is read
-with at most two word-sized loads. The logical bit stream is LSB-first: bit b
-lives at bit (b mod 8) of byte b // 8, and fields within a row are concatenated
-in column order with no per-row padding.
+In memory a `PackedMatrix` holds one Python list per column. Packing happens
+only at the file boundary: `payload` writes the columns as one LSB-first bit
+stream, in which bit b lives at bit (b mod 8) of byte b // 8, rows follow one
+another with no padding, and the fields of a row are concatenated in column
+order, each at its column's width. `from_payload` reads that stream back.
+
+Eight rows of stride s bits span exactly s bytes, so both directions work on
+8-row groups: one `int.to_bytes` or `int.from_bytes` per group, and shifts
+within it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .errors import BoundsError, InvalidSpecError, ValueOverflowError
@@ -36,7 +42,7 @@ class ColumnSpec:
 
 
 class PackedMatrix:
-    """Zero-initialized fixed-width matrix over a contiguous bit buffer."""
+    """Zero-initialized matrix of row_count rows and fixed-width columns."""
 
     def __init__(self, columns: Sequence[ColumnSpec], row_count: int):
         if row_count < 0:
@@ -53,25 +59,55 @@ class PackedMatrix:
             off += c.width
         self._offsets = tuple(offsets)
         self.row_stride_bits = off
-        nbits = row_count * self.row_stride_bits
-        self._payload = bytearray((nbits + 7) // 8)
-
-    @property
-    def payload(self) -> bytes:
-        return bytes(self._payload)
+        # None stands for a column of zeros that nothing has read or written.
+        self._cols: list[list[int] | None] = [None] * len(self.columns)
 
     @property
     def payload_bits(self) -> int:
         return self.row_count * self.row_stride_bits
 
+    @property
+    def payload(self) -> bytes:
+        """The rows packed into ceil(payload_bits / 8) bytes."""
+        s = self.row_stride_bits
+        groups = [0] * -(-self.row_count // 8)
+        for col, off in enumerate(self._offsets):
+            o0, o1, o2, o3, o4, o5, o6, o7 = (s * k + off for k in range(8))
+            it = iter(self._values(col))
+            groups = [
+                x | a << o0 | b << o1 | c << o2 | d << o3 | e << o4 | f << o5
+                | g << o6 | h << o7
+                for x, (a, b, c, d, e, f, g, h) in zip(
+                    groups, zip_longest(it, it, it, it, it, it, it, it, fillvalue=0)
+                )
+            ]
+        parts = [x.to_bytes(s, "little") for x in groups]
+        if parts:
+            # The last group may hold fewer than 8 rows: keep only its bytes.
+            last = (self.payload_bits + 7) // 8 - (len(parts) - 1) * s
+            parts[-1] = groups[-1].to_bytes(last, "little")
+        return b"".join(parts)
+
     @classmethod
     def from_payload(
         cls, columns: Sequence[ColumnSpec], row_count: int, payload: bytes
     ) -> "PackedMatrix":
+        """Unpack the first ceil(payload_bits / 8) bytes of payload."""
         m = cls(columns, row_count)
-        if len(payload) < len(m._payload):
+        nbytes = (m.payload_bits + 7) // 8
+        if len(payload) < nbytes:
             raise InvalidSpecError("payload shorter than row_count * stride bits")
-        m._payload[:] = payload[: len(m._payload)]
+        s = m.row_stride_bits
+        if not s:
+            return m
+        view = memoryview(payload)[:nbytes]
+        groups = [int.from_bytes(view[i : i + s], "little") for i in range(0, nbytes, s)]
+        for col, (spec, off) in enumerate(zip(m.columns, m._offsets)):
+            mask = (1 << spec.width) - 1
+            shifts = [s * k + off for k in range(8)]
+            values = [x >> t & mask for x in groups for t in shifts]
+            del values[row_count:]
+            m._cols[col] = values
         return m
 
     def column_of(self, name: str) -> int:
@@ -80,52 +116,55 @@ class PackedMatrix:
         except KeyError:
             raise BoundsError(f"no column named {name!r}") from None
 
-    def _bitpos(self, row: int, col: int) -> tuple[int, int]:
+    def _check(self, row: int, col: int) -> None:
         if not 0 <= row < self.row_count:
             raise BoundsError(f"row {row} out of range 0..{self.row_count - 1}")
         if not 0 <= col < len(self.columns):
             raise BoundsError(f"column {col} out of range")
-        return row * self.row_stride_bits + self._offsets[col], self.columns[col].width
+
+    def _check_fits(self, col: int, low: int, high: int) -> None:
+        width = self.columns[col].width
+        if low < 0 or high >> width:
+            bad = low if low < 0 else high
+            raise ValueOverflowError(f"value {bad} does not fit in {width} bits")
+
+    def _values(self, col: int) -> list[int]:
+        values = self._cols[col]
+        if values is None:
+            values = self._cols[col] = [0] * self.row_count
+        return values
 
     def get(self, row: int, col: int) -> int:
-        bitpos, width = self._bitpos(row, col)
-        byte0, shift = bitpos >> 3, bitpos & 7
-        nbytes = (shift + width + 7) >> 3
-        window = int.from_bytes(self._payload[byte0 : byte0 + nbytes], "little")
-        return (window >> shift) & ((1 << width) - 1)
+        self._check(row, col)
+        return self._values(col)[row]
 
     def set(self, row: int, col: int, value: int) -> None:
-        bitpos, width = self._bitpos(row, col)
-        if value < 0 or value >> width:
-            raise ValueOverflowError(
-                f"value {value} does not fit in {width} bits"
-            )
-        byte0, shift = bitpos >> 3, bitpos & 7
-        nbytes = (shift + width + 7) >> 3
-        window = int.from_bytes(self._payload[byte0 : byte0 + nbytes], "little")
-        mask = ((1 << width) - 1) << shift
-        window = (window & ~mask) | (value << shift)
-        self._payload[byte0 : byte0 + nbytes] = window.to_bytes(nbytes, "little")
+        self._check(row, col)
+        self._check_fits(col, value, value)
+        self._values(col)[row] = value
 
     def set_column(self, name: str, values: Iterable[int]) -> None:
+        """Replace a whole column; nothing is written unless all row_count
+        values fit."""
         col = self.column_of(name)
-        for row, v in enumerate(values):
-            self.set(row, col, v)
+        values = list(values)
+        if len(values) != self.row_count:
+            raise BoundsError(
+                f"column {name!r} needs {self.row_count} values, got {len(values)}"
+            )
+        if values:
+            self._check_fits(col, min(values), max(values))
+        self._cols[col] = values
 
     def get_column(self, name: str) -> list[int]:
-        col = self.column_of(name)
-        return [self.get(row, col) for row in range(self.row_count)]
+        return list(self._values(self.column_of(name)))
 
     def check_min_widths(self) -> None:
         """Verify each column uses the minimum width for its stored maximum."""
         for col, spec in enumerate(self.columns):
-            mx = 0
-            for row in range(self.row_count):
-                v = self.get(row, col)
-                if v > mx:
-                    mx = v
-            if self.row_count and spec.width != min_width(mx):
+            values = self._values(col)
+            if values and spec.width != min_width(max(values)):
                 raise InvalidSpecError(
                     f"column {spec.name!r}: width {spec.width} is not minimal "
-                    f"for max value {mx}"
+                    f"for max value {max(values)}"
                 )

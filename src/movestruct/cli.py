@@ -139,6 +139,8 @@ def cmd_da(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.steps < 1:
+        raise InvalidInputError(f"--steps must be >= 1, got {args.steps}")
     if args.pin and hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {0})
     table = _read_table(args.input)

@@ -94,6 +94,31 @@ def test_bounds_and_overflow():
         m.set(0, 0, 8)
     with pytest.raises(BoundsError):
         m.column_of("nope")
+    with pytest.raises(BoundsError):
+        m.set_column("nope", [0] * 4)
+    with pytest.raises(BoundsError):
+        m.get_column("nope")
+
+
+@pytest.mark.parametrize(
+    "values, error",
+    [
+        ([1, 2, 3, 4, 5], BoundsError),
+        ([1, 2, 3], BoundsError),
+        ([], BoundsError),
+        ([1, 8, 2, 3], ValueOverflowError),
+        ([1, 2, -1, 3], ValueOverflowError),
+    ],
+)
+def test_set_column_rejects_before_writing(values, error):
+    m = PackedMatrix([("a", 3), ("b", 3)], 4)
+    m.set_column("a", [7, 6, 5, 4])
+    m.set_column("b", [1, 2, 3, 4])
+    before = m.payload
+    with pytest.raises(error):
+        m.set_column("a", values)
+    assert m.get_column("a") == [7, 6, 5, 4]
+    assert m.payload == before
 
 
 def test_from_payload_round_trip():
@@ -139,3 +164,56 @@ def test_random_matrix_lossless(data):
     # Serialization-stable: rebuilding from the payload preserves every cell.
     m2 = PackedMatrix.from_payload(cols, rows, m.payload)
     assert [[m2.get(r, c) for c in range(ncols)] for r in range(rows)] == expect
+
+
+def reference_pack(widths: list[int], rows: list[list[int]]) -> bytes:
+    """The layout of the bitpack module docstring, one bit at a time: the
+    fields of each row in column order, bit b of the stream at bit b mod 8
+    of byte b // 8."""
+    bits = [(v >> i) & 1 for row in rows for w, v in zip(widths, row) for i in range(w)]
+    out = bytearray((len(bits) + 7) // 8)
+    for b, bit in enumerate(bits):
+        out[b // 8] |= bit << (b % 8)
+    return bytes(out)
+
+
+def check_against_reference(widths: list[int], rows: list[list[int]]) -> None:
+    specs = [ColumnSpec(f"c{i}", w) for i, w in enumerate(widths)]
+    m = PackedMatrix(specs, len(rows))
+    for i, spec in enumerate(specs):
+        m.set_column(spec.name, [row[i] for row in rows])
+    payload = m.payload
+    assert payload == reference_pack(widths, rows)
+    assert len(payload) == (m.payload_bits + 7) // 8
+    for tail in (b"", b"\xa5" * 9):
+        m2 = PackedMatrix.from_payload(specs, len(rows), payload + tail)
+        assert [[m2.get(r, c) for c in range(len(widths))] for r in range(len(rows))] == rows
+        assert m2.payload == payload
+    if payload:
+        with pytest.raises(InvalidSpecError):
+            PackedMatrix.from_payload(specs, len(rows), payload[:-1])
+
+
+@pytest.mark.parametrize(
+    "widths", [[1], [3], [7], [1, 8], [13, 2], [64], [64, 1], [63, 64, 5], [8, 8]]
+)
+def test_payload_matches_reference_fixed_shapes(widths):
+    rng = random.Random(sum(widths))
+    for row_count in (0, 1, 7, 8, 9, 15, 16, 17, 40):
+        rows = [
+            [rng.choice([0, (1 << w) - 1, rng.randrange(1 << w)]) for w in widths]
+            for _ in range(row_count)
+        ]
+        check_against_reference(widths, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_payload_matches_reference(data):
+    widths = data.draw(st.lists(st.integers(1, 64), min_size=1, max_size=5))
+    row_count = data.draw(st.integers(0, 40))
+    rows = [
+        [data.draw(st.integers(0, (1 << w) - 1)) for w in widths]
+        for _ in range(row_count)
+    ]
+    check_against_reference(widths, rows)

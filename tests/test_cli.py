@@ -178,6 +178,17 @@ def test_bench_csv(ws, capsys):
     float(fields[1])
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_bench_rejects_steps_below_one(ws, capsys, steps):
+    out = ws / "lf.mv"
+    main(["build", str(ws / "rl"), "-o", str(out)])
+    capsys.readouterr()
+    assert main(["bench", str(out), "--steps", steps]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--steps" in captured.err
+    assert captured.out == ""
+
+
 def test_bench_exponential_rejects_relative(ws):
     out = ws / "rel.mv"
     main(["build", str(ws / "rl"), "--mode", "rel", "-o", str(out)])

@@ -6,6 +6,8 @@ import struct
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import movestruct as ms
 from movestruct import (
@@ -24,6 +26,7 @@ from movestruct import (
     table_to_permutation,
 )
 from movestruct.cli import main
+from movestruct.files import fnv1a64
 from support import REF_PERM, random_runny_permutation
 
 
@@ -129,6 +132,35 @@ def test_alignment_and_trailer():
     assert (len(buf.getvalue()) - 8) % 8 == 0
 
 
+# A relative table of 11 rows with cap metadata and an 8-bit extra column:
+# stride 15 bits, so the payload holds one full 8-row group and a 3-row tail.
+PINNED_TABLE = dict(
+    n=16,
+    mode=ms.RELATIVE,
+    lengths=[2, 2, 1, 1, 2, 2, 1, 1, 1, 2, 1],
+    dest_rank=[0, 5, 7, 1, 8, 2, 9, 0, 10, 4, 5],
+    dest_offset=[1, 1, 0, 1, 0, 0, 1, 0, 0, 0, 0],
+    cap=Fraction(1),
+    cap_len=2,
+    alpha=2,
+    extras={"sym": [97, 98, 97, 99, 100, 255, 0, 97, 98, 1, 128]},
+)
+PINNED_FILE = bytes.fromhex(
+    "52504d5601010010000000000000000b000000000000000200000000000000010000"
+    "00000000000100000000000000020000000000000004000000036c656e02036f6666"
+    "010472616e6b040373796d08863097582eac31262493fc37010261513151400a1000"
+    "0000c89882c78c1daa53"
+)
+
+
+def test_save_move_bytes_are_pinned():
+    table = IntervalTable(**PINNED_TABLE)
+    assert _saved(table) == PINNED_FILE
+    loaded = load_move(io.BytesIO(PINNED_FILE))
+    for field, value in PINNED_TABLE.items():
+        assert getattr(loaded, field) == value, field
+
+
 def _saved(table) -> bytes:
     buf = io.BytesIO()
     save_move(table, buf)
@@ -193,3 +225,72 @@ def test_malformed_files_raise_format_error(case, tmp_path, capsys):
     path.write_bytes(data)
     assert main(["invert", str(path), "-o", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _rechecksummed(data: bytes) -> bytes:
+    """data cut after the payload its header declares, padded, and given that
+    payload's checksum, so that a mutation reaches the payload decoder and
+    validate(); data itself when its header or payload is unreadable."""
+    try:
+        info = inspect_move(io.BytesIO(data))
+    except FormatError:
+        return data
+    # magic and tags, six u64 fields, the column count, then per column a
+    # name length, the name and a width
+    header_len = 7 + 48 + 4 + sum(2 + len(name.encode()) for name, _ in info["columns"])
+    end = header_len + info["payload_bytes"]
+    if len(data) < end:
+        return data
+    pad = bytes(-end % 8)
+    return data[:end] + pad + struct.pack("<Q", fnv1a64(data[header_len:end]))
+
+
+def _fuzz_bases() -> list[bytes]:
+    _, lf = _lf_abaaba()
+    rng = random.Random(11)
+    perm = from_permutation(random_runny_permutation(rng, 2000, 150))
+    capped = apply_splits(perm, ms.SplitConfig(c=Fraction(1), alpha=2))
+    return [
+        _saved(lf),
+        _saved(lf.to_relative()),
+        _saved(perm),
+        _saved(capped.to_relative()),
+        PINNED_FILE,
+    ]
+
+
+FUZZ_BASES = _fuzz_bases()
+# Flips are drawn most often and count back from the end of the file, where
+# the payload is: a flip there reaches the payload decoder once the checksum
+# is recomputed.
+MUTATION = st.tuples(
+    st.sampled_from(["flip", "flip", "flip", "truncate", "append"]),
+    st.integers(0, 1 << 16),
+    st.integers(1, 255),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    base=st.integers(0, len(FUZZ_BASES) - 1),
+    mutations=st.lists(MUTATION, min_size=1, max_size=4),
+    rechecksum=st.booleans(),
+)
+def test_mutated_files_fail_cleanly(base, mutations, rechecksum):
+    """A mutated file either raises FormatError or loads a table that passes
+    validate(); no other outcome is allowed."""
+    data = bytearray(FUZZ_BASES[base])
+    for kind, pos, byte in mutations:
+        if kind == "flip" and data:
+            data[-1 - pos % len(data)] ^= byte
+        elif kind == "truncate":
+            del data[pos % (len(data) + 1) :]
+        elif kind == "append":
+            data += bytes([byte]) * (1 + pos % 16)
+    if rechecksum:
+        data = _rechecksummed(bytes(data))
+    try:
+        table = load_move(io.BytesIO(bytes(data)))
+    except FormatError:
+        return
+    table.validate()
