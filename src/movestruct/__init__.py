@@ -45,7 +45,6 @@ from .rlbwt import (
     load_rlbwt,
     rlbwt_from_text,
     rlbwt_to_text,
-    sample_docs,
     save_rlbwt,
 )
 from .splitting import SplitConfig, apply_splits, balance, cap_length, length_cap

@@ -29,7 +29,7 @@ _PERM_BUILDERS = {
     "lf": lambda rl: rlbwt.build_lf(rl),
     "fl": lambda rl: inverse(rlbwt.build_lf(rl)),
     "phi": lambda rl: rlbwt.build_phi_via_lf(rl)[0],
-    "phi-inv": lambda rl: inverse(rlbwt.build_phi_via_lf(rl)[0]),
+    "phi-inv": lambda rl: rlbwt.build_phi_via_lf(rl, inverse=True)[0],
 }
 
 DEFAULT_CAP = "8"

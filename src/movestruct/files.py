@@ -6,7 +6,7 @@ Layout (all integers little-endian):
   column count u32 | per column: name length u8, name bytes, width u8 |
   payload (bit-packed matrix, rows contiguous) |
   zero padding to an 8-byte file boundary |
-  FNV-1a 64-bit checksum of the payload bytes
+  FNV-1a 64-bit checksum of the payload bytes, and nothing after it
 """
 
 from __future__ import annotations
@@ -165,9 +165,12 @@ def load_move(fp: BinaryIO) -> IntervalTable:
     stride = sum(s.width for s in specs)
     payload_len = (r_prime * stride + 7) // 8
     payload = read_exact(fp, payload_len)
-    pad = (-(header_len + payload_len)) % 8
-    fp.read(pad)
+    # Neither the padding nor the end of the file is under the checksum.
+    if any(read_exact(fp, (-(header_len + payload_len)) % 8)):
+        raise FormatError("non-zero padding")
     (checksum,) = struct.unpack("<Q", read_exact(fp, 8))
+    if fp.read(1):
+        raise FormatError("trailing bytes after the checksum")
     if checksum != fnv1a64(payload):
         raise FormatError("payload checksum mismatch")
     m = PackedMatrix.from_payload(specs, r_prime, payload)

@@ -7,11 +7,11 @@ command compare everything else against them. Guarded to desk scale.
 from __future__ import annotations
 
 import bisect
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .core import ABSOLUTE, IntervalTable
+from .core import IntervalTable
 from .errors import BoundsError, InvalidInputError
-from .rlbwt import Rlbwt, collect_sa_samples
+from .rlbwt import DocBounds, SaSamples
 from .splitting import _inside_count
 
 MAX_ORACLE_N = 1_000_000
@@ -109,35 +109,16 @@ def max_fast_forwards(t: IntervalTable) -> int:
     )
 
 
-def build_phi_sorted(rl: Rlbwt, inverse: bool = False) -> IntervalTable:
-    """Same contract as build_phi_via_lf, deriving dest_rank by sorting the
-    images; provided as an independent cross-check of the traversal builder."""
-    samples = collect_sa_samples(rl)
-    r = rl.r
-    if inverse:
-        pairs = [(samples.tail_sa[j], samples.head_sa[(j + 1) % r]) for j in range(r)]
-    else:
-        pairs = [(samples.head_sa[j], samples.tail_sa[(j - 1) % r]) for j in range(r)]
-    pairs.sort()
-    starts = [s for s, _ in pairs]
-    images = [v for _, v in pairs]
-    lengths = [starts[j + 1] - starts[j] for j in range(r - 1)] + [rl.n - starts[-1]]
-    order = sorted(range(r), key=images.__getitem__)
-    dest_rank = [0] * r
-    dest_offset = [0] * r
-    p = 0
-    for j in order:
-        v = images[j]
-        while p + 1 < r and starts[p + 1] <= v:
-            p += 1
-        dest_rank[j] = p
-        dest_offset[j] = v - starts[p]
-    return IntervalTable(
-        rl.n,
-        ABSOLUTE,
-        lengths,
-        dest_rank,
-        dest_offset,
-        starts=starts,
-        kind="phi_inv" if inverse else "phi",
+class DocSamples(NamedTuple):
+    """The document ids of the SA samples at run heads and tails."""
+
+    head_doc: list[int]
+    tail_doc: list[int]
+
+
+def sample_docs(samples: SaSamples, bounds: DocBounds) -> DocSamples:
+    """Annotate each SA sample with its document id (predecessor rank)."""
+    return DocSamples(
+        head_doc=[bounds.doc_of(v) for v in samples.head_sa],
+        tail_doc=[bounds.doc_of(v) for v in samples.tail_sa],
     )

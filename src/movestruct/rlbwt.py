@@ -1,28 +1,45 @@
-"""Run-length encoded BWT: ingestion, desk-scale construction, and the
-specialized interval-table builders for LF (O(r)) and phi (O(n) via an LF
-traversal; the sort-based cross-check is in the oracle). FL and
-phi-inverse are core.inverse of these.
+"""Run-length encoded BWT: ingestion, desk-scale construction, the .rl file
+format, and the specialized interval-table builders for LF (O(r)), and for
+phi and phi-inverse (O(r log r), from the SA values at run heads and tails).
+FL is core.inverse of LF.
 
 The sentinel is byte 0x00 and compares smallest; symbol order is byte order.
+
+.rl layout, version 2 (all integers little-endian):
+  magic "RLBW" | version u8 = 2 | n u64 | r u64 |
+  per run: symbol u8, length u64 |
+  head_sa u64 x r | tail_sa u64 x r |
+  CRC-32 (zlib.crc32) u32 of everything after the magic
+Version 1 files end after the runs. They still load, and an RLBWT read from
+one carries no samples, so the phi builders collect them with one LF walk.
 """
 
 from __future__ import annotations
 
 import bisect
 import struct
+import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, groupby
 from typing import BinaryIO, Optional, Sequence
 
-from .core import ABSOLUTE, IntervalTable, step
+from .core import ABSOLUTE, IntervalTable, _check_tiling, step
 from .errors import FormatError, InvalidInputError
 from .files import read_exact
 
 SENTINEL = 0
 
 RLBWT_MAGIC = b"RLBW"
-RLBWT_VERSION = 1
+RLBWT_VERSION = 2
+
+
+@dataclass
+class SaSamples:
+    """SA values at the head and the tail row of each BWT run."""
+
+    head_sa: list[int]
+    tail_sa: list[int]
 
 
 @dataclass
@@ -32,6 +49,8 @@ class Rlbwt:
     r: int
     sigma: int
     char_counts: list[int]  # 256 entries
+    # SA samples, when known: derived data, so left out of comparisons.
+    samples: Optional[SaSamples] = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_runs(cls, runs: Sequence[tuple[int, int]]) -> "Rlbwt":
@@ -97,16 +116,6 @@ class DocBounds:
 
     def doc_of(self, position: int) -> int:
         return bisect.bisect_right(self.starts, position) - 1
-
-
-@dataclass
-class SaSamples:
-    """SA values at BWT run heads/tails, optionally annotated with doc ids."""
-
-    head_sa: list[int]
-    tail_sa: list[int]
-    head_doc: Optional[list[int]] = None
-    tail_doc: Optional[list[int]] = None
 
 
 # --------------------------------------------------------------------- build
@@ -210,7 +219,8 @@ def _induce(
 
 
 def build_bwt(text: bytes) -> tuple[Rlbwt, list[int]]:
-    """Append the sentinel, suffix-sort, and run-length encode the BWT."""
+    """Append the sentinel, suffix-sort, and run-length encode the BWT, with
+    the SA samples at its run heads and tails."""
     if not text:
         raise InvalidInputError("empty text")
     if SENTINEL in text:
@@ -220,7 +230,13 @@ def build_bwt(text: bytes) -> tuple[Rlbwt, list[int]]:
     # BWT[i] = s[sa[i] - 1]: read sa through s rotated right by one, so that
     # sa[i] == 0 reads the sentinel.
     bwt = bytes(map((s[-1:] + s[:-1]).__getitem__, sa))
-    return Rlbwt.from_bwt(bwt), sa
+    rl = Rlbwt.from_bwt(bwt)
+    heads = rl.run_starts()
+    rl.samples = SaSamples(
+        head_sa=[sa[i] for i in heads],
+        tail_sa=[sa[i - 1] for i in heads[1:] + [rl.n]],
+    )
+    return rl, sa
 
 
 # ------------------------------------------------------------------------ LF
@@ -273,107 +289,66 @@ def build_lf(rl: Rlbwt) -> IntervalTable:
 # ----------------------------------------------------------------- phi family
 
 
-def _lf_traversal_rows(rl: Rlbwt, lf: IntervalTable):
-    """Yield (sa_value, run, is_head, is_tail) over one full LF cycle.
+def collect_sa_samples(rl: Rlbwt) -> SaSamples:
+    """SA values at every run head and tail, by one LF walk in O(n) time.
 
-    Starts at BWT row 0 (the sentinel rotation), whose SA value is n - 1;
-    each LF step decreases the SA value by one.
+    The walk starts at BWT row 0 (the sentinel's rotation), whose SA value is
+    n - 1, and each LF step lowers the SA value by one. An RLBWT whose walk
+    returns to row 0 before step n has an LF of several cycles: it is the BWT
+    of no text, and raises InvalidInputError.
     """
+    lf = build_lf(rl)
     lengths = lf.lengths
     dest_rank = lf.dest_rank
     dest_offset = lf.dest_offset
-    j, k = 0, 0
-    v = rl.n - 1
-    for _ in range(rl.n):
-        yield v, j, k == 0, k == lengths[j] - 1
-        j, k, _ff = step(lengths, dest_rank, dest_offset, j, k)
-        v -= 1
-
-
-def collect_sa_samples(rl: Rlbwt, lf: Optional[IntervalTable] = None) -> SaSamples:
-    """SA values at every run head and tail, via one LF traversal."""
-    lf = lf or build_lf(rl)
     head = [0] * rl.r
     tail = [0] * rl.r
-    for v, run, is_head, is_tail in _lf_traversal_rows(rl, lf):
-        if is_head:
-            head[run] = v
-        if is_tail:
-            tail[run] = v
+    j, k = 0, 0
+    for v in range(rl.n - 1, -1, -1):
+        if k == 0:
+            if j == 0 and v != rl.n - 1:
+                raise InvalidInputError(
+                    f"LF returns to row 0 after {rl.n - 1 - v} of {rl.n} steps; "
+                    "the RLBWT is the BWT of no text"
+                )
+            head[j] = v
+        if k == lengths[j] - 1:
+            tail[j] = v
+        j, k, _ff = step(lengths, dest_rank, dest_offset, j, k)
     return SaSamples(head_sa=head, tail_sa=tail)
 
 
-def build_phi_via_lf(rl: Rlbwt) -> tuple[IntervalTable, SaSamples]:
-    """Move structure for phi in O(n) time and O(r) space; phi-inverse is
-    core.inverse of it.
+def build_phi_via_lf(
+    rl: Rlbwt, inverse: bool = False
+) -> tuple[IntervalTable, SaSamples]:
+    """Move structure for phi, or for phi-inverse if inverse is set, from the
+    SA samples in O(r log r) time; also returns the samples.
 
-    One LF traversal visits SA values in descending order, so interval starts
-    are discovered already sorted and predecessor ranks of images are assigned
-    on the fly: an image recorded at value v has as predecessor the next start
-    discovered at value <= v.
+    The samples are rl.samples when the RLBWT carries them (build_bwt, .rl v2
+    files); otherwise one LF walk collects them (collect_sa_samples). Row i
+    at the head of run j has SA value head_sa[j], and row i - 1 (cyclically)
+    is the tail of run j - 1. So phi, which maps SA[i] to SA[i - 1], has an
+    interval at each head_sa[j] with image tail_sa[j - 1], and phi-inverse
+    one at each tail_sa[j] with image head_sa[j + 1]. Samples that repeat a
+    start or whose images do not tile [0, n) raise InvalidInputError.
+
+    The benchmark's tracer wraps this function by its name.
     """
-    lf = build_lf(rl)
-    r = rl.r
-    head = [0] * r
-    tail = [0] * r
-    # Per run: discovery index of its interval start, image value, image's
-    # predecessor discovery index.
-    disc_of_run = [-1] * r
-    image_of_run = [-1] * r
-    pred_disc_of_run = [-1] * r
-    discovered = 0
-    pending: list[int] = []
-
-    for v, run, is_head, is_tail in _lf_traversal_rows(rl, lf):
-        # Queue the image first: if this value is also a start, it is its
-        # own predecessor and must be flushed by this very discovery.
-        if is_tail:
-            # The phi interval of run j starts at head_sa[j] and maps to
-            # tail_sa[j - 1]; the image is seen when visiting a tail row.
-            tail[run] = v
-            owner = (run + 1) % r
-            image_of_run[owner] = v
-            pending.append(owner)
-        if is_head:
-            head[run] = v
-            disc_of_run[run] = discovered
-            for owner in pending:
-                pred_disc_of_run[owner] = discovered
-            pending.clear()
-            discovered += 1
-
-    if pending:
-        raise InvalidInputError("traversal did not close; malformed RLBWT")
-    # Discovery order is descending in value: rank = r - 1 - discovery index.
-    starts = [0] * r
-    lengths = [0] * r
-    dest_rank = [0] * r
-    dest_offset = [0] * r
-    for run in range(r):
-        rank = r - 1 - disc_of_run[run]
-        starts[rank] = head[run]
-    for j in range(r - 1):
-        lengths[j] = starts[j + 1] - starts[j]
-    lengths[r - 1] = rl.n - starts[r - 1]
-    for run in range(r):
-        rank = r - 1 - disc_of_run[run]
-        q = r - 1 - pred_disc_of_run[run]
-        dest_rank[rank] = q
-        dest_offset[rank] = image_of_run[run] - starts[q]
-    table = IntervalTable(
-        rl.n, ABSOLUTE, lengths, dest_rank, dest_offset, starts=starts, kind="phi"
+    samples = rl.samples or collect_sa_samples(rl)
+    head, tail = samples.head_sa, samples.tail_sa
+    if inverse:
+        pairs = sorted(zip(tail, head[1:] + head[:1]))
+    else:
+        pairs = sorted(zip(head, tail[-1:] + tail[:-1]))
+    starts = [s for s, _ in pairs]
+    images = [v for _, v in pairs]
+    if any(a == b for a, b in zip(starts, starts[1:])):
+        raise InvalidInputError("SA samples repeat an interval start")
+    table = IntervalTable.from_intervals(
+        rl.n, starts, images, kind="phi_inv" if inverse else "phi"
     )
-    return table, SaSamples(head_sa=head, tail_sa=tail)
-
-
-def sample_docs(samples: SaSamples, bounds: DocBounds) -> SaSamples:
-    """Annotate each SA sample with its document id (predecessor rank)."""
-    return SaSamples(
-        head_sa=samples.head_sa,
-        tail_sa=samples.tail_sa,
-        head_doc=[bounds.doc_of(v) for v in samples.head_sa],
-        tail_doc=[bounds.doc_of(v) for v in samples.tail_sa],
-    )
+    _check_tiling(rl.n, images, table.lengths)
+    return table, samples
 
 
 def attach_docs(table: IntervalTable, bounds: DocBounds) -> IntervalTable:
@@ -398,26 +373,50 @@ def attach_docs(table: IntervalTable, bounds: DocBounds) -> IntervalTable:
 
 
 def save_rlbwt(rl: Rlbwt, fp: BinaryIO) -> None:
+    """Write an .rl v2 file. An RLBWT without samples gets them from
+    collect_sa_samples, which rejects one that is the BWT of no text."""
+    samples = rl.samples or collect_sa_samples(rl)
+    body = bytearray([RLBWT_VERSION])
+    body += struct.pack("<QQ", rl.n, rl.r)
+    body += b"".join(struct.pack("<BQ", c, l) for c, l in rl.runs)
+    body += struct.pack(f"<{2 * rl.r}Q", *samples.head_sa, *samples.tail_sa)
     fp.write(RLBWT_MAGIC)
-    fp.write(bytes([RLBWT_VERSION]))
-    fp.write(struct.pack("<QQ", rl.n, rl.r))
-    fp.write(b"".join(struct.pack("<BQ", c, l) for c, l in rl.runs))
+    fp.write(body)
+    fp.write(struct.pack("<I", zlib.crc32(body)))
 
 
 def load_rlbwt(fp: BinaryIO) -> Rlbwt:
+    """Read an .rl file of version 1 or 2; any malformed file raises
+    FormatError. Samples of a v2 file are checked against n only: the phi
+    builders reject samples that do not make a permutation."""
     if fp.read(4) != RLBWT_MAGIC:
         raise FormatError("not an RLBWT file")
     version = fp.read(1)
-    if version != bytes([RLBWT_VERSION]):
+    if version not in (b"\x01", bytes([RLBWT_VERSION])):
         raise FormatError(f"unsupported RLBWT version {version!r}")
-    n, r = struct.unpack("<QQ", read_exact(fp, 16))
-    runs = list(struct.iter_unpack("<BQ", read_exact(fp, 9 * r)))
+    header = read_exact(fp, 16)
+    n, r = struct.unpack("<QQ", header)
+    runs_raw = read_exact(fp, 9 * r)
+    if version == b"\x01":
+        samples_raw = b""
+    else:
+        samples_raw = read_exact(fp, 16 * r)
+        (crc,) = struct.unpack("<I", read_exact(fp, 4))
+        if crc != zlib.crc32(version + header + runs_raw + samples_raw):
+            raise FormatError("RLBWT checksum mismatch")
+    if fp.read(1):
+        raise FormatError("trailing bytes after the RLBWT")
     try:
-        rl = Rlbwt.from_runs(runs)
+        rl = Rlbwt.from_runs(list(struct.iter_unpack("<BQ", runs_raw)))
     except InvalidInputError as e:
         raise FormatError(f"malformed RLBWT: {e}") from e
     if rl.n != n:
         raise FormatError("run lengths do not sum to the declared n")
+    if samples_raw:
+        values = struct.unpack(f"<{2 * r}Q", samples_raw)
+        if max(values) >= n:
+            raise FormatError("SA sample beyond n")
+        rl.samples = SaSamples(head_sa=list(values[:r]), tail_sa=list(values[r:]))
     return rl
 
 

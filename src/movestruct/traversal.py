@@ -25,7 +25,7 @@ from .core import (
     step,
 )
 from .errors import BoundsError, InvalidInputError, MissingColumnError
-from .rlbwt import DocBounds
+from .rlbwt import SENTINEL, DocBounds
 
 # Entries buffered between two writes to the output file.
 _BLOCK = 1 << 16
@@ -85,7 +85,9 @@ def invert_bwt(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
 
     Walks FL from row 0, the sentinel's row: each step lands on the row of
     the next suffix, whose first symbol is the FL interval's "sym" column.
-    An LF table is inverted into FL first.
+    An LF table is inverted into FL first. A walk that writes the sentinel
+    before the end has come back to row 0 early: FL is not one cycle, the
+    table is the BWT of no text, and InvalidInputError is raised.
     """
     if table.kind == "lf":
         table = inverse(table)
@@ -101,11 +103,19 @@ def invert_bwt(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
     buf = bytearray()
     put = buf.append
     j, k = 0, 0
+    pos = 0
     for size in _blocks(table.n):
         for _ in range(size):
             j, k, ff = step(lengths, dest_rank, dest_offset, j, k)
             counts[ff] += 1
             put(sym[j])
+        early = buf.find(SENTINEL)
+        if early != -1 and pos + early != table.n - 1:
+            raise InvalidInputError(
+                f"sentinel at text position {pos + early} of {table.n}; "
+                "the table is the BWT of no text"
+            )
+        pos += size
         fp.write(buf)
         buf.clear()
     return TraversalStats.from_histogram(counts)

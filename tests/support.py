@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+import struct
 from fractions import Fraction
 
-from movestruct import IntervalTable, MoveCursor
+from movestruct import IntervalTable, MoveCursor, Rlbwt
 
 ALPHABET = b"abcd"
 
@@ -109,3 +110,10 @@ def sweep_fast_forwards(table: IntervalTable) -> tuple[int, int]:
 
 def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
+
+
+def rlbwt_v1_bytes(rl: Rlbwt) -> bytes:
+    """rl as an .rl version 1 file: magic, version, n, r and the runs, with no
+    SA samples and no checksum."""
+    runs = b"".join(struct.pack("<BQ", c, l) for c, l in rl.runs)
+    return b"RLBW\x01" + struct.pack("<QQ", rl.n, rl.r) + runs

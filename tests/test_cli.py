@@ -1,12 +1,23 @@
 """End-to-end command-line workflows on temporary files."""
 
+import io
+import itertools
 import struct
 
 import pytest
 
-from movestruct import load_move, load_rlbwt, table_to_permutation
+from movestruct import (
+    InvalidInputError,
+    Rlbwt,
+    collect_sa_samples,
+    load_move,
+    load_rlbwt,
+    save_rlbwt,
+    table_to_permutation,
+)
 from movestruct.cli import main
-from movestruct.oracle import naive_sa
+from movestruct.oracle import naive_bwt, naive_lf, naive_sa
+from support import rlbwt_v1_bytes
 
 
 @pytest.fixture()
@@ -246,3 +257,57 @@ def test_invert_round_trip_fl(ws, mode):
     rec = ws / "rec"
     assert main(["invert", str(out), "-o", str(rec)]) == 0
     assert rec.read_bytes() == b"abaaba\x00"
+
+
+def _one_sentinel_strings(longest: int):
+    """Every string of 1 to longest bytes over {0x00, a, b} with exactly one
+    0x00 byte."""
+    for size in range(1, longest + 1):
+        for rest in itertools.product(b"ab", repeat=size - 1):
+            for i in range(size):
+                yield bytes(rest[:i]) + b"\x00" + bytes(rest[i:])
+
+
+def _lf_is_one_cycle(bwt: bytes) -> bool:
+    lf = naive_lf(bwt)
+    row, steps = lf[0], 1
+    while row != 0:
+        row, steps = lf[row], steps + 1
+    return steps == len(bwt)
+
+
+def test_rlbwt_of_no_text_is_rejected(tmp_path, capsys):
+    """A BWT whose LF is not one cycle is the BWT of no text: building phi
+    from it and inverting it exit 2 with an error, and a valid one inverts
+    to its text."""
+    bad = good = 0
+    for bwt in _one_sentinel_strings(6):
+        rl = Rlbwt.from_bwt(bwt)
+        path = tmp_path / "in.rl"
+        path.write_bytes(rlbwt_v1_bytes(rl))
+        out = tmp_path / "out"
+        if _lf_is_one_cycle(bwt):
+            good += 1
+            assert main(["invert", str(path), "-o", str(out)]) == 0
+            text = out.read_bytes()
+            assert text.endswith(b"\x00") and naive_bwt(text, naive_sa(text)) == bwt
+            continue
+        bad += 1
+        with pytest.raises(InvalidInputError):
+            collect_sa_samples(rl)
+        with pytest.raises(InvalidInputError):
+            save_rlbwt(rl, io.BytesIO())
+        lf = tmp_path / "lf.mv"
+        assert main(["build", str(path), "--perm", "lf", "--cap", "0", "-o", str(lf)]) == 0
+        capsys.readouterr()
+        for argv in (
+            ["build", str(path), "--perm", "phi"],
+            ["build", str(path), "--perm", "phi-inv"],
+            ["invert", str(path)],
+            ["invert", str(lf)],
+        ):
+            assert main(argv + ["-o", str(out)]) == 2, (bwt, argv)
+            assert capsys.readouterr().err.startswith("error:")
+    # 63 texts of at most five bytes over {a, b}, one BWT each, out of the
+    # 321 strings.
+    assert (good, bad) == (63, 258)

@@ -3,6 +3,7 @@
 import io
 import random
 import struct
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,12 @@ import movestruct as ms
 from movestruct import (
     FormatError,
     IntervalTable,
+    InvalidInputError,
+    MoveStructError,
     apply_splits,
     build_bwt,
     build_lf,
+    build_phi_via_lf,
     from_permutation,
     inspect_move,
     load_move,
@@ -27,7 +31,7 @@ from movestruct import (
 )
 from movestruct.cli import main
 from movestruct.files import fnv1a64
-from support import REF_PERM, random_runny_permutation
+from support import REF_PERM, random_runny_permutation, random_text, repetitive_text
 
 
 def roundtrip(table):
@@ -201,6 +205,28 @@ def _rlbwt_with_run_count(count: int) -> bytes:
     return raw[:13] + struct.pack("<Q", count) + raw[21:]
 
 
+def _with_crc(data: bytes) -> bytes:
+    """data with its last four bytes replaced by the CRC-32 of everything
+    between the magic and them, as an .rl v2 file ends."""
+    return data[:-4] + struct.pack("<I", zlib.crc32(data[4:-4]))
+
+
+def _rlbwt_with_samples(change) -> bytes:
+    """The .rl file of abaaba with its 2r samples, head_sa then tail_sa,
+    changed in place by change(values), and a matching CRC."""
+    raw = _rlbwt_bytes()
+    r = _lf_abaaba()[0].r
+    at = len(raw) - 4 - 16 * r
+    values = list(struct.unpack(f"<{2 * r}Q", raw[at:-4]))
+    change(values)
+    return _with_crc(raw[:at] + struct.pack(f"<{2 * r}Q", *values) + raw[-4:])
+
+
+def _rlbwt_with_crc_flipped() -> bytes:
+    raw = _rlbwt_bytes()
+    return raw[:-1] + bytes([raw[-1] ^ 1])
+
+
 MALFORMED = {
     "move-5-bytes": lambda: _saved(_lf_abaaba()[1])[:5],
     "move-30-byte-header": lambda: _saved(_lf_abaaba()[1])[:30],
@@ -211,6 +237,10 @@ MALFORMED = {
     "lf-offset-n": lambda: _lf_with("dest_offset", lambda t: t.n),
     "rlbwt-20-bytes": lambda: _rlbwt_bytes()[:20],
     "rlbwt-huge-run-count": lambda: _rlbwt_with_run_count(1 << 60),
+    "rlbwt-crc-mismatch": _rlbwt_with_crc_flipped,
+    "rlbwt-truncated-samples": lambda: _rlbwt_bytes()[:-12],
+    "rlbwt-trailing-byte": lambda: _rlbwt_bytes() + b"\x00",
+    "rlbwt-sample-n": lambda: _rlbwt_with_samples(lambda v: v.__setitem__(0, 7)),
     "move-huge-row-count": lambda: _lf_with_row_count(1 << 60),
 }
 
@@ -223,8 +253,47 @@ def test_malformed_files_raise_format_error(case, tmp_path, capsys):
         load(io.BytesIO(data))
     path = tmp_path / "bad"
     path.write_bytes(data)
-    assert main(["invert", str(path), "-o", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    commands = [["invert", str(path)]]
+    if case.startswith("rlbwt"):
+        commands.append(["build", str(path), "--perm", "phi-inv"])
+    for argv in commands:
+        assert main(argv + ["-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("which", ["head_sa", "tail_sa"])
+def test_samples_that_make_no_permutation_raise(which, tmp_path, capsys):
+    """A sample copied onto the next one of its kind loads, but repeats a
+    start of one phi table and an image of the other."""
+    r = _lf_abaaba()[0].r
+    first = 0 if which == "head_sa" else r
+    data = _rlbwt_with_samples(lambda v: v.__setitem__(first + 1, v[first]))
+    rl = load_rlbwt(io.BytesIO(data))
+    repeats_start = {"head_sa": False, "tail_sa": True}[which]
+    for inv in (False, True):
+        match = "repeat" if inv == repeats_start else "tile"
+        with pytest.raises(InvalidInputError, match=match):
+            build_phi_via_lf(rl, inverse=inv)
+    path = tmp_path / "bad.rl"
+    path.write_bytes(data)
+    for perm in ("phi", "phi-inv"):
+        assert main(["build", str(path), "--perm", perm, "-o", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def _payload_span(data: bytes) -> range:
+    """Offsets of the payload that the header of data declares."""
+    info = inspect_move(io.BytesIO(data))
+    # magic and tags, six u64 fields, the column count, then per column a
+    # name length, the name and a width
+    header_len = 7 + 48 + 4 + sum(2 + len(name.encode()) for name, _ in info["columns"])
+    return range(header_len, header_len + info["payload_bytes"])
+
+
+def _padding(data: bytes) -> range:
+    """Offsets of the zero padding between the payload and the checksum."""
+    end = _payload_span(data).stop
+    return range(end, end + -end % 8)
 
 
 def _rechecksummed(data: bytes) -> bytes:
@@ -232,17 +301,13 @@ def _rechecksummed(data: bytes) -> bytes:
     payload's checksum, so that a mutation reaches the payload decoder and
     validate(); data itself when its header or payload is unreadable."""
     try:
-        info = inspect_move(io.BytesIO(data))
+        payload = _payload_span(data)
     except FormatError:
         return data
-    # magic and tags, six u64 fields, the column count, then per column a
-    # name length, the name and a width
-    header_len = 7 + 48 + 4 + sum(2 + len(name.encode()) for name, _ in info["columns"])
-    end = header_len + info["payload_bytes"]
+    end = payload.stop
     if len(data) < end:
         return data
-    pad = bytes(-end % 8)
-    return data[:end] + pad + struct.pack("<Q", fnv1a64(data[header_len:end]))
+    return data[:end] + bytes(-end % 8) + struct.pack("<Q", fnv1a64(data[payload.start : end]))
 
 
 def _fuzz_bases() -> list[bytes]:
@@ -262,12 +327,25 @@ def _fuzz_bases() -> list[bytes]:
 FUZZ_BASES = _fuzz_bases()
 # Flips are drawn most often and count back from the end of the file, where
 # the payload is: a flip there reaches the payload decoder once the checksum
-# is recomputed.
+# is recomputed. A "pad" flip hits a padding byte of the unmutated file.
 MUTATION = st.tuples(
-    st.sampled_from(["flip", "flip", "flip", "truncate", "append"]),
+    st.sampled_from(["flip", "flip", "flip", "pad", "truncate", "append"]),
     st.integers(0, 1 << 16),
     st.integers(1, 255),
 )
+
+
+def _mutated(data: bytearray, mutations, padding: range = range(0)) -> bytearray:
+    for kind, pos, byte in mutations:
+        if kind == "flip" and data:
+            data[-1 - pos % len(data)] ^= byte
+        elif kind == "pad" and padding and padding[pos % len(padding)] < len(data):
+            data[padding[pos % len(padding)]] ^= byte
+        elif kind == "truncate":
+            del data[pos % (len(data) + 1) :]
+        elif kind == "append":
+            data += bytes([byte]) * (1 + pos % 16)
+    return data
 
 
 @settings(max_examples=400, deadline=None)
@@ -278,19 +356,55 @@ MUTATION = st.tuples(
 )
 def test_mutated_files_fail_cleanly(base, mutations, rechecksum):
     """A mutated file either raises FormatError or loads a table that passes
-    validate(); no other outcome is allowed."""
-    data = bytearray(FUZZ_BASES[base])
-    for kind, pos, byte in mutations:
-        if kind == "flip" and data:
-            data[-1 - pos % len(data)] ^= byte
-        elif kind == "truncate":
-            del data[pos % (len(data) + 1) :]
-        elif kind == "append":
-            data += bytes([byte]) * (1 + pos % 16)
+    validate(); no other outcome is allowed. Bytes appended to an intact file
+    and flips confined to its padding, which no checksum covers, must raise."""
+    original = FUZZ_BASES[base]
+    padding = _padding(original)
+    data = bytes(_mutated(bytearray(original), mutations, padding))
     if rechecksum:
-        data = _rechecksummed(bytes(data))
+        data = _rechecksummed(data)
+    appended = len(data) > len(original) and data.startswith(original)
+    changed = {i for i, (a, b) in enumerate(zip(data, original)) if a != b}
+    pad_flipped = len(data) == len(original) and changed and changed <= set(padding)
     try:
-        table = load_move(io.BytesIO(bytes(data)))
+        table = load_move(io.BytesIO(data))
     except FormatError:
         return
+    assert not appended and not pad_flipped
     table.validate()
+
+
+def _rlbwt_fuzz_bases() -> list[bytes]:
+    rng = random.Random(12)
+    out = []
+    for text in (b"abaaba", random_text(rng, 50, 200), repetitive_text(rng, 4, 40, 2)):
+        buf = io.BytesIO()
+        save_rlbwt(build_bwt(text)[0], buf)
+        out.append(buf.getvalue())
+    return out
+
+
+RLBWT_FUZZ_BASES = _rlbwt_fuzz_bases()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.integers(0, len(RLBWT_FUZZ_BASES) - 1),
+    mutations=st.lists(MUTATION, min_size=1, max_size=4),
+    rechecksum=st.booleans(),
+)
+def test_mutated_rlbwt_files_fail_cleanly(base, mutations, rechecksum):
+    """A mutated .rl file either raises a MoveStructError, when it is loaded
+    or phi is built from it, or gives phi and phi-inverse tables that pass
+    validate(). With rechecksum, a new CRC lets the mutation reach the
+    decoder of the runs and the phi builders."""
+    data = bytes(_mutated(bytearray(RLBWT_FUZZ_BASES[base]), mutations))
+    if rechecksum and len(data) >= 9:
+        data = _with_crc(data)
+    try:
+        rl = load_rlbwt(io.BytesIO(data))
+        tables = [build_phi_via_lf(rl, inverse=inv)[0] for inv in (False, True)]
+    except MoveStructError:
+        return
+    for table in tables:
+        table.validate()

@@ -3,6 +3,7 @@ builders, checked against the brute-force oracles."""
 
 import io
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,9 @@ from movestruct import (
     InvalidInputError,
     MoveCursor,
     Rlbwt,
+    SaSamples,
+    SplitConfig,
+    apply_splits,
     build_bwt,
     build_lf,
     build_phi_via_lf,
@@ -24,20 +28,21 @@ from movestruct import (
     recover_text,
     rlbwt_from_text,
     rlbwt_to_text,
-    sample_docs,
+    save_move,
     save_rlbwt,
     table_to_permutation,
 )
+from movestruct.cli import main
 from movestruct.oracle import (
     MAX_ORACLE_N,
-    build_phi_sorted,
     naive_bwt,
     naive_fl,
     naive_lf,
     naive_phi,
     naive_sa,
+    sample_docs,
 )
-from support import random_text, repetitive_text
+from support import random_text, repetitive_text, rlbwt_v1_bytes
 
 ABAABA_SA = [6, 5, 2, 3, 0, 4, 1]
 ABAABA_BWT = b"abba\x00aa"
@@ -214,17 +219,22 @@ def test_phi_inverse_composition():
 
 
 def test_phi_sorted_matches_traversal_builder():
-    rl, _ = build_bwt(b"abaaba")
-    phi = build_phi_via_lf(rl)[0]
-    assert table_to_permutation(phi) == table_to_permutation(build_phi_sorted(rl))
-    assert table_to_permutation(inverse(phi)) == table_to_permutation(
-        build_phi_sorted(rl, inverse=True)
-    )
+    # Samples read off the suffix array and samples from one LF traversal
+    # give the same tables.
+    rl, sa = build_bwt(b"abaaba")
+    walked = Rlbwt.from_runs(rl.runs)
+    assert walked.samples is None
+    for inv in (False, True):
+        table, samples = build_phi_via_lf(rl, inverse=inv)
+        from_walk, walk_samples = build_phi_via_lf(walked, inverse=inv)
+        assert walk_samples == samples == rl.samples
+        assert vars(from_walk) == vars(table)
+        assert table_to_permutation(table) == naive_phi(sa, inv)
 
 
 def test_phi_unary():
     rl, sa = build_bwt(b"aaaa")
-    assert table_to_permutation(build_phi_sorted(rl)) == naive_phi(sa)
+    assert table_to_permutation(build_phi_via_lf(rl)[0]) == naive_phi(sa)
 
 
 def test_builders_random_sweep():
@@ -236,10 +246,43 @@ def test_builders_random_sweep():
         assert sa == naive_sa(text + b"\x00")
         assert table_to_permutation(build_lf(rl)) == naive_lf(bwt)
         assert table_to_permutation(inverse(build_lf(rl))) == naive_fl(bwt)
-        phi = build_phi_via_lf(rl)[0]
-        for inv, table in ((False, phi), (True, inverse(phi))):
-            srt = table_to_permutation(build_phi_sorted(rl, inv))
-            assert table_to_permutation(table) == srt == naive_phi(sa, inv)
+        walked = Rlbwt.from_runs(rl.runs)
+        for inv in (False, True):
+            expected = naive_phi(sa, inv)
+            for source in (rl, walked):
+                table = build_phi_via_lf(source, inverse=inv)[0]
+                assert table_to_permutation(table) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    repetitive=st.booleans(),
+)
+def test_phi_from_samples_matches_naive_hypothesis(seed, repetitive):
+    """Phi and phi-inverse from the samples of build_bwt, of an .rl v2 file
+    and of an LF walk all evaluate to the oracle's, and phi-inverse is
+    inverse(phi) field for field."""
+    rng = random.Random(seed)
+    if repetitive:
+        text = repetitive_text(rng, rng.randint(2, 6), rng.randint(4, 60), rng.randint(0, 3))
+    else:
+        text = random_text(rng, 1, 300)
+    rl, _ = build_bwt(text)
+    sa = naive_sa(text + b"\x00")
+    buf = io.BytesIO()
+    save_rlbwt(rl, buf)
+    buf.seek(0)
+    from_file = load_rlbwt(buf)
+    walked = Rlbwt.from_runs(rl.runs)
+    assert from_file.samples == rl.samples and walked.samples is None
+    for source in (rl, from_file, walked):
+        phi, samples = build_phi_via_lf(source)
+        phi_inv = build_phi_via_lf(source, inverse=True)[0]
+        assert samples == rl.samples
+        assert table_to_permutation(phi) == naive_phi(sa)
+        assert table_to_permutation(phi_inv) == naive_phi(sa, inverse=True)
+        assert vars(phi_inv) == vars(inverse(phi))
 
 
 def test_collect_sa_samples_standalone():
@@ -284,6 +327,66 @@ def test_rlbwt_binary_round_trip():
     buf2 = io.BytesIO()
     save_rlbwt(rl2, buf2)
     assert buf2.getvalue() == buf.getvalue()
+
+
+# The .rl v2 file of abaaba, one section a line: magic and version 2, n = 7
+# and r = 5, the five (symbol, length) runs, head_sa = (6, 5, 3, 0, 4),
+# tail_sa = (6, 2, 3, 0, 1), and the CRC-32 of all but the magic.
+ABAABA_RL_V2 = bytes.fromhex(
+    "524c425702"
+    "07000000000000000500000000000000"
+    "610100000000000000620200000000000000610100000000000000000100000000000000"
+    "610200000000000000"
+    "06000000000000000500000000000000030000000000000000000000000000000400000000000000"
+    "06000000000000000200000000000000030000000000000000000000000000000100000000000000"
+    "3fb55f62"
+)
+# Its version 1 twin: version 1, the same n, r and runs, no samples and no CRC.
+ABAABA_RL_V1 = bytes.fromhex(
+    "524c425701"
+    "07000000000000000500000000000000"
+    "610100000000000000620200000000000000610100000000000000000100000000000000"
+    "610200000000000000"
+)
+
+
+def test_save_rlbwt_v2_bytes_are_pinned():
+    rl, _ = build_bwt(b"abaaba")
+    for source in (rl, Rlbwt.from_runs(rl.runs)):  # samples from the SA, from LF
+        buf = io.BytesIO()
+        save_rlbwt(source, buf)
+        assert buf.getvalue() == ABAABA_RL_V2
+    loaded = load_rlbwt(io.BytesIO(ABAABA_RL_V2))
+    assert loaded.runs == rl.runs
+    assert loaded.samples == SaSamples(head_sa=[6, 5, 3, 0, 4], tail_sa=[6, 2, 3, 0, 1])
+
+
+def test_v1_file_builds_the_move_files_of_its_v2_twin(tmp_path):
+    v1 = load_rlbwt(io.BytesIO(ABAABA_RL_V1))
+    v2 = load_rlbwt(io.BytesIO(ABAABA_RL_V2))
+    assert v1.samples is None and v1 == v2
+    assert rlbwt_v1_bytes(v2) == ABAABA_RL_V1
+    for inv in (False, True):
+        for cfg in (SplitConfig(c=Fraction(0)), SplitConfig(c=Fraction(1), alpha=2)):
+            saved = []
+            for rl in (v1, v2):
+                table = apply_splits(build_phi_via_lf(rl, inverse=inv)[0], cfg)
+                buf = io.BytesIO()
+                save_move(table.to_relative(), buf)
+                saved.append(buf.getvalue())
+            assert saved[0] == saved[1]
+    # The same through the CLI, with document columns.
+    (tmp_path / "docs").write_text("0\n3\n")
+    for perm in ("phi", "phi-inv"):
+        outputs = []
+        for name, raw in (("v1.rl", ABAABA_RL_V1), ("v2.rl", ABAABA_RL_V2)):
+            (tmp_path / name).write_bytes(raw)
+            out = tmp_path / f"{name}.{perm}.mv"
+            argv = ["build", str(tmp_path / name), "--perm", perm, "--cap", "1",
+                    "--docs", str(tmp_path / "docs"), "-o", str(out)]
+            assert main(argv) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 def test_rlbwt_binary_errors():
