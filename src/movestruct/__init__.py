@@ -17,7 +17,6 @@ from .core import (
     MoveResult,
     QueryConfig,
     from_permutation,
-    from_runs,
     inverse,
     table_to_permutation,
 )
@@ -43,11 +42,9 @@ from .rlbwt import (
     build_phi_via_lf,
     collect_sa_samples,
     load_rlbwt,
-    rlbwt_from_text,
-    rlbwt_to_text,
     save_rlbwt,
 )
-from .splitting import SplitConfig, apply_splits, balance, cap_length, length_cap
+from .splitting import balance, cap_length, length_cap
 from .traversal import (
     TraversalStats,
     enumerate_da,

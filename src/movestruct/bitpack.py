@@ -59,8 +59,7 @@ class PackedMatrix:
             off += c.width
         self._offsets = tuple(offsets)
         self.row_stride_bits = off
-        # None stands for a column of zeros that nothing has read or written.
-        self._cols: list[list[int] | None] = [None] * len(self.columns)
+        self._cols = [[0] * row_count for _ in self.columns]
 
     @property
     def payload_bits(self) -> int:
@@ -73,7 +72,7 @@ class PackedMatrix:
         groups = [0] * -(-self.row_count // 8)
         for col, off in enumerate(self._offsets):
             o0, o1, o2, o3, o4, o5, o6, o7 = (s * k + off for k in range(8))
-            it = iter(self._values(col))
+            it = iter(self._cols[col])
             groups = [
                 x | a << o0 | b << o1 | c << o2 | d << o3 | e << o4 | f << o5
                 | g << o6 | h << o7
@@ -116,33 +115,6 @@ class PackedMatrix:
         except KeyError:
             raise BoundsError(f"no column named {name!r}") from None
 
-    def _check(self, row: int, col: int) -> None:
-        if not 0 <= row < self.row_count:
-            raise BoundsError(f"row {row} out of range 0..{self.row_count - 1}")
-        if not 0 <= col < len(self.columns):
-            raise BoundsError(f"column {col} out of range")
-
-    def _check_fits(self, col: int, low: int, high: int) -> None:
-        width = self.columns[col].width
-        if low < 0 or high >> width:
-            bad = low if low < 0 else high
-            raise ValueOverflowError(f"value {bad} does not fit in {width} bits")
-
-    def _values(self, col: int) -> list[int]:
-        values = self._cols[col]
-        if values is None:
-            values = self._cols[col] = [0] * self.row_count
-        return values
-
-    def get(self, row: int, col: int) -> int:
-        self._check(row, col)
-        return self._values(col)[row]
-
-    def set(self, row: int, col: int, value: int) -> None:
-        self._check(row, col)
-        self._check_fits(col, value, value)
-        self._values(col)[row] = value
-
     def set_column(self, name: str, values: Iterable[int]) -> None:
         """Replace a whole column; nothing is written unless all row_count
         values fit."""
@@ -153,18 +125,12 @@ class PackedMatrix:
                 f"column {name!r} needs {self.row_count} values, got {len(values)}"
             )
         if values:
-            self._check_fits(col, min(values), max(values))
+            low, high = min(values), max(values)
+            width = self.columns[col].width
+            if low < 0 or high >> width:
+                bad = low if low < 0 else high
+                raise ValueOverflowError(f"value {bad} does not fit in {width} bits")
         self._cols[col] = values
 
     def get_column(self, name: str) -> list[int]:
-        return list(self._values(self.column_of(name)))
-
-    def check_min_widths(self) -> None:
-        """Verify each column uses the minimum width for its stored maximum."""
-        for col, spec in enumerate(self.columns):
-            values = self._values(col)
-            if values and spec.width != min_width(max(values)):
-                raise InvalidSpecError(
-                    f"column {spec.name!r}: width {spec.width} is not minimal "
-                    f"for max value {max(values)}"
-                )
+        return list(self._cols[self.column_of(name)])

@@ -1,6 +1,7 @@
 """Command-line front end.
 
 Subcommands: build-rlbwt, build, invert, sa, da, bench, inspect, verify.
+A failed command prints "error:" and exits with 2, leaving no output file.
 """
 
 from __future__ import annotations
@@ -9,7 +10,9 @@ import argparse
 import os
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
+from typing import BinaryIO, Iterator
 
 from . import files, oracle, rlbwt, splitting, traversal
 from .core import (
@@ -28,8 +31,8 @@ from .rlbwt import DocBounds
 _PERM_BUILDERS = {
     "lf": lambda rl: rlbwt.build_lf(rl),
     "fl": lambda rl: inverse(rlbwt.build_lf(rl)),
-    "phi": lambda rl: rlbwt.build_phi_via_lf(rl)[0],
-    "phi-inv": lambda rl: rlbwt.build_phi_via_lf(rl, inverse=True)[0],
+    "phi": lambda rl: rlbwt.build_phi_via_lf(rl),
+    "phi-inv": lambda rl: rlbwt.build_phi_via_lf(rl, inverse=True),
 }
 
 DEFAULT_CAP = "8"
@@ -51,6 +54,21 @@ def _load_bounds(path: str) -> DocBounds:
     return DocBounds(starts)
 
 
+@contextmanager
+def _output(path: str) -> Iterator[BinaryIO]:
+    """Open path for writing. If the command fails while it is open, the file
+    is removed, so that a failed command leaves no partial output; devices
+    and links are left alone."""
+    fp = open(path, "wb")
+    try:
+        with fp:
+            yield fp
+    except BaseException:
+        if os.path.isfile(path) and not os.path.islink(path):
+            os.remove(path)
+        raise
+
+
 def _read_table(path: str) -> IntervalTable:
     with open(path, "rb") as fp:
         return files.load_move(fp)
@@ -63,7 +81,7 @@ def cmd_build_rlbwt(args) -> int:
     if text.endswith(b"\x00") and rlbwt.SENTINEL not in text[:-1]:
         text = text[:-1]
     rl, _sa = rlbwt.build_bwt(text)
-    with open(args.output, "wb") as fp:
+    with _output(args.output) as fp:
         rlbwt.save_rlbwt(rl, fp)
     print(f"n={rl.n} r={rl.r} sigma={rl.sigma} -> {args.output}")
     return 0
@@ -73,15 +91,19 @@ def cmd_build(args) -> int:
     with open(args.rlbwt, "rb") as fp:
         rl = rlbwt.load_rlbwt(fp)
     table = _PERM_BUILDERS[args.perm](rl)
-    cfg = splitting.SplitConfig(c=args.cap, alpha=args.balance)
-    table = splitting.apply_splits(table, cfg)
+    # Cap, then balance: balancing only shortens intervals, so the cap still
+    # holds, while capping adds starts that can break a balance.
+    if args.cap:
+        table = splitting.length_cap(table, args.cap)
+    if args.balance:
+        table = splitting.balance(table, args.balance)
     if args.mode == RELATIVE:
         table = table.to_relative()
     if args.docs:
         if args.perm not in ("phi", "phi-inv"):
             raise InvalidInputError("--docs only applies to phi/phi-inv tables")
         table = rlbwt.attach_docs(table, _load_bounds(args.docs))
-    with open(args.output, "wb") as fp:
+    with _output(args.output) as fp:
         files.save_move(table, fp)
     print(
         f"kind={table.kind} n={table.n} r'={len(table)} mode={table.mode} "
@@ -101,7 +123,7 @@ def cmd_invert(args) -> int:
             table = files.load_move(fp)
     if "sym" not in table.extras:
         raise InvalidInputError("move file lacks the symbol column")
-    with open(args.output, "wb") as fp:
+    with _output(args.output) as fp:
         stats = traversal.invert_bwt(table, fp)
     _print_stats(stats)
     return 0
@@ -119,7 +141,7 @@ def _read_phi_inv(path: str) -> IntervalTable:
 
 def cmd_sa(args) -> int:
     table = _read_phi_inv(args.input)
-    with open(args.output, "wb") as fp:
+    with _output(args.output) as fp:
         stats = traversal.enumerate_sa(table, table.n - 1, fp)
     _print_stats(stats)
     return 0
@@ -132,7 +154,7 @@ def cmd_da(args) -> int:
         if bounds is None:
             raise InvalidInputError("move file lacks doc columns; pass --docs")
         table = rlbwt.attach_docs(table, bounds)
-    with open(args.output, "wb") as fp:
+    with _output(args.output) as fp:
         stats = traversal.enumerate_da(table, table.n - 1, fp, bounds=bounds)
     _print_stats(stats)
     return 0

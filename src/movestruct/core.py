@@ -112,10 +112,6 @@ class IntervalTable:
 
     # ------------------------------------------------------------------ basic
 
-    @property
-    def r_prime(self) -> int:
-        return len(self.lengths)
-
     def __len__(self) -> int:
         return len(self.lengths)
 
@@ -129,13 +125,6 @@ class IntervalTable:
             out.append(pos)
             pos += ell
         return out
-
-    def image(self, j: int) -> int:
-        """Absolute image of interval j's start."""
-        q, off = self.dest_rank[j], self.dest_offset[j]
-        if self.starts is not None:
-            return self.starts[q] + off
-        return self.position_of(MoveCursor(q, off))
 
     def images(self) -> list[int]:
         starts = self.materialized_starts()
@@ -243,15 +232,6 @@ class IntervalTable:
         if self.starts is None:
             raise UnsupportedModeError("exponential search requires absolute mode")
         return self.starts
-
-    def eval_abs(self, i: int) -> int:
-        """Evaluate the permutation at i via predecessor binary search."""
-        if self.starts is None:
-            raise UnsupportedModeError("eval_abs requires absolute mode")
-        if not 0 <= i < self.n:
-            raise BoundsError(f"position {i} out of range 0..{self.n - 1}")
-        j = bisect.bisect_right(self.starts, i) - 1
-        return self.image(j) + (i - self.starts[j])
 
     # ------------------------------------------------------------- validation
 
@@ -414,27 +394,6 @@ def from_permutation(
             starts.append(i)
     images = [pi[s] for s in starts]
     return IntervalTable.from_intervals(n, starts, images, mode=mode, kind=kind)
-
-
-def from_runs(
-    n: int, runs: Sequence[tuple[int, int]], mode: str = ABSOLUTE
-) -> IntervalTable:
-    """Build from r (start, image) pairs; start[0] must be 0.
-
-    Validates that the images of the runs tile [0, n) exactly.
-    """
-    if not runs or runs[0][0] != 0:
-        raise InvalidInputError("runs must be non-empty with first start 0")
-    starts = [s for s, _ in runs]
-    if any(starts[j] >= starts[j + 1] for j in range(len(starts) - 1)):
-        raise InvalidInputError("run starts must be strictly increasing")
-    if starts[-1] >= n:
-        raise InvalidInputError("run start beyond domain")
-    images = [v for _, v in runs]
-    r = len(runs)
-    lengths = [starts[j + 1] - starts[j] for j in range(r - 1)] + [n - starts[-1]]
-    _check_tiling(n, images, lengths)
-    return IntervalTable.from_intervals(n, starts, images, mode=mode)
 
 
 def table_to_permutation(t: IntervalTable) -> list[int]:

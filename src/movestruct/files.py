@@ -17,7 +17,7 @@ from typing import BinaryIO
 
 from .bitpack import ColumnSpec, PackedMatrix, min_width
 from .core import ABSOLUTE, RELATIVE, IntervalTable
-from .errors import FormatError, InvalidInputError, InvalidSpecError
+from .errors import FormatError, InvalidInputError, InvalidSpecError, ValueOverflowError
 
 MOVE_MAGIC = b"RPMV"
 MOVE_VERSION = 1
@@ -73,20 +73,22 @@ def pack_table(table: IntervalTable) -> PackedMatrix:
 
 
 def save_move(table: IntervalTable, fp: BinaryIO) -> None:
-    m = pack_table(table)
+    """Write table to fp. A header field beyond u64 raises ValueOverflowError
+    before anything is written."""
     cap = table.cap if table.cap is not None else Fraction(0)
+    fields = {
+        "n": table.n, "r'": len(table), "L": table.cap_len,
+        "cap numerator": cap.numerator, "cap denominator": cap.denominator,
+        "alpha": table.alpha,
+    }
+    for name, value in fields.items():
+        if not 0 <= value < 1 << 64:
+            raise ValueOverflowError(f"{name} = {value} does not fit in a u64")
+    m = pack_table(table)
     header = bytearray()
     header += MOVE_MAGIC
     header += bytes([MOVE_VERSION, _MODE_TAGS[table.mode], _KIND_TAGS[table.kind]])
-    header += struct.pack(
-        "<QQQQQQ",
-        table.n,
-        len(table),
-        table.cap_len,
-        cap.numerator,
-        cap.denominator,
-        table.alpha,
-    )
+    header += struct.pack("<QQQQQQ", *fields.values())
     header += struct.pack("<I", len(m.columns))
     for spec in m.columns:
         name = spec.name.encode()

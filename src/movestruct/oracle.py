@@ -10,7 +10,7 @@ import bisect
 from typing import NamedTuple, Sequence
 
 from .core import IntervalTable
-from .errors import BoundsError, InvalidInputError
+from .errors import BoundsError, InvalidInputError, UnsupportedModeError
 from .rlbwt import DocBounds, SaSamples
 from .splitting import _inside_count
 
@@ -84,6 +84,17 @@ def naive_runs(pi: Sequence[int]) -> list[int]:
         if pi[i - 1] + 1 != pi[i]:
             starts.append(i)
     return starts
+
+
+def eval_abs(t: IntervalTable, i: int) -> int:
+    """The permutation at i, by predecessor binary search over the stored
+    starts; independent of the move-query path."""
+    if t.starts is None:
+        raise UnsupportedModeError("eval_abs requires absolute mode")
+    if not 0 <= i < t.n:
+        raise BoundsError(f"position {i} out of range 0..{t.n - 1}")
+    j = bisect.bisect_right(t.starts, i) - 1
+    return t.starts[t.dest_rank[j]] + t.dest_offset[j] + (i - t.starts[j])
 
 
 def simulate_fast_forwards(t: IntervalTable, i: int) -> int:

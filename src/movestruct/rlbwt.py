@@ -10,8 +10,8 @@ The sentinel is byte 0x00 and compares smallest; symbol order is byte order.
   per run: symbol u8, length u64 |
   head_sa u64 x r | tail_sa u64 x r |
   CRC-32 (zlib.crc32) u32 of everything after the magic
-Version 1 files end after the runs. They still load, and an RLBWT read from
-one carries no samples, so the phi builders collect them with one LF walk.
+Version 1 files end after the runs. They still load: one LF walk collects
+their samples and rejects an RLBWT that is the BWT of no text.
 """
 
 from __future__ import annotations
@@ -318,14 +318,12 @@ def collect_sa_samples(rl: Rlbwt) -> SaSamples:
     return SaSamples(head_sa=head, tail_sa=tail)
 
 
-def build_phi_via_lf(
-    rl: Rlbwt, inverse: bool = False
-) -> tuple[IntervalTable, SaSamples]:
+def build_phi_via_lf(rl: Rlbwt, inverse: bool = False) -> IntervalTable:
     """Move structure for phi, or for phi-inverse if inverse is set, from the
-    SA samples in O(r log r) time; also returns the samples.
+    SA samples in O(r log r) time.
 
-    The samples are rl.samples when the RLBWT carries them (build_bwt, .rl v2
-    files); otherwise one LF walk collects them (collect_sa_samples). Row i
+    The samples are rl.samples when the RLBWT carries them (build_bwt and
+    load_rlbwt); otherwise (Rlbwt.from_runs) one LF walk collects them. Row i
     at the head of run j has SA value head_sa[j], and row i - 1 (cyclically)
     is the tail of run j - 1. So phi, which maps SA[i] to SA[i - 1], has an
     interval at each head_sa[j] with image tail_sa[j - 1], and phi-inverse
@@ -348,7 +346,7 @@ def build_phi_via_lf(
         rl.n, starts, images, kind="phi_inv" if inverse else "phi"
     )
     _check_tiling(rl.n, images, table.lengths)
-    return table, samples
+    return table
 
 
 def attach_docs(table: IntervalTable, bounds: DocBounds) -> IntervalTable:
@@ -387,8 +385,10 @@ def save_rlbwt(rl: Rlbwt, fp: BinaryIO) -> None:
 
 def load_rlbwt(fp: BinaryIO) -> Rlbwt:
     """Read an .rl file of version 1 or 2; any malformed file raises
-    FormatError. Samples of a v2 file are checked against n only: the phi
-    builders reject samples that do not make a permutation."""
+    FormatError. A v1 file gets its samples from one LF walk, which rejects
+    an RLBWT that is the BWT of no text. Samples of a v2 file are checked
+    against n only: the phi builders reject samples that do not make a
+    permutation."""
     if fp.read(4) != RLBWT_MAGIC:
         raise FormatError("not an RLBWT file")
     version = fp.read(1)
@@ -417,23 +417,9 @@ def load_rlbwt(fp: BinaryIO) -> Rlbwt:
         if max(values) >= n:
             raise FormatError("SA sample beyond n")
         rl.samples = SaSamples(head_sa=list(values[:r]), tail_sa=list(values[r:]))
-    return rl
-
-
-def rlbwt_to_text(rl: Rlbwt) -> str:
-    """Debug text form: one "symbol_hex length" pair per line."""
-    return "".join(f"{c:02x} {l}\n" for c, l in rl.runs)
-
-
-def rlbwt_from_text(text: str) -> Rlbwt:
-    runs = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
+    else:
         try:
-            sym_hex, length = line.split()
-            runs.append((int(sym_hex, 16), int(length)))
-        except ValueError as e:
-            raise FormatError(f"bad RLBWT text line {lineno}: {line!r}") from e
-    return Rlbwt.from_runs(runs)
+            rl.samples = collect_sa_samples(rl)
+        except InvalidInputError as e:
+            raise FormatError(f"malformed RLBWT: {e}") from e
+    return rl

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -19,24 +18,6 @@ from .core import IntervalTable, run_columns
 from .errors import InvalidParameterError
 
 CapFactor = Union[int, float, str, Fraction]
-
-
-@dataclass(frozen=True)
-class SplitConfig:
-    """c = 0 disables capping, alpha = 0 disables balancing.
-
-    Capping is always applied before balancing.
-    """
-
-    c: Fraction = Fraction(0)
-    alpha: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c", Fraction(self.c))
-        if self.c < 0:
-            raise InvalidParameterError("cap factor c must be >= 0")
-        if self.alpha != 0 and self.alpha < 2:
-            raise InvalidParameterError("alpha must be 0 or >= 2")
 
 
 def cap_length(n: int, r: int, c: CapFactor) -> int:
@@ -49,21 +30,17 @@ def cap_length(n: int, r: int, c: CapFactor) -> int:
     return max(1, -(-num // den))
 
 
-def _triples(t: IntervalTable) -> tuple[list[int], list[int], list[int]]:
-    starts = t.materialized_starts()
-    images = [starts[q] + off for q, off in zip(t.dest_rank, t.dest_offset)]
-    return starts, images, list(t.lengths)
-
-
 def length_cap(t: IntervalTable, c: CapFactor) -> IntervalTable:
     """Split intervals longer than L = ceil(c * n / r) into uniform pieces.
 
     r is the source table's run count, kept even when re-capping an already
     split table so the interval-count bound stays phrased in the original r.
+    The new starts can break a balance, so alpha resets to 0: cap first,
+    then balance.
     """
     c = Fraction(c)
     L = cap_length(t.n, t.source_runs, c)
-    starts, images, lengths = _triples(t)
+    starts, images, lengths = t.materialized_starts(), t.images(), t.lengths
     r = len(starts)
 
     new_starts: list[int] = []
@@ -104,7 +81,7 @@ def length_cap(t: IntervalTable, c: CapFactor) -> IntervalTable:
 
     return t.replace(
         lengths=new_lens, dest_rank=dest_rank, dest_offset=dest_offset,
-        starts=new_starts, extras=run_columns(t, src), cap=c, cap_len=L,
+        starts=new_starts, extras=run_columns(t, src), cap=c, cap_len=L, alpha=0,
     )
 
 
@@ -124,13 +101,13 @@ def balance(t: IntervalTable, alpha: int) -> IntervalTable:
     """
     if alpha < 2:
         raise InvalidParameterError("alpha must be >= 2")
-    starts0, images0, lengths0 = _triples(t)
+    starts0, images0 = t.materialized_starts(), t.images()
     r = len(starts0)
 
     # Interval records indexed by a stable id; order recovered at the end.
     start_ = list(starts0)
     image_ = list(images0)
-    len_ = list(lengths0)
+    len_ = list(t.lengths)
     src_ = list(range(r))
     sorted_starts = list(starts0)  # already sorted
     # Output intervals partition the domain: (image, id) sorted by image.
@@ -180,26 +157,11 @@ def balance(t: IntervalTable, alpha: int) -> IntervalTable:
         enqueue(new_id)
 
     order = sorted(range(len(start_)), key=start_.__getitem__)
-    new_starts = [start_[i] for i in order]
-    new_images = [image_[i] for i in order]
-    new_lens = [len_[i] for i in order]
-    rp = len(order)
-    dest_rank = [0] * rp
-    dest_offset = [0] * rp
-    for j in range(rp):
-        q = bisect.bisect_right(new_starts, new_images[j]) - 1
-        dest_rank[j] = q
-        dest_offset[j] = new_images[j] - new_starts[q]
-    return t.replace(
-        lengths=new_lens, dest_rank=dest_rank, dest_offset=dest_offset,
-        starts=new_starts, extras=run_columns(t, [src_[i] for i in order]),
-        alpha=alpha,
+    split = IntervalTable.from_intervals(
+        t.n, [start_[i] for i in order], [image_[i] for i in order]
     )
-
-
-def apply_splits(t: IntervalTable, cfg: SplitConfig) -> IntervalTable:
-    if cfg.c > 0:
-        t = length_cap(t, cfg.c)
-    if cfg.alpha:
-        t = balance(t, cfg.alpha)
-    return t
+    return t.replace(
+        lengths=split.lengths, dest_rank=split.dest_rank,
+        dest_offset=split.dest_offset, starts=split.starts,
+        extras=run_columns(t, [src_[i] for i in order]), alpha=alpha,
+    )

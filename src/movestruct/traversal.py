@@ -55,12 +55,6 @@ class TraversalStats:
                 stats.max_fast_forwards = ff
         return stats
 
-    def check_consistency(self) -> None:
-        if sum(self.histogram.values()) != self.steps:
-            raise InvalidInputError("histogram does not sum to steps")
-        if sum(f * c for f, c in self.histogram.items()) != self.total_fast_forwards:
-            raise InvalidInputError("histogram-weighted sum != total fast forwards")
-
 
 def _ff_counts(table: IntervalTable) -> list[int]:
     """Zeroed per-step fast-forward counts. On a valid table a query skips

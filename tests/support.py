@@ -6,7 +6,19 @@ import random
 import struct
 from fractions import Fraction
 
-from movestruct import IntervalTable, MoveCursor, Rlbwt
+from movestruct import (
+    ABSOLUTE,
+    RELATIVE,
+    FormatError,
+    IntervalTable,
+    InvalidInputError,
+    InvalidSpecError,
+    MoveCursor,
+    PackedMatrix,
+    Rlbwt,
+    TraversalStats,
+    min_width,
+)
 
 ALPHABET = b"abcd"
 
@@ -117,3 +129,58 @@ def rlbwt_v1_bytes(rl: Rlbwt) -> bytes:
     SA samples and no checksum."""
     runs = b"".join(struct.pack("<BQ", c, l) for c, l in rl.runs)
     return b"RLBW\x01" + struct.pack("<QQ", rl.n, rl.r) + runs
+
+
+def from_runs(n: int, runs: list[tuple[int, int]], mode: str = ABSOLUTE) -> IntervalTable:
+    """Move structure of r (start, image) pairs; raises InvalidInputError
+    unless the starts rise from 0 below n and the images tile [0, n)."""
+    if not runs:
+        raise InvalidInputError("runs must be non-empty")
+    t = IntervalTable.from_intervals(n, [s for s, _ in runs], [v for _, v in runs])
+    t.validate()
+    return t.to_relative() if mode == RELATIVE else t
+
+
+def rlbwt_to_text(rl: Rlbwt) -> str:
+    """Debug text form: one "symbol_hex length" pair per line."""
+    return "".join(f"{c:02x} {l}\n" for c, l in rl.runs)
+
+
+def rlbwt_from_text(text: str) -> Rlbwt:
+    runs = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            sym_hex, length = line.split()
+            runs.append((int(sym_hex, 16), int(length)))
+        except ValueError as e:
+            raise FormatError(f"bad RLBWT text line {lineno}: {line!r}") from e
+    return Rlbwt.from_runs(runs)
+
+
+def check_min_widths(m: PackedMatrix) -> None:
+    """Raise InvalidSpecError unless each column has the minimum width for
+    its largest value."""
+    for spec in m.columns:
+        values = m.get_column(spec.name)
+        if values and spec.width != min_width(max(values)):
+            raise InvalidSpecError(
+                f"column {spec.name!r}: width {spec.width} is not minimal "
+                f"for max value {max(values)}"
+            )
+
+
+def check_consistency(stats: TraversalStats) -> None:
+    """Raise InvalidInputError unless the histogram agrees with the steps and
+    the total fast forwards."""
+    if sum(stats.histogram.values()) != stats.steps:
+        raise InvalidInputError("histogram does not sum to steps")
+    if sum(f * c for f, c in stats.histogram.items()) != stats.total_fast_forwards:
+        raise InvalidInputError("histogram-weighted sum != total fast forwards")
+
+
+def rows_of(m: PackedMatrix) -> list[list[int]]:
+    """The matrix's cells, row by row, read through get_column."""
+    return [list(row) for row in zip(*(m.get_column(c.name) for c in m.columns))]

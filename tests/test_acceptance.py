@@ -66,7 +66,7 @@ def _instance(text: bytes) -> SimpleNamespace:
     reference_sa = naive_sa(text + b"\x00")
     assert sa == reference_sa
     bwt = rl.expand()
-    phi = build_phi_via_lf(rl)[0]
+    phi = build_phi_via_lf(rl)
     return SimpleNamespace(
         text=text,
         rl=rl,

@@ -14,6 +14,7 @@ from movestruct import (
     ValueOverflowError,
     min_width,
 )
+from support import check_min_widths, rows_of
 
 
 def test_min_width():
@@ -36,41 +37,39 @@ def test_stride_and_payload_size():
 
 def test_max_width_round_trip():
     m = PackedMatrix([("x", 64)], 1)
-    m.set(0, 0, 2**64 - 1)
-    assert m.get(0, 0) == 2**64 - 1
+    m.set_column("x", [2**64 - 1])
+    assert m.get_column("x") == [2**64 - 1]
+    assert PackedMatrix.from_payload(m.columns, 1, m.payload).get_column("x") == [2**64 - 1]
 
 
 def test_row_major_write_read():
     m = PackedMatrix([("a", 3), ("b", 5)], 4)
-    v = 0
-    for row in range(4):
-        for col in range(2):
-            m.set(row, col, v)
-            v += 1
-    v = 0
-    for row in range(4):
-        for col in range(2):
-            assert m.get(row, col) == v
-            v += 1
+    m.set_column("a", [0, 2, 4, 6])
+    m.set_column("b", [1, 3, 5, 7])
+    # Rows are contiguous, fields in column order: one 8-bit row per byte.
+    assert m.payload == bytes(a | b << 3 for a, b in [(0, 1), (2, 3), (4, 5), (6, 7)])
+    m2 = PackedMatrix.from_payload(m.columns, 4, m.payload)
+    assert rows_of(m2) == [[0, 1], [2, 3], [4, 5], [6, 7]]
 
 
 def test_set_get_round_trip_and_zero_init():
     m = PackedMatrix([("a", 4), ("b", 4), ("c", 4)], 16)
-    assert all(m.get(r, c) == 0 for r in range(16) for c in range(3))
-    m.set(3, 0, 5)
-    assert m.get(3, 0) == 5
+    assert rows_of(m) == [[0, 0, 0]] * 16
+    assert m.payload == bytes(24)
+    m.set_column("a", [5 if r == 3 else 0 for r in range(16)])
+    assert m.get_column("a")[3] == 5
+    assert sum(m.get_column("a")) == 5
 
 
 def test_set_does_not_perturb_neighbors():
     m = PackedMatrix([("a", 7), ("b", 7), ("c", 7)], 16)
-    vals = {}
-    for r in range(16):
-        for c in range(3):
-            vals[r, c] = (r * 3 + c) * 2 + 1
-            m.set(r, c, vals[r, c])
-    for r in range(16):
-        for c in range(3):
-            assert m.get(r, c) == vals[r, c]
+    expect = [[(r * 3 + c) * 2 + 1 for c in range(3)] for r in range(16)]
+    m.set_column("a", [127] * 16)
+    m.set_column("c", [127] * 16)
+    for c, name in enumerate("abc"):
+        m.set_column(name, [row[c] for row in expect])
+    assert rows_of(m) == expect
+    assert rows_of(PackedMatrix.from_payload(m.columns, 16, m.payload)) == expect
 
 
 def test_width_validation():
@@ -84,14 +83,8 @@ def test_width_validation():
 
 def test_bounds_and_overflow():
     m = PackedMatrix([("a", 3)], 4)
-    with pytest.raises(BoundsError):
-        m.get(4, 0)
-    with pytest.raises(BoundsError):
-        m.get(0, 1)
-    with pytest.raises(BoundsError):
-        m.get(-1, 0)
     with pytest.raises(ValueOverflowError):
-        m.set(0, 0, 8)
+        m.set_column("a", [0, 0, 8, 0])
     with pytest.raises(BoundsError):
         m.column_of("nope")
     with pytest.raises(BoundsError):
@@ -124,9 +117,8 @@ def test_set_column_rejects_before_writing(values, error):
 def test_from_payload_round_trip():
     m = PackedMatrix([("a", 5), ("b", 11)], 7)
     rng = random.Random(0)
-    for r in range(7):
-        m.set(r, 0, rng.randrange(32))
-        m.set(r, 1, rng.randrange(2048))
+    m.set_column("a", [rng.randrange(32) for _ in range(7)])
+    m.set_column("b", [rng.randrange(2048) for _ in range(7)])
     m2 = PackedMatrix.from_payload(m.columns, 7, m.payload)
     assert m2.payload == m.payload
     assert m2.get_column("b") == m.get_column("b")
@@ -137,11 +129,11 @@ def test_from_payload_round_trip():
 def test_check_min_widths():
     m = PackedMatrix([("a", 4)], 3)
     m.set_column("a", [1, 9, 3])
-    m.check_min_widths()
+    check_min_widths(m)
     m2 = PackedMatrix([("a", 5)], 3)
     m2.set_column("a", [1, 9, 3])
     with pytest.raises(InvalidSpecError):
-        m2.check_min_widths()
+        check_min_widths(m2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -156,14 +148,12 @@ def test_random_matrix_lossless(data):
     expect = [
         [rng.randrange(1 << w) for w in widths] for _ in range(rows)
     ]
-    for r, rowvals in enumerate(expect):
-        for c, v in enumerate(rowvals):
-            m.set(r, c, v)
-    got = [[m.get(r, c) for c in range(ncols)] for r in range(rows)]
-    assert got == expect
+    for c, spec in enumerate(cols):
+        m.set_column(spec.name, [row[c] for row in expect])
+    assert rows_of(m) == expect
     # Serialization-stable: rebuilding from the payload preserves every cell.
     m2 = PackedMatrix.from_payload(cols, rows, m.payload)
-    assert [[m2.get(r, c) for c in range(ncols)] for r in range(rows)] == expect
+    assert rows_of(m2) == expect
 
 
 def reference_pack(widths: list[int], rows: list[list[int]]) -> bytes:
@@ -187,7 +177,7 @@ def check_against_reference(widths: list[int], rows: list[list[int]]) -> None:
     assert len(payload) == (m.payload_bits + 7) // 8
     for tail in (b"", b"\xa5" * 9):
         m2 = PackedMatrix.from_payload(specs, len(rows), payload + tail)
-        assert [[m2.get(r, c) for c in range(len(widths))] for r in range(len(rows))] == rows
+        assert rows_of(m2) == rows
         assert m2.payload == payload
     if payload:
         with pytest.raises(InvalidSpecError):

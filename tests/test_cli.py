@@ -9,9 +9,11 @@ import pytest
 from movestruct import (
     InvalidInputError,
     Rlbwt,
+    build_lf,
     collect_sa_samples,
     load_move,
     load_rlbwt,
+    save_move,
     save_rlbwt,
     table_to_permutation,
 )
@@ -277,9 +279,9 @@ def _lf_is_one_cycle(bwt: bytes) -> bool:
 
 
 def test_rlbwt_of_no_text_is_rejected(tmp_path, capsys):
-    """A BWT whose LF is not one cycle is the BWT of no text: building phi
-    from it and inverting it exit 2 with an error, and a valid one inverts
-    to its text."""
+    """A BWT whose LF is not one cycle is the BWT of no text: loading it from
+    a v1 file, building any table from it and inverting it or its LF table
+    exit 2 with an error, and a valid one inverts to its text."""
     bad = good = 0
     for bwt in _one_sentinel_strings(6):
         rl = Rlbwt.from_bwt(bwt)
@@ -298,9 +300,10 @@ def test_rlbwt_of_no_text_is_rejected(tmp_path, capsys):
         with pytest.raises(InvalidInputError):
             save_rlbwt(rl, io.BytesIO())
         lf = tmp_path / "lf.mv"
-        assert main(["build", str(path), "--perm", "lf", "--cap", "0", "-o", str(lf)]) == 0
-        capsys.readouterr()
+        with open(lf, "wb") as fp:
+            save_move(build_lf(rl), fp)
         for argv in (
+            ["build", str(path), "--perm", "lf", "--cap", "0"],
             ["build", str(path), "--perm", "phi"],
             ["build", str(path), "--perm", "phi-inv"],
             ["invert", str(path)],
@@ -311,3 +314,40 @@ def test_rlbwt_of_no_text_is_rejected(tmp_path, capsys):
     # 63 texts of at most five bytes over {a, b}, one BWT each, out of the
     # 321 strings.
     assert (good, bad) == (63, 258)
+
+
+def test_failed_commands_leave_no_output(ws, capsys):
+    """A command that fails after it has opened its output removes it."""
+    # An RLBWT of no text whose early sentinel falls in the second output
+    # block of the inversion, so that the first block has been written.
+    rl = Rlbwt.from_runs([(97, 70000), (0, 1), (98, 1)])
+    (ws / "v1.rl").write_bytes(rlbwt_v1_bytes(rl))
+    with open(ws / "lf.mv", "wb") as fp:
+        save_move(build_lf(rl), fp)
+    # Document bounds that an interval of the phi-inverse table spans, so
+    # that da needs --docs at that interval.
+    (ws / "docs").write_text("0\n4\n")
+    pi = ws / "pi.mv"
+    assert main(["build", str(ws / "rl"), "--perm", "phi-inv", "--docs", str(ws / "docs"),
+                 "-o", str(pi)]) == 0
+    capsys.readouterr()
+    out = ws / "out"
+    for argv in (
+        ["invert", str(ws / "lf.mv")],
+        ["invert", str(ws / "v1.rl")],
+        ["da", str(pi)],
+    ):
+        assert main(argv + ["-o", str(out)]) == 2, argv
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists(), argv
+
+
+@pytest.mark.parametrize(
+    "option", [["--cap", "1e30"], ["--cap", "1e-30"], ["--balance", str(10**23)]]
+)
+def test_header_field_beyond_u64_is_rejected(ws, capsys, option):
+    out = ws / "big.mv"
+    assert main(["build", str(ws / "rl"), *option, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "u64" in err
+    assert not out.exists()

@@ -15,18 +15,18 @@ from movestruct import (
     QueryConfig,
     UnsupportedModeError,
     from_permutation,
-    apply_splits,
     balance,
-    from_runs,
     inverse,
     length_cap,
     table_to_permutation,
 )
+from movestruct.oracle import eval_abs
 from support import (
     REF_DEST_RANK,
     REF_IMAGES,
     REF_PERM,
     REF_STARTS,
+    from_runs,
     random_runny_permutation,
 )
 
@@ -56,9 +56,9 @@ def test_reference_queries(ref_table):
 
 
 def test_reference_eval_abs(ref_table):
-    assert ref_table.eval_abs(4) == 11
-    assert ref_table.eval_abs(0) == 1
-    assert [ref_table.eval_abs(i) for i in range(16)] == REF_PERM
+    assert eval_abs(ref_table, 4) == 11
+    assert eval_abs(ref_table, 0) == 1
+    assert [eval_abs(ref_table, i) for i in range(16)] == REF_PERM
 
 
 def test_reference_cursors(ref_table):
@@ -74,7 +74,7 @@ def test_identity_and_reversal():
     assert len(ident) == 1
     assert ident.starts == [0]
     assert ident.dest_rank == [0] and ident.dest_offset == [0]
-    assert all(ident.eval_abs(i) == i for i in range(8))
+    assert all(eval_abs(ident, i) == i for i in range(8))
     rev = from_permutation([3, 2, 1, 0])
     assert len(rev) == 4
 
@@ -133,7 +133,7 @@ def test_exponential_requires_absolute(ref_table):
     with pytest.raises(UnsupportedModeError):
         rel.move(MoveCursor(0, 0), EXP)
     with pytest.raises(UnsupportedModeError):
-        rel.eval_abs(0)
+        eval_abs(rel, 0)
 
 
 def test_cursor_bounds(ref_table):
@@ -144,7 +144,7 @@ def test_cursor_bounds(ref_table):
     with pytest.raises(BoundsError):
         ref_table.cursor_of(16)
     with pytest.raises(BoundsError):
-        ref_table.eval_abs(-1)
+        eval_abs(ref_table, -1)
 
 
 def test_validator_catches_corruption():
@@ -162,9 +162,7 @@ def test_validator_catches_corruption():
 
 def _split_variants(t):
     """t uncapped, capped, balanced, and each of these in relative mode."""
-    for cfg in (ms.SplitConfig(), ms.SplitConfig(c=1), ms.SplitConfig(c=1, alpha=2),
-                ms.SplitConfig(alpha=2)):
-        split = apply_splits(t, cfg)
+    for split in (t, length_cap(t, 1), balance(length_cap(t, 1), 2), balance(t, 2)):
         yield split
         yield split.to_relative()
 
@@ -259,4 +257,4 @@ def test_eval_offset_consistency(ref_table):
     # Within an interval the evaluation is the image plus the offset.
     for j, s in enumerate(ref_table.starts):
         for k in range(ref_table.lengths[j]):
-            assert ref_table.eval_abs(s + k) == ref_table.eval_abs(s) + k
+            assert eval_abs(ref_table, s + k) == eval_abs(ref_table, s) + k

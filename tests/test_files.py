@@ -16,12 +16,13 @@ from movestruct import (
     IntervalTable,
     InvalidInputError,
     MoveStructError,
-    apply_splits,
+    balance,
     build_bwt,
     build_lf,
     build_phi_via_lf,
     from_permutation,
     inspect_move,
+    length_cap,
     load_move,
     load_rlbwt,
     pack_table,
@@ -31,7 +32,13 @@ from movestruct import (
 )
 from movestruct.cli import main
 from movestruct.files import fnv1a64
-from support import REF_PERM, random_runny_permutation, random_text, repetitive_text
+from support import (
+    REF_PERM,
+    check_min_widths,
+    random_runny_permutation,
+    random_text,
+    repetitive_text,
+)
 
 
 def roundtrip(table):
@@ -56,7 +63,7 @@ def test_round_trip_absolute():
 
 
 def test_round_trip_relative_with_metadata():
-    t = apply_splits(from_permutation(REF_PERM), ms.SplitConfig(c=Fraction(1), alpha=2))
+    t = balance(length_cap(from_permutation(REF_PERM), 1), 2)
     rel = t.to_relative()
     loaded = roundtrip(rel)
     assert loaded.mode == ms.RELATIVE
@@ -77,7 +84,7 @@ def test_round_trip_extra_columns():
 def test_minimum_widths():
     rl, _ = build_bwt(b"abaaba")
     m = pack_table(build_lf(rl))
-    m.check_min_widths()
+    check_min_widths(m)
 
 
 def test_checksum_detects_corruption():
@@ -101,7 +108,7 @@ def test_truncation_detected():
 
 
 def test_inspect_reports_space_accounting():
-    t = apply_splits(from_permutation(REF_PERM), ms.SplitConfig(c=Fraction(1)))
+    t = length_cap(from_permutation(REF_PERM), 1)
     buf = io.BytesIO()
     save_move(t.to_relative(), buf)
     buf.seek(0)
@@ -314,7 +321,7 @@ def _fuzz_bases() -> list[bytes]:
     _, lf = _lf_abaaba()
     rng = random.Random(11)
     perm = from_permutation(random_runny_permutation(rng, 2000, 150))
-    capped = apply_splits(perm, ms.SplitConfig(c=Fraction(1), alpha=2))
+    capped = balance(length_cap(perm, 1), 2)
     return [
         _saved(lf),
         _saved(lf.to_relative()),
@@ -403,7 +410,7 @@ def test_mutated_rlbwt_files_fail_cleanly(base, mutations, rechecksum):
         data = _with_crc(data)
     try:
         rl = load_rlbwt(io.BytesIO(data))
-        tables = [build_phi_via_lf(rl, inverse=inv)[0] for inv in (False, True)]
+        tables = [build_phi_via_lf(rl, inverse=inv) for inv in (False, True)]
     except MoveStructError:
         return
     for table in tables:

@@ -3,7 +3,6 @@ builders, checked against the brute-force oracles."""
 
 import io
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,17 +16,15 @@ from movestruct import (
     MoveCursor,
     Rlbwt,
     SaSamples,
-    SplitConfig,
-    apply_splits,
+    balance,
     build_bwt,
     build_lf,
     build_phi_via_lf,
     collect_sa_samples,
     inverse,
+    length_cap,
     load_rlbwt,
     recover_text,
-    rlbwt_from_text,
-    rlbwt_to_text,
     save_move,
     save_rlbwt,
     table_to_permutation,
@@ -42,7 +39,13 @@ from movestruct.oracle import (
     naive_sa,
     sample_docs,
 )
-from support import random_text, repetitive_text, rlbwt_v1_bytes
+from support import (
+    random_text,
+    repetitive_text,
+    rlbwt_from_text,
+    rlbwt_to_text,
+    rlbwt_v1_bytes,
+)
 
 ABAABA_SA = [6, 5, 2, 3, 0, 4, 1]
 ABAABA_BWT = b"abba\x00aa"
@@ -199,7 +202,8 @@ def test_phi_abaaba():
     rl, sa = build_bwt(b"abaaba")
     expected = naive_phi(sa)
     assert expected == [3, 4, 5, 2, 0, 6, 1]
-    phi, samples = build_phi_via_lf(rl)
+    phi = build_phi_via_lf(rl)
+    samples = rl.samples
     phi.validate()
     assert table_to_permutation(phi) == expected
     assert len(phi) <= rl.r
@@ -212,8 +216,8 @@ def test_phi_abaaba():
 
 def test_phi_inverse_composition():
     rl, sa = build_bwt(b"abaaba")
-    phi = table_to_permutation(build_phi_via_lf(rl)[0])
-    phi_inv = table_to_permutation(inverse(build_phi_via_lf(rl)[0]))
+    phi = table_to_permutation(build_phi_via_lf(rl))
+    phi_inv = table_to_permutation(inverse(build_phi_via_lf(rl)))
     assert all(phi_inv[phi[x]] == x for x in range(rl.n))
     assert phi_inv == naive_phi(sa, inverse=True)
 
@@ -225,16 +229,16 @@ def test_phi_sorted_matches_traversal_builder():
     walked = Rlbwt.from_runs(rl.runs)
     assert walked.samples is None
     for inv in (False, True):
-        table, samples = build_phi_via_lf(rl, inverse=inv)
-        from_walk, walk_samples = build_phi_via_lf(walked, inverse=inv)
-        assert walk_samples == samples == rl.samples
+        table = build_phi_via_lf(rl, inverse=inv)
+        from_walk = build_phi_via_lf(walked, inverse=inv)
+        assert collect_sa_samples(walked) == rl.samples
         assert vars(from_walk) == vars(table)
         assert table_to_permutation(table) == naive_phi(sa, inv)
 
 
 def test_phi_unary():
     rl, sa = build_bwt(b"aaaa")
-    assert table_to_permutation(build_phi_via_lf(rl)[0]) == naive_phi(sa)
+    assert table_to_permutation(build_phi_via_lf(rl)) == naive_phi(sa)
 
 
 def test_builders_random_sweep():
@@ -250,7 +254,7 @@ def test_builders_random_sweep():
         for inv in (False, True):
             expected = naive_phi(sa, inv)
             for source in (rl, walked):
-                table = build_phi_via_lf(source, inverse=inv)[0]
+                table = build_phi_via_lf(source, inverse=inv)
                 assert table_to_permutation(table) == expected
 
 
@@ -277,9 +281,9 @@ def test_phi_from_samples_matches_naive_hypothesis(seed, repetitive):
     walked = Rlbwt.from_runs(rl.runs)
     assert from_file.samples == rl.samples and walked.samples is None
     for source in (rl, from_file, walked):
-        phi, samples = build_phi_via_lf(source)
-        phi_inv = build_phi_via_lf(source, inverse=True)[0]
-        assert samples == rl.samples
+        phi = build_phi_via_lf(source)
+        phi_inv = build_phi_via_lf(source, inverse=True)
+        assert (source.samples or collect_sa_samples(source)) == rl.samples
         assert table_to_permutation(phi) == naive_phi(sa)
         assert table_to_permutation(phi_inv) == naive_phi(sa, inverse=True)
         assert vars(phi_inv) == vars(inverse(phi))
@@ -364,13 +368,13 @@ def test_save_rlbwt_v2_bytes_are_pinned():
 def test_v1_file_builds_the_move_files_of_its_v2_twin(tmp_path):
     v1 = load_rlbwt(io.BytesIO(ABAABA_RL_V1))
     v2 = load_rlbwt(io.BytesIO(ABAABA_RL_V2))
-    assert v1.samples is None and v1 == v2
+    assert v1.samples == v2.samples and v1 == v2
     assert rlbwt_v1_bytes(v2) == ABAABA_RL_V1
     for inv in (False, True):
-        for cfg in (SplitConfig(c=Fraction(0)), SplitConfig(c=Fraction(1), alpha=2)):
+        for split in (lambda t: t, lambda t: balance(length_cap(t, 1), 2)):
             saved = []
             for rl in (v1, v2):
-                table = apply_splits(build_phi_via_lf(rl, inverse=inv)[0], cfg)
+                table = split(build_phi_via_lf(rl, inverse=inv))
                 buf = io.BytesIO()
                 save_move(table.to_relative(), buf)
                 saved.append(buf.getvalue())

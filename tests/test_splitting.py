@@ -12,8 +12,6 @@ from movestruct import (
     DocBounds,
     InvalidInputError,
     InvalidParameterError,
-    SplitConfig,
-    apply_splits,
     attach_docs,
     balance,
     build_bwt,
@@ -110,9 +108,9 @@ def test_balance_parameter_validation():
     with pytest.raises(InvalidParameterError):
         balance(t, 1)
     with pytest.raises(InvalidParameterError):
-        SplitConfig(alpha=1)
+        balance(t, -2)
     with pytest.raises(InvalidParameterError):
-        SplitConfig(c=-1)
+        length_cap(t, -1)
 
 
 def test_balance_adversarial_max_ff():
@@ -135,13 +133,7 @@ def test_balance_idempotent_at_fixpoint():
     assert twice.dest_rank == once.dest_rank
 
 
-def test_apply_splits_noop():
-    t = from_permutation(REF_PERM)
-    out = apply_splits(t, SplitConfig())
-    assert out is t
-
-
-def test_apply_splits_combined_bounds():
+def test_cap_then_balance_bounds():
     rng = random.Random(11)
     for _ in range(10):
         n = rng.randint(50, 2000)
@@ -191,9 +183,23 @@ def test_balance_bounds_random_sweep():
             assert max_fast_forwards(b) < 2 * alpha
 
 
+def test_capping_a_balanced_table_resets_alpha():
+    rng = random.Random(167)
+    n = rng.randint(20, 200)
+    pi = random_runny_permutation(rng, n, rng.randint(2, 20))
+    balanced = balance(from_permutation(pi), 2)
+    assert balanced.alpha == 2 and max_fast_forwards(balanced) < 4
+    # The starts that capping adds put four of them inside one output
+    # interval, so the capped table no longer has the balance to claim.
+    capped = length_cap(balanced, 1)
+    assert max_fast_forwards(capped) == 4
+    assert capped.alpha == 0
+    assert table_to_permutation(capped) == pi
+
+
 def test_split_metadata_propagation():
     t = from_permutation(REF_PERM)
-    out = apply_splits(t, SplitConfig(c=Fraction(1), alpha=2))
+    out = balance(length_cap(t, 1), 2)
     assert out.cap == Fraction(1)
     assert out.cap_len == 2
     assert out.alpha == 2
@@ -218,7 +224,7 @@ def test_position_columns_attach_after_splitting():
     text = b"abracadabra" * 20
     bounds = DocBounds([0, 70, 150])
     rl, sa = build_bwt(text)
-    phi_inv = inverse(build_phi_via_lf(rl)[0])
+    phi_inv = inverse(build_phi_via_lf(rl))
     # Doc columns depend on the position within an interval, so splitting
     # or inverting a table that carries them is refused ...
     with_docs = attach_docs(phi_inv, bounds)
@@ -226,8 +232,8 @@ def test_position_columns_attach_after_splitting():
         with pytest.raises(InvalidInputError):
             split(with_docs)
     # ... and attaching them after the split gives the oracle DA.
-    for cfg in (SplitConfig(c=1), SplitConfig(c=1, alpha=2)):
-        table = attach_docs(apply_splits(phi_inv, cfg), bounds)
+    for split in (length_cap(phi_inv, 1), balance(length_cap(phi_inv, 1), 2)):
+        table = attach_docs(split, bounds)
         out = io.BytesIO()
         enumerate_da(table, rl.n - 1, out, bounds=bounds)
         assert out.getvalue() == struct.pack(

@@ -17,10 +17,9 @@ from movestruct import (
     MoveCursor,
     QueryConfig,
     Rlbwt,
-    SplitConfig,
     TraversalStats,
     UnsupportedModeError,
-    apply_splits,
+    balance,
     build_bwt,
     build_lf,
     build_phi_via_lf,
@@ -38,7 +37,7 @@ from movestruct import (
 from movestruct import traversal
 from movestruct.cli import main
 from movestruct.oracle import naive_lf, naive_phi, naive_sa, simulate_fast_forwards
-from support import random_text
+from support import check_consistency, random_text
 
 
 def u64s(buf: io.BytesIO) -> list[int]:
@@ -58,7 +57,7 @@ def test_invert_emission_order():
         out = io.BytesIO()
         stats = invert_bwt(table, out)
         assert stats.steps == rl.n
-        stats.check_consistency()
+        check_consistency(stats)
         # Written in text order with the sentinel last.
         assert out.getvalue() == b"abaaba\x00"
 
@@ -78,7 +77,7 @@ def test_invert_requires_symbol_column():
 
 def test_invert_rejects_other_kinds():
     rl, _ = build_bwt(b"abaaba")
-    phi_inv = inverse(build_phi_via_lf(rl)[0])
+    phi_inv = inverse(build_phi_via_lf(rl))
     with pytest.raises(InvalidInputError):
         invert_bwt(phi_inv.replace(extras={"sym": [0] * len(phi_inv)}), io.BytesIO())
 
@@ -97,12 +96,12 @@ def test_invert_random_sweep_with_caps():
 
 def test_enumerate_sa_abaaba():
     rl, _ = build_bwt(b"abaaba")
-    phi_inv = inverse(build_phi_via_lf(rl)[0])
+    phi_inv = inverse(build_phi_via_lf(rl))
     sink = io.BytesIO()
     stats = enumerate_sa(phi_inv, rl.n - 1, sink)
     assert u64s(sink) == [6, 5, 2, 3, 0, 4, 1]
     assert stats.steps == rl.n
-    stats.check_consistency()
+    check_consistency(stats)
 
 
 def test_enumerate_sa_is_permutation():
@@ -110,7 +109,7 @@ def test_enumerate_sa_is_permutation():
     for _ in range(20):
         text = random_text(rng, 2, 1500)
         rl, sa = build_bwt(text)
-        phi_inv = inverse(build_phi_via_lf(rl)[0])
+        phi_inv = inverse(build_phi_via_lf(rl))
         sink = io.BytesIO()
         enumerate_sa(phi_inv, rl.n - 1, sink)
         out = u64s(sink)
@@ -120,7 +119,7 @@ def test_enumerate_sa_is_permutation():
 
 def test_phi_traversal_emits_reverse_stream():
     rl, sa = build_bwt(b"abaaba")
-    phi, _ = build_phi_via_lf(rl)
+    phi = build_phi_via_lf(rl)
     sink = io.BytesIO()
     enumerate_sa(phi, sa[-1], sink)
     assert u64s(sink) == sa[::-1]
@@ -128,14 +127,14 @@ def test_phi_traversal_emits_reverse_stream():
 
 def test_enumerate_sa_bounds():
     rl, _ = build_bwt(b"abaaba")
-    phi_inv = inverse(build_phi_via_lf(rl)[0])
+    phi_inv = inverse(build_phi_via_lf(rl))
     with pytest.raises(BoundsError):
         enumerate_sa(phi_inv, rl.n, io.BytesIO())
 
 
 def test_enumerate_da_abaaba():
     rl, _ = build_bwt(b"abaaba")
-    phi_inv = inverse(build_phi_via_lf(rl)[0])
+    phi_inv = inverse(build_phi_via_lf(rl))
     bounds = DocBounds([0, 3])
     table = attach_docs(phi_inv, bounds)
     sink = io.BytesIO()
@@ -145,7 +144,7 @@ def test_enumerate_da_abaaba():
 
 def test_enumerate_da_single_document():
     rl, _ = build_bwt(b"abaaba")
-    phi_inv = inverse(build_phi_via_lf(rl)[0])
+    phi_inv = inverse(build_phi_via_lf(rl))
     table = attach_docs(phi_inv, DocBounds([0]))
     sink = io.BytesIO()
     enumerate_da(table, rl.n - 1, sink)
@@ -166,7 +165,7 @@ def test_sa_da_walks_reject_other_kinds():
 
 def test_enumerate_da_requires_doc_columns():
     rl, _ = build_bwt(b"abaaba")
-    phi_inv = inverse(build_phi_via_lf(rl)[0])
+    phi_inv = inverse(build_phi_via_lf(rl))
     with pytest.raises(MissingColumnError):
         enumerate_da(phi_inv, rl.n - 1, io.BytesIO())
 
@@ -182,7 +181,7 @@ def test_enumerate_da_random_multi_doc():
             pos += len(d)
         bounds = DocBounds(starts)
         rl, sa = build_bwt(text)
-        phi_inv = inverse(build_phi_via_lf(rl)[0])
+        phi_inv = inverse(build_phi_via_lf(rl))
         table = attach_docs(phi_inv, bounds)
         sink = io.BytesIO()
         enumerate_da(table, rl.n - 1, sink, bounds=bounds)
@@ -195,7 +194,7 @@ def test_traverse_counted_cycle_closure():
     end, stats = traverse_counted(lf, MoveCursor(0, 0), rl.n)
     assert end == MoveCursor(0, 0)
     assert stats.steps == rl.n
-    stats.check_consistency()
+    check_consistency(stats)
 
 
 def test_traverse_counted_relative_and_exponential():
@@ -214,7 +213,10 @@ def test_traverse_counted_relative_and_exponential():
     # Both storage modes and both search kinds agree with each other and
     # with the oracles on random texts, capped, balanced or neither.
     rng = random.Random(43)
-    configs = (SplitConfig(), SplitConfig(c=1), SplitConfig(c=8), SplitConfig(c=8, alpha=2))
+    splits = (
+        lambda t: t, lambda t: length_cap(t, 1), lambda t: length_cap(t, 8),
+        lambda t: balance(length_cap(t, 8), 2),
+    )
     for _ in range(6):
         text = random_text(rng, 2, 400)
         rl, _ = build_bwt(text)
@@ -222,10 +224,10 @@ def test_traverse_counted_relative_and_exponential():
         sa = naive_sa(text + b"\x00")
         bounds = DocBounds([0] + sorted(rng.sample(range(1, n - 1), min(3, n - 2))))
         oracles = {"lf": naive_lf(rl.expand()), "phi_inv": naive_phi(sa, inverse=True)}
-        for cfg in configs:
+        for split in splits:
             tables = {
-                "lf": apply_splits(build_lf(rl), cfg),
-                "phi_inv": apply_splits(inverse(build_phi_via_lf(rl)[0]), cfg),
+                "lf": split(build_lf(rl)),
+                "phi_inv": split(inverse(build_phi_via_lf(rl))),
             }
             for kind, table in tables.items():
                 # Oracle walk: positions via the permutation, fast forwards
@@ -269,10 +271,10 @@ def test_stats_consistency_check():
     s = TraversalStats.from_histogram([1, 0, 1])
     assert s.histogram == {2: 1, 0: 1}
     assert (s.steps, s.total_fast_forwards, s.max_fast_forwards) == (2, 2, 2)
-    s.check_consistency()
+    check_consistency(s)
     s.steps = 5
     with pytest.raises(InvalidInputError):
-        s.check_consistency()
+        check_consistency(s)
 
 
 def test_walks_write_to_files(tmp_path):
@@ -282,7 +284,7 @@ def test_walks_write_to_files(tmp_path):
         invert_bwt(build_lf(rl), fp)
     assert path.read_bytes() == b"abaaba\x00"
 
-    phi_inv = inverse(build_phi_via_lf(rl)[0])
+    phi_inv = inverse(build_phi_via_lf(rl))
     vpath = tmp_path / "sa.bin"
     with open(vpath, "wb") as fp:
         enumerate_sa(phi_inv, rl.n - 1, fp)
@@ -297,11 +299,11 @@ def test_walks_flush_in_blocks(monkeypatch):
     rl, sa = build_bwt(b"abaaba")
     assert recover_text(build_lf(rl)) == b"abaaba\x00"
     out = io.BytesIO()
-    enumerate_sa(inverse(build_phi_via_lf(rl)[0]), rl.n - 1, out)
+    enumerate_sa(inverse(build_phi_via_lf(rl)), rl.n - 1, out)
     assert u64s(out) == sa
     bounds = DocBounds([0, 3])
     out = io.BytesIO()
-    enumerate_da(attach_docs(inverse(build_phi_via_lf(rl)[0]), bounds), rl.n - 1, out)
+    enumerate_da(attach_docs(inverse(build_phi_via_lf(rl)), bounds), rl.n - 1, out)
     assert u64s(out) == [1, 1, 0, 1, 0, 1, 0]
 
 
