@@ -28,7 +28,6 @@ from .errors import (
     InvalidSpecError,
     MissingColumnError,
     MoveStructError,
-    UnsupportedModeError,
     ValueOverflowError,
 )
 from .files import inspect_move, load_move, pack_table, save_move

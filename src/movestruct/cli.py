@@ -150,10 +150,12 @@ def cmd_sa(args) -> int:
 def cmd_da(args) -> int:
     table = _read_phi_inv(args.input)
     bounds = _load_bounds(args.docs) if args.docs else None
-    if "doc" not in table.extras:
-        if bounds is None:
-            raise InvalidInputError("move file lacks doc columns; pass --docs")
+    # --docs replaces any embedded doc columns, which may come from other
+    # bounds; the embedded ones serve only when it is absent.
+    if bounds is not None:
         table = rlbwt.attach_docs(table, bounds)
+    elif "doc" not in table.extras:
+        raise InvalidInputError("move file lacks doc columns; pass --docs")
     with _output(args.output) as fp:
         stats = traversal.enumerate_da(table, table.n - 1, fp, bounds=bounds)
     _print_stats(stats)
@@ -293,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("da", help="enumerate the document array as raw u64 values")
     p.add_argument("input")
-    p.add_argument("--docs", help="document start positions, one per line")
+    p.add_argument("--docs", help="document start positions, one per line; "
+                   "replaces any doc columns in the file")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_da)
 

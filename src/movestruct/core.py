@@ -2,10 +2,13 @@
 
 A table holds, per interval j, its length, the rank of the predecessor of its
 image among interval starts (dest_rank) and the offset of the image within
-that destination interval (dest_offset). Absolute mode additionally stores the
-interval starts; relative mode stores only lengths plus sampled prefix sums.
-Both modes answer linear-search queries with the same lengths-based step;
-the stored starts serve position lookups and exponential search.
+that destination interval (dest_offset). The interval starts are the prefix
+sums of the lengths, derived once at construction. Linear search steps over
+the lengths; position lookups and exponential search read the starts.
+
+The storage mode only names the core column a move file stores: the starts
+(absolute) or the lengths (relative). In memory both modes are the same
+table and answer every query the same way.
 """
 
 from __future__ import annotations
@@ -13,23 +16,16 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
-from .errors import (
-    BoundsError,
-    InvalidInputError,
-    InvalidParameterError,
-    UnsupportedModeError,
-)
+from .errors import BoundsError, InvalidInputError, InvalidParameterError
 
 ABSOLUTE = "abs"
 RELATIVE = "rel"
 
 LINEAR = "linear"
 EXPONENTIAL = "exp"
-
-# Interval rank between two prefix-sum samples in relative mode.
-PREFIX_SAMPLE_EVERY = 64
 
 # Extra columns that are constant over an interval, and so stay right when
 # intervals are split or inverted; "doc"/"docdist" depend on the position.
@@ -74,7 +70,6 @@ class IntervalTable:
         lengths: list[int],
         dest_rank: list[int],
         dest_offset: list[int],
-        starts: Optional[list[int]] = None,
         source_runs: Optional[int] = None,
         kind: str = "generic",
         cap: Optional[Fraction] = None,
@@ -84,14 +79,13 @@ class IntervalTable:
     ):
         if mode not in (ABSOLUTE, RELATIVE):
             raise InvalidParameterError(f"unknown mode {mode!r}")
-        if mode == ABSOLUTE and starts is None:
-            raise InvalidInputError("absolute mode requires interval starts")
         self.n = n
         self.mode = mode
         self.lengths = lengths
         self.dest_rank = dest_rank
         self.dest_offset = dest_offset
-        self.starts = starts if mode == ABSOLUTE else None
+        self.starts = list(accumulate(lengths, initial=0))
+        self.starts.pop()  # the sum of the lengths, not a start
         self.max_len = max(lengths) if lengths else 0
         self.source_runs = source_runs if source_runs is not None else len(lengths)
         self.kind = kind
@@ -99,16 +93,6 @@ class IntervalTable:
         self.cap_len = cap_len
         self.alpha = alpha
         self.extras = dict(extras or {})
-        if mode == RELATIVE:
-            samples = []
-            pos = 0
-            for j, ell in enumerate(lengths):
-                if j % PREFIX_SAMPLE_EVERY == 0:
-                    samples.append(pos)
-                pos += ell
-            self._prefix_samples = samples
-        else:
-            self._prefix_samples = None
 
     # ------------------------------------------------------------------ basic
 
@@ -116,18 +100,11 @@ class IntervalTable:
         return len(self.lengths)
 
     def materialized_starts(self) -> list[int]:
-        """Interval starts as a list (reconstructed in relative mode)."""
-        if self.starts is not None:
-            return self.starts
-        out = []
-        pos = 0
-        for ell in self.lengths:
-            out.append(pos)
-            pos += ell
-        return out
+        """The interval starts; kept for the benchmark, which calls it."""
+        return self.starts
 
     def images(self) -> list[int]:
-        starts = self.materialized_starts()
+        starts = self.starts
         return [starts[q] + off for q, off in zip(self.dest_rank, self.dest_offset)]
 
     # ------------------------------------------------------------ constructors
@@ -152,8 +129,7 @@ class IntervalTable:
             q = bisect.bisect_right(starts, v) - 1
             dest_rank[j] = q
             dest_offset[j] = v - starts[q]
-        t = cls(n, ABSOLUTE, lengths, dest_rank, dest_offset, starts=starts, **kw)
-        return t.to_relative() if mode == RELATIVE else t
+        return cls(n, mode, lengths, dest_rank, dest_offset, **kw)
 
     def replace(self, **fields) -> "IntervalTable":
         """A new table with the given constructor fields changed and every
@@ -164,7 +140,6 @@ class IntervalTable:
             lengths=self.lengths,
             dest_rank=self.dest_rank,
             dest_offset=self.dest_offset,
-            starts=self.starts,
             source_runs=self.source_runs,
             kind=self.kind,
             cap=self.cap,
@@ -176,14 +151,10 @@ class IntervalTable:
         return IntervalTable(**kw)
 
     def to_relative(self) -> "IntervalTable":
-        if self.mode == RELATIVE:
-            return self
         return self.replace(mode=RELATIVE)
 
     def to_absolute(self) -> "IntervalTable":
-        if self.mode == ABSOLUTE:
-            return self
-        return self.replace(mode=ABSOLUTE, starts=self.materialized_starts())
+        return self.replace(mode=ABSOLUTE)
 
     # --------------------------------------------------------------- cursors
 
@@ -194,27 +165,12 @@ class IntervalTable:
     def cursor_of(self, i: int) -> MoveCursor:
         if not 0 <= i < self.n:
             raise BoundsError(f"position {i} out of range 0..{self.n - 1}")
-        if self.starts is not None:
-            j = bisect.bisect_right(self.starts, i) - 1
-            return MoveCursor(j, i - self.starts[j])
-        samples = self._prefix_samples
-        s = bisect.bisect_right(samples, i) - 1
-        j = s * PREFIX_SAMPLE_EVERY
-        pos = samples[s]
-        while pos + self.lengths[j] <= i:
-            pos += self.lengths[j]
-            j += 1
-        return MoveCursor(j, i - pos)
+        j = bisect.bisect_right(self.starts, i) - 1
+        return MoveCursor(j, i - self.starts[j])
 
     def position_of(self, cur: MoveCursor) -> int:
         self._check_cursor(cur)
-        if self.starts is not None:
-            return self.starts[cur.j] + cur.k
-        base = cur.j // PREFIX_SAMPLE_EVERY
-        pos = self._prefix_samples[base]
-        for j in range(base * PREFIX_SAMPLE_EVERY, cur.j):
-            pos += self.lengths[j]
-        return pos + cur.k
+        return self.starts[cur.j] + cur.k
 
     # ---------------------------------------------------------------- queries
 
@@ -222,16 +178,11 @@ class IntervalTable:
         self._check_cursor(cur)
         if config.search == EXPONENTIAL:
             q, off, ff, probes = gallop(
-                self._require_starts(), self.dest_rank, self.dest_offset, cur.j, cur.k
+                self.starts, self.dest_rank, self.dest_offset, cur.j, cur.k
             )
             return MoveResult(MoveCursor(q, off), ff, probes)
         q, off, ff = step(self.lengths, self.dest_rank, self.dest_offset, cur.j, cur.k)
         return MoveResult(MoveCursor(q, off), ff, ff + 1)
-
-    def _require_starts(self) -> list[int]:
-        if self.starts is None:
-            raise UnsupportedModeError("exponential search requires absolute mode")
-        return self.starts
 
     # ------------------------------------------------------------- validation
 
@@ -248,13 +199,6 @@ class IntervalTable:
             raise InvalidInputError("zero-length interval")
         if sum(lengths) != self.n:
             raise InvalidInputError("interval lengths do not sum to n")
-        starts = self.materialized_starts()
-        if self.starts is not None and (
-            len(starts) != r
-            or starts[0] != 0
-            or any(starts[j + 1] - starts[j] != lengths[j] for j in range(r - 1))
-        ):
-            raise InvalidInputError("starts disagree with interval lengths")
         # An offset below its rank's length makes the rank the predecessor
         # rank of the image.
         for j, (q, off) in enumerate(zip(self.dest_rank, self.dest_offset)):
@@ -304,7 +248,7 @@ def inverse(t: IntervalTable) -> IntervalTable:
     """
     images = t.images()
     order = sorted(range(len(images)), key=images.__getitem__)
-    starts = t.materialized_starts()
+    starts = t.starts
     return IntervalTable.from_intervals(
         t.n,
         [images[j] for j in order],
@@ -402,7 +346,7 @@ def table_to_permutation(t: IntervalTable) -> list[int]:
     Direct expansion, deliberately independent of the move-query path.
     """
     out = [0] * t.n
-    starts = t.materialized_starts()
+    starts = t.starts
     for j in range(len(t)):
         v = starts[t.dest_rank[j]] + t.dest_offset[j]
         s = starts[j]

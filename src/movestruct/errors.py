@@ -25,10 +25,6 @@ class ValueOverflowError(MoveStructError, OverflowError):
     """A value does not fit in its column's bitwidth."""
 
 
-class UnsupportedModeError(MoveStructError, ValueError):
-    """Operation requires the other representation mode (absolute/relative)."""
-
-
 class MissingColumnError(MoveStructError, KeyError):
     """A traversal needs an extra column the table does not carry."""
 

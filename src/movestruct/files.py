@@ -1,5 +1,11 @@
 """Binary serialization of interval tables.
 
+The storage mode picks the first core column: absolute files store each
+interval's start, relative files its length, which needs fewer bits on
+capped tables. Both load to the same in-memory table; an absolute file's
+starts are checked through the lengths they yield, which must be >= 1 and
+sum to n.
+
 Layout (all integers little-endian):
   magic "RPMV" | version u8 | mode u8 | kind u8 | n u64 | r' u64 | L u64 |
   c numerator u64 | c denominator u64 | alpha u64 |
@@ -183,10 +189,10 @@ def load_move(fp: BinaryIO) -> IntervalTable:
             raise FormatError(f"file lacks core column {name!r}")
     extras = {k: v for k, v in cols.items() if k not in core}
     if mode == ABSOLUTE:
+        # A bad start column shows as lengths below 1 or not summing to n.
         starts = cols["start"]
         lengths = [b - a for a, b in zip(starts, starts[1:] + [n])]
     else:
-        starts = None
         lengths = cols["len"]
     table = IntervalTable(
         n,
@@ -194,7 +200,6 @@ def load_move(fp: BinaryIO) -> IntervalTable:
         lengths,
         cols["rank"],
         cols["off"],
-        starts=starts,
         kind=kind,
         cap=Fraction(c_num, c_den) if c_num else None,
         cap_len=cap_len,

@@ -10,7 +10,7 @@ import bisect
 from typing import NamedTuple, Sequence
 
 from .core import IntervalTable
-from .errors import BoundsError, InvalidInputError, UnsupportedModeError
+from .errors import BoundsError, InvalidInputError
 from .rlbwt import DocBounds, SaSamples
 from .splitting import _inside_count
 
@@ -87,10 +87,8 @@ def naive_runs(pi: Sequence[int]) -> list[int]:
 
 
 def eval_abs(t: IntervalTable, i: int) -> int:
-    """The permutation at i, by predecessor binary search over the stored
+    """The permutation at i, by predecessor binary search over the interval
     starts; independent of the move-query path."""
-    if t.starts is None:
-        raise UnsupportedModeError("eval_abs requires absolute mode")
     if not 0 <= i < t.n:
         raise BoundsError(f"position {i} out of range 0..{t.n - 1}")
     j = bisect.bisect_right(t.starts, i) - 1
@@ -103,7 +101,7 @@ def simulate_fast_forwards(t: IntervalTable, i: int) -> int:
     predecessor of the landing position."""
     if not 0 <= i < t.n:
         raise BoundsError(f"position {i} out of range")
-    starts = t.materialized_starts()
+    starts = t.starts
     j = bisect.bisect_right(starts, i) - 1
     v = starts[t.dest_rank[j]] + t.dest_offset[j] + (i - starts[j])
     true_rank = bisect.bisect_right(starts, v) - 1
@@ -113,7 +111,7 @@ def simulate_fast_forwards(t: IntervalTable, i: int) -> int:
 def max_fast_forwards(t: IntervalTable) -> int:
     """Exact worst case over all n queries: the most interval starts strictly
     inside one interval's output range."""
-    starts = t.materialized_starts()
+    starts = t.starts
     return max(
         _inside_count(starts, starts[q] + off, ell)
         for q, off, ell in zip(t.dest_rank, t.dest_offset, t.lengths)

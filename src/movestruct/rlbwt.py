@@ -11,7 +11,9 @@ The sentinel is byte 0x00 and compares smallest; symbol order is byte order.
   head_sa u64 x r | tail_sa u64 x r |
   CRC-32 (zlib.crc32) u32 of everything after the magic
 Version 1 files end after the runs. They still load: one LF walk collects
-their samples and rejects an RLBWT that is the BWT of no text.
+their samples and rejects an RLBWT that is the BWT of no text. The walk takes
+time linear in n, so a v1 file with n above V1_MAX_N raises FormatError; a
+text that long needs a v2 file from build-rlbwt.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ SENTINEL = 0
 
 RLBWT_MAGIC = b"RLBW"
 RLBWT_VERSION = 2
+
+# Largest n of a v1 file, whose load walks LF n times: at some 0.3 us per
+# step in CPython, 2^26 steps take about 20 s.
+V1_MAX_N = 1 << 26
 
 
 @dataclass
@@ -280,7 +286,6 @@ def build_lf(rl: Rlbwt) -> IntervalTable:
         lengths,
         dest_rank,
         dest_offset,
-        starts=starts,
         kind="lf",
         extras={"sym": [c for c, _ in rl.runs]},
     )
@@ -356,10 +361,9 @@ def attach_docs(table: IntervalTable, bounds: DocBounds) -> IntervalTable:
     next document boundary, so offsets within the interval resolve without a
     global predecessor search.
     """
-    starts = table.materialized_starts()
     doc0 = []
     dist = []
-    for s in starts:
+    for s in table.starts:
         d = bounds.doc_of(s)
         doc0.append(d)
         nxt = bounds.starts[d + 1] if d + 1 < bounds.d else table.n
@@ -386,7 +390,8 @@ def save_rlbwt(rl: Rlbwt, fp: BinaryIO) -> None:
 def load_rlbwt(fp: BinaryIO) -> Rlbwt:
     """Read an .rl file of version 1 or 2; any malformed file raises
     FormatError. A v1 file gets its samples from one LF walk, which rejects
-    an RLBWT that is the BWT of no text. Samples of a v2 file are checked
+    an RLBWT that is the BWT of no text; one with n above V1_MAX_N raises
+    FormatError before the walk. Samples of a v2 file are checked
     against n only: the phi builders reject samples that do not make a
     permutation."""
     if fp.read(4) != RLBWT_MAGIC:
@@ -396,6 +401,10 @@ def load_rlbwt(fp: BinaryIO) -> Rlbwt:
         raise FormatError(f"unsupported RLBWT version {version!r}")
     header = read_exact(fp, 16)
     n, r = struct.unpack("<QQ", header)
+    if version == b"\x01" and n > V1_MAX_N:
+        raise FormatError(
+            f"version 1 RLBWT with n = {n} > {V1_MAX_N}; rebuild it with build-rlbwt"
+        )
     runs_raw = read_exact(fp, 9 * r)
     if version == b"\x01":
         samples_raw = b""

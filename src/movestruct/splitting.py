@@ -40,7 +40,7 @@ def length_cap(t: IntervalTable, c: CapFactor) -> IntervalTable:
     """
     c = Fraction(c)
     L = cap_length(t.n, t.source_runs, c)
-    starts, images, lengths = t.materialized_starts(), t.images(), t.lengths
+    starts, images, lengths = t.starts, t.images(), t.lengths
     r = len(starts)
 
     new_starts: list[int] = []
@@ -81,7 +81,7 @@ def length_cap(t: IntervalTable, c: CapFactor) -> IntervalTable:
 
     return t.replace(
         lengths=new_lens, dest_rank=dest_rank, dest_offset=dest_offset,
-        starts=new_starts, extras=run_columns(t, src), cap=c, cap_len=L, alpha=0,
+        extras=run_columns(t, src), cap=c, cap_len=L, alpha=0,
     )
 
 
@@ -101,7 +101,7 @@ def balance(t: IntervalTable, alpha: int) -> IntervalTable:
     """
     if alpha < 2:
         raise InvalidParameterError("alpha must be >= 2")
-    starts0, images0 = t.materialized_starts(), t.images()
+    starts0, images0 = t.starts, t.images()
     r = len(starts0)
 
     # Interval records indexed by a stable id; order recovered at the end.
@@ -162,6 +162,6 @@ def balance(t: IntervalTable, alpha: int) -> IntervalTable:
     )
     return t.replace(
         lengths=split.lengths, dest_rank=split.dest_rank,
-        dest_offset=split.dest_offset, starts=split.starts,
+        dest_offset=split.dest_offset,
         extras=run_columns(t, [src_[i] for i in order]), alpha=alpha,
     )

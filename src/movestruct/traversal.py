@@ -141,7 +141,7 @@ def _value_walk(
     v at cursor (j, k), or label(j, k, v) if a label is given, as u64."""
     if not 0 <= first_value < table.n:
         raise BoundsError(f"start value {first_value} out of range")
-    starts = table.materialized_starts()
+    starts = table.starts
     lengths = table.lengths
     dest_rank = table.dest_rank
     dest_offset = table.dest_offset
@@ -211,7 +211,7 @@ def traverse_counted(
     dest_offset = table.dest_offset
     counts = _ff_counts(table)
     if config.search == EXPONENTIAL:
-        starts = table._require_starts()
+        starts = table.starts
         total_probes = max_probes = 0
         for _ in range(steps):
             j, k, ff, probes = gallop(starts, dest_rank, dest_offset, j, k)

@@ -7,6 +7,7 @@ import struct
 import pytest
 
 from movestruct import (
+    DocBounds,
     InvalidInputError,
     Rlbwt,
     build_lf,
@@ -136,6 +137,26 @@ def test_sa_da_reject_other_kinds(ws, capsys, perm):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("cap", ["0", "1/4"])
+def test_da_docs_replace_embedded_columns(tmp_path, cap):
+    """da --docs B on a file built with --docs A writes B's document array,
+    not A's."""
+    text = b"abaabaabbaababaab"
+    (tmp_path / "text").write_bytes(text)
+    rl = tmp_path / "rl"
+    assert main(["build-rlbwt", str(tmp_path / "text"), "-o", str(rl)]) == 0
+    (tmp_path / "a").write_text("0\n6\n")
+    (tmp_path / "b").write_text("0\n3\n9\n12\n")
+    pi = tmp_path / "pi.mv"
+    assert main(["build", str(rl), "--perm", "phi-inv", "--cap", cap,
+                 "--docs", str(tmp_path / "a"), "-o", str(pi)]) == 0
+    sa = naive_sa(text + b"\x00")
+    for bounds, name in (([0, 6], "a"), ([0, 3, 9, 12], "b")):
+        da = tmp_path / "da"
+        assert main(["da", str(pi), "--docs", str(tmp_path / name), "-o", str(da)]) == 0
+        assert read_values(da) == [DocBounds(bounds).doc_of(v) for v in sa]
+
+
 def test_da_requires_doc_columns(ws):
     out = ws / "pi.mv"
     main(["build", str(ws / "rl"), "--perm", "phi-inv", "-o", str(out)])
@@ -202,11 +223,21 @@ def test_bench_rejects_steps_below_one(ws, capsys, steps):
     assert captured.out == ""
 
 
-def test_bench_exponential_rejects_relative(ws):
-    out = ws / "rel.mv"
-    main(["build", str(ws / "rl"), "--mode", "rel", "-o", str(out)])
-    assert main(["bench", str(out), "--steps", "10", "--search", "exp"]) == 2
-    assert main(["bench", str(out), "--steps", "10"]) == 0
+def test_bench_exponential_on_relative(ws, capsys):
+    """Exponential search reads the starts, which a relative table derives
+    from its lengths: it counts the same fast forwards as on the absolute
+    file."""
+    counts = []
+    for mode in ("abs", "rel"):
+        out = ws / f"{mode}.mv"
+        assert main(["build", str(ws / "rl"), "--cap", "0", "--mode", mode,
+                     "-o", str(out)]) == 0
+        for search in ("linear", "exp"):
+            capsys.readouterr()
+            assert main(["bench", str(out), "--steps", "10", "--search", search]) == 0
+            fields = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+            counts.append((search, fields[2], fields[3]))
+    assert counts[:2] == counts[2:]
 
 
 def test_build_is_deterministic(ws):

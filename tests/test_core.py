@@ -13,7 +13,6 @@ from movestruct import (
     InvalidInputError,
     MoveCursor,
     QueryConfig,
-    UnsupportedModeError,
     from_permutation,
     balance,
     inverse,
@@ -108,7 +107,7 @@ def test_from_runs():
 
 def test_relative_mode_equivalence(ref_table):
     rel = ref_table.to_relative()
-    assert rel.starts is None
+    assert rel.starts == REF_STARTS
     assert rel.materialized_starts() == REF_STARTS
     for i in range(16):
         cur = rel.cursor_of(i)
@@ -120,20 +119,13 @@ def test_relative_mode_equivalence(ref_table):
 
 
 def test_exponential_equals_linear(ref_table):
-    for j in range(len(ref_table)):
-        for k in range(ref_table.lengths[j]):
-            lin = ref_table.move(MoveCursor(j, k))
-            exp = ref_table.move(MoveCursor(j, k), EXP)
-            assert exp.cursor == lin.cursor
-            assert exp.fast_forwards == lin.fast_forwards
-
-
-def test_exponential_requires_absolute(ref_table):
-    rel = ref_table.to_relative()
-    with pytest.raises(UnsupportedModeError):
-        rel.move(MoveCursor(0, 0), EXP)
-    with pytest.raises(UnsupportedModeError):
-        eval_abs(rel, 0)
+    for t in (ref_table, ref_table.to_relative()):
+        for j in range(len(t)):
+            for k in range(t.lengths[j]):
+                lin = t.move(MoveCursor(j, k))
+                exp = t.move(MoveCursor(j, k), EXP)
+                assert exp.cursor == lin.cursor
+                assert exp.fast_forwards == lin.fast_forwards
 
 
 def test_cursor_bounds(ref_table):
@@ -157,7 +149,7 @@ def test_validator_catches_corruption():
     with pytest.raises(InvalidInputError):
         t2.validate()
     with pytest.raises(InvalidInputError):
-        IntervalTable(4, ms.ABSOLUTE, [2, 3], [0, 0], [0, 2], starts=[0, 2]).validate()
+        IntervalTable(4, ms.ABSOLUTE, [2, 3], [0, 0], [0, 2]).validate()
 
 
 def _split_variants(t):

@@ -67,10 +67,36 @@ def test_round_trip_relative_with_metadata():
     rel = t.to_relative()
     loaded = roundtrip(rel)
     assert loaded.mode == ms.RELATIVE
+    assert loaded.starts == roundtrip(t).starts == t.starts
     assert loaded.cap == Fraction(1)
     assert loaded.cap_len == 2
     assert loaded.alpha == 2
     assert table_to_permutation(loaded) == REF_PERM
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 200), st.integers(0, 2**32))
+def test_modes_and_files_answer_alike(n, seed):
+    """Uncapped, capped and balanced tables, in either mode and after a
+    save/load round trip, have the same starts and the same answer to every
+    query, with linear and with exponential search."""
+    rng = random.Random(seed)
+    pi = random_runny_permutation(rng, n, rng.randint(1, max(1, n // 3)))
+    t = from_permutation(pi)
+    exp = ms.QueryConfig(search=ms.EXPONENTIAL)
+    for split in (t, length_cap(t, 1), balance(length_cap(t, 1), 2), balance(t, 2)):
+        rel = split.to_relative()
+        twins = [split, rel, roundtrip(split), roundtrip(rel)]
+        assert [v.mode for v in twins] == [ms.ABSOLUTE, ms.RELATIVE] * 2
+        for i in range(n):
+            cur = split.cursor_of(i)
+            lin, gal = split.move(cur), split.move(cur, exp)
+            assert split.position_of(lin.cursor) == pi[i]
+            assert gal.cursor == lin.cursor
+            for v in twins:
+                assert v.starts == split.starts
+                assert v.cursor_of(i) == cur and v.position_of(cur) == i
+                assert (v.move(cur), v.move(cur, exp)) == (lin, gal)
 
 
 def test_round_trip_extra_columns():
@@ -238,7 +264,7 @@ MALFORMED = {
     "move-5-bytes": lambda: _saved(_lf_abaaba()[1])[:5],
     "move-30-byte-header": lambda: _saved(_lf_abaaba()[1])[:30],
     "move-no-intervals": lambda: _saved(
-        IntervalTable(7, ms.ABSOLUTE, [], [], [], starts=[], kind="lf")
+        IntervalTable(7, ms.ABSOLUTE, [], [], [], kind="lf")
     ),
     "lf-rank-beyond-table": lambda: _lf_with("dest_rank", lambda t: len(t) + 3),
     "lf-offset-n": lambda: _lf_with("dest_offset", lambda t: t.n),

@@ -3,6 +3,8 @@ builders, checked against the brute-force oracles."""
 
 import io
 import random
+import struct
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -391,6 +393,29 @@ def test_v1_file_builds_the_move_files_of_its_v2_twin(tmp_path):
             assert main(argv) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+def test_v1_file_above_the_limit_is_rejected(tmp_path, capsys):
+    """A v1 file makes the loader walk LF n times, so one that declares n
+    above V1_MAX_N is refused before the walk: here a 39-byte file of runs
+    a^(2^40 - 1), 0x00."""
+    raw = rlbwt_v1_bytes(Rlbwt.from_runs([(97, (1 << 40) - 1), (0, 1)]))
+    assert len(raw) == 39
+    t0 = time.perf_counter()
+    with pytest.raises(FormatError, match="build-rlbwt"):
+        load_rlbwt(io.BytesIO(raw))
+    assert time.perf_counter() - t0 < 1
+    path = tmp_path / "big.rl"
+    path.write_bytes(raw)
+    assert main(["build", str(path), "--perm", "lf", "-o", str(tmp_path / "lf.mv")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    # The limit is inclusive: at n = V1_MAX_N the loader reads on, and here
+    # finds runs that do not sum to n.
+    runs = rlbwt_v1_bytes(Rlbwt.from_runs([(97, 5), (0, 1)]))[21:]
+    for n, message in ((rlbwt.V1_MAX_N, "sum to the declared n"),
+                       (rlbwt.V1_MAX_N + 1, "build-rlbwt")):
+        with pytest.raises(FormatError, match=message):
+            load_rlbwt(io.BytesIO(b"RLBW\x01" + struct.pack("<QQ", n, 2) + runs))
 
 
 def test_rlbwt_binary_errors():

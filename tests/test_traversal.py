@@ -18,7 +18,6 @@ from movestruct import (
     QueryConfig,
     Rlbwt,
     TraversalStats,
-    UnsupportedModeError,
     balance,
     build_bwt,
     build_lf,
@@ -207,8 +206,6 @@ def test_traverse_counted_relative_and_exponential():
     exp = QueryConfig(search=ms.EXPONENTIAL)
     end, s_exp = traverse_counted(lf, MoveCursor(0, 0), rl.n, exp)
     assert end == MoveCursor(0, 0)
-    with pytest.raises(UnsupportedModeError):
-        traverse_counted(rel, MoveCursor(0, 0), 1, exp)
 
     # Both storage modes and both search kinds agree with each other and
     # with the oracles on random texts, capped, balanced or neither.
@@ -239,14 +236,15 @@ def test_traverse_counted_relative_and_exponential():
                     pos = oracles[kind][pos]
                 expected = (n + 7, sum(ffs), max(ffs), dict(Counter(ffs)))
                 ends = []
-                for t, config in ((table, QueryConfig()), (table.to_relative(), QueryConfig()),
-                                  (table, exp)):
+                rel = table.to_relative()
+                for t, config in ((table, QueryConfig()), (rel, QueryConfig()),
+                                  (table, exp), (rel, exp)):
                     end, stats = traverse_counted(t, t.cursor_of(start), n + 7, config)
                     assert t.position_of(end) == pos
                     assert (stats.steps, stats.total_fast_forwards, stats.max_fast_forwards,
                             stats.histogram) == expected
                     ends.append(end)
-                assert ends[0] == ends[1] == ends[2]
+                assert ends[0] == ends[1] == ends[2] == ends[3]
 
             lf = tables["lf"]
             inverted = [recover_text(t) for t in (lf, lf.to_relative())]
