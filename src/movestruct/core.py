@@ -9,6 +9,11 @@ the lengths; position lookups and exponential search read the starts.
 The storage mode only names the core column a move file stores: the starts
 (absolute) or the lengths (relative). In memory both modes are the same
 table and answer every query the same way.
+
+A cursor (MoveCursor) and a query result (MoveResult) are named tuples: a
+cursor unpacks as `j, k = cur` and equals the plain tuple (j, k). The query
+path builds them with tuple.__new__ and checks its cursor inline, so that a
+point query costs little more than its step or gallop.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import BoundsError, InvalidInputError, InvalidParameterError
 
@@ -36,8 +41,7 @@ _INVERSE_KIND = {
 }
 
 
-@dataclass(frozen=True)
-class MoveCursor:
+class MoveCursor(NamedTuple):
     """Position as (interval rank j, offset k within interval)."""
 
     j: int
@@ -53,11 +57,21 @@ class QueryConfig:
             raise InvalidParameterError(f"unknown search kind {self.search!r}")
 
 
-@dataclass(frozen=True)
-class MoveResult:
+class MoveResult(NamedTuple):
     cursor: MoveCursor
     fast_forwards: int
     probes: int
+
+
+# Builds a MoveCursor or MoveResult from a tuple of its fields in one C call,
+# without the Python frame of the generated __new__.
+_new = tuple.__new__
+
+
+def bad_cursor(cur: MoveCursor, r: int) -> BoundsError:
+    """The error for a cursor outside a table of r intervals; callers check
+    0 <= j < r and 0 <= k < lengths[j] inline, on the query path."""
+    return BoundsError(f"cursor {cur} invalid for table with r'={r}")
 
 
 class IntervalTable:
@@ -158,31 +172,34 @@ class IntervalTable:
 
     # --------------------------------------------------------------- cursors
 
-    def _check_cursor(self, cur: MoveCursor) -> None:
-        if not 0 <= cur.j < len(self.lengths) or not 0 <= cur.k < self.lengths[cur.j]:
-            raise BoundsError(f"cursor {cur} invalid for table with r'={len(self)}")
-
     def cursor_of(self, i: int) -> MoveCursor:
         if not 0 <= i < self.n:
             raise BoundsError(f"position {i} out of range 0..{self.n - 1}")
-        j = bisect.bisect_right(self.starts, i) - 1
-        return MoveCursor(j, i - self.starts[j])
+        starts = self.starts
+        j = bisect.bisect_right(starts, i) - 1
+        return _new(MoveCursor, (j, i - starts[j]))
 
     def position_of(self, cur: MoveCursor) -> int:
-        self._check_cursor(cur)
-        return self.starts[cur.j] + cur.k
+        j, k = cur
+        lengths = self.lengths
+        if not (0 <= j < len(lengths) and 0 <= k < lengths[j]):
+            raise bad_cursor(cur, len(lengths))
+        return self.starts[j] + k
 
     # ---------------------------------------------------------------- queries
 
     def move(self, cur: MoveCursor, config: QueryConfig = QueryConfig()) -> MoveResult:
-        self._check_cursor(cur)
+        j, k = cur
+        lengths = self.lengths
+        if not (0 <= j < len(lengths) and 0 <= k < lengths[j]):
+            raise bad_cursor(cur, len(lengths))
         if config.search == EXPONENTIAL:
             q, off, ff, probes = gallop(
-                self.starts, self.dest_rank, self.dest_offset, cur.j, cur.k
+                self.starts, self.dest_rank, self.dest_offset, j, k
             )
-            return MoveResult(MoveCursor(q, off), ff, probes)
-        q, off, ff = step(self.lengths, self.dest_rank, self.dest_offset, cur.j, cur.k)
-        return MoveResult(MoveCursor(q, off), ff, ff + 1)
+            return _new(MoveResult, (_new(MoveCursor, (q, off)), ff, probes))
+        q, off, ff = step(lengths, self.dest_rank, self.dest_offset, j, k)
+        return _new(MoveResult, (_new(MoveCursor, (q, off)), ff, ff + 1))
 
     # ------------------------------------------------------------- validation
 

@@ -359,8 +359,13 @@ def attach_docs(table: IntervalTable, bounds: DocBounds) -> IntervalTable:
 
     Stores the doc id at the interval's start value and the distance to the
     next document boundary, so offsets within the interval resolve without a
-    global predecessor search.
+    global predecessor search. A document that starts at or past n raises
+    InvalidInputError.
     """
+    if bounds.starts[-1] >= table.n:
+        raise InvalidInputError(
+            f"document start {bounds.starts[-1]} is not below n={table.n}"
+        )
     doc0 = []
     dist = []
     for s in table.starts:

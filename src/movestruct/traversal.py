@@ -20,6 +20,7 @@ from .core import (
     IntervalTable,
     MoveCursor,
     QueryConfig,
+    bad_cursor,
     gallop,
     inverse,
     step,
@@ -148,8 +149,7 @@ def _value_walk(
     counts = _ff_counts(table)
     buf = array("Q")
     put = buf.append
-    cur = table.cursor_of(first_value)
-    j, k = cur.j, cur.k
+    j, k = table.cursor_of(first_value)
     for size in _blocks(table.n):
         for _ in range(size):
             v = starts[j] + k
@@ -205,8 +205,10 @@ def traverse_counted(
     config: QueryConfig = QueryConfig(),
 ) -> tuple[MoveCursor, TraversalStats]:
     """Chained move queries from `start`, aggregating fast-forward stats."""
-    table._check_cursor(start)
-    j, k = start.j, start.k
+    j, k = start
+    lengths = table.lengths
+    if not (0 <= j < len(lengths) and 0 <= k < lengths[j]):
+        raise bad_cursor(start, len(lengths))
     dest_rank = table.dest_rank
     dest_offset = table.dest_offset
     counts = _ff_counts(table)
@@ -221,7 +223,6 @@ def traverse_counted(
                 max_probes = probes
         stats = TraversalStats.from_histogram(counts)
     else:
-        lengths = table.lengths
         for _ in range(steps):
             j, k, ff = step(lengths, dest_rank, dest_offset, j, k)
             counts[ff] += 1

@@ -282,6 +282,28 @@ def test_bad_document_bounds_line(ws, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("last", ["18", "40"])
+def test_document_bounds_past_the_text(tmp_path, capsys, last):
+    """A document that starts at or past n is refused by build and da alike,
+    and neither leaves an output file."""
+    (tmp_path / "text").write_bytes(b"abaabaabbaababaab")  # n = 18 with the sentinel
+    rl = tmp_path / "rl"
+    assert main(["build-rlbwt", str(tmp_path / "text"), "-o", str(rl)]) == 0
+    pi = tmp_path / "pi.mv"
+    assert main(["build", str(rl), "--perm", "phi-inv", "-o", str(pi)]) == 0
+    docs = tmp_path / "docs"
+    docs.write_text(f"0\n5\n{last}\n")
+    capsys.readouterr()
+    for argv in (["build", str(rl), "--perm", "phi-inv", "--docs", str(docs)],
+                 ["da", str(pi), "--docs", str(docs)]):
+        out = tmp_path / "out"
+        assert main(argv + ["-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+    docs.write_text("0\n5\n17\n")  # the sentinel's position is the last below n
+    assert main(["da", str(pi), "--docs", str(docs), "-o", str(tmp_path / "da")]) == 0
+
+
 @pytest.mark.parametrize("mode", ["abs", "rel"])
 def test_invert_round_trip_fl(ws, mode):
     out = ws / "fl.mv"

@@ -18,6 +18,7 @@ from movestruct import (
     inverse,
     length_cap,
     table_to_permutation,
+    traverse_counted,
 )
 from movestruct.oracle import eval_abs
 from support import (
@@ -129,14 +130,51 @@ def test_exponential_equals_linear(ref_table):
 
 
 def test_cursor_bounds(ref_table):
-    with pytest.raises(BoundsError):
-        ref_table.move(MoveCursor(9, 0))
-    with pytest.raises(BoundsError):
-        ref_table.move(MoveCursor(0, 2))
+    """Every query that takes a cursor rejects one outside the table. Negative
+    indices wrap in Python, so a check missing any one comparison would
+    answer for (-1, 0) or (0, -1) instead of raising."""
+    r = len(ref_table)
+    bad = [(-1, 0), (0, -1), (r, 0), (r + 5, 0), (-r - 1, 0)]
+    bad += [(j, ell) for j, ell in enumerate(ref_table.lengths)]
+    for t in (ref_table, ref_table.to_relative()):
+        for j, k in bad:
+            cur = MoveCursor(j, k)
+            for query in (
+                lambda: t.move(cur),
+                lambda: t.move(cur, EXP),
+                lambda: t.position_of(cur),
+                lambda: traverse_counted(t, cur, 1),
+                lambda: traverse_counted(t, cur, 1, EXP),
+            ):
+                with pytest.raises(BoundsError, match=r"invalid for table with r'=9"):
+                    query()
     with pytest.raises(BoundsError):
         ref_table.cursor_of(16)
     with pytest.raises(BoundsError):
+        ref_table.cursor_of(-1)
+    with pytest.raises(BoundsError):
         eval_abs(ref_table, -1)
+
+
+def test_cursor_value_semantics(ref_table):
+    """Cursors and results are immutable named tuples, equal by value."""
+    a, b = MoveCursor(8, 1), ref_table.cursor_of(14)
+    assert a == b == (8, 1) and hash(a) == hash(b)
+    assert a is not b
+    assert {a, b} == {a} and {a: "x"}[b] == "x"
+    j, k = b
+    assert (j, k) == (b.j, b.k) == (8, 1)
+    with pytest.raises(AttributeError):
+        a.j = 0
+    assert "j=8" in repr(a) and "k=1" in repr(a)
+    assert MoveCursor(8, 1) != MoveCursor(1, 8)
+    res = ref_table.move(MoveCursor(4, 1))
+    assert res.cursor == MoveCursor(2, 0) and type(res.cursor) is MoveCursor
+    assert (res.fast_forwards, res.probes) == (1, 2)
+    assert res == (MoveCursor(2, 0), 1, 2)
+    assert type(ref_table.move(MoveCursor(4, 1), EXP).cursor) is MoveCursor
+    end, _ = traverse_counted(ref_table, MoveCursor(4, 1), 1)
+    assert end == MoveCursor(2, 0) and type(end) is MoveCursor
 
 
 def test_validator_catches_corruption():
