@@ -150,11 +150,9 @@ def cmd_sa(args) -> int:
 def cmd_da(args) -> int:
     table = _read_phi_inv(args.input)
     bounds = _load_bounds(args.docs) if args.docs else None
-    # --docs replaces any embedded doc columns, which may come from other
-    # bounds; the embedded ones serve only when it is absent.
-    if bounds is not None:
-        table = rlbwt.attach_docs(table, bounds)
-    elif "doc" not in table.extras:
+    # enumerate_da takes the doc columns from --docs when it is given; the
+    # embedded ones serve only when it is absent.
+    if bounds is None and "doc" not in table.extras:
         raise InvalidInputError("move file lacks doc columns; pass --docs")
     with _output(args.output) as fp:
         stats = traversal.enumerate_da(table, table.n - 1, fp, bounds=bounds)

@@ -10,6 +10,10 @@ The storage mode only names the core column a move file stores: the starts
 (absolute) or the lengths (relative). In memory both modes are the same
 table and answer every query the same way.
 
+IntervalTable.validate() is the one check that a table is a permutation of
+[0, n); every builder that takes outside input (from_permutation, the phi
+builders, load_move) calls it.
+
 A cursor (MoveCursor) and a query result (MoveResult) are named tuples: a
 cursor unpacks as `j, k = cur` and equals the plain tuple (j, k). The query
 path builds them with tuple.__new__ and checks its cursor inline, so that a
@@ -225,21 +229,16 @@ class IntervalTable:
                 raise InvalidInputError(
                     f"dest_offset[{j}]={off} not below len[{q}]={lengths[q]}"
                 )
-        _check_tiling(self.n, self.images(), lengths)
+        # With the lengths summing to n, the image ranges tile [0, n) exactly
+        # when each sorted image starts where the previous range ends.
+        pos = 0
+        for v, ell in sorted(zip(self.images(), lengths)):
+            if v != pos:
+                raise InvalidInputError("interval images do not tile [0, n)")
+            pos += ell
         for name, vals in self.extras.items():
             if len(vals) != r:
                 raise InvalidInputError(f"extra column {name!r} has wrong length")
-
-
-def _check_tiling(n: int, images: Sequence[int], lengths: Sequence[int]) -> None:
-    """Raise unless the ranges [image, image + length) tile [0, n) exactly."""
-    pos = 0
-    for v, ell in sorted(zip(images, lengths)):
-        if v != pos:
-            raise InvalidInputError("interval images do not tile [0, n)")
-        pos += ell
-    if pos != n:
-        raise InvalidInputError("interval images do not tile [0, n)")
 
 
 def run_columns(t: IntervalTable, src: Sequence[int]) -> dict[str, list[int]]:
@@ -337,24 +336,20 @@ def gallop(
     return a, p - starts[a], a - q0, probes
 
 
-def from_permutation(
-    pi: Sequence[int], mode: str = ABSOLUTE, kind: str = "generic"
-) -> IntervalTable:
-    """Unbalanced move structure of an explicit permutation array."""
+def from_permutation(pi: Sequence[int]) -> IntervalTable:
+    """Unbalanced move structure of an explicit permutation array: one O(n)
+    scan for the runs, then validate() in O(r log r), which raises
+    InvalidInputError unless pi is a bijection on [0, n)."""
     n = len(pi)
     if n < 1:
         raise InvalidInputError("permutation must be non-empty")
-    seen = bytearray(n)
-    for v in pi:
-        if not 0 <= v < n or seen[v]:
-            raise InvalidInputError("input is not a bijection on [0, n)")
-        seen[v] = 1
     starts = [0]
     for i in range(1, n):
         if pi[i - 1] + 1 != pi[i]:
             starts.append(i)
-    images = [pi[s] for s in starts]
-    return IntervalTable.from_intervals(n, starts, images, mode=mode, kind=kind)
+    table = IntervalTable.from_intervals(n, starts, [pi[s] for s in starts])
+    table.validate()
+    return table
 
 
 def table_to_permutation(t: IntervalTable) -> list[int]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, groupby
 from typing import BinaryIO, Optional, Sequence
 
-from .core import ABSOLUTE, IntervalTable, _check_tiling, step
+from .core import ABSOLUTE, IntervalTable, step
 from .errors import FormatError, InvalidInputError
 from .files import read_exact
 
@@ -332,8 +332,9 @@ def build_phi_via_lf(rl: Rlbwt, inverse: bool = False) -> IntervalTable:
     at the head of run j has SA value head_sa[j], and row i - 1 (cyclically)
     is the tail of run j - 1. So phi, which maps SA[i] to SA[i - 1], has an
     interval at each head_sa[j] with image tail_sa[j - 1], and phi-inverse
-    one at each tail_sa[j] with image head_sa[j + 1]. Samples that repeat a
-    start or whose images do not tile [0, n) raise InvalidInputError.
+    one at each tail_sa[j] with image head_sa[j + 1]. Samples that make no
+    permutation of [0, n) fail IntervalTable.validate() with
+    InvalidInputError; a repeated start is a zero-length interval.
 
     The benchmark's tracer wraps this function by its name.
     """
@@ -343,21 +344,20 @@ def build_phi_via_lf(rl: Rlbwt, inverse: bool = False) -> IntervalTable:
         pairs = sorted(zip(tail, head[1:] + head[:1]))
     else:
         pairs = sorted(zip(head, tail[-1:] + tail[:-1]))
-    starts = [s for s, _ in pairs]
-    images = [v for _, v in pairs]
-    if any(a == b for a, b in zip(starts, starts[1:])):
-        raise InvalidInputError("SA samples repeat an interval start")
     table = IntervalTable.from_intervals(
-        rl.n, starts, images, kind="phi_inv" if inverse else "phi"
+        rl.n,
+        [s for s, _ in pairs],
+        [v for _, v in pairs],
+        kind="phi_inv" if inverse else "phi",
     )
-    _check_tiling(rl.n, images, table.lengths)
+    table.validate()
     return table
 
 
 def attach_docs(table: IntervalTable, bounds: DocBounds) -> IntervalTable:
     """Attach per-interval document data to a phi/phi-inverse table.
 
-    Stores the doc id at the interval's start value and the distance to the
+    Stores the doc id of the interval's first position and the distance to the
     next document boundary, so offsets within the interval resolve without a
     global predecessor search. A document that starts at or past n raises
     InvalidInputError.

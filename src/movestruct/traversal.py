@@ -15,6 +15,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Iterator, Optional
 
+from . import rlbwt
 from .core import (
     EXPONENTIAL,
     IntervalTable,
@@ -25,8 +26,7 @@ from .core import (
     inverse,
     step,
 )
-from .errors import BoundsError, InvalidInputError, MissingColumnError
-from .rlbwt import SENTINEL, DocBounds
+from .errors import InvalidInputError, MissingColumnError
 
 # Entries buffered between two writes to the output file.
 _BLOCK = 1 << 16
@@ -104,7 +104,7 @@ def invert_bwt(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
             j, k, ff = step(lengths, dest_rank, dest_offset, j, k)
             counts[ff] += 1
             put(sym[j])
-        early = buf.find(SENTINEL)
+        early = buf.find(rlbwt.SENTINEL)
         if early != -1 and pos + early != table.n - 1:
             raise InvalidInputError(
                 f"sentinel at text position {pos + early} of {table.n}; "
@@ -139,9 +139,8 @@ def _value_walk(
     label: Optional[Callable[[int, int, int], int]],
 ) -> TraversalStats:
     """Shared n-step walk in value space from first_value. Writes each value
-    v at cursor (j, k), or label(j, k, v) if a label is given, as u64."""
-    if not 0 <= first_value < table.n:
-        raise BoundsError(f"start value {first_value} out of range")
+    v at cursor (j, k), or label(j, k, v) if a label is given, as u64. A
+    first_value outside [0, n) raises BoundsError from cursor_of."""
     starts = table.starts
     lengths = table.lengths
     dest_rank = table.dest_rank
@@ -177,14 +176,18 @@ def enumerate_da(
     phi_inv_table: IntervalTable,
     first_sa: int,
     fp: BinaryIO,
-    bounds: Optional[DocBounds] = None,
+    bounds: Optional[rlbwt.DocBounds] = None,
 ) -> TraversalStats:
     """Write DA[0..n-1]: the document of each SA value in lexicographic order.
 
-    Uses the per-interval (doc id, distance to next boundary) columns; an
-    interval spanning several documents falls back to the bounds index.
+    Uses the per-interval (doc id, distance to next boundary) columns. Given
+    bounds, the columns are taken from them (rlbwt.attach_docs), in place of
+    any the table holds, and an interval spanning several documents falls
+    back to their index; without bounds, the table's own columns serve.
     """
     _require_phi(phi_inv_table)
+    if bounds is not None:
+        phi_inv_table = rlbwt.attach_docs(phi_inv_table, bounds)
     doc0 = _require_extra(phi_inv_table, "doc")
     dist = _require_extra(phi_inv_table, "docdist")
 

@@ -1,5 +1,6 @@
 """Interval tables and move queries against brute-force evaluation."""
 
+import itertools
 import random
 
 import pytest
@@ -93,6 +94,18 @@ def test_from_permutation_rejects_non_bijection():
         from_permutation([0, 3])
     with pytest.raises(InvalidInputError):
         from_permutation([])
+
+
+def test_from_permutation_accepts_exactly_the_bijections():
+    # Every sequence of length 1-4 over [-1, n]: 1,440 inputs, 33 of them
+    # bijections; validate() is the only check that rejects the rest.
+    for n in range(1, 5):
+        for seq in map(list, itertools.product(range(-1, n + 1), repeat=n)):
+            if sorted(seq) == list(range(n)):
+                assert table_to_permutation(from_permutation(seq)) == seq
+            else:
+                with pytest.raises(InvalidInputError):
+                    from_permutation(seq)
 
 
 def test_from_runs():

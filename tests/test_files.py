@@ -297,14 +297,15 @@ def test_malformed_files_raise_format_error(case, tmp_path, capsys):
 @pytest.mark.parametrize("which", ["head_sa", "tail_sa"])
 def test_samples_that_make_no_permutation_raise(which, tmp_path, capsys):
     """A sample copied onto the next one of its kind loads, but repeats a
-    start of one phi table and an image of the other."""
+    start of one phi table, which makes a zero-length interval, and an image
+    of the other."""
     r = _lf_abaaba()[0].r
     first = 0 if which == "head_sa" else r
     data = _rlbwt_with_samples(lambda v: v.__setitem__(first + 1, v[first]))
     rl = load_rlbwt(io.BytesIO(data))
     repeats_start = {"head_sa": False, "tail_sa": True}[which]
     for inv in (False, True):
-        match = "repeat" if inv == repeats_start else "tile"
+        match = "zero-length" if inv == repeats_start else "tile"
         with pytest.raises(InvalidInputError, match=match):
             build_phi_via_lf(rl, inverse=inv)
     path = tmp_path / "bad.rl"

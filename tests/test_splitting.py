@@ -85,7 +85,7 @@ def test_cap_idempotent_at_fixpoint():
 
 
 def test_cap_preserves_relative_mode():
-    t = from_permutation(REF_PERM, mode=ms.RELATIVE)
+    t = from_permutation(REF_PERM).to_relative()
     capped = length_cap(t, 1)
     assert capped.mode == ms.RELATIVE
     assert table_to_permutation(capped) == REF_PERM

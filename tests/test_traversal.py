@@ -5,6 +5,7 @@ import random
 import struct
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -148,6 +149,18 @@ def test_enumerate_da_single_document():
     sink = io.BytesIO()
     enumerate_da(table, rl.n - 1, sink)
     assert u64s(sink) == [0] * rl.n
+
+
+def test_enumerate_da_bounds_replace_attached_columns():
+    # Doc columns attached for bounds A, walked with bounds B: the output is
+    # B's document array, capped or not.
+    rl, sa = build_bwt(b"abaabaabbaababaab")
+    phi_inv = build_phi_via_lf(rl, inverse=True)
+    a, b = DocBounds([0, 5]), DocBounds([0, 9])
+    for table in (phi_inv, length_cap(phi_inv, Fraction(1, 4))):
+        sink = io.BytesIO()
+        enumerate_da(attach_docs(table, a), rl.n - 1, sink, bounds=b)
+        assert u64s(sink) == [b.doc_of(v) for v in sa]
 
 
 def test_sa_da_walks_reject_other_kinds():
