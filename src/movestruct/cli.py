@@ -163,8 +163,6 @@ def cmd_da(args) -> int:
 def cmd_bench(args) -> int:
     if args.steps < 1:
         raise InvalidInputError(f"--steps must be >= 1, got {args.steps}")
-    if args.pin and hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, {0})
     table = _read_table(args.input)
     cfg = QueryConfig(search=EXPONENTIAL if args.search == "exp" else LINEAR)
     start = table.cursor_of(args.start)
@@ -303,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=1_000_000)
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--search", choices=["linear", "exp"], default="linear")
-    p.add_argument("--pin", action="store_true", help="pin to one CPU")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("inspect", help="print header and space accounting")

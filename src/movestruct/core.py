@@ -10,6 +10,13 @@ The storage mode only names the core column a move file stores: the starts
 (absolute) or the lengths (relative). In memory both modes are the same
 table and answer every query the same way.
 
+IntervalTable is a dataclass that declares its fields once. replace() is
+the one way to derive a table: every transform (inverse, length capping,
+balancing, document columns, storage mode) names only the fields it changes,
+and replace() carries the rest. interval_columns() is the one rank routine
+from sorted starts and their images to the core columns; from_intervals,
+inverse and balance all go through it.
+
 IntervalTable.validate() is the one check that a table is a permutation of
 [0, n); every builder that takes outside input (from_permutation, the phi
 builders, load_move) calls it.
@@ -22,10 +29,12 @@ point query costs little more than its step or gallop.
 
 from __future__ import annotations
 
-import bisect
+import dataclasses
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import sub
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import BoundsError, InvalidInputError, InvalidParameterError
@@ -78,39 +87,31 @@ def bad_cursor(cur: MoveCursor, r: int) -> BoundsError:
     return BoundsError(f"cursor {cur} invalid for table with r'={r}")
 
 
+@dataclass(eq=False, repr=False)
 class IntervalTable:
     """The move structure: immutable after construction."""
 
-    def __init__(
-        self,
-        n: int,
-        mode: str,
-        lengths: list[int],
-        dest_rank: list[int],
-        dest_offset: list[int],
-        source_runs: Optional[int] = None,
-        kind: str = "generic",
-        cap: Optional[Fraction] = None,
-        cap_len: int = 0,
-        alpha: int = 0,
-        extras: Optional[dict[str, list[int]]] = None,
-    ):
-        if mode not in (ABSOLUTE, RELATIVE):
-            raise InvalidParameterError(f"unknown mode {mode!r}")
-        self.n = n
-        self.mode = mode
-        self.lengths = lengths
-        self.dest_rank = dest_rank
-        self.dest_offset = dest_offset
-        self.starts = list(accumulate(lengths, initial=0))
+    n: int
+    mode: str
+    lengths: list[int]
+    dest_rank: list[int]
+    dest_offset: list[int]
+    source_runs: Optional[int] = None
+    kind: str = "generic"
+    cap: Optional[Fraction] = None
+    cap_len: int = 0
+    alpha: int = 0
+    extras: Optional[dict[str, list[int]]] = None
+
+    def __post_init__(self) -> None:
+        if self.mode not in (ABSOLUTE, RELATIVE):
+            raise InvalidParameterError(f"unknown mode {self.mode!r}")
+        self.starts = list(accumulate(self.lengths, initial=0))
         self.starts.pop()  # the sum of the lengths, not a start
-        self.max_len = max(lengths) if lengths else 0
-        self.source_runs = source_runs if source_runs is not None else len(lengths)
-        self.kind = kind
-        self.cap = cap
-        self.cap_len = cap_len
-        self.alpha = alpha
-        self.extras = dict(extras or {})
+        self.max_len = max(self.lengths, default=0)
+        if self.source_runs is None:
+            self.source_runs = len(self.lengths)
+        self.extras = dict(self.extras or {})
 
     # ------------------------------------------------------------------ basic
 
@@ -129,44 +130,15 @@ class IntervalTable:
 
     @classmethod
     def from_intervals(
-        cls,
-        n: int,
-        starts: Sequence[int],
-        images: Sequence[int],
-        mode: str = ABSOLUTE,
-        **kw,
+        cls, n: int, starts: list[int], images: Sequence[int], **kw
     ) -> "IntervalTable":
-        """Build from parallel (start, image) arrays with sorted starts."""
-        starts = list(starts)
-        r = len(starts)
-        lengths = [starts[j + 1] - starts[j] for j in range(r - 1)]
-        lengths.append(n - starts[-1])
-        dest_rank = [0] * r
-        dest_offset = [0] * r
-        for j, v in enumerate(images):
-            q = bisect.bisect_right(starts, v) - 1
-            dest_rank[j] = q
-            dest_offset[j] = v - starts[q]
-        return cls(n, mode, lengths, dest_rank, dest_offset, **kw)
+        """An absolute table from parallel (start, image) arrays, starts sorted."""
+        return cls(n, ABSOLUTE, **interval_columns(n, starts, images), **kw)
 
     def replace(self, **fields) -> "IntervalTable":
-        """A new table with the given constructor fields changed and every
-        other field, metadata included, carried over."""
-        kw = dict(
-            n=self.n,
-            mode=self.mode,
-            lengths=self.lengths,
-            dest_rank=self.dest_rank,
-            dest_offset=self.dest_offset,
-            source_runs=self.source_runs,
-            kind=self.kind,
-            cap=self.cap,
-            cap_len=self.cap_len,
-            alpha=self.alpha,
-            extras=self.extras,
-        )
-        kw.update(fields)
-        return IntervalTable(**kw)
+        """A new table with the given fields changed and every other field,
+        metadata included, carried over."""
+        return dataclasses.replace(self, **fields)
 
     def to_relative(self) -> "IntervalTable":
         return self.replace(mode=RELATIVE)
@@ -180,7 +152,7 @@ class IntervalTable:
         if not 0 <= i < self.n:
             raise BoundsError(f"position {i} out of range 0..{self.n - 1}")
         starts = self.starts
-        j = bisect.bisect_right(starts, i) - 1
+        j = bisect_right(starts, i) - 1
         return _new(MoveCursor, (j, i - starts[j]))
 
     def position_of(self, cur: MoveCursor) -> int:
@@ -253,6 +225,20 @@ def run_columns(t: IntervalTable, src: Sequence[int]) -> dict[str, list[int]]:
     return {name: [vals[j] for j in src] for name, vals in t.extras.items()}
 
 
+def interval_columns(
+    n: int, starts: list[int], images: Sequence[int]
+) -> dict[str, list[int]]:
+    """The core columns (lengths, dest_rank, dest_offset) of the intervals
+    that begin at the sorted starts and map onto the images. Each image's
+    rank is that of its predecessor start; the maps run at C level."""
+    dest_rank = list(map((-1).__add__, map(bisect_right, repeat(starts), images)))
+    return {
+        "lengths": list(map(sub, starts[1:] + [n], starts)),
+        "dest_rank": dest_rank,
+        "dest_offset": list(map(sub, images, map(starts.__getitem__, dest_rank))),
+    }
+
+
 def inverse(t: IntervalTable) -> IntervalTable:
     """Move structure of the inverse permutation, in t's storage mode.
 
@@ -264,17 +250,11 @@ def inverse(t: IntervalTable) -> IntervalTable:
     """
     images = t.images()
     order = sorted(range(len(images)), key=images.__getitem__)
-    starts = t.starts
-    return IntervalTable.from_intervals(
-        t.n,
-        [images[j] for j in order],
-        [starts[j] for j in order],
-        mode=t.mode,
-        source_runs=t.source_runs,
-        kind=_INVERSE_KIND[t.kind],
-        cap=t.cap,
-        cap_len=t.cap_len,
-        extras=run_columns(t, order),
+    return t.replace(
+        **interval_columns(
+            t.n, [images[j] for j in order], [t.starts[j] for j in order]
+        ),
+        kind=_INVERSE_KIND[t.kind], alpha=0, extras=run_columns(t, order),
     )
 
 

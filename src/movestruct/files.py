@@ -33,8 +33,8 @@ _MODE_NAMES = {v: k for k, v in _MODE_TAGS.items()}
 _KIND_TAGS = {"generic": 0, "lf": 1, "fl": 2, "phi": 3, "phi_inv": 4}
 _KIND_NAMES = {v: k for k, v in _KIND_TAGS.items()}
 
-_CORE_ABS = ("start", "off", "rank")
-_CORE_REL = ("len", "off", "rank")
+# The first core column of each mode's files; "off" and "rank" follow it.
+_FIRST_COLUMN = {ABSOLUTE: "start", RELATIVE: "len"}
 
 
 def fnv1a64(data: bytes) -> int:
@@ -47,18 +47,9 @@ def fnv1a64(data: bytes) -> int:
 
 def table_columns(table: IntervalTable) -> dict[str, list[int]]:
     """Serialized columns in order: core columns for the mode, then extras."""
-    if table.mode == ABSOLUTE:
-        cols = {
-            "start": table.starts,
-            "off": table.dest_offset,
-            "rank": table.dest_rank,
-        }
-    else:
-        cols = {
-            "len": table.lengths,
-            "off": table.dest_offset,
-            "rank": table.dest_rank,
-        }
+    first = table.starts if table.mode == ABSOLUTE else table.lengths
+    cols = {_FIRST_COLUMN[table.mode]: first, "off": table.dest_offset,
+            "rank": table.dest_rank}
     for name, vals in table.extras.items():
         if name in cols:
             raise FormatError(f"extra column {name!r} clashes with a core column")
@@ -183,7 +174,7 @@ def load_move(fp: BinaryIO) -> IntervalTable:
         raise FormatError("payload checksum mismatch")
     m = PackedMatrix.from_payload(specs, r_prime, payload)
     cols = {s.name: m.get_column(s.name) for s in specs}
-    core = _CORE_ABS if mode == ABSOLUTE else _CORE_REL
+    core = (_FIRST_COLUMN[mode], "off", "rank")
     for name in core:
         if name not in cols:
             raise FormatError(f"file lacks core column {name!r}")

@@ -50,42 +50,40 @@ class SaSamples:
 
 @dataclass
 class Rlbwt:
+    """A run-length BWT; n, r, sigma and char_counts are derived from runs."""
+
     runs: list[tuple[int, int]]  # (symbol, length)
-    n: int
-    r: int
-    sigma: int
-    char_counts: list[int]  # 256 entries
+    n: int = field(init=False)
+    r: int = field(init=False)
+    sigma: int = field(init=False)
+    char_counts: list[int] = field(init=False)  # 256 entries
     # SA samples, when known: derived data, so left out of comparisons.
     samples: Optional[SaSamples] = field(default=None, compare=False, repr=False)
 
-    @classmethod
-    def from_runs(cls, runs: Sequence[tuple[int, int]]) -> "Rlbwt":
-        runs = [(int(c), int(l)) for c, l in runs]
+    def __post_init__(self) -> None:
+        runs = self.runs
         if not runs:
             raise InvalidInputError("RLBWT must have at least one run")
         counts = [0] * 256
-        n = 0
         for i, (c, l) in enumerate(runs):
             if not 0 <= c < 256 or l < 1:
                 raise InvalidInputError(f"bad run {i}: symbol {c}, length {l}")
             if i and runs[i - 1][0] == c:
                 raise InvalidInputError(f"adjacent runs {i - 1},{i} share a symbol")
             counts[c] += l
-            n += l
         if counts[SENTINEL] != 1:
             raise InvalidInputError("exactly one sentinel byte required")
-        return cls(
-            runs=runs,
-            n=n,
-            r=len(runs),
-            sigma=sum(1 for c in counts if c),
-            char_counts=counts,
-        )
+        self.n = sum(counts)
+        self.r = len(runs)
+        self.sigma = sum(1 for c in counts if c)
+        self.char_counts = counts
+
+    @classmethod
+    def from_runs(cls, runs: Sequence[tuple[int, int]]) -> "Rlbwt":
+        return cls([(int(c), int(l)) for c, l in runs])
 
     @classmethod
     def from_bwt(cls, bwt: bytes) -> "Rlbwt":
-        if not bwt:
-            raise InvalidInputError("empty BWT")
         return cls.from_runs([(c, len(list(g))) for c, g in groupby(bwt)])
 
     def expand(self) -> bytes:

@@ -14,7 +14,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Union
 
-from .core import IntervalTable, run_columns
+from .core import IntervalTable, interval_columns, run_columns
 from .errors import InvalidParameterError
 
 CapFactor = Union[int, float, str, Fraction]
@@ -156,12 +156,9 @@ def balance(t: IntervalTable, alpha: int) -> IntervalTable:
         enqueue(i)
         enqueue(new_id)
 
+    # sorted_starts holds every start_ in order, so it is the new start column.
     order = sorted(range(len(start_)), key=start_.__getitem__)
-    split = IntervalTable.from_intervals(
-        t.n, [start_[i] for i in order], [image_[i] for i in order]
-    )
     return t.replace(
-        lengths=split.lengths, dest_rank=split.dest_rank,
-        dest_offset=split.dest_offset,
+        **interval_columns(t.n, sorted_starts, [image_[i] for i in order]),
         extras=run_columns(t, [src_[i] for i in order]), alpha=alpha,
     )

@@ -1,7 +1,9 @@
 """Interval tables and move queries against brute-force evaluation."""
 
+import dataclasses
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,16 @@ from hypothesis import strategies as st
 import movestruct as ms
 from movestruct import (
     BoundsError,
+    DocBounds,
     IntervalTable,
     InvalidInputError,
     MoveCursor,
     QueryConfig,
     from_permutation,
+    attach_docs,
     balance,
+    build_bwt,
+    build_lf,
     inverse,
     length_cap,
     table_to_permutation,
@@ -230,8 +236,7 @@ def test_inverse_evaluates_to_inverse_array(n, seed):
 
 def test_inverse_twice_is_identity():
     rng = random.Random(12)
-    fields = ("n", "mode", "lengths", "dest_rank", "dest_offset", "starts",
-              "source_runs", "kind", "cap", "cap_len", "alpha", "extras")
+    fields = [f.name for f in dataclasses.fields(IntervalTable)] + ["starts"]
     for _ in range(20):
         n = rng.randint(1, 400)
         t = from_permutation(random_runny_permutation(rng, n, rng.randint(1, 40)))
@@ -241,6 +246,33 @@ def test_inverse_twice_is_identity():
                 continue
             twice = inverse(inverse(v))
             assert [getattr(twice, f) for f in fields] == [getattr(v, f) for f in fields]
+
+
+# The fields each transform may change; it must carry every other field over.
+COLUMNS = {"lengths", "dest_rank", "dest_offset", "extras"}
+TRANSFORMS = {
+    "inverse": (inverse, COLUMNS | {"kind", "alpha"}),
+    "length_cap": (lambda t: length_cap(t, 1), COLUMNS | {"cap", "cap_len", "alpha"}),
+    "balance": (lambda t: balance(t, 2), COLUMNS | {"alpha"}),
+    "attach_docs": (lambda t: attach_docs(t, DocBounds([0, 40, 90])), {"extras"}),
+    "to_relative": (lambda t: t.to_relative(), {"mode"}),
+    "to_absolute": (lambda t: t.to_absolute(), {"mode"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORMS))
+def test_transforms_carry_every_other_field(name):
+    """Every field of IntervalTable, a future one included, that a transform
+    does not change equals the input's, from a table with no default left."""
+    transform, changes = TRANSFORMS[name]
+    rl, _ = build_bwt(bytes(random.Random(5).choice(b"ab") for _ in range(150)))
+    # Metadata set by hand, so that no transform under test builds the input.
+    t = build_lf(rl).replace(source_runs=9, cap=Fraction(3, 2), cap_len=7, alpha=3)
+    for src in (t, t.to_relative()):
+        out = transform(src)
+        for f in dataclasses.fields(IntervalTable):
+            if f.name not in changes:
+                assert getattr(out, f.name) == getattr(src, f.name), f.name
 
 
 def test_inverse_kinds_and_extras(ref_table):
@@ -280,8 +312,6 @@ def test_runny_permutation_round_trip(n, seed):
 
 def test_single_cycle_chain_visits_everything():
     rng = random.Random(7)
-    from movestruct import build_bwt, build_lf
-
     for _ in range(5):
         text = bytes(rng.choice(b"ab") for _ in range(rng.randint(2, 400)))
         rl, _ = build_bwt(text)
