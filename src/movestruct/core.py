@@ -13,9 +13,12 @@ table and answer every query the same way.
 IntervalTable is a dataclass that declares its fields once. replace() is
 the one way to derive a table: every transform (inverse, length capping,
 balancing, document columns, storage mode) names only the fields it changes,
-and replace() carries the rest. interval_columns() is the one rank routine
-from sorted starts and their images to the core columns; from_intervals,
-inverse and balance all go through it.
+and replace() carries the rest. Destination ranks come from one of two
+places. interval_columns() ranks images that arrive unsorted against the
+sorted starts; from_intervals, inverse and balance go through it. The two
+O(r) builders, rlbwt.build_lf and splitting.length_cap, meet their images
+in an order that only moves forward, so each carries one destination
+cursor and fast-forwards it as step() does.
 
 IntervalTable.validate() is the one check that a table is a permutation of
 [0, n); every builder that takes outside input (from_permutation, the phi

@@ -141,6 +141,8 @@ def _read_header(fp: BinaryIO):
         except (UnicodeDecodeError, InvalidSpecError) as e:
             raise FormatError(f"bad column spec: {e}") from e
         header_len += 2 + name_len
+    if len({s.name for s in specs}) < len(specs):
+        raise FormatError("a column name is repeated")
     return (
         _MODE_NAMES[mode_tag],
         _KIND_NAMES[kind_tag],

@@ -89,13 +89,6 @@ class Rlbwt:
     def expand(self) -> bytes:
         return b"".join(bytes([c]) * l for c, l in self.runs)
 
-    def c_array(self) -> list[int]:
-        """Prefix sums: c_array[c] = number of symbols smaller than c."""
-        out = [0] * 257
-        for c in range(256):
-            out[c + 1] = out[c] + self.char_counts[c]
-        return out[:256]
-
     def run_starts(self) -> list[int]:
         out = []
         pos = 0
@@ -246,46 +239,35 @@ def build_bwt(text: bytes) -> tuple[Rlbwt, list[int]]:
 # ------------------------------------------------------------------------ LF
 
 
-def _runs_by_symbol(rl: Rlbwt) -> list[list[int]]:
-    buckets: list[list[int]] = [[] for _ in range(256)]
-    for j, (c, _) in enumerate(rl.runs):
-        buckets[c].append(j)
-    return buckets
-
-
 def build_lf(rl: Rlbwt) -> IntervalTable:
     """LF interval table with the run symbol attached as extra column "sym".
 
-    dest_rank comes from a single merge of the symbol-bucketed images against
-    the run starts; no comparison sort.
+    One pass in O(r) time, with no sort and no image list. LF maps run j onto
+    the rows of its symbol that follow those of every smaller symbol and of
+    the same symbol's earlier runs. So, taken by symbol and then in text
+    order, the runs' images tile [0, n) one after another, and a single
+    cursor (q, off) over the runs, advanced by each run's length and
+    fast-forwarded as in core.step, is each run's destination.
     """
-    r = rl.r
-    starts = rl.run_starts()
-    C = rl.c_array()
-    occ = [0] * 256
-    images = [0] * r
-    for j, (c, l) in enumerate(rl.runs):
-        images[j] = C[c] + occ[c]
-        occ[c] += l
-    dest_rank = [0] * r
-    dest_offset = [0] * r
-    p = 0
-    for bucket in _runs_by_symbol(rl):
-        for j in bucket:
-            v = images[j]
-            while p + 1 < r and starts[p + 1] <= v:
-                p += 1
-            dest_rank[j] = p
-            dest_offset[j] = v - starts[p]
+    syms = [c for c, _ in rl.runs]
     lengths = [l for _, l in rl.runs]
+    buckets: list[list[int]] = [[] for _ in range(256)]
+    for j, c in enumerate(syms):
+        buckets[c].append(j)
+    dest_rank = [0] * rl.r
+    dest_offset = [0] * rl.r
+    q = off = 0
+    for bucket in buckets:
+        for j in bucket:
+            while off >= lengths[q]:
+                off -= lengths[q]
+                q += 1
+            dest_rank[j] = q
+            dest_offset[j] = off
+            off += lengths[j]
     return IntervalTable(
-        rl.n,
-        ABSOLUTE,
-        lengths,
-        dest_rank,
-        dest_offset,
-        kind="lf",
-        extras={"sym": [c for c, _ in rl.runs]},
+        rl.n, ABSOLUTE, lengths, dest_rank, dest_offset, kind="lf",
+        extras={"sym": syms},
     )
 
 

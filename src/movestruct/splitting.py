@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 from collections import deque
 from fractions import Fraction
+from itertools import accumulate
 from typing import Union
 
 from .core import IntervalTable, interval_columns, run_columns
@@ -37,47 +38,41 @@ def length_cap(t: IntervalTable, c: CapFactor) -> IntervalTable:
     split table so the interval-count bound stays phrased in the original r.
     The new starts can break a balance, so alpha resets to 0: cap first,
     then balance.
+
+    One pass in O(r') time, with no sort and no search. Piece m of interval
+    j maps onto source cursor (dest_rank[j], dest_offset[j] + m*L); it is the
+    cursor of piece m - 1 advanced by L and fast-forwarded as in core.step.
+    Source interval q splits into pieces from first[q] on, so that cursor
+    (q, off) is piece cursor (first[q] + off // L, off % L). The images of
+    the intervals tile [0, n), so the fast forwards of the whole pass sum to
+    fewer than r.
     """
     c = Fraction(c)
     L = cap_length(t.n, t.source_runs, c)
-    starts, images, lengths = t.starts, t.images(), t.lengths
-    r = len(starts)
+    lengths = t.lengths
+    first = list(accumulate(((ell - 1) // L + 1 for ell in lengths), initial=0))
 
-    new_starts: list[int] = []
-    new_images: list[int] = []
     new_lens: list[int] = []
-    src: list[int] = []  # originating interval, for extras and dest walking
-    piece_no: list[int] = []
-    old_to_new = [0] * r
-    for j in range(r):
-        old_to_new[j] = len(new_starts)
-        ell = lengths[j]
-        m = 0
-        while ell > 0:
-            piece = L if ell > L else ell
-            new_starts.append(starts[j] + m * L)
-            new_images.append(images[j] + m * L)
-            new_lens.append(piece)
+    dest_rank: list[int] = []
+    dest_offset: list[int] = []
+    src: list[int] = []  # originating interval, for extras
+    for j, ell in enumerate(lengths):
+        q = t.dest_rank[j]
+        off = t.dest_offset[j]
+        while True:
+            while off >= lengths[q]:
+                off -= lengths[q]
+                q += 1
+            piece, off_in = divmod(off, L)
+            dest_rank.append(first[q] + piece)
+            dest_offset.append(off_in)
             src.append(j)
-            piece_no.append(m)
+            if ell <= L:
+                new_lens.append(ell)
+                break
+            new_lens.append(L)
             ell -= L
-            m += 1
-
-    rp = len(new_starts)
-    dest_rank = [0] * rp
-    dest_offset = [0] * rp
-    q = 0
-    for i in range(rp):
-        v = new_images[i]
-        if piece_no[i] == 0:
-            # Start at the piece of the destination interval that holds the
-            # image; later pieces of the same source only move forward.
-            j = src[i]
-            q = old_to_new[t.dest_rank[j]] + t.dest_offset[j] // L
-        while q + 1 < rp and new_starts[q + 1] <= v:
-            q += 1
-        dest_rank[i] = q
-        dest_offset[i] = v - new_starts[q]
+            off += L
 
     return t.replace(
         lengths=new_lens, dest_rank=dest_rank, dest_offset=dest_offset,

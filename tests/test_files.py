@@ -22,6 +22,8 @@ from movestruct import (
     build_phi_via_lf,
     from_permutation,
     inspect_move,
+    inverse,
+    invert_bwt,
     length_cap,
     load_move,
     load_rlbwt,
@@ -260,6 +262,16 @@ def _rlbwt_with_crc_flipped() -> bytes:
     return raw[:-1] + bytes([raw[-1] ^ 1])
 
 
+def _lf_with_sym_twice() -> bytes:
+    """The abaaba LF file with a second "sym" column after the true one, in
+    which a and b are swapped. The second column is saved as "zzz" and
+    renamed in the header, which the checksum does not cover."""
+    _, lf = _lf_abaaba()
+    swapped = [{97: 98, 98: 97}.get(c, c) for c in lf.extras["sym"]]
+    raw = _saved(lf.replace(extras={**lf.extras, "zzz": swapped}))
+    return raw.replace(b"\x03zzz", b"\x03sym", 1)
+
+
 MALFORMED = {
     "move-5-bytes": lambda: _saved(_lf_abaaba()[1])[:5],
     "move-30-byte-header": lambda: _saved(_lf_abaaba()[1])[:30],
@@ -275,6 +287,7 @@ MALFORMED = {
     "rlbwt-trailing-byte": lambda: _rlbwt_bytes() + b"\x00",
     "rlbwt-sample-n": lambda: _rlbwt_with_samples(lambda v: v.__setitem__(0, 7)),
     "move-huge-row-count": lambda: _lf_with_row_count(1 << 60),
+    "move-sym-twice": _lf_with_sym_twice,
 }
 
 
@@ -292,6 +305,23 @@ def test_malformed_files_raise_format_error(case, tmp_path, capsys):
     for argv in commands:
         assert main(argv + ["-o", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("perm, row, value", [("lf", 1, 300), ("fl", 2, 1000)])
+def test_symbol_beyond_a_byte_is_rejected(perm, row, value, tmp_path, capsys):
+    """A checksummed file whose symbol column holds a value that is not a
+    byte loads, but inverting it raises InvalidInputError."""
+    _, lf = _lf_abaaba()
+    table = lf if perm == "lf" else inverse(lf)
+    sym = list(table.extras["sym"])
+    sym[row] = value
+    data = _saved(table.replace(extras={"sym": sym}))
+    with pytest.raises(InvalidInputError, match="not a byte"):
+        invert_bwt(load_move(io.BytesIO(data)), io.BytesIO())
+    path = tmp_path / "bad.mv"
+    path.write_bytes(data)
+    assert main(["invert", str(path), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("which", ["head_sa", "tail_sa"])

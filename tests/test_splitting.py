@@ -15,6 +15,7 @@ from movestruct import (
     attach_docs,
     balance,
     build_bwt,
+    build_lf,
     build_phi_via_lf,
     cap_length,
     enumerate_da,
@@ -29,6 +30,7 @@ from support import (
     adversarial_permutation,
     ceil_div,
     random_runny_permutation,
+    random_text,
     sweep_fast_forwards,
 )
 
@@ -153,16 +155,26 @@ def test_cap_then_balance_bounds():
 
 def test_cap_bounds_random_sweep():
     rng = random.Random(3)
+    tables = []
     for _ in range(15):
         n = rng.randint(20, 1500)
-        pi = random_runny_permutation(rng, n, rng.randint(1, 60))
-        t = from_permutation(pi)
-        r = len(t)
-        for c in (Fraction(1, 2), Fraction(1), Fraction(8)):
+        tables.append(from_permutation(random_runny_permutation(rng, n, rng.randint(1, 60))))
+    for _ in range(6):
+        lf = build_lf(build_bwt(random_text(rng))[0])
+        tables += [lf, inverse(lf)]
+    # One long interval whose pieces' destinations cross every block start.
+    tables.append(from_permutation(adversarial_permutation(1024, 32)))
+    for t in tables:
+        n, r = t.n, len(t)
+        pi = table_to_permutation(t)
+        for c in (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(8)):
             capped = length_cap(t, c)
             capped.validate()
             L = capped.cap_len
             assert L == cap_length(n, r, c)
+            assert capped.starts == [
+                s + m for s, ell in zip(t.starts, t.lengths) for m in range(0, ell, L)
+            ]
             assert capped.max_len <= L
             assert len(capped) <= r + n // L
             assert max_fast_forwards(capped) <= L
