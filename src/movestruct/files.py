@@ -13,13 +13,16 @@ Layout (all integers little-endian):
   payload (bit-packed matrix, rows contiguous) |
   zero padding to an 8-byte file boundary |
   FNV-1a 64-bit checksum of the payload bytes, and nothing after it
+
+_FIXED is the one struct of the fixed part from version to column count;
+the mode and kind bytes index _MODES and _KINDS.
 """
 
 from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 from .bitpack import ColumnSpec, PackedMatrix, min_width
 from .core import ABSOLUTE, RELATIVE, IntervalTable
@@ -28,13 +31,28 @@ from .errors import FormatError, InvalidInputError, InvalidSpecError, ValueOverf
 MOVE_MAGIC = b"RPMV"
 MOVE_VERSION = 1
 
-_MODE_TAGS = {ABSOLUTE: 0, RELATIVE: 1}
-_MODE_NAMES = {v: k for k, v in _MODE_TAGS.items()}
-_KIND_TAGS = {"generic": 0, "lf": 1, "fl": 2, "phi": 3, "phi_inv": 4}
-_KIND_NAMES = {v: k for k, v in _KIND_TAGS.items()}
+_MODES = (ABSOLUTE, RELATIVE)
+_KINDS = ("generic", "lf", "fl", "phi", "phi_inv")
+# version, mode, kind, the six u64 fields named below, column count
+_FIXED = struct.Struct("<3B6QI")
+_U64_FIELDS = ("n", "r'", "L", "cap numerator", "cap denominator", "alpha")
 
 # The first core column of each mode's files; "off" and "rank" follow it.
 _FIRST_COLUMN = {ABSOLUTE: "start", RELATIVE: "len"}
+
+
+class _Header(NamedTuple):
+    mode: str
+    kind: str
+    n: int
+    r_prime: int
+    cap_len: int
+    c_num: int
+    c_den: int
+    alpha: int
+    specs: list[ColumnSpec]
+    size: int  # bytes from the magic to the payload
+    payload_bytes: int
 
 
 def fnv1a64(data: bytes) -> int:
@@ -45,8 +63,9 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def table_columns(table: IntervalTable) -> dict[str, list[int]]:
-    """Serialized columns in order: core columns for the mode, then extras."""
+def pack_table(table: IntervalTable) -> PackedMatrix:
+    """The serialized columns in order, core columns for the mode and then
+    extras, each at its minimal width."""
     first = table.starts if table.mode == ABSOLUTE else table.lengths
     cols = {_FIRST_COLUMN[table.mode]: first, "off": table.dest_offset,
             "rank": table.dest_rank}
@@ -54,11 +73,6 @@ def table_columns(table: IntervalTable) -> dict[str, list[int]]:
         if name in cols:
             raise FormatError(f"extra column {name!r} clashes with a core column")
         cols[name] = vals
-    return cols
-
-
-def pack_table(table: IntervalTable) -> PackedMatrix:
-    cols = table_columns(table)
     specs = [
         ColumnSpec(name, min_width(max(vals) if vals else 0))
         for name, vals in cols.items()
@@ -73,20 +87,15 @@ def save_move(table: IntervalTable, fp: BinaryIO) -> None:
     """Write table to fp. A header field beyond u64 raises ValueOverflowError
     before anything is written."""
     cap = table.cap if table.cap is not None else Fraction(0)
-    fields = {
-        "n": table.n, "r'": len(table), "L": table.cap_len,
-        "cap numerator": cap.numerator, "cap denominator": cap.denominator,
-        "alpha": table.alpha,
-    }
-    for name, value in fields.items():
+    values = (table.n, len(table), table.cap_len, cap.numerator, cap.denominator,
+              table.alpha)
+    for name, value in zip(_U64_FIELDS, values):
         if not 0 <= value < 1 << 64:
             raise ValueOverflowError(f"{name} = {value} does not fit in a u64")
     m = pack_table(table)
-    header = bytearray()
-    header += MOVE_MAGIC
-    header += bytes([MOVE_VERSION, _MODE_TAGS[table.mode], _KIND_TAGS[table.kind]])
-    header += struct.pack("<QQQQQQ", *fields.values())
-    header += struct.pack("<I", len(m.columns))
+    header = bytearray(MOVE_MAGIC)
+    header += _FIXED.pack(MOVE_VERSION, _MODES.index(table.mode),
+                          _KINDS.index(table.kind), *values, len(m.columns))
     for spec in m.columns:
         name = spec.name.encode()
         if len(name) > 255:
@@ -116,22 +125,19 @@ def read_exact(fp: BinaryIO, size: int) -> bytes:
     return b"".join(parts)
 
 
-def _read_header(fp: BinaryIO):
+def _read_header(fp: BinaryIO) -> _Header:
     if fp.read(4) != MOVE_MAGIC:
         raise FormatError("not a move-structure file")
-    version, mode_tag, kind_tag = read_exact(fp, 3)
+    version, mode, kind, *fields, ncols = _FIXED.unpack(read_exact(fp, _FIXED.size))
     if version != MOVE_VERSION:
         raise FormatError(f"unsupported version {version}")
-    if mode_tag not in _MODE_NAMES or kind_tag not in _KIND_NAMES:
+    if mode >= len(_MODES) or kind >= len(_KINDS):
         raise FormatError("unknown mode or kind tag")
-    n, r_prime, cap_len, c_num, c_den, alpha = struct.unpack(
-        "<QQQQQQ", read_exact(fp, 48)
-    )
+    n, r_prime, cap_len, c_num, c_den, alpha = fields
     if c_num and not c_den:
         raise FormatError("cap factor has a zero denominator")
-    (ncols,) = struct.unpack("<I", read_exact(fp, 4))
     specs = []
-    header_len = 7 + 48 + 4
+    size = len(MOVE_MAGIC) + _FIXED.size
     for _ in range(ncols):
         (name_len,) = read_exact(fp, 1)
         name_bytes = read_exact(fp, name_len)
@@ -140,63 +146,49 @@ def _read_header(fp: BinaryIO):
             specs.append(ColumnSpec(name_bytes.decode(), width))
         except (UnicodeDecodeError, InvalidSpecError) as e:
             raise FormatError(f"bad column spec: {e}") from e
-        header_len += 2 + name_len
+        size += 2 + name_len
     if len({s.name for s in specs}) < len(specs):
         raise FormatError("a column name is repeated")
-    return (
-        _MODE_NAMES[mode_tag],
-        _KIND_NAMES[kind_tag],
-        n,
-        r_prime,
-        cap_len,
-        c_num,
-        c_den,
-        alpha,
-        specs,
-        header_len,
-    )
+    payload_bytes = (r_prime * sum(s.width for s in specs) + 7) // 8
+    return _Header(_MODES[mode], _KINDS[kind], *fields, specs, size, payload_bytes)
 
 
 def load_move(fp: BinaryIO) -> IntervalTable:
     """Read a table and check its structure; any malformed input raises
     FormatError."""
-    (mode, kind, n, r_prime, cap_len, c_num, c_den, alpha, specs, header_len) = (
-        _read_header(fp)
-    )
-    stride = sum(s.width for s in specs)
-    payload_len = (r_prime * stride + 7) // 8
-    payload = read_exact(fp, payload_len)
+    h = _read_header(fp)
+    payload = read_exact(fp, h.payload_bytes)
     # Neither the padding nor the end of the file is under the checksum.
-    if any(read_exact(fp, (-(header_len + payload_len)) % 8)):
+    if any(read_exact(fp, (-(h.size + h.payload_bytes)) % 8)):
         raise FormatError("non-zero padding")
     (checksum,) = struct.unpack("<Q", read_exact(fp, 8))
     if fp.read(1):
         raise FormatError("trailing bytes after the checksum")
     if checksum != fnv1a64(payload):
         raise FormatError("payload checksum mismatch")
-    m = PackedMatrix.from_payload(specs, r_prime, payload)
-    cols = {s.name: m.get_column(s.name) for s in specs}
-    core = (_FIRST_COLUMN[mode], "off", "rank")
+    m = PackedMatrix.from_payload(h.specs, h.r_prime, payload)
+    cols = {s.name: m.get_column(s.name) for s in h.specs}
+    core = (_FIRST_COLUMN[h.mode], "off", "rank")
     for name in core:
         if name not in cols:
             raise FormatError(f"file lacks core column {name!r}")
     extras = {k: v for k, v in cols.items() if k not in core}
-    if mode == ABSOLUTE:
+    if h.mode == ABSOLUTE:
         # A bad start column shows as lengths below 1 or not summing to n.
         starts = cols["start"]
-        lengths = [b - a for a, b in zip(starts, starts[1:] + [n])]
+        lengths = [b - a for a, b in zip(starts, starts[1:] + [h.n])]
     else:
         lengths = cols["len"]
     table = IntervalTable(
-        n,
-        mode,
+        h.n,
+        h.mode,
         lengths,
         cols["rank"],
         cols["off"],
-        kind=kind,
-        cap=Fraction(c_num, c_den) if c_num else None,
-        cap_len=cap_len,
-        alpha=alpha,
+        kind=h.kind,
+        cap=Fraction(h.c_num, h.c_den) if h.c_num else None,
+        cap_len=h.cap_len,
+        alpha=h.alpha,
         extras=extras,
     )
     try:
@@ -207,20 +199,18 @@ def load_move(fp: BinaryIO) -> IntervalTable:
 
 
 def inspect_move(fp: BinaryIO) -> dict:
-    (mode, kind, n, r_prime, cap_len, c_num, c_den, alpha, specs, _hl) = (
-        _read_header(fp)
-    )
-    stride = sum(s.width for s in specs)
+    h = _read_header(fp)
+    stride = sum(s.width for s in h.specs)
     return {
-        "n": n,
-        "r_prime": r_prime,
-        "mode": mode,
-        "kind": kind,
-        "cap": f"{c_num}/{c_den}" if c_num else "off",
-        "alpha": alpha or "off",
-        "cap_len": cap_len or "off",
-        "columns": [(s.name, s.width) for s in specs],
+        "n": h.n,
+        "r_prime": h.r_prime,
+        "mode": h.mode,
+        "kind": h.kind,
+        "cap": f"{h.c_num}/{h.c_den}" if h.c_num else "off",
+        "alpha": h.alpha or "off",
+        "cap_len": h.cap_len or "off",
+        "columns": [(s.name, s.width) for s in h.specs],
         "row_stride_bits": stride,
-        "payload_bits": r_prime * stride,
-        "payload_bytes": (r_prime * stride + 7) // 8,
+        "payload_bits": h.r_prime * stride,
+        "payload_bytes": h.payload_bytes,
     }

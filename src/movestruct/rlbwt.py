@@ -50,13 +50,12 @@ class SaSamples:
 
 @dataclass
 class Rlbwt:
-    """A run-length BWT; n, r, sigma and char_counts are derived from runs."""
+    """A run-length BWT; n, r and sigma are derived from runs."""
 
     runs: list[tuple[int, int]]  # (symbol, length)
     n: int = field(init=False)
     r: int = field(init=False)
     sigma: int = field(init=False)
-    char_counts: list[int] = field(init=False)  # 256 entries
     # SA samples, when known: derived data, so left out of comparisons.
     samples: Optional[SaSamples] = field(default=None, compare=False, repr=False)
 
@@ -76,7 +75,6 @@ class Rlbwt:
         self.n = sum(counts)
         self.r = len(runs)
         self.sigma = sum(1 for c in counts if c)
-        self.char_counts = counts
 
     @classmethod
     def from_runs(cls, runs: Sequence[tuple[int, int]]) -> "Rlbwt":

@@ -83,7 +83,7 @@ def invert_bwt(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
     An LF table is inverted into FL first. A walk that writes the sentinel
     before the end has come back to row 0 early: FL is not one cycle, the
     table is the BWT of no text, and InvalidInputError is raised, as it is
-    for a symbol above 255.
+    for a symbol outside 0..255.
     """
     if table.kind == "lf":
         table = inverse(table)
@@ -92,7 +92,7 @@ def invert_bwt(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
             f"inversion needs an LF or FL table, not kind {table.kind!r}"
         )
     sym = _require_extra(table, "sym")
-    if max(sym) > 255:
+    if min(sym) < 0 or max(sym) > 255:
         raise InvalidInputError("symbol column holds a value that is not a byte")
     lengths = table.lengths
     dest_rank = table.dest_rank

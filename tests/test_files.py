@@ -135,21 +135,48 @@ def test_truncation_detected():
         load_move(io.BytesIO(b"NOPE" + bytes(32)))
 
 
+def _tables_of_every_kind():
+    rl, _ = build_bwt(repetitive_text(random.Random(4), 3, 60, 4))
+    lf = build_lf(rl)
+    for t in (from_permutation(REF_PERM), lf, inverse(lf), build_phi_via_lf(rl),
+              build_phi_via_lf(rl, inverse=True)):
+        for split in (t, balance(length_cap(t, 1), 2)):
+            yield split
+            yield split.to_relative()
+
+
 def test_inspect_reports_space_accounting():
-    t = length_cap(from_permutation(REF_PERM), 1)
-    buf = io.BytesIO()
-    save_move(t.to_relative(), buf)
-    buf.seek(0)
-    info = inspect_move(buf)
+    capped = length_cap(from_permutation(REF_PERM), 1).to_relative()
+    info = inspect_move(io.BytesIO(_saved(capped)))
     assert info["n"] == 16
     assert info["r_prime"] == 11
     assert info["mode"] == ms.RELATIVE
     assert info["cap"] == "1/1"
     assert info["cap_len"] == 2
-    widths = dict(info["columns"])
-    assert info["row_stride_bits"] == sum(widths.values())
-    assert info["payload_bits"] == info["r_prime"] * info["row_stride_bits"]
-    assert info["payload_bytes"] == (info["payload_bits"] + 7) // 8
+    seen = set()
+    for t in _tables_of_every_kind():
+        data = _saved(t)
+        info = inspect_move(io.BytesIO(data))
+        loaded = load_move(io.BytesIO(data))
+        cap = f"{loaded.cap.numerator}/{loaded.cap.denominator}" if loaded.cap else "off"
+        assert (info["n"], info["r_prime"], info["mode"], info["kind"]) == (
+            loaded.n, len(loaded), loaded.mode, loaded.kind)
+        assert (info["cap"], info["cap_len"], info["alpha"]) == (
+            cap, loaded.cap_len or "off", loaded.alpha or "off")
+        widths = dict(info["columns"])
+        assert info["row_stride_bits"] == sum(widths.values())
+        assert info["payload_bits"] == info["r_prime"] * info["row_stride_bits"]
+        assert info["payload_bytes"] == (info["payload_bits"] + 7) // 8
+        # the version byte, then the mode and kind tags of the file format
+        tags = [1, ("abs", "rel").index(t.mode),
+                ("generic", "lf", "fl", "phi", "phi_inv").index(t.kind)]
+        assert list(data[4:7]) == tags
+        # header, payload, zero padding and the checksum make up the file
+        end = _payload_span(data).stop
+        assert not any(data[end : end + -end % 8])
+        assert end + -end % 8 + 8 == len(data)
+        seen.add((t.kind, t.mode, bool(t.cap)))
+    assert len(seen) == 5 * 2 * 2
 
 
 def test_round_trip_random_tables():
@@ -219,11 +246,20 @@ def _lf_with(column: str, value) -> bytes:
     return _saved(lf.replace(**{column: vals}))
 
 
-def _lf_with_row_count(count: int) -> bytes:
-    """An LF file whose header declares r' = count; r' is the u64 after the
-    7 tag bytes and n."""
+# Header offsets: the magic, then the version, mode and kind bytes at 4, 5
+# and 6; n, r', L, the cap numerator and denominator, alpha as u64 from 7;
+# the u32 column count at 55; the first column's name length at 59. The
+# abaaba LF file's first column is "start", so its width byte is at 65.
+def _lf_with_header(at: int, new: bytes) -> bytes:
+    """The abaaba LF file with its header bytes from offset at replaced by
+    new; the checksum covers only the payload, so it still matches."""
     raw = _saved(_lf_abaaba()[1])
-    return raw[:15] + struct.pack("<Q", count) + raw[23:]
+    return raw[:at] + new + raw[at + len(new) :]
+
+
+def _lf_with_row_count(count: int) -> bytes:
+    """An LF file whose header declares r' = count."""
+    return _lf_with_header(15, struct.pack("<Q", count))
 
 
 def _rlbwt_bytes() -> bytes:
@@ -288,6 +324,13 @@ MALFORMED = {
     "rlbwt-sample-n": lambda: _rlbwt_with_samples(lambda v: v.__setitem__(0, 7)),
     "move-huge-row-count": lambda: _lf_with_row_count(1 << 60),
     "move-sym-twice": _lf_with_sym_twice,
+    "move-version-2": lambda: _lf_with_header(4, b"\x02"),
+    "move-mode-tag-2": lambda: _lf_with_header(5, b"\x02"),
+    "move-kind-tag-5": lambda: _lf_with_header(6, b"\x05"),
+    "move-cap-zero-denominator": lambda: _lf_with_header(31, struct.pack("<QQ", 1, 0)),
+    "move-width-0": lambda: _lf_with_header(65, b"\x00"),
+    "move-width-65": lambda: _lf_with_header(65, bytes([65])),
+    "move-name-not-utf8": lambda: _lf_with_header(60, b"\xff"),
 }
 
 
@@ -310,7 +353,8 @@ def test_malformed_files_raise_format_error(case, tmp_path, capsys):
 @pytest.mark.parametrize("perm, row, value", [("lf", 1, 300), ("fl", 2, 1000)])
 def test_symbol_beyond_a_byte_is_rejected(perm, row, value, tmp_path, capsys):
     """A checksummed file whose symbol column holds a value that is not a
-    byte loads, but inverting it raises InvalidInputError."""
+    byte loads, but inverting it raises InvalidInputError, as inverting a
+    table with a negative symbol does."""
     _, lf = _lf_abaaba()
     table = lf if perm == "lf" else inverse(lf)
     sym = list(table.extras["sym"])
@@ -322,6 +366,11 @@ def test_symbol_beyond_a_byte_is_rejected(perm, row, value, tmp_path, capsys):
     path.write_bytes(data)
     assert main(["invert", str(path), "-o", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    # Columns are unsigned, so only a table built in process holds a
+    # negative symbol.
+    sym[row] = -1
+    with pytest.raises(InvalidInputError, match="not a byte"):
+        invert_bwt(table.replace(extras={"sym": sym}), io.BytesIO())
 
 
 @pytest.mark.parametrize("which", ["head_sa", "tail_sa"])
