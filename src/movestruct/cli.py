@@ -121,41 +121,25 @@ def cmd_invert(args) -> int:
             table = splitting.length_cap(rlbwt.build_lf(rl), Fraction(DEFAULT_CAP))
         else:
             table = files.load_move(fp)
-    if "sym" not in table.extras:
-        raise InvalidInputError("move file lacks the symbol column")
     with _output(args.output) as fp:
         stats = traversal.invert_bwt(table, fp)
     _print_stats(stats)
     return 0
 
 
-def _read_phi_inv(path: str) -> IntervalTable:
-    """A phi-inverse table: the SA and DA walks start at SA[0] = n - 1."""
-    table = _read_table(path)
-    if table.kind != "phi_inv":
-        raise InvalidInputError(
-            f"{path} holds a {table.kind!r} table; sa and da need phi_inv"
-        )
-    return table
-
-
 def cmd_sa(args) -> int:
-    table = _read_phi_inv(args.input)
+    table = _read_table(args.input)
     with _output(args.output) as fp:
-        stats = traversal.enumerate_sa(table, table.n - 1, fp)
+        stats = traversal.enumerate_sa(table, fp)
     _print_stats(stats)
     return 0
 
 
 def cmd_da(args) -> int:
-    table = _read_phi_inv(args.input)
+    table = _read_table(args.input)
     bounds = _load_bounds(args.docs) if args.docs else None
-    # enumerate_da takes the doc columns from --docs when it is given; the
-    # embedded ones serve only when it is absent.
-    if bounds is None and "doc" not in table.extras:
-        raise InvalidInputError("move file lacks doc columns; pass --docs")
     with _output(args.output) as fp:
-        stats = traversal.enumerate_da(table, table.n - 1, fp, bounds=bounds)
+        stats = traversal.enumerate_da(table, fp, bounds=bounds)
     _print_stats(stats)
     return 0
 

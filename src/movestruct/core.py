@@ -109,6 +109,8 @@ class IntervalTable:
     def __post_init__(self) -> None:
         if self.mode not in (ABSOLUTE, RELATIVE):
             raise InvalidParameterError(f"unknown mode {self.mode!r}")
+        if self.kind not in _INVERSE_KIND:
+            raise InvalidParameterError(f"unknown kind {self.kind!r}")
         self.starts = list(accumulate(self.lengths, initial=0))
         self.starts.pop()  # the sum of the lengths, not a start
         self.max_len = max(self.lengths, default=0)

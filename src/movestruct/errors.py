@@ -28,6 +28,8 @@ class ValueOverflowError(MoveStructError, OverflowError):
 class MissingColumnError(MoveStructError, KeyError):
     """A traversal needs an extra column the table does not carry."""
 
+    __str__ = Exception.__str__  # the message, not KeyError's quoted repr
+
 
 class FormatError(MoveStructError, ValueError):
     """A serialized file is malformed or fails its checksum."""

@@ -5,6 +5,8 @@ Every walk steps with core.step and counts its fast forwards per step, so
 the amortized bounds can be checked exactly. The streaming walks write to a
 binary file object in blocks of _BLOCK entries: bytes for the text,
 little-endian u64 values for SA and DA. Their working space is O(r').
+Inversion walks FL (or LF, inverted first); the SA and DA walks chain
+phi-inverse from SA[0] = n - 1 and refuse any other kind before they write.
 """
 
 from __future__ import annotations
@@ -63,11 +65,11 @@ def _ff_counts(table: IntervalTable) -> list[int]:
     return [0] * min(table.max_len, len(table))
 
 
-def _require_extra(table: IntervalTable, name: str) -> list[int]:
+def _require_extra(table: IntervalTable, name: str, need: str) -> list[int]:
     try:
         return table.extras[name]
     except KeyError:
-        raise MissingColumnError(f"table lacks extra column {name!r}") from None
+        raise MissingColumnError(f"table lacks extra column {name!r}; {need}") from None
 
 
 def _blocks(n: int) -> Iterator[int]:
@@ -91,7 +93,7 @@ def invert_bwt(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
         raise InvalidInputError(
             f"inversion needs an LF or FL table, not kind {table.kind!r}"
         )
-    sym = _require_extra(table, "sym")
+    sym = _require_extra(table, "sym", "inversion reads the BWT symbols")
     if min(sym) < 0 or max(sym) > 255:
         raise InvalidInputError("symbol column holds a value that is not a byte")
     lengths = table.lengths
@@ -126,24 +128,23 @@ def recover_text(table: IntervalTable) -> bytes:
     return out.getvalue()
 
 
-def _require_phi(table: IntervalTable) -> None:
-    """Only phi and phi-inverse map SA values to SA values; walking another
-    kind would write one of its cycles, which is not the SA."""
-    if table.kind not in ("phi", "phi_inv"):
+def _check_sa_kind(table: IntervalTable) -> None:
+    """The SA and DA walks start at SA[0] = n - 1 and chain phi-inverse, the
+    lexicographic successor; from there any other kind writes one of its own
+    cycles, which is not the SA."""
+    if table.kind != "phi_inv":
         raise InvalidInputError(
-            f"SA and DA walks need a phi or phi-inverse table, not {table.kind!r}"
+            f"SA and DA walks need a phi-inverse table, not kind {table.kind!r}"
         )
 
 
 def _value_walk(
     table: IntervalTable,
-    first_value: int,
     fp: BinaryIO,
     label: Optional[Callable[[int, int, int], int]],
 ) -> TraversalStats:
-    """Shared n-step walk in value space from first_value. Writes each value
-    v at cursor (j, k), or label(j, k, v) if a label is given, as u64. A
-    first_value outside [0, n) raises BoundsError from cursor_of."""
+    """Shared n-step walk in value space from SA[0] = n - 1. Writes each
+    value v at cursor (j, k), or label(j, k, v) if a label is given, as u64."""
     starts = table.starts
     lengths = table.lengths
     dest_rank = table.dest_rank
@@ -151,7 +152,7 @@ def _value_walk(
     counts = _ff_counts(table)
     buf = array("Q")
     put = buf.append
-    j, k = table.cursor_of(first_value)
+    j, k = table.cursor_of(table.n - 1)
     for size in _blocks(table.n):
         for _ in range(size):
             v = starts[j] + k
@@ -165,34 +166,35 @@ def _value_walk(
     return TraversalStats.from_histogram(counts)
 
 
-def enumerate_sa(
-    phi_inv_table: IntervalTable, first_sa: int, fp: BinaryIO
-) -> TraversalStats:
-    """Write SA[0..n-1] by chaining the lexicographic-successor permutation
-    from SA[0] = n - 1. Works on a phi table too, writing the reverse order
-    when started from SA[n-1]. Any other kind raises InvalidInputError."""
-    _require_phi(phi_inv_table)
-    return _value_walk(phi_inv_table, first_sa, fp, None)
+def enumerate_sa(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
+    """Write SA[0..n-1] by chaining phi-inverse from SA[0] = n - 1. A table
+    of any other kind raises InvalidInputError before anything is written."""
+    _check_sa_kind(table)
+    return _value_walk(table, fp, None)
 
 
 def enumerate_da(
-    phi_inv_table: IntervalTable,
-    first_sa: int,
+    table: IntervalTable,
     fp: BinaryIO,
     bounds: Optional[rlbwt.DocBounds] = None,
 ) -> TraversalStats:
-    """Write DA[0..n-1]: the document of each SA value in lexicographic order.
+    """Write DA[0..n-1]: the document of each SA value in lexicographic order,
+    by the phi-inverse walk of enumerate_sa.
 
     Uses the per-interval (doc id, distance to next boundary) columns. Given
     bounds, the columns are taken from them (rlbwt.attach_docs), in place of
     any the table holds, and an interval spanning several documents falls
-    back to their index; without bounds, the table's own columns serve.
+    back to their index. Without bounds, the table's own columns serve: a
+    table without them raises MissingColumnError, and the walk raises
+    InvalidInputError when it meets an interval that spans a document
+    boundary.
     """
-    _require_phi(phi_inv_table)
+    _check_sa_kind(table)
     if bounds is not None:
-        phi_inv_table = rlbwt.attach_docs(phi_inv_table, bounds)
-    doc0 = _require_extra(phi_inv_table, "doc")
-    dist = _require_extra(phi_inv_table, "docdist")
+        table = rlbwt.attach_docs(table, bounds)
+    need = "the DA walk needs document bounds or the doc columns they attach"
+    doc0 = _require_extra(table, "doc", need)
+    dist = _require_extra(table, "docdist", need)
 
     def label(j: int, k: int, v: int) -> int:
         if k < dist[j]:
@@ -201,7 +203,7 @@ def enumerate_da(
             return bounds.doc_of(v)
         raise InvalidInputError("interval spans several documents; bounds required")
 
-    return _value_walk(phi_inv_table, first_sa, fp, label)
+    return _value_walk(table, fp, label)
 
 
 def traverse_counted(

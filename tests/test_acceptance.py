@@ -218,7 +218,7 @@ def test_criterion_06_streaming_round_trips(grid, capsys):
         if recover_text(inst.base["lf"]) != inst.text + b"\x00":
             bad.append(f"inversion {idx}")
         sink = io.BytesIO()
-        enumerate_sa(inst.base["phi_inv"], inst.rl.n - 1, sink)
+        enumerate_sa(inst.base["phi_inv"], sink)
         if sink.getvalue() != struct.pack(f"<{inst.rl.n}Q", *inst.sa):
             bad.append(f"sa stream {idx}")
     _report(capsys, 6, "text inversion and SA enumeration round trips", not bad)

@@ -157,10 +157,14 @@ def test_da_docs_replace_embedded_columns(tmp_path, cap):
         assert read_values(da) == [DocBounds(bounds).doc_of(v) for v in sa]
 
 
-def test_da_requires_doc_columns(ws):
+def test_da_requires_doc_columns(ws, capsys):
     out = ws / "pi.mv"
     main(["build", str(ws / "rl"), "--perm", "phi-inv", "-o", str(out)])
+    capsys.readouterr()
     assert main(["da", str(out), "-o", str(ws / "da")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "document bounds" in err
+    assert not (ws / "da").exists()
 
 
 def test_docs_flag_rejected_for_lf(ws):

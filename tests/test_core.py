@@ -15,6 +15,7 @@ from movestruct import (
     DocBounds,
     IntervalTable,
     InvalidInputError,
+    InvalidParameterError,
     MoveCursor,
     QueryConfig,
     from_permutation,
@@ -281,6 +282,14 @@ def test_inverse_kinds_and_extras(ref_table):
         assert inverse(ref_table.replace(kind=inv_kind)).kind == kind
     with pytest.raises(InvalidInputError):
         inverse(ref_table.replace(extras={"doc": [0] * len(ref_table)}))
+
+
+def test_unknown_kind_or_mode_is_rejected(ref_table):
+    # Saving and inverting index tables by kind, so a kind outside the five
+    # is refused where the table is made, as an unknown mode is.
+    for field in ({"kind": "bwt"}, {"mode": "bwt"}):
+        with pytest.raises(InvalidParameterError, match="unknown"):
+            ref_table.replace(**field)
 
 
 def test_move_result_probe_counts(ref_table):

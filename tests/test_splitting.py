@@ -247,7 +247,7 @@ def test_position_columns_attach_after_splitting():
     for split in (length_cap(phi_inv, 1), balance(length_cap(phi_inv, 1), 2)):
         table = attach_docs(split, bounds)
         out = io.BytesIO()
-        enumerate_da(table, rl.n - 1, out, bounds=bounds)
+        enumerate_da(table, out, bounds=bounds)
         assert out.getvalue() == struct.pack(
             f"<{rl.n}Q", *(bounds.doc_of(v) for v in sa)
         )

@@ -98,7 +98,7 @@ def test_enumerate_sa_abaaba():
     rl, _ = build_bwt(b"abaaba")
     phi_inv = inverse(build_phi_via_lf(rl))
     sink = io.BytesIO()
-    stats = enumerate_sa(phi_inv, rl.n - 1, sink)
+    stats = enumerate_sa(phi_inv, sink)
     assert u64s(sink) == [6, 5, 2, 3, 0, 4, 1]
     assert stats.steps == rl.n
     check_consistency(stats)
@@ -111,25 +111,10 @@ def test_enumerate_sa_is_permutation():
         rl, sa = build_bwt(text)
         phi_inv = inverse(build_phi_via_lf(rl))
         sink = io.BytesIO()
-        enumerate_sa(phi_inv, rl.n - 1, sink)
+        enumerate_sa(phi_inv, sink)
         out = u64s(sink)
         assert out == sa == naive_sa(text + b"\x00")
         assert sorted(out) == list(range(rl.n))
-
-
-def test_phi_traversal_emits_reverse_stream():
-    rl, sa = build_bwt(b"abaaba")
-    phi = build_phi_via_lf(rl)
-    sink = io.BytesIO()
-    enumerate_sa(phi, sa[-1], sink)
-    assert u64s(sink) == sa[::-1]
-
-
-def test_enumerate_sa_bounds():
-    rl, _ = build_bwt(b"abaaba")
-    phi_inv = inverse(build_phi_via_lf(rl))
-    with pytest.raises(BoundsError):
-        enumerate_sa(phi_inv, rl.n, io.BytesIO())
 
 
 def test_enumerate_da_abaaba():
@@ -138,7 +123,7 @@ def test_enumerate_da_abaaba():
     bounds = DocBounds([0, 3])
     table = attach_docs(phi_inv, bounds)
     sink = io.BytesIO()
-    enumerate_da(table, rl.n - 1, sink, bounds=bounds)
+    enumerate_da(table, sink, bounds=bounds)
     assert u64s(sink) == [1, 1, 0, 1, 0, 1, 0]
 
 
@@ -147,7 +132,7 @@ def test_enumerate_da_single_document():
     phi_inv = inverse(build_phi_via_lf(rl))
     table = attach_docs(phi_inv, DocBounds([0]))
     sink = io.BytesIO()
-    enumerate_da(table, rl.n - 1, sink)
+    enumerate_da(table, sink)
     assert u64s(sink) == [0] * rl.n
 
 
@@ -159,27 +144,29 @@ def test_enumerate_da_bounds_replace_attached_columns():
     a, b = DocBounds([0, 5]), DocBounds([0, 9])
     for table in (phi_inv, length_cap(phi_inv, Fraction(1, 4))):
         sink = io.BytesIO()
-        enumerate_da(attach_docs(table, a), rl.n - 1, sink, bounds=b)
+        enumerate_da(attach_docs(table, a), sink, bounds=b)
         assert u64s(sink) == [b.doc_of(v) for v in sa]
 
 
 def test_sa_da_walks_reject_other_kinds():
-    # An LF or FL walk from n - 1 writes a cycle of LF or FL, not the SA.
+    # A walk from SA[0] = n - 1 over LF, FL or phi writes one of their
+    # cycles, not the SA.
     rl, _ = build_bwt(b"abaaba")
     bounds = DocBounds([0, 3])
     lf = build_lf(rl)
-    for table in (lf, inverse(lf), from_permutation(list(range(rl.n)))):
+    phi = build_phi_via_lf(rl)
+    for table in (lf, inverse(lf), phi, from_permutation(list(range(rl.n)))):
         with pytest.raises(InvalidInputError, match="phi"):
-            enumerate_sa(table, rl.n - 1, io.BytesIO())
+            enumerate_sa(table, io.BytesIO())
         with pytest.raises(InvalidInputError, match="phi"):
-            enumerate_da(attach_docs(table, bounds), rl.n - 1, io.BytesIO(), bounds)
+            enumerate_da(attach_docs(table, bounds), io.BytesIO(), bounds)
 
 
 def test_enumerate_da_requires_doc_columns():
     rl, _ = build_bwt(b"abaaba")
     phi_inv = inverse(build_phi_via_lf(rl))
-    with pytest.raises(MissingColumnError):
-        enumerate_da(phi_inv, rl.n - 1, io.BytesIO())
+    with pytest.raises(MissingColumnError, match="document bounds"):
+        enumerate_da(phi_inv, io.BytesIO())
 
 
 def test_enumerate_da_random_multi_doc():
@@ -196,7 +183,7 @@ def test_enumerate_da_random_multi_doc():
         phi_inv = inverse(build_phi_via_lf(rl))
         table = attach_docs(phi_inv, bounds)
         sink = io.BytesIO()
-        enumerate_da(table, rl.n - 1, sink, bounds=bounds)
+        enumerate_da(table, sink, bounds=bounds)
         assert u64s(sink) == [bounds.doc_of(v) for v in sa]
 
 
@@ -264,10 +251,10 @@ def test_traverse_counted_relative_and_exponential():
             assert inverted == [text + b"\x00"] * 2
             for t in (tables["phi_inv"], tables["phi_inv"].to_relative()):
                 sink = io.BytesIO()
-                enumerate_sa(t, n - 1, sink)
+                enumerate_sa(t, sink)
                 assert u64s(sink) == sa
                 sink = io.BytesIO()
-                enumerate_da(attach_docs(t, bounds), n - 1, sink, bounds=bounds)
+                enumerate_da(attach_docs(t, bounds), sink, bounds=bounds)
                 assert u64s(sink) == [bounds.doc_of(v) for v in sa]
 
 
@@ -298,7 +285,7 @@ def test_walks_write_to_files(tmp_path):
     phi_inv = inverse(build_phi_via_lf(rl))
     vpath = tmp_path / "sa.bin"
     with open(vpath, "wb") as fp:
-        enumerate_sa(phi_inv, rl.n - 1, fp)
+        enumerate_sa(phi_inv, fp)
     raw = vpath.read_bytes()
     vals = [int.from_bytes(raw[i : i + 8], "little") for i in range(0, len(raw), 8)]
     assert vals == sa
@@ -310,11 +297,11 @@ def test_walks_flush_in_blocks(monkeypatch):
     rl, sa = build_bwt(b"abaaba")
     assert recover_text(build_lf(rl)) == b"abaaba\x00"
     out = io.BytesIO()
-    enumerate_sa(inverse(build_phi_via_lf(rl)), rl.n - 1, out)
+    enumerate_sa(inverse(build_phi_via_lf(rl)), out)
     assert u64s(out) == sa
     bounds = DocBounds([0, 3])
     out = io.BytesIO()
-    enumerate_da(attach_docs(inverse(build_phi_via_lf(rl)), bounds), rl.n - 1, out)
+    enumerate_da(attach_docs(inverse(build_phi_via_lf(rl)), bounds), out)
     assert u64s(out) == [1, 1, 0, 1, 0, 1, 0]
 
 
