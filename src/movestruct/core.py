@@ -28,6 +28,12 @@ A cursor (MoveCursor) and a query result (MoveResult) are named tuples: a
 cursor unpacks as `j, k = cur` and equals the plain tuple (j, k). The query
 path builds them with tuple.__new__ and checks its cursor inline, so that a
 point query costs little more than its step or gallop.
+
+step() and gallop() serve point queries (IntervalTable.move), exponential
+traversals and the LF walk that collects the SA samples of an RLBWT without
+them (a v1 .rl load). Chained linear walks run on walk(), which inlines
+step()'s loop over a whole block of queries, since in CPython a call per
+query costs about as much as the query itself.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import sub
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import BoundsError, InvalidInputError, InvalidParameterError
 
@@ -280,6 +286,42 @@ def step(
         q += 1
         ff += 1
     return q, off, ff
+
+
+def walk(
+    lengths: list[int],
+    dest_rank: list[int],
+    dest_offset: list[int],
+    j: int,
+    k: int,
+    size: int,
+    col: Sequence[int],
+    put: Callable[[int], object],
+    counts: list[int],
+) -> tuple[int, int]:
+    """`size` chained move queries by linear fast forward from cursor (j, k),
+    with the loop of step() inlined, in either storage mode.
+
+    After each query, put(col[q]) receives the column value of the interval
+    q of the cursor reached. A query that skips ff > 0 boundaries adds one
+    to counts[ff]; counts[0] is left to the caller, which knows the number
+    of queries. Returns the last cursor reached.
+    """
+    for _ in repeat(None, size):
+        q = dest_rank[j]
+        k += dest_offset[j]
+        ell = lengths[q]
+        if k >= ell:
+            ff = 0
+            while k >= ell:
+                k -= ell
+                q += 1
+                ff += 1
+                ell = lengths[q]
+            counts[ff] += 1
+        j = q
+        put(col[q])
+    return j, k
 
 
 def gallop(

@@ -1,10 +1,16 @@
 """Streaming algorithms driven by chained move queries: BWT inversion,
 SA enumeration, DA enumeration, and an instrumented traversal driver.
 
-Every walk steps with core.step and counts its fast forwards per step, so
-the amortized bounds can be checked exactly. The streaming walks write to a
-binary file object in blocks of _BLOCK entries: bytes for the text,
-little-endian u64 values for SA and DA. Their working space is O(r').
+Every linear walk runs on one block kernel, core.walk: it takes a block of
+chained steps with the fast-forward loop inlined, hands one per-interval
+column value per cursor to a C-level sink, and counts the fast forwards per
+step, so the amortized bounds can be checked exactly. Inversion emits the
+symbol column into a bytearray. The SA walk emits each interval's image
+minus start, so a block of values is one itertools.accumulate; the DA walk
+emits interval ranks and maps them to documents at C level. The streaming
+walks write to a binary file object in blocks of _BLOCK entries: bytes for
+the text, little-endian u64 values for SA and DA. Their working space is
+O(r') plus one block. Exponential search steps with core.gallop.
 Inversion walks FL (or LF, inverted first); the SA and DA walks chain
 phi-inverse from SA[0] = n - 1 and refuse any other kind before they write.
 """
@@ -14,7 +20,10 @@ from __future__ import annotations
 import io
 import sys
 from array import array
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate, compress, count
+from operator import add, le, sub
 from typing import BinaryIO, Callable, Iterator, Optional
 
 from . import rlbwt
@@ -26,9 +35,9 @@ from .core import (
     bad_cursor,
     gallop,
     inverse,
-    step,
+    walk,
 )
-from .errors import InvalidInputError, MissingColumnError
+from .errors import InvalidInputError, InvalidParameterError, MissingColumnError
 
 # Entries buffered between two writes to the output file.
 _BLOCK = 1 << 16
@@ -50,11 +59,11 @@ class TraversalStats:
         Probes are left at 0; only traverse_counted accounts for them.
         """
         stats = cls()
-        for ff, count in enumerate(counts):
-            if count:
-                stats.histogram[ff] = count
-                stats.steps += count
-                stats.total_fast_forwards += ff * count
+        for ff, hits in enumerate(counts):
+            if hits:
+                stats.histogram[ff] = hits
+                stats.steps += hits
+                stats.total_fast_forwards += ff * hits
                 stats.max_fast_forwards = ff
         return stats
 
@@ -63,6 +72,13 @@ def _ff_counts(table: IntervalTable) -> list[int]:
     """Zeroed per-step fast-forward counts. On a valid table a query skips
     fewer boundaries than its interval's length and than r'."""
     return [0] * min(table.max_len, len(table))
+
+
+def _walk_stats(counts: list[int], steps: int) -> TraversalStats:
+    """Stats of `steps` kernel steps whose counts hold only the steps that
+    fast-forwarded; the rest took none."""
+    counts[0] = steps - sum(counts)
+    return TraversalStats.from_histogram(counts)
 
 
 def _require_extra(table: IntervalTable, name: str, need: str) -> list[int]:
@@ -101,14 +117,12 @@ def invert_bwt(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
     dest_offset = table.dest_offset
     counts = _ff_counts(table)
     buf = bytearray()
-    put = buf.append
     j, k = 0, 0
     pos = 0
     for size in _blocks(table.n):
-        for _ in range(size):
-            j, k, ff = step(lengths, dest_rank, dest_offset, j, k)
-            counts[ff] += 1
-            put(sym[j])
+        j, k = walk(
+            lengths, dest_rank, dest_offset, j, k, size, sym, buf.append, counts
+        )
         early = buf.find(rlbwt.SENTINEL)
         if early != -1 and pos + early != table.n - 1:
             raise InvalidInputError(
@@ -118,7 +132,7 @@ def invert_bwt(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
         pos += size
         fp.write(buf)
         buf.clear()
-    return TraversalStats.from_histogram(counts)
+    return _walk_stats(counts, table.n)
 
 
 def recover_text(table: IntervalTable) -> bytes:
@@ -141,36 +155,55 @@ def _check_sa_kind(table: IntervalTable) -> None:
 def _value_walk(
     table: IntervalTable,
     fp: BinaryIO,
-    label: Optional[Callable[[int, int, int], int]],
+    col: list[int],
+    encode: Callable[[list[int], int], tuple[array, int]],
 ) -> TraversalStats:
-    """Shared n-step walk in value space from SA[0] = n - 1. Writes each
-    value v at cursor (j, k), or label(j, k, v) if a label is given, as u64."""
-    starts = table.starts
+    """Shared n-step walk in value space from SA[0] = n - 1, in blocks.
+
+    For each block of cursors, encode(block, v) gets col[j] of each cursor's
+    interval j and the value v of its first cursor, and returns the u64
+    array to write and the value of the cursor after the block. The kernel
+    reports a cursor's col[j] when it reaches that cursor, so the last one
+    of a block is carried over to the next.
+    """
     lengths = table.lengths
     dest_rank = table.dest_rank
     dest_offset = table.dest_offset
     counts = _ff_counts(table)
-    buf = array("Q")
-    put = buf.append
     j, k = table.cursor_of(table.n - 1)
+    v = table.n - 1
+    block = [col[j]]
     for size in _blocks(table.n):
-        for _ in range(size):
-            v = starts[j] + k
-            put(v if label is None else label(j, k, v))
-            j, k, ff = step(lengths, dest_rank, dest_offset, j, k)
-            counts[ff] += 1
+        j, k = walk(
+            lengths, dest_rank, dest_offset, j, k, size, col, block.append, counts
+        )
+        carried = block.pop()
+        out, v = encode(block, v)
         if sys.byteorder == "big":
-            buf.byteswap()
-        fp.write(buf)
-        del buf[:]
-    return TraversalStats.from_histogram(counts)
+            out.byteswap()
+        fp.write(out)
+        block.clear()
+        block.append(carried)
+    return _walk_stats(counts, table.n)
+
+
+def _value_deltas(table: IntervalTable) -> list[int]:
+    """Per interval j, image minus start: a step from a cursor in interval j
+    adds delta[j] to its value."""
+    return list(map(sub, table.images(), table.starts))
 
 
 def enumerate_sa(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
     """Write SA[0..n-1] by chaining phi-inverse from SA[0] = n - 1. A table
     of any other kind raises InvalidInputError before anything is written."""
     _check_sa_kind(table)
-    return _value_walk(table, fp, None)
+
+    def encode(deltas: list[int], v: int) -> tuple[array, int]:
+        values = array("Q", accumulate(deltas, initial=v))
+        v = values.pop()
+        return values, v
+
+    return _value_walk(table, fp, _value_deltas(table), encode)
 
 
 def enumerate_da(
@@ -196,14 +229,24 @@ def enumerate_da(
     doc0 = _require_extra(table, "doc", need)
     dist = _require_extra(table, "docdist", need)
 
-    def label(j: int, k: int, v: int) -> int:
-        if k < dist[j]:
-            return doc0[j]
-        if bounds is not None:
-            return bounds.doc_of(v)
-        raise InvalidInputError("interval spans several documents; bounds required")
+    delta = _value_deltas(table)
+    # A cursor at value v in interval j lies in the document of the
+    # interval's start while v is below ends[j].
+    ends = list(map(add, table.starts, dist))
 
-    return _value_walk(table, fp, label)
+    def encode(js: list[int], v: int) -> tuple[array, int]:
+        values = list(accumulate(map(delta.__getitem__, js), initial=v))
+        v = values.pop()
+        labels = array("Q", map(doc0.__getitem__, js))
+        for i in compress(count(), map(le, map(ends.__getitem__, js), values)):
+            if bounds is None:
+                raise InvalidInputError(
+                    "interval spans several documents; bounds required"
+                )
+            labels[i] = bounds.doc_of(values[i])
+        return labels, v
+
+    return _value_walk(table, fp, list(range(len(table))), encode)
 
 
 def traverse_counted(
@@ -212,7 +255,10 @@ def traverse_counted(
     steps: int,
     config: QueryConfig = QueryConfig(),
 ) -> tuple[MoveCursor, TraversalStats]:
-    """Chained move queries from `start`, aggregating fast-forward stats."""
+    """`steps` chained move queries from `start`, aggregating fast-forward
+    stats; a negative count raises InvalidParameterError."""
+    if steps < 0:
+        raise InvalidParameterError(f"steps must be >= 0, got {steps}")
     j, k = start
     lengths = table.lengths
     if not (0 <= j < len(lengths) and 0 <= k < lengths[j]):
@@ -231,10 +277,12 @@ def traverse_counted(
                 max_probes = probes
         stats = TraversalStats.from_histogram(counts)
     else:
-        for _ in range(steps):
-            j, k, ff = step(lengths, dest_rank, dest_offset, j, k)
-            counts[ff] += 1
-        stats = TraversalStats.from_histogram(counts)
+        # The kernel reports a column value per step; nothing here reads it.
+        discard = deque(maxlen=0).append
+        j, k = walk(
+            lengths, dest_rank, dest_offset, j, k, steps, dest_rank, discard, counts
+        )
+        stats = _walk_stats(counts, steps)
         total_probes = stats.steps + stats.total_fast_forwards
         max_probes = stats.max_fast_forwards + 1 if stats.steps else 0
     stats.total_probes = total_probes

@@ -14,6 +14,7 @@ from movestruct import (
     BoundsError,
     DocBounds,
     InvalidInputError,
+    InvalidParameterError,
     MissingColumnError,
     MoveCursor,
     QueryConfig,
@@ -37,7 +38,7 @@ from movestruct import (
 from movestruct import traversal
 from movestruct.cli import main
 from movestruct.oracle import naive_lf, naive_phi, naive_sa, simulate_fast_forwards
-from support import check_consistency, random_text
+from support import check_consistency, random_text, repetitive_text
 
 
 def u64s(buf: io.BytesIO) -> list[int]:
@@ -258,6 +259,17 @@ def test_traverse_counted_relative_and_exponential():
                 assert u64s(sink) == [bounds.doc_of(v) for v in sa]
 
 
+def test_traverse_counted_rejects_negative_steps():
+    rl, _ = build_bwt(b"abaaba")
+    lf = build_lf(rl)
+    for config in (QueryConfig(), QueryConfig(search=ms.EXPONENTIAL)):
+        with pytest.raises(InvalidParameterError):
+            traverse_counted(lf, MoveCursor(0, 0), -5, config)
+        end, stats = traverse_counted(lf, MoveCursor(0, 0), 0, config)
+        assert end == MoveCursor(0, 0)
+        assert vars(stats) == vars(TraversalStats())
+
+
 def test_traverse_counted_bad_start():
     rl, _ = build_bwt(b"abaaba")
     lf = build_lf(rl)
@@ -325,3 +337,117 @@ def test_invert_cli_working_space(tmp_path):
         tracemalloc.stop()
     assert peak < rl.n // 4
     assert out.read_bytes() == b"a" * 10**6 + b"\x00"
+
+
+def test_sa_walk_working_space(tmp_path):
+    # n = 1,000,001 in r = 2 runs: the SA walk keeps O(r) state and one
+    # block of values, never a buffer that grows with the output.
+    rl = Rlbwt.from_runs([(97, 10**6), (0, 1)])
+    phi_inv = build_phi_via_lf(rl, inverse=True)
+    with open(tmp_path / "sa.u64", "wb") as fp:
+        tracemalloc.start()
+        try:
+            stats = enumerate_sa(phi_inv, fp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 8 * rl.n // 4
+    assert stats.steps == rl.n
+    raw = (tmp_path / "sa.u64").read_bytes()
+    assert len(raw) == 8 * rl.n
+    assert struct.unpack("<3Q", raw[:24]) == (10**6, 10**6 - 1, 10**6 - 2)
+    assert struct.unpack("<Q", raw[-8:]) == (0,)
+
+
+def _moved_stats(table, cur, steps, config=QueryConfig()):
+    """The end cursor and vars() of the stats of `steps` chained
+    IntervalTable.move queries from cur, summed one query at a time."""
+    ffs, probes = [], []
+    for _ in range(steps):
+        res = table.move(cur, config)
+        cur = res.cursor
+        ffs.append(res.fast_forwards)
+        probes.append(res.probes)
+    return cur, {
+        "steps": steps, "total_fast_forwards": sum(ffs),
+        "max_fast_forwards": max(ffs, default=0), "histogram": dict(Counter(ffs)),
+        "total_probes": sum(probes), "max_probes": max(probes, default=0),
+    }
+
+
+def _walk_reference(table, cur, steps):
+    """Reference stats of a streaming walk, which counts no probes."""
+    _, ref = _moved_stats(table, cur, steps)
+    return {**ref, "total_probes": 0, "max_probes": 0}
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_walks_across_block_seams(monkeypatch, block):
+    # The kernel carries its cursor, and the value walks their value and the
+    # interval of the next cursor, from one block to the next.
+    monkeypatch.setattr(traversal, "_BLOCK", block)
+    rng = random.Random(1500 + block)
+    exp = QueryConfig(search=ms.EXPONENTIAL)
+    texts = [random_text(rng, 2, 300) for _ in range(3)]
+    texts += [repetitive_text(rng, copies=6, seed_len=40, mutations=2)
+              for _ in range(2)]
+    for text in texts:
+        rl, sa = build_bwt(text)
+        n = rl.n
+        lf = build_lf(rl)
+        phi_inv = build_phi_via_lf(rl, inverse=True)
+        bounds = DocBounds([0] + sorted(rng.sample(range(1, n), min(4, n - 1))))
+        for split in (lambda t: t, lambda t: length_cap(t, Fraction(1, 2)),
+                      lambda t: balance(length_cap(t, 8), 2).to_relative()):
+            fl = inverse(split(lf))
+            out = io.BytesIO()
+            stats = invert_bwt(fl, out)
+            assert out.getvalue() == text + b"\x00"
+            assert vars(stats) == _walk_reference(fl, MoveCursor(0, 0), n)
+
+            pi = split(phi_inv)
+            first = pi.cursor_of(n - 1)
+            ref = _walk_reference(pi, first, n)
+            out = io.BytesIO()
+            assert vars(enumerate_sa(pi, out)) == ref
+            assert u64s(out) == sa
+            out = io.BytesIO()
+            assert vars(enumerate_da(pi, out, bounds)) == ref
+            assert u64s(out) == [bounds.doc_of(v) for v in sa]
+            # Documents that start only at interval starts leave no interval
+            # spanning a boundary, so the attached columns suffice.
+            whole = DocBounds(sorted({0, *rng.sample(pi.starts, min(3, len(pi)))}))
+            out = io.BytesIO()
+            assert vars(enumerate_da(attach_docs(pi, whole), out)) == ref
+            assert u64s(out) == [whole.doc_of(v) for v in sa]
+
+            for t in (split(lf), pi):
+                start = t.cursor_of(rng.randrange(n))
+                for steps in (1, 5, 2 * n + 1):
+                    for config in (QueryConfig(), exp):
+                        end, stats = traverse_counted(t, start, steps, config)
+                        ref = _moved_stats(t, start, steps, config)
+                        assert (end, vars(stats)) == ref
+
+
+def test_da_without_bounds_fails_in_a_later_block(monkeypatch):
+    # The first cursor whose interval crosses a document boundary lies in a
+    # block after the first: the blocks before it are written, and the walk
+    # raises before it writes its own.
+    monkeypatch.setattr(traversal, "_BLOCK", 3)
+    rl, sa = build_bwt(b"abaabaabbaababaab")
+    pi = build_phi_via_lf(rl, inverse=True)
+    starts = pi.starts
+    for b in range(1, rl.n):
+        # SA ranks whose cursor is in an interval that starts before b at a
+        # value at or past b.
+        crossing = [i for i, v in enumerate(sa)
+                    if starts[pi.cursor_of(v).j] < b <= v]
+        if crossing and crossing[0] >= 3:
+            break
+    else:
+        pytest.fail("no boundary is first crossed after the first block")
+    out = io.BytesIO()
+    with pytest.raises(InvalidInputError, match="spans several documents"):
+        enumerate_da(attach_docs(pi, DocBounds([0, b])), out)
+    assert len(u64s(out)) == crossing[0] // 3 * 3
