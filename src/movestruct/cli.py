@@ -153,10 +153,11 @@ def cmd_bench(args) -> int:
     t0 = time.perf_counter_ns()
     _end, stats = traversal.traverse_counted(table, start, args.steps, cfg)
     elapsed = time.perf_counter_ns() - t0
-    print("steps,ns_per_query,total_ff,max_ff")
+    print("steps,ns_per_query,total_ff,max_ff,total_probes,max_probes")
     print(
         f"{stats.steps},{elapsed / max(1, stats.steps):.2f},"
-        f"{stats.total_fast_forwards},{stats.max_fast_forwards}"
+        f"{stats.total_fast_forwards},{stats.max_fast_forwards},"
+        f"{stats.total_probes},{stats.max_probes}"
     )
     return 0
 

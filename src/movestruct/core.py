@@ -29,11 +29,14 @@ cursor unpacks as `j, k = cur` and equals the plain tuple (j, k). The query
 path builds them with tuple.__new__ and checks its cursor inline, so that a
 point query costs little more than its step or gallop.
 
-step() and gallop() serve point queries (IntervalTable.move), exponential
-traversals and the LF walk that collects the SA samples of an RLBWT without
-them (a v1 .rl load). Chained linear walks run on walk(), which inlines
-step()'s loop over a whole block of queries, since in CPython a call per
-query costs about as much as the query itself.
+step() and gallop() serve point queries (IntervalTable.move) and the LF
+walk that collects the SA samples of an RLBWT without them (a v1 .rl load).
+Chained walks run on block kernels that inline them over a whole block of
+queries, since in CPython a call per query costs about as much as the query
+itself: walk() for linear search and gallop_walk() for exponential search.
+Most queries land in their destination interval itself, so gallop() and
+gallop_walk() settle those with one probe, or with none in the last
+interval, before they gallop.
 """
 
 from __future__ import annotations
@@ -334,12 +337,19 @@ def gallop(
     """
     r = len(starts)
     q0 = dest_rank[j]
-    p = starts[q0] + dest_offset[j] + k
-    probes = 0
+    off = dest_offset[j] + k
+    # The first probe, starts[q0 + 1] > p, settles most queries: they land
+    # in q0 itself. Nothing lies past the last interval to probe.
+    if q0 + 1 == r:
+        return q0, off, 0, 0
+    p = starts[q0] + off
+    if starts[q0 + 1] > p:
+        return q0, off, 0, 1
     # Gallop: double the step until a start beyond p (or the table end)
     # brackets the destination rank.
-    lo = q0
-    span = 1
+    probes = 1
+    lo = q0 + 1
+    span = 2
     hi = q0 + span
     while hi < r:
         probes += 1
@@ -361,6 +371,75 @@ def gallop(
         else:
             b = mid
     return a, p - starts[a], a - q0, probes
+
+
+def gallop_walk(
+    starts: list[int],
+    lengths: list[int],
+    dest_rank: list[int],
+    dest_offset: list[int],
+    j: int,
+    k: int,
+    size: int,
+    counts: list[int],
+) -> tuple[int, int, int, int]:
+    """`size` chained move queries by exponential search from cursor (j, k),
+    with the bodies of gallop() inlined.
+
+    Each query probes and counts as gallop() does. A query whose offset
+    stays below its destination interval's length is gallop()'s one-probe
+    exit, or its zero-probe exit in the last interval; any other query
+    gallops on from the start after its destination. A query that skips
+    ff > 0 boundaries adds one to counts[ff]; counts[0] is left to the
+    caller. Returns the last cursor reached, the probes of all queries and
+    the most probes of one query.
+    """
+    r = len(starts)
+    last = r - 1
+    fast_probes = size
+    total = top = 0
+    for _ in repeat(None, size):
+        q = dest_rank[j]
+        k += dest_offset[j]
+        if k < lengths[q]:
+            if q == last:
+                fast_probes -= 1
+            j = q
+            continue
+        # starts[q + 1] <= p, so q < last and one probe is counted.
+        fast_probes -= 1
+        p = starts[q] + k
+        probes = 1
+        lo = q + 1
+        span = 2
+        hi = q + span
+        while hi < r:
+            probes += 1
+            if starts[hi] <= p:
+                lo = hi
+                span <<= 1
+                hi = q + span
+            else:
+                break
+        if hi > r:
+            hi = r
+        b = hi
+        while b - lo > 1:
+            mid = (lo + b) >> 1
+            probes += 1
+            if starts[mid] <= p:
+                lo = mid
+            else:
+                b = mid
+        counts[lo - q] += 1
+        total += probes
+        if probes > top:
+            top = probes
+        j = lo
+        k = p - starts[lo]
+    if fast_probes and not top:
+        top = 1
+    return j, k, total + fast_probes, top
 
 
 def from_permutation(pi: Sequence[int]) -> IntervalTable:

@@ -10,7 +10,8 @@ minus start, so a block of values is one itertools.accumulate; the DA walk
 emits interval ranks and maps them to documents at C level. The streaming
 walks write to a binary file object in blocks of _BLOCK entries: bytes for
 the text, little-endian u64 values for SA and DA. Their working space is
-O(r') plus one block. Exponential search steps with core.gallop.
+O(r') plus one block. Exponential traverse_counted runs on the sibling
+kernel core.gallop_walk, which inlines core.gallop and counts its probes.
 Inversion walks FL (or LF, inverted first); the SA and DA walks chain
 phi-inverse from SA[0] = n - 1 and refuse any other kind before they write.
 """
@@ -33,7 +34,7 @@ from .core import (
     MoveCursor,
     QueryConfig,
     bad_cursor,
-    gallop,
+    gallop_walk,
     inverse,
     walk,
 )
@@ -267,15 +268,10 @@ def traverse_counted(
     dest_offset = table.dest_offset
     counts = _ff_counts(table)
     if config.search == EXPONENTIAL:
-        starts = table.starts
-        total_probes = max_probes = 0
-        for _ in range(steps):
-            j, k, ff, probes = gallop(starts, dest_rank, dest_offset, j, k)
-            counts[ff] += 1
-            total_probes += probes
-            if probes > max_probes:
-                max_probes = probes
-        stats = TraversalStats.from_histogram(counts)
+        j, k, total_probes, max_probes = gallop_walk(
+            table.starts, lengths, dest_rank, dest_offset, j, k, steps, counts
+        )
+        stats = _walk_stats(counts, steps)
     else:
         # The kernel reports a column value per step; nothing here reads it.
         discard = deque(maxlen=0).append

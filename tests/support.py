@@ -120,6 +120,37 @@ def sweep_fast_forwards(table: IntervalTable) -> tuple[int, int]:
     return total, worst
 
 
+def doubling_search(table: IntervalTable, cur: MoveCursor) -> tuple[int, int, int, int]:
+    """Reference exponential search for the move of cur: (q, off, ff, probes).
+
+    Doubles the step from the destination rank q0 until a start beyond the
+    image p (or the table end) brackets it, then bisects, and counts every
+    start it reads. It takes no early exit, so it pins the probe counts that
+    core.gallop's exits must reproduce.
+    """
+    starts = table.starts
+    r = len(starts)
+    q0 = table.dest_rank[cur.j]
+    p = starts[q0] + table.dest_offset[cur.j] + cur.k
+    probes = 0
+    lo, span = q0, 1
+    while q0 + span < r:
+        probes += 1
+        if starts[q0 + span] > p:
+            break
+        lo = q0 + span
+        span <<= 1
+    a, b = lo, min(q0 + span, r)
+    while b - a > 1:
+        mid = (a + b) >> 1
+        probes += 1
+        if starts[mid] <= p:
+            a = mid
+        else:
+            b = mid
+    return a, p - starts[a], a - q0, probes
+
+
 def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 

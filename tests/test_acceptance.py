@@ -319,6 +319,30 @@ def test_criterion_09_exponential_search_equivalence(grid, capsys):
     assert not bad, bad[:10]
 
 
+def test_criterion_09_chained_walk_probe_bound(grid, capsys):
+    # Each base permutation is one cycle, so a walk of n exponential steps
+    # makes the query of every position once, chained through the kernel.
+    bad = []
+    for idx, inst in enumerate(grid.instances):
+        n = inst.rl.n
+        for kind, base in inst.base.items():
+            for c, alpha, _capped, final in _variants(base):
+                if c == 0:
+                    continue
+                start = final.cursor_of(idx % n)
+                end, stats = traverse_counted(final, start, n, EXP)
+                _, lin = traverse_counted(final, start, n)
+                if end != start or stats.histogram != lin.histogram:
+                    bad.append(f"walk {idx} {kind} c={c} a={alpha}")
+                if stats.max_probes > 2 * math.log2(final.cap_len) + 4:
+                    bad.append(
+                        f"probes {idx} {kind} c={c} a={alpha}: "
+                        f"{stats.max_probes} > L={final.cap_len}"
+                    )
+    _report(capsys, 9, "exponential walks keep the probe bound", not bad)
+    assert not bad, bad[:10]
+
+
 def test_criterion_10_serialization_integrity(grid, capsys):
     bad = []
     for idx, inst in enumerate(grid.instances[:20]):

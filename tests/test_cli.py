@@ -210,10 +210,13 @@ def test_bench_csv(ws, capsys):
     main(["build", str(ws / "rl"), "-o", str(out)])
     assert main(["bench", str(out), "--steps", "100"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[-2] == "steps,ns_per_query,total_ff,max_ff"
+    assert lines[-2] == "steps,ns_per_query,total_ff,max_ff,total_probes,max_probes"
     fields = lines[-1].split(",")
     assert fields[0] == "100"
     float(fields[1])
+    # A linear query probes one length more than it fast-forwards.
+    assert int(fields[4]) == 100 + int(fields[2])
+    assert int(fields[5]) == int(fields[3]) + 1
 
 
 @pytest.mark.parametrize("steps", ["0", "-3"])

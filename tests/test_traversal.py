@@ -1,6 +1,7 @@
 """Streaming traversals: BWT inversion, SA/DA enumeration, counted driver."""
 
 import io
+import math
 import random
 import struct
 import tracemalloc
@@ -8,6 +9,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import movestruct as ms
 from movestruct import (
@@ -38,7 +41,16 @@ from movestruct import (
 from movestruct import traversal
 from movestruct.cli import main
 from movestruct.oracle import naive_lf, naive_phi, naive_sa, simulate_fast_forwards
-from support import check_consistency, random_text, repetitive_text
+from support import (
+    adversarial_permutation,
+    check_consistency,
+    doubling_search,
+    random_runny_permutation,
+    random_text,
+    repetitive_text,
+)
+
+EXP = QueryConfig(search=ms.EXPONENTIAL)
 
 
 def u64s(buf: io.BytesIO) -> list[int]:
@@ -451,3 +463,79 @@ def test_da_without_bounds_fails_in_a_later_block(monkeypatch):
     with pytest.raises(InvalidInputError, match="spans several documents"):
         enumerate_da(attach_docs(pi, DocBounds([0, b])), out)
     assert len(u64s(out)) == crossing[0] // 3 * 3
+
+
+def _exp_walk(table, start, steps):
+    """Exponential traverse_counted from start, checked against the same
+    queries made one IntervalTable.move at a time; returns its stats."""
+    end, stats = traverse_counted(table, start, steps, EXP)
+    assert (end, vars(stats)) == _moved_stats(table, start, steps, EXP)
+    return stats
+
+
+def test_exponential_walk_on_one_interval():
+    # r' = 1: every query lands in the last interval, past which there is no
+    # start to probe.
+    t = from_permutation(range(40))
+    assert len(t) == 1
+    for u in (t, t.to_relative()):
+        for steps in (0, 1, 39, 200):
+            stats = _exp_walk(u, u.cursor_of(17), steps)
+            assert (stats.steps, stats.total_probes, stats.max_probes) == (steps, 0, 0)
+
+
+def test_exponential_walk_landing_in_the_last_interval():
+    # [0, half) maps onto [half, n), cut into 8 blocks that map back in
+    # reversed order. From half - 1 the walk cycles through n - 1, m - 1 and
+    # half + m - 1: once per four steps it gallops from the first block
+    # across every other into the last interval.
+    n, blocks = 256, 8
+    half, m = n // 2, n // 2 // blocks
+    t = from_permutation(adversarial_permutation(n, blocks))
+    last = len(t) - 1
+    for u in (t, t.to_relative(), length_cap(t, 1), balance(t, 2)):
+        cur = u.cursor_of(half - 1)
+        seen = [u.position_of(cur)]
+        for _ in range(4):
+            cur = u.move(cur, EXP).cursor
+            seen.append(u.position_of(cur))
+        assert seen == [half - 1, n - 1, m - 1, half + m - 1, half - 1]
+        for steps in (0, 1, 2, 3, 4, 401):
+            _exp_walk(u, u.cursor_of(half - 1), steps)
+    res = t.move(t.cursor_of(half - 1), EXP)
+    assert (res.cursor.j, res.fast_forwards) == (last, blocks - 1)
+
+    # A last interval that maps onto itself keeps the walk there, with no
+    # probe per step. Capped, the identity is cut into intervals that each
+    # map onto themselves, and every one but the last probes one start.
+    pi = list(range(100))
+    pi[:60] = pi[30:60] + pi[:30]
+    t = from_permutation(pi)
+    capped = length_cap(t, 1)
+    for u in (t, capped):
+        stats = _exp_walk(u, u.cursor_of(99), 300)
+        assert (stats.total_probes, stats.max_probes) == (0, 0)
+    assert capped.cursor_of(60).j < len(capped) - 1
+    stats = _exp_walk(capped, capped.cursor_of(60), 300)
+    assert (stats.total_probes, stats.max_probes) == (300, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 2**32))
+def test_exponential_walk_equals_chained_moves(n, seed):
+    rng = random.Random(seed)
+    pi = random_runny_permutation(rng, n, rng.randint(1, max(1, n // 3)))
+    t = from_permutation(pi)
+    splits = [t, balance(t, 2)]
+    splits += [length_cap(t, c) for c in (Fraction(1, 2), 1, 8)]
+    for split in splits:
+        for u in (split, split.to_relative()):
+            for i in range(n):
+                cur = u.cursor_of(i)
+                res = u.move(cur, EXP)
+                assert (*res.cursor, res.fast_forwards, res.probes) == doubling_search(u, cur)
+            start = u.cursor_of(rng.randrange(n))
+            for steps in (0, 1, rng.randrange(2 * n + 2)):
+                stats = _exp_walk(u, start, steps)
+                if u.cap_len:
+                    assert stats.max_probes <= 2 * math.log2(u.cap_len) + 4
