@@ -23,11 +23,12 @@ import struct
 import zlib
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, groupby
+from itertools import accumulate, compress, groupby
+from operator import gt, ne
 from typing import BinaryIO, Optional, Sequence
 
-from .core import ABSOLUTE, IntervalTable, step
-from .errors import FormatError, InvalidInputError
+from .core import ABSOLUTE, IntervalTable, interval_columns, run_columns, step
+from .errors import FormatError, InvalidInputError, MissingColumnError
 from .files import read_exact
 
 SENTINEL = 0
@@ -352,6 +353,53 @@ def attach_docs(table: IntervalTable, bounds: DocBounds) -> IntervalTable:
         nxt = bounds.starts[d + 1] if d + 1 < bounds.d else table.n
         dist.append(nxt - s)
     return table.replace(extras={**table.extras, "doc": doc0, "docdist": dist})
+
+
+def cut_at_documents(table: IntervalTable, bounds: DocBounds) -> IntervalTable:
+    """The table cut at each document start inside an interval, found by one
+    merge in O(r' + d), with the doc columns of bounds in place of any it
+    holds: "doc" is then the document of every position of an interval.
+    Pieces keep their interval's run columns; alpha resets, as in length_cap.
+    """
+    docs = bounds.starts
+    cut, src = [], []
+    i = 1  # docs[0] = 0 starts interval 0
+    for j, (s, ell) in enumerate(zip(table.starts, table.lengths)):
+        cut.append(s)
+        src.append(j)
+        while i < bounds.d and docs[i] < s + ell:
+            if docs[i] > s:
+                cut.append(docs[i])
+                src.append(j)
+            i += 1
+    images, starts = table.images(), table.starts
+    plain = table.replace(extras={
+        k: v for k, v in table.extras.items() if k not in ("doc", "docdist")})
+    return attach_docs(plain.replace(
+        **interval_columns(
+            table.n, cut, [images[j] + p - starts[j] for p, j in zip(cut, src)]),
+        extras=run_columns(plain, src), alpha=0,
+    ), bounds)
+
+
+def doc_bounds_of(table: IntervalTable) -> DocBounds:
+    """The bounds that a table's doc columns describe: the interval starts at
+    which "doc" changes. MissingColumnError without both columns;
+    InvalidInputError if an interval is longer than its "docdist", or if
+    attach_docs does not remake both columns from those bounds."""
+    try:
+        doc, dist = table.extras["doc"], table.extras["docdist"]
+    except KeyError as e:
+        raise MissingColumnError(
+            f"table lacks extra column {e}; pass document bounds") from None
+    if any(map(gt, table.lengths, dist)):
+        raise InvalidInputError(
+            "an interval spans a document boundary; pass document bounds")
+    bounds = DocBounds(list(compress(table.starts, map(ne, [None, *doc], doc))))
+    attached = attach_docs(table, bounds).extras
+    if attached["doc"] != doc or attached["docdist"] != dist:
+        raise InvalidInputError("doc columns describe no document bounds")
+    return bounds
 
 
 # ------------------------------------------------------------------ file I/O

@@ -7,11 +7,12 @@ column value per cursor to a C-level sink, and counts the fast forwards per
 step, so the amortized bounds can be checked exactly. Inversion emits the
 symbol column into a bytearray. The SA walk emits each interval's image
 minus start, so a block of values is one itertools.accumulate; the DA walk
-emits interval ranks and maps them to documents at C level. The streaming
-walks write to a binary file object in blocks of _BLOCK entries: bytes for
-the text, little-endian u64 values for SA and DA. Their working space is
-O(r') plus one block. Exponential traverse_counted runs on the sibling
-kernel core.gallop_walk, which inlines core.gallop and counts its probes.
+emits the doc column of the table cut at its d document starts. The
+streaming walks write to a binary file object in blocks of _BLOCK entries:
+bytes for the text, little-endian u64 values for SA and DA. Their working
+space is O(r'), O(r' + d) for DA, plus one block. Exponential
+traverse_counted runs on the sibling kernel core.gallop_walk, which inlines
+core.gallop and counts its probes.
 Inversion walks FL (or LF, inverted first); the SA and DA walks chain
 phi-inverse from SA[0] = n - 1 and refuse any other kind before they write.
 """
@@ -23,8 +24,8 @@ import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, count
-from operator import add, le, sub
+from itertools import accumulate
+from operator import sub
 from typing import BinaryIO, Callable, Iterator, Optional
 
 from . import rlbwt
@@ -212,42 +213,20 @@ def enumerate_da(
     fp: BinaryIO,
     bounds: Optional[rlbwt.DocBounds] = None,
 ) -> TraversalStats:
-    """Write DA[0..n-1]: the document of each SA value in lexicographic order,
-    by the phi-inverse walk of enumerate_sa.
-
-    Uses the per-interval (doc id, distance to next boundary) columns. Given
-    bounds, the columns are taken from them (rlbwt.attach_docs), in place of
-    any the table holds, and an interval spanning several documents falls
-    back to their index. Without bounds, the table's own columns serve: a
-    table without them raises MissingColumnError, and the walk raises
-    InvalidInputError when it meets an interval that spans a document
-    boundary.
+    """Write DA[0..n-1], the document of each SA value, by the walk of
+    enumerate_sa on the table cut at document starts (rlbwt.cut_at_documents),
+    emitting its "doc" column; the stats are those of that walk. The cut is
+    at bounds, in place of any doc columns the table holds, or else at those
+    that its columns describe (rlbwt.doc_bounds_of, which raises on missing
+    or inconsistent ones). Every error is raised before anything is written.
     """
     _check_sa_kind(table)
-    if bounds is not None:
-        table = rlbwt.attach_docs(table, bounds)
-    need = "the DA walk needs document bounds or the doc columns they attach"
-    doc0 = _require_extra(table, "doc", need)
-    dist = _require_extra(table, "docdist", need)
-
-    delta = _value_deltas(table)
-    # A cursor at value v in interval j lies in the document of the
-    # interval's start while v is below ends[j].
-    ends = list(map(add, table.starts, dist))
-
-    def encode(js: list[int], v: int) -> tuple[array, int]:
-        values = list(accumulate(map(delta.__getitem__, js), initial=v))
-        v = values.pop()
-        labels = array("Q", map(doc0.__getitem__, js))
-        for i in compress(count(), map(le, map(ends.__getitem__, js), values)):
-            if bounds is None:
-                raise InvalidInputError(
-                    "interval spans several documents; bounds required"
-                )
-            labels[i] = bounds.doc_of(values[i])
-        return labels, v
-
-    return _value_walk(table, fp, list(range(len(table))), encode)
+    if bounds is None:
+        bounds = rlbwt.doc_bounds_of(table)
+    table = rlbwt.cut_at_documents(table, bounds)
+    return _value_walk(
+        table, fp, table.extras["doc"], lambda docs, v: (array("Q", docs), v)
+    )
 
 
 def traverse_counted(

@@ -167,6 +167,28 @@ def test_da_requires_doc_columns(ws, capsys):
     assert not (ws / "da").exists()
 
 
+def test_da_refuses_doc_columns_that_describe_no_bounds(ws, capsys):
+    """A file whose doc columns attach_docs would not make, with a valid
+    checksum, needs --docs: da without it exits 2 and writes nothing."""
+    (ws / "docs").write_text("0\n")
+    pi = ws / "pi.mv"
+    assert main(["build", str(ws / "rl"), "--perm", "phi-inv", "--docs", str(ws / "docs"),
+                 "-o", str(pi)]) == 0
+    with open(pi, "rb") as fp:
+        table = load_move(fp)
+    table.extras["doc"] = [7] * len(table)
+    with open(pi, "wb") as fp:
+        save_move(table, fp)
+    capsys.readouterr()
+    out = ws / "da"
+    assert main(["da", str(pi), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no document bounds" in err
+    assert not out.exists()
+    assert main(["da", str(pi), "--docs", str(ws / "docs"), "-o", str(out)]) == 0
+    assert read_values(out) == [0] * 7
+
+
 def test_docs_flag_rejected_for_lf(ws):
     docs = ws / "docs"
     docs.write_text("0\n")

@@ -35,12 +35,15 @@ from movestruct import (
     invert_bwt,
     length_cap,
     recover_text,
+    load_move,
+    save_move,
     save_rlbwt,
     traverse_counted,
 )
 from movestruct import traversal
 from movestruct.cli import main
 from movestruct.oracle import naive_lf, naive_phi, naive_sa, simulate_fast_forwards
+from movestruct.rlbwt import cut_at_documents, doc_bounds_of
 from support import (
     adversarial_permutation,
     check_consistency,
@@ -423,15 +426,20 @@ def test_walks_across_block_seams(monkeypatch, block):
             out = io.BytesIO()
             assert vars(enumerate_sa(pi, out)) == ref
             assert u64s(out) == sa
+            # DA stats are those of the walk on the table cut at the bounds.
+            cut = cut_at_documents(pi, bounds)
             out = io.BytesIO()
-            assert vars(enumerate_da(pi, out, bounds)) == ref
+            assert vars(enumerate_da(pi, out, bounds)) == _walk_reference(
+                cut, cut.cursor_of(n - 1), n)
             assert u64s(out) == [bounds.doc_of(v) for v in sa]
             # Documents that start only at interval starts leave no interval
-            # spanning a boundary, so the attached columns suffice.
+            # spanning a boundary: the cut adds nothing, and the attached
+            # columns suffice.
             whole = DocBounds(sorted({0, *rng.sample(pi.starts, min(3, len(pi)))}))
-            out = io.BytesIO()
-            assert vars(enumerate_da(attach_docs(pi, whole), out)) == ref
-            assert u64s(out) == [whole.doc_of(v) for v in sa]
+            for table, given in ((pi, whole), (attach_docs(pi, whole), None)):
+                out = io.BytesIO()
+                assert vars(enumerate_da(table, out, given)) == ref
+                assert u64s(out) == [whole.doc_of(v) for v in sa]
 
             for t in (split(lf), pi):
                 start = t.cursor_of(rng.randrange(n))
@@ -442,10 +450,9 @@ def test_walks_across_block_seams(monkeypatch, block):
                         assert (end, vars(stats)) == ref
 
 
-def test_da_without_bounds_fails_in_a_later_block(monkeypatch):
+def test_da_without_bounds_fails_before_the_first_byte(monkeypatch):
     # The first cursor whose interval crosses a document boundary lies in a
-    # block after the first: the blocks before it are written, and the walk
-    # raises before it writes its own.
+    # block after the first; the walk still raises before it writes any.
     monkeypatch.setattr(traversal, "_BLOCK", 3)
     rl, sa = build_bwt(b"abaabaabbaababaab")
     pi = build_phi_via_lf(rl, inverse=True)
@@ -460,9 +467,76 @@ def test_da_without_bounds_fails_in_a_later_block(monkeypatch):
     else:
         pytest.fail("no boundary is first crossed after the first block")
     out = io.BytesIO()
-    with pytest.raises(InvalidInputError, match="spans several documents"):
+    with pytest.raises(InvalidInputError, match="spans a document boundary"):
         enumerate_da(attach_docs(pi, DocBounds([0, b])), out)
-    assert len(u64s(out)) == crossing[0] // 3 * 3
+    assert out.getvalue() == b""
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_da_walks_the_table_cut_at_document_starts(monkeypatch, block):
+    monkeypatch.setattr(traversal, "_BLOCK", block)
+    rl, sa = build_bwt(b"abaabaabbaababaab")
+    n = rl.n
+    pi = build_phi_via_lf(rl, inverse=True)
+
+    def da(bounds):
+        out = io.BytesIO()
+        stats = enumerate_da(pi, out, bounds)
+        assert u64s(out) == [bounds.doc_of(v) for v in sa]
+        cut = cut_at_documents(pi, bounds)
+        cut.validate()
+        assert vars(stats) == _walk_reference(cut, cut.cursor_of(n - 1), n)
+        return u64s(out), cut
+
+    def core(t):
+        return t.lengths, t.dest_rank, t.dest_offset
+
+    # Every position starts a document of its own.
+    out, cut = da(DocBounds(list(range(n))))
+    assert out == sa
+    assert cut.lengths == [1] * n
+    # One document: the cut adds nothing.
+    out, cut = da(DocBounds([0]))
+    assert out == [0] * n
+    assert core(cut) == core(pi)
+    # Interval [1, 5) of the uncapped table holds three documents.
+    assert (pi.starts[1], pi.lengths[1]) == (1, 4)
+    out, cut = da(DocBounds([0, 2, 3]))
+    assert len(cut) == len(pi) + 2
+    # Documents that start only at interval starts: the walk is the uncut one.
+    out, cut = da(DocBounds(pi.starts[::2]))
+    assert core(cut) == core(pi)
+    # A document that starts at n is refused before anything is written.
+    out = io.BytesIO()
+    with pytest.raises(InvalidInputError, match="not below n"):
+        enumerate_da(pi, out, DocBounds([0, n]))
+    assert out.getvalue() == b""
+
+
+def test_da_without_bounds_checks_the_doc_columns(tmp_path):
+    # Columns that attach_docs would not make are refused, even from a file
+    # whose checksum holds.
+    rl, sa = build_bwt(b"abaabaabbaababaab")
+    pi = build_phi_via_lf(rl, inverse=True)
+    table = attach_docs(pi, DocBounds([0, 5, 12]))
+    assert doc_bounds_of(table).starts == [0, 5, 12]
+    out = io.BytesIO()
+    enumerate_da(table, out)
+    assert u64s(out) == [DocBounds([0, 5, 12]).doc_of(v) for v in sa]
+    for name in ("doc", "docdist"):
+        partial = pi.replace(extras={name: table.extras[name]})
+        with pytest.raises(MissingColumnError, match="document bounds"):
+            doc_bounds_of(partial)
+    bad = attach_docs(pi, DocBounds([0]))
+    bad.extras["doc"] = [7] * len(bad)
+    with open(tmp_path / "bad.mv", "wb") as fp:
+        save_move(bad, fp)
+    with open(tmp_path / "bad.mv", "rb") as fp:
+        loaded = load_move(fp)
+    out = io.BytesIO()
+    with pytest.raises(InvalidInputError, match="describe no document bounds"):
+        enumerate_da(loaded, out)
+    assert out.getvalue() == b""
 
 
 def _exp_walk(table, start, steps):
