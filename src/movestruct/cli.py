@@ -211,12 +211,6 @@ def cmd_verify(args) -> int:
         raise InvalidInputError(f"cannot verify tables of kind {table.kind!r}")
 
     check("evaluation equals oracle", table_to_permutation(table) == reference)
-    try:
-        table.validate()
-        check("structural validator", True)
-    except MoveStructError as e:
-        print(f"  validator: {e}")
-        check("structural validator", False)
     if table.cap_len:
         check("max interval length <= L", table.max_len <= table.cap_len)
         check(

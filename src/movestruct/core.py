@@ -34,9 +34,10 @@ walk that collects the SA samples of an RLBWT without them (a v1 .rl load).
 Chained walks run on block kernels that inline them over a whole block of
 queries, since in CPython a call per query costs about as much as the query
 itself: walk() for linear search and gallop_walk() for exponential search.
-Most queries land in their destination interval itself, so gallop() and
-gallop_walk() settle those with one probe, or with none in the last
-interval, before they gallop.
+walk() hands a sink the column value of the interval each query leaves,
+which is what the streaming traversals write. Most queries land in their
+destination interval itself, so gallop() and gallop_walk() settle those
+with one probe, or with none in the last interval, before they gallop.
 """
 
 from __future__ import annotations
@@ -305,12 +306,14 @@ def walk(
     """`size` chained move queries by linear fast forward from cursor (j, k),
     with the loop of step() inlined, in either storage mode.
 
-    After each query, put(col[q]) receives the column value of the interval
-    q of the cursor reached. A query that skips ff > 0 boundaries adds one
-    to counts[ff]; counts[0] is left to the caller, which knows the number
-    of queries. Returns the last cursor reached.
+    Before each query, put(col[j]) receives the column value of the interval
+    j that the query leaves, so the first value is that of the start cursor
+    and none is that of the cursor returned. A query that skips ff > 0
+    boundaries adds one to counts[ff]; counts[0] is left to the caller,
+    which knows the number of queries. Returns the last cursor reached.
     """
     for _ in repeat(None, size):
+        put(col[j])
         q = dest_rank[j]
         k += dest_offset[j]
         ell = lengths[q]
@@ -323,7 +326,6 @@ def walk(
                 ell = lengths[q]
             counts[ff] += 1
         j = q
-        put(col[q])
     return j, k
 
 

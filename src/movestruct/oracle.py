@@ -7,12 +7,10 @@ command compare everything else against them. Guarded to desk scale.
 from __future__ import annotations
 
 import bisect
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .core import IntervalTable
 from .errors import BoundsError, InvalidInputError
-from .rlbwt import DocBounds, SaSamples
-from .splitting import _inside_count
 
 MAX_ORACLE_N = 1_000_000
 
@@ -113,21 +111,8 @@ def max_fast_forwards(t: IntervalTable) -> int:
     inside one interval's output range."""
     starts = t.starts
     return max(
-        _inside_count(starts, starts[q] + off, ell)
+        bisect.bisect_left(starts, starts[q] + off + ell)
+        - bisect.bisect_right(starts, starts[q] + off)
         for q, off, ell in zip(t.dest_rank, t.dest_offset, t.lengths)
     )
 
-
-class DocSamples(NamedTuple):
-    """The document ids of the SA samples at run heads and tails."""
-
-    head_doc: list[int]
-    tail_doc: list[int]
-
-
-def sample_docs(samples: SaSamples, bounds: DocBounds) -> DocSamples:
-    """Annotate each SA sample with its document id (predecessor rank)."""
-    return DocSamples(
-        head_doc=[bounds.doc_of(v) for v in samples.head_sa],
-        tail_doc=[bounds.doc_of(v) for v in samples.tail_sa],
-    )

@@ -338,20 +338,23 @@ def attach_docs(table: IntervalTable, bounds: DocBounds) -> IntervalTable:
 
     Stores the doc id of the interval's first position and the distance to the
     next document boundary, so offsets within the interval resolve without a
-    global predecessor search. A document that starts at or past n raises
-    InvalidInputError.
+    global predecessor search. One merge of the sorted interval starts
+    against the document ends finds both in O(r' + d). A document that
+    starts at or past n raises InvalidInputError.
     """
     if bounds.starts[-1] >= table.n:
         raise InvalidInputError(
             f"document start {bounds.starts[-1]} is not below n={table.n}"
         )
+    ends = bounds.starts[1:] + [table.n]
     doc0 = []
     dist = []
+    d = 0
     for s in table.starts:
-        d = bounds.doc_of(s)
+        while ends[d] <= s:
+            d += 1
         doc0.append(d)
-        nxt = bounds.starts[d + 1] if d + 1 < bounds.d else table.n
-        dist.append(nxt - s)
+        dist.append(ends[d] - s)
     return table.replace(extras={**table.extras, "doc": doc0, "docdist": dist})
 
 

@@ -2,17 +2,17 @@
 SA enumeration, DA enumeration, and an instrumented traversal driver.
 
 Every linear walk runs on one block kernel, core.walk: it takes a block of
-chained steps with the fast-forward loop inlined, hands one per-interval
-column value per cursor to a C-level sink, and counts the fast forwards per
-step, so the amortized bounds can be checked exactly. Inversion emits the
-symbol column into a bytearray. The SA walk emits each interval's image
-minus start, so a block of values is one itertools.accumulate; the DA walk
-emits the doc column of the table cut at its d document starts. The
-streaming walks write to a binary file object in blocks of _BLOCK entries:
-bytes for the text, little-endian u64 values for SA and DA. Their working
-space is O(r'), O(r' + d) for DA, plus one block. Exponential
-traverse_counted runs on the sibling kernel core.gallop_walk, which inlines
-core.gallop and counts its probes.
+chained steps with the fast-forward loop inlined, hands a C-level sink the
+column value of the interval each query leaves, and counts the fast
+forwards per step, so the amortized bounds can be checked exactly. The
+three streaming walks share one block loop, which writes to a binary file
+object once per block of _BLOCK entries. Inversion emits the symbol
+column into a bytearray. The SA walk emits each interval's image minus
+start, so a block of values is one itertools.accumulate from the value
+carried over; the DA walk emits the doc column of the table cut at its d
+document starts. Both write little-endian u64 values. Their working space is O(r'), O(r' + d) for DA, plus one block.
+Exponential traverse_counted runs on the sibling kernel core.gallop_walk,
+which inlines core.gallop and counts its probes.
 Inversion walks FL (or LF, inverted first); the SA and DA walks chain
 phi-inverse from SA[0] = n - 1 and refuse any other kind before they write.
 """
@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import sub
-from typing import BinaryIO, Callable, Iterator, Optional
+from typing import Any, BinaryIO, Callable, Iterator, Optional, Sequence
 
 from . import rlbwt
 from .core import (
@@ -95,15 +95,48 @@ def _blocks(n: int) -> Iterator[int]:
     return (min(_BLOCK, n - i) for i in range(0, n, _BLOCK))
 
 
+def _block_walk(
+    table: IntervalTable,
+    fp: BinaryIO,
+    start: tuple[int, int],
+    col: Sequence[int],
+    buf: Any,
+    flush: Callable[[Any], Any],
+) -> TraversalStats:
+    """n chained steps from start, in blocks: the kernel appends to buf the
+    col value of the interval each step leaves, and fp receives flush(buf)
+    once per block, after which buf is emptied."""
+    lengths = table.lengths
+    dest_rank = table.dest_rank
+    dest_offset = table.dest_offset
+    counts = _ff_counts(table)
+    j, k = start
+    for size in _blocks(table.n):
+        j, k = walk(
+            lengths, dest_rank, dest_offset, j, k, size, col, buf.append, counts
+        )
+        fp.write(flush(buf))
+        del buf[:]
+    return _walk_stats(counts, table.n)
+
+
+def _u64(values: array) -> array:
+    """An array("Q") in little-endian byte order, swapped in place."""
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values
+
+
 def invert_bwt(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
     """Write the text and then its sentinel to fp, in text order.
 
-    Walks FL from row 0, the sentinel's row: each step lands on the row of
-    the next suffix, whose first symbol is the FL interval's "sym" column.
-    An LF table is inverted into FL first. A walk that writes the sentinel
-    before the end has come back to row 0 early: FL is not one cycle, the
-    table is the BWT of no text, and InvalidInputError is raised, as it is
-    for a symbol outside 0..255.
+    Walks FL from the row of suffix 0, one move from row 0, the sentinel's
+    row: each step leaves the row of the next suffix, whose first symbol is
+    the "sym" column of the FL interval it leaves. An LF table is inverted
+    into FL first. A walk that writes the sentinel before the end has come
+    back to row 0 early: FL is not one cycle, the table is the BWT of no
+    text, and InvalidInputError is raised, as it is for a symbol outside
+    0..255.
     """
     if table.kind == "lf":
         table = inverse(table)
@@ -114,27 +147,21 @@ def invert_bwt(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
     sym = _require_extra(table, "sym", "inversion reads the BWT symbols")
     if min(sym) < 0 or max(sym) > 255:
         raise InvalidInputError("symbol column holds a value that is not a byte")
-    lengths = table.lengths
-    dest_rank = table.dest_rank
-    dest_offset = table.dest_offset
-    counts = _ff_counts(table)
-    buf = bytearray()
-    j, k = 0, 0
     pos = 0
-    for size in _blocks(table.n):
-        j, k = walk(
-            lengths, dest_rank, dest_offset, j, k, size, sym, buf.append, counts
-        )
-        early = buf.find(rlbwt.SENTINEL)
+
+    def flush(text: bytearray) -> bytearray:
+        nonlocal pos
+        early = text.find(rlbwt.SENTINEL)
         if early != -1 and pos + early != table.n - 1:
             raise InvalidInputError(
                 f"sentinel at text position {pos + early} of {table.n}; "
                 "the table is the BWT of no text"
             )
-        pos += size
-        fp.write(buf)
-        buf.clear()
-    return _walk_stats(counts, table.n)
+        pos += len(text)
+        return text
+
+    start = table.move(MoveCursor(0, 0)).cursor
+    return _block_walk(table, fp, start, sym, bytearray(), flush)
 
 
 def recover_text(table: IntervalTable) -> bytes:
@@ -154,58 +181,25 @@ def _check_sa_kind(table: IntervalTable) -> None:
         )
 
 
-def _value_walk(
-    table: IntervalTable,
-    fp: BinaryIO,
-    col: list[int],
-    encode: Callable[[list[int], int], tuple[array, int]],
-) -> TraversalStats:
-    """Shared n-step walk in value space from SA[0] = n - 1, in blocks.
-
-    For each block of cursors, encode(block, v) gets col[j] of each cursor's
-    interval j and the value v of its first cursor, and returns the u64
-    array to write and the value of the cursor after the block. The kernel
-    reports a cursor's col[j] when it reaches that cursor, so the last one
-    of a block is carried over to the next.
-    """
-    lengths = table.lengths
-    dest_rank = table.dest_rank
-    dest_offset = table.dest_offset
-    counts = _ff_counts(table)
-    j, k = table.cursor_of(table.n - 1)
-    v = table.n - 1
-    block = [col[j]]
-    for size in _blocks(table.n):
-        j, k = walk(
-            lengths, dest_rank, dest_offset, j, k, size, col, block.append, counts
-        )
-        carried = block.pop()
-        out, v = encode(block, v)
-        if sys.byteorder == "big":
-            out.byteswap()
-        fp.write(out)
-        block.clear()
-        block.append(carried)
-    return _walk_stats(counts, table.n)
-
-
-def _value_deltas(table: IntervalTable) -> list[int]:
-    """Per interval j, image minus start: a step from a cursor in interval j
-    adds delta[j] to its value."""
-    return list(map(sub, table.images(), table.starts))
-
-
 def enumerate_sa(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
     """Write SA[0..n-1] by chaining phi-inverse from SA[0] = n - 1. A table
-    of any other kind raises InvalidInputError before anything is written."""
-    _check_sa_kind(table)
+    of any other kind raises InvalidInputError before anything is written.
 
-    def encode(deltas: list[int], v: int) -> tuple[array, int]:
+    A step from a cursor in interval j adds image minus start of j to its
+    value, so a block of these deltas accumulates from the value carried
+    over from the block before.
+    """
+    _check_sa_kind(table)
+    v = table.n - 1
+
+    def flush(deltas: list[int]) -> array:
+        nonlocal v
         values = array("Q", accumulate(deltas, initial=v))
         v = values.pop()
-        return values, v
+        return _u64(values)
 
-    return _value_walk(table, fp, _value_deltas(table), encode)
+    deltas = list(map(sub, table.images(), table.starts))
+    return _block_walk(table, fp, table.cursor_of(v), deltas, [], flush)
 
 
 def enumerate_da(
@@ -224,9 +218,8 @@ def enumerate_da(
     if bounds is None:
         bounds = rlbwt.doc_bounds_of(table)
     table = rlbwt.cut_at_documents(table, bounds)
-    return _value_walk(
-        table, fp, table.extras["doc"], lambda docs, v: (array("Q", docs), v)
-    )
+    start = table.cursor_of(table.n - 1)
+    return _block_walk(table, fp, start, table.extras["doc"], array("Q"), _u64)
 
 
 def traverse_counted(

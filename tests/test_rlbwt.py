@@ -39,7 +39,6 @@ from movestruct.oracle import (
     naive_lf,
     naive_phi,
     naive_sa,
-    sample_docs,
 )
 from support import (
     random_text,
@@ -310,17 +309,6 @@ def test_doc_bounds():
         DocBounds([1, 3])
     with pytest.raises(InvalidInputError):
         DocBounds([0, 3, 3])
-
-
-def test_sample_docs():
-    rl, _ = build_bwt(b"abaaba")
-    samples = collect_sa_samples(rl)
-    single = sample_docs(samples, DocBounds([0]))
-    assert set(single.head_doc) == {0} and set(single.tail_doc) == {0}
-    two = sample_docs(samples, DocBounds([0, 3]))
-    bounds = DocBounds([0, 3])
-    assert two.head_doc == [bounds.doc_of(v) for v in samples.head_sa]
-    assert all(0 <= d < 2 for d in two.head_doc + two.tail_doc)
 
 
 def test_rlbwt_binary_round_trip():
