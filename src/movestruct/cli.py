@@ -165,7 +165,7 @@ def cmd_bench(args) -> int:
 def cmd_inspect(args) -> int:
     with open(args.input, "rb") as fp:
         info = files.inspect_move(fp)
-    for key in ("n", "r_prime", "mode", "kind", "cap", "alpha", "cap_len"):
+    for key in ("version", "n", "r", "r_prime", "mode", "kind", "cap", "alpha", "cap_len"):
         print(f"{key}={info[key]}")
     for name, width in info["columns"]:
         print(f"column {name} width={width}")

@@ -47,7 +47,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import sub
+from operator import add, lt, sub
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import BoundsError, InvalidInputError, InvalidParameterError
@@ -138,8 +138,7 @@ class IntervalTable:
         return self.starts
 
     def images(self) -> list[int]:
-        starts = self.starts
-        return [starts[q] + off for q, off in zip(self.dest_rank, self.dest_offset)]
+        return list(map(add, map(self.starts.__getitem__, self.dest_rank), self.dest_offset))
 
     # ------------------------------------------------------------ constructors
 
@@ -195,34 +194,41 @@ class IntervalTable:
     # ------------------------------------------------------------- validation
 
     def validate(self) -> None:
-        """Check the structural invariants in O(r' log r'); raises
-        InvalidInputError on a violation."""
-        lengths = self.lengths
+        """Check the structural invariants in O(r'), with C-level passes and
+        no sort; raises InvalidInputError on a violation."""
+        lengths, ranks, offs, n = self.lengths, self.dest_rank, self.dest_offset, self.n
         r = len(lengths)
-        if r == 0 or self.n <= 0:
+        if r == 0 or n <= 0:
             raise InvalidInputError("empty table")
-        if len(self.dest_rank) != r or len(self.dest_offset) != r:
+        if len(ranks) != r or len(offs) != r:
             raise InvalidInputError("core columns differ in length")
         if min(lengths) < 1:
             raise InvalidInputError("zero-length interval")
-        if sum(lengths) != self.n:
+        if sum(lengths) != n:
             raise InvalidInputError("interval lengths do not sum to n")
         # An offset below its rank's length makes the rank the predecessor
         # rank of the image.
-        for j, (q, off) in enumerate(zip(self.dest_rank, self.dest_offset)):
-            if not 0 <= q < r:
-                raise InvalidInputError(f"dest_rank[{j}] out of range")
-            if not 0 <= off < lengths[q]:
-                raise InvalidInputError(
-                    f"dest_offset[{j}]={off} not below len[{q}]={lengths[q]}"
-                )
-        # With the lengths summing to n, the image ranges tile [0, n) exactly
-        # when each sorted image starts where the previous range ends.
-        pos = 0
-        for v, ell in sorted(zip(self.images(), lengths)):
-            if v != pos:
-                raise InvalidInputError("interval images do not tile [0, n)")
-            pos += ell
+        if not (0 <= min(ranks) and max(ranks) < r and 0 <= min(offs)
+                and all(map(lt, offs, map(lengths.__getitem__, ranks)))):
+            for j, (q, off) in enumerate(zip(ranks, offs)):
+                if not 0 <= q < r:
+                    raise InvalidInputError(f"dest_rank[{j}] out of range")
+                if not 0 <= off < lengths[q]:
+                    raise InvalidInputError(
+                        f"dest_offset[{j}]={off} not below len[{q}]={lengths[q]}"
+                    )
+        # The images lie in [0, n). Let the distinct ones, sorted, be
+        # p_0 < ... < p_{r-1}, and p_r = n. If there are r of them, p_0 = 0
+        # and every range ends on some p, then the range from p_i ends at
+        # some e_i >= p_{i+1}, so its length is at least p_{i+1} - p_i. These
+        # gaps sum to p_r - p_0 = n, as the lengths do, so every e_i equals
+        # p_{i+1}: the ranges tile [0, n).
+        images = self.images()
+        bounds = set(images)
+        bounds.add(n)
+        if not (len(bounds) == r + 1 and 0 in bounds
+                and bounds.issuperset(map(add, images, lengths))):
+            raise InvalidInputError("interval images do not tile [0, n)")
         for name, vals in self.extras.items():
             if len(vals) != r:
                 raise InvalidInputError(f"extra column {name!r} has wrong length")

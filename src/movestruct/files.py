@@ -6,42 +6,58 @@ capped tables. Both load to the same in-memory table; an absolute file's
 starts are checked through the lengths they yield, which must be >= 1 and
 sum to n.
 
-Layout (all integers little-endian):
+Layout of version 2, which save_move writes (all integers little-endian):
   magic "RPMV" | version u8 | mode u8 | kind u8 | n u64 | r' u64 | L u64 |
-  c numerator u64 | c denominator u64 | alpha u64 |
+  c numerator u64 | c denominator u64 | alpha u64 | source_runs u64 |
   column count u32 | per column: name length u8, name bytes, width u8 |
+  if a column is named "sym": symbol count u16, the sorted distinct
+  symbols as bytes |
   payload (bit-packed matrix, rows contiguous) |
-  zero padding to an 8-byte file boundary |
-  FNV-1a 64-bit checksum of the payload bytes, and nothing after it
+  CRC-32 (zlib.crc32) u32 of every byte after the magic, and nothing after it
 
-_FIXED is the one struct of the fixed part from version to column count;
-the mode and kind bytes index _MODES and _KINDS.
+The "sym" column holds each run's rank among the listed symbols, so it is
+as wide as the alphabet needs; load_move maps the ranks back to bytes.
+
+Version 1, which load_move still reads, has no source_runs field (a v1 table
+loads with source_runs = r'), no symbol list (sym holds the byte values),
+zero padding after the payload to an 8-byte file boundary, and ends with
+an FNV-1a 64-bit checksum of the payload bytes alone.
+
+_FIXED holds the one struct per version of the fixed part from the mode
+byte to the column count; the mode and kind bytes index _MODES and _KINDS.
+A load reads the file once, front to back, and leaves it at its end.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from fractions import Fraction
-from typing import BinaryIO, NamedTuple
+from operator import lt, sub
+from typing import BinaryIO, NamedTuple, Optional
 
 from .bitpack import ColumnSpec, PackedMatrix, min_width
 from .core import ABSOLUTE, RELATIVE, IntervalTable
 from .errors import FormatError, InvalidInputError, InvalidSpecError, ValueOverflowError
 
 MOVE_MAGIC = b"RPMV"
-MOVE_VERSION = 1
+MOVE_VERSION = 2
 
 _MODES = (ABSOLUTE, RELATIVE)
 _KINDS = ("generic", "lf", "fl", "phi", "phi_inv")
-# version, mode, kind, the six u64 fields named below, column count
-_FIXED = struct.Struct("<3B6QI")
-_U64_FIELDS = ("n", "r'", "L", "cap numerator", "cap denominator", "alpha")
+# mode, kind, the u64 fields named below, column count; version 1 has no
+# source_runs field
+_FIXED = {1: struct.Struct("<2B6QI"), 2: struct.Struct("<2B7QI")}
+_U64_FIELDS = ("n", "r'", "L", "cap numerator", "cap denominator", "alpha",
+               "source_runs")
+_SIGMA = struct.Struct("<H")
 
 # The first core column of each mode's files; "off" and "rank" follow it.
 _FIRST_COLUMN = {ABSOLUTE: "start", RELATIVE: "len"}
 
 
 class _Header(NamedTuple):
+    version: int
     mode: str
     kind: str
     n: int
@@ -50,12 +66,16 @@ class _Header(NamedTuple):
     c_num: int
     c_den: int
     alpha: int
+    source_runs: int
     specs: list[ColumnSpec]
+    symbols: Optional[bytes]  # the symbol list of a v2 file with a sym column
     size: int  # bytes from the magic to the payload
     payload_bytes: int
+    crc: int  # CRC-32 of the header bytes after the magic
 
 
 def fnv1a64(data: bytes) -> int:
+    """The checksum of a version 1 file's payload."""
     h = 0xCBF29CE484222325
     for b in data:
         h ^= b
@@ -63,9 +83,18 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
+def _symbols(sym: list[int]) -> bytes:
+    """The sorted distinct values of a sym column; one beyond a byte raises
+    InvalidInputError, as inverting the table would."""
+    try:
+        return bytes(sorted(set(sym)))
+    except ValueError:
+        raise InvalidInputError("symbol column holds a value that is not a byte") from None
+
+
 def pack_table(table: IntervalTable) -> PackedMatrix:
     """The serialized columns in order, core columns for the mode and then
-    extras, each at its minimal width."""
+    extras, each at its minimal width; sym holds symbol ranks."""
     first = table.starts if table.mode == ABSOLUTE else table.lengths
     cols = {_FIRST_COLUMN[table.mode]: first, "off": table.dest_offset,
             "rank": table.dest_rank}
@@ -73,6 +102,11 @@ def pack_table(table: IntervalTable) -> PackedMatrix:
         if name in cols:
             raise FormatError(f"extra column {name!r} clashes with a core column")
         cols[name] = vals
+    if "sym" in cols:
+        rank_of = bytearray(256)
+        for rank, symbol in enumerate(_symbols(cols["sym"])):
+            rank_of[symbol] = rank
+        cols["sym"] = list(map(rank_of.__getitem__, cols["sym"]))
     specs = [
         ColumnSpec(name, min_width(max(vals) if vals else 0))
         for name, vals in cols.items()
@@ -84,29 +118,32 @@ def pack_table(table: IntervalTable) -> PackedMatrix:
 
 
 def save_move(table: IntervalTable, fp: BinaryIO) -> None:
-    """Write table to fp. A header field beyond u64 raises ValueOverflowError
-    before anything is written."""
+    """Write table to fp as a version 2 file. A header field beyond u64, or a
+    symbol beyond a byte, raises before anything is written."""
     cap = table.cap if table.cap is not None else Fraction(0)
     values = (table.n, len(table), table.cap_len, cap.numerator, cap.denominator,
-              table.alpha)
+              table.alpha, table.source_runs)
     for name, value in zip(_U64_FIELDS, values):
         if not 0 <= value < 1 << 64:
             raise ValueOverflowError(f"{name} = {value} does not fit in a u64")
     m = pack_table(table)
-    header = bytearray(MOVE_MAGIC)
-    header += _FIXED.pack(MOVE_VERSION, _MODES.index(table.mode),
-                          _KINDS.index(table.kind), *values, len(m.columns))
+    header = bytearray([MOVE_VERSION])
+    header += _FIXED[MOVE_VERSION].pack(
+        _MODES.index(table.mode), _KINDS.index(table.kind), *values, len(m.columns)
+    )
     for spec in m.columns:
         name = spec.name.encode()
         if len(name) > 255:
             raise FormatError("column name too long")
         header += bytes([len(name)]) + name + bytes([spec.width])
+    if "sym" in table.extras:
+        symbols = _symbols(table.extras["sym"])
+        header += _SIGMA.pack(len(symbols)) + symbols
     payload = m.payload
+    fp.write(MOVE_MAGIC)
     fp.write(header)
     fp.write(payload)
-    pad = (-(len(header) + len(payload))) % 8
-    fp.write(b"\x00" * pad)
-    fp.write(struct.pack("<Q", fnv1a64(payload)))
+    fp.write(struct.pack("<I", zlib.crc32(payload, zlib.crc32(header))))
 
 
 def read_exact(fp: BinaryIO, size: int) -> bytes:
@@ -128,55 +165,81 @@ def read_exact(fp: BinaryIO, size: int) -> bytes:
 def _read_header(fp: BinaryIO) -> _Header:
     if fp.read(4) != MOVE_MAGIC:
         raise FormatError("not a move-structure file")
-    version, mode, kind, *fields, ncols = _FIXED.unpack(read_exact(fp, _FIXED.size))
-    if version != MOVE_VERSION:
+    tag = read_exact(fp, 1)
+    version = tag[0]
+    fixed = _FIXED.get(version)
+    if fixed is None:
         raise FormatError(f"unsupported version {version}")
+    raw = read_exact(fp, fixed.size)
+    mode, kind, *fields, ncols = fixed.unpack(raw)
     if mode >= len(_MODES) or kind >= len(_KINDS):
         raise FormatError("unknown mode or kind tag")
-    n, r_prime, cap_len, c_num, c_den, alpha = fields
+    if len(fields) < len(_U64_FIELDS):
+        fields.append(fields[1])  # a v1 file's source_runs is r'
+    n, r_prime, cap_len, c_num, c_den, alpha, source_runs = fields
     if c_num and not c_den:
         raise FormatError("cap factor has a zero denominator")
+    parts = [tag, raw]
     specs = []
-    size = len(MOVE_MAGIC) + _FIXED.size
     for _ in range(ncols):
-        (name_len,) = read_exact(fp, 1)
-        name_bytes = read_exact(fp, name_len)
-        (width,) = read_exact(fp, 1)
+        name_len = read_exact(fp, 1)
+        name_bytes = read_exact(fp, name_len[0])
+        width = read_exact(fp, 1)
+        parts += (name_len, name_bytes, width)
         try:
-            specs.append(ColumnSpec(name_bytes.decode(), width))
+            specs.append(ColumnSpec(name_bytes.decode(), width[0]))
         except (UnicodeDecodeError, InvalidSpecError) as e:
             raise FormatError(f"bad column spec: {e}") from e
-        size += 2 + name_len
-    if len({s.name for s in specs}) < len(specs):
+    names = {s.name for s in specs}
+    if len(names) < len(specs):
         raise FormatError("a column name is repeated")
+    symbols = None
+    if version > 1 and "sym" in names:
+        sigma = read_exact(fp, _SIGMA.size)
+        symbols = read_exact(fp, _SIGMA.unpack(sigma)[0])
+        parts += (sigma, symbols)
+        if not all(map(lt, symbols, symbols[1:])):
+            raise FormatError("the symbol list is not sorted and distinct")
+    head = b"".join(parts)
     payload_bytes = (r_prime * sum(s.width for s in specs) + 7) // 8
-    return _Header(_MODES[mode], _KINDS[kind], *fields, specs, size, payload_bytes)
+    return _Header(version, _MODES[mode], _KINDS[kind], *fields, specs, symbols,
+                   len(MOVE_MAGIC) + len(head), payload_bytes, zlib.crc32(head))
 
 
 def load_move(fp: BinaryIO) -> IntervalTable:
-    """Read a table and check its structure; any malformed input raises
-    FormatError."""
+    """Read a table of either version and check its structure; any malformed
+    input raises FormatError."""
     h = _read_header(fp)
     payload = read_exact(fp, h.payload_bytes)
-    # Neither the padding nor the end of the file is under the checksum.
-    if any(read_exact(fp, (-(h.size + h.payload_bytes)) % 8)):
-        raise FormatError("non-zero padding")
-    (checksum,) = struct.unpack("<Q", read_exact(fp, 8))
+    if h.version == 1:
+        # Neither the padding nor the header is under a v1 checksum.
+        if any(read_exact(fp, (-(h.size + h.payload_bytes)) % 8)):
+            raise FormatError("non-zero padding")
+        (checksum,) = struct.unpack("<Q", read_exact(fp, 8))
+        intact = checksum == fnv1a64(payload)
+    else:
+        (checksum,) = struct.unpack("<I", read_exact(fp, 4))
+        intact = checksum == zlib.crc32(payload, h.crc)
     if fp.read(1):
         raise FormatError("trailing bytes after the checksum")
-    if checksum != fnv1a64(payload):
-        raise FormatError("payload checksum mismatch")
+    if not intact:
+        raise FormatError("checksum mismatch")
     m = PackedMatrix.from_payload(h.specs, h.r_prime, payload)
     cols = {s.name: m.get_column(s.name) for s in h.specs}
     core = (_FIRST_COLUMN[h.mode], "off", "rank")
     for name in core:
         if name not in cols:
             raise FormatError(f"file lacks core column {name!r}")
+    if h.symbols is not None:
+        ranks = cols["sym"]
+        if ranks and max(ranks) >= len(h.symbols):
+            raise FormatError("a sym rank is beyond the symbol list")
+        cols["sym"] = list(map(h.symbols.__getitem__, ranks))
     extras = {k: v for k, v in cols.items() if k not in core}
     if h.mode == ABSOLUTE:
         # A bad start column shows as lengths below 1 or not summing to n.
         starts = cols["start"]
-        lengths = [b - a for a, b in zip(starts, starts[1:] + [h.n])]
+        lengths = list(map(sub, starts[1:] + [h.n], starts))
     else:
         lengths = cols["len"]
     table = IntervalTable(
@@ -185,6 +248,7 @@ def load_move(fp: BinaryIO) -> IntervalTable:
         lengths,
         cols["rank"],
         cols["off"],
+        source_runs=h.source_runs,
         kind=h.kind,
         cap=Fraction(h.c_num, h.c_den) if h.c_num else None,
         cap_len=h.cap_len,
@@ -202,7 +266,9 @@ def inspect_move(fp: BinaryIO) -> dict:
     h = _read_header(fp)
     stride = sum(s.width for s in h.specs)
     return {
+        "version": h.version,
         "n": h.n,
+        "r": h.source_runs,
         "r_prime": h.r_prime,
         "mode": h.mode,
         "kind": h.kind,

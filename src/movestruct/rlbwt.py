@@ -18,7 +18,6 @@ text that long needs a v2 file from build-rlbwt.
 
 from __future__ import annotations
 
-import bisect
 import struct
 import zlib
 from collections import Counter
@@ -109,9 +108,6 @@ class DocBounds:
         if s[0] != 0 or any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
             raise InvalidInputError("bounds must start at 0 and strictly increase")
         self.d = len(s)
-
-    def doc_of(self, position: int) -> int:
-        return bisect.bisect_right(self.starts, position) - 1
 
 
 # --------------------------------------------------------------------- build

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import random
 import struct
+from bisect import bisect_right
 from fractions import Fraction
 
 from movestruct import (
     ABSOLUTE,
     RELATIVE,
+    ColumnSpec,
+    DocBounds,
     FormatError,
     IntervalTable,
     InvalidInputError,
@@ -19,6 +22,7 @@ from movestruct import (
     TraversalStats,
     min_width,
 )
+from movestruct.files import fnv1a64
 
 ALPHABET = b"abcd"
 
@@ -160,6 +164,70 @@ def rlbwt_v1_bytes(rl: Rlbwt) -> bytes:
     SA samples and no checksum."""
     runs = b"".join(struct.pack("<BQ", c, l) for c, l in rl.runs)
     return b"RLBW\x01" + struct.pack("<QQ", rl.n, rl.r) + runs
+
+
+def move_v1_bytes(table: IntervalTable) -> bytes:
+    """table as a .mv version 1 file: a header with no source_runs field and
+    no symbol list, the payload with byte-valued symbols, zero padding to an
+    8-byte file boundary and the FNV-1a checksum of the payload."""
+    first = {ABSOLUTE: ("start", table.starts), RELATIVE: ("len", table.lengths)}
+    cols = dict([first[table.mode], ("off", table.dest_offset),
+                 ("rank", table.dest_rank)], **table.extras)
+    m = PackedMatrix(
+        [ColumnSpec(name, min_width(max(vals, default=0))) for name, vals in cols.items()],
+        len(table),
+    )
+    for name, vals in cols.items():
+        m.set_column(name, vals)
+    cap = table.cap or Fraction(0)
+    header = b"RPMV" + struct.pack(
+        "<3B6QI", 1, (ABSOLUTE, RELATIVE).index(table.mode),
+        ("generic", "lf", "fl", "phi", "phi_inv").index(table.kind), table.n,
+        len(table), table.cap_len, cap.numerator, cap.denominator, table.alpha,
+        len(cols),
+    )
+    for name, width in ((c.name.encode(), c.width) for c in m.columns):
+        header += bytes([len(name)]) + name + bytes([width])
+    payload = m.payload
+    pad = bytes(-(len(header) + len(payload)) % 8)
+    return header + payload + pad + struct.pack("<Q", fnv1a64(payload))
+
+
+def validate_by_sort(table: IntervalTable) -> None:
+    """Reference for IntervalTable.validate: the same checks and messages,
+    with the tiling checked by sorting (image, length) pairs."""
+    lengths = table.lengths
+    r = len(lengths)
+    if r == 0 or table.n <= 0:
+        raise InvalidInputError("empty table")
+    if len(table.dest_rank) != r or len(table.dest_offset) != r:
+        raise InvalidInputError("core columns differ in length")
+    if min(lengths) < 1:
+        raise InvalidInputError("zero-length interval")
+    if sum(lengths) != table.n:
+        raise InvalidInputError("interval lengths do not sum to n")
+    for j, (q, off) in enumerate(zip(table.dest_rank, table.dest_offset)):
+        if not 0 <= q < r:
+            raise InvalidInputError(f"dest_rank[{j}] out of range")
+        if not 0 <= off < lengths[q]:
+            raise InvalidInputError(
+                f"dest_offset[{j}]={off} not below len[{q}]={lengths[q]}"
+            )
+    starts = table.starts
+    images = [starts[q] + off for q, off in zip(table.dest_rank, table.dest_offset)]
+    pos = 0
+    for v, ell in sorted(zip(images, lengths)):
+        if v != pos:
+            raise InvalidInputError("interval images do not tile [0, n)")
+        pos += ell
+    for name, vals in table.extras.items():
+        if len(vals) != r:
+            raise InvalidInputError(f"extra column {name!r} has wrong length")
+
+
+def doc_of(bounds: DocBounds, position: int) -> int:
+    """The document that position lies in."""
+    return bisect_right(bounds.starts, position) - 1
 
 
 def from_runs(n: int, runs: list[tuple[int, int]], mode: str = ABSOLUTE) -> IntervalTable:

@@ -20,7 +20,7 @@ from movestruct import (
 )
 from movestruct.cli import main
 from movestruct.oracle import naive_bwt, naive_lf, naive_sa
-from support import rlbwt_v1_bytes
+from support import doc_of, rlbwt_v1_bytes
 
 
 @pytest.fixture()
@@ -154,7 +154,7 @@ def test_da_docs_replace_embedded_columns(tmp_path, cap):
     for bounds, name in (([0, 6], "a"), ([0, 3, 9, 12], "b")):
         da = tmp_path / "da"
         assert main(["da", str(pi), "--docs", str(tmp_path / name), "-o", str(da)]) == 0
-        assert read_values(da) == [DocBounds(bounds).doc_of(v) for v in sa]
+        assert read_values(da) == [doc_of(DocBounds(bounds), v) for v in sa]
 
 
 def test_da_requires_doc_columns(ws, capsys):

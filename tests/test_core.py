@@ -37,6 +37,7 @@ from support import (
     REF_STARTS,
     from_runs,
     random_runny_permutation,
+    validate_by_sort,
 )
 
 EXP = QueryConfig(search=ms.EXPONENTIAL)
@@ -209,6 +210,46 @@ def test_validator_catches_corruption():
         t2.validate()
     with pytest.raises(InvalidInputError):
         IntervalTable(4, ms.ABSOLUTE, [2, 3], [0, 0], [0, 2]).validate()
+
+
+def _outcome(check) -> str:
+    """The message check() raises InvalidInputError with, or "ok"."""
+    try:
+        check()
+    except InvalidInputError as e:
+        return str(e)
+    return "ok"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 150),
+    seed=st.integers(0, 2**32),
+    column=st.sampled_from(["dest_rank", "dest_offset", "lengths"]),
+    at=st.integers(0, 1 << 16),
+    value=st.one_of(st.integers(-2, 2), st.integers(-2, 160)),
+    relative=st.booleans(),
+    keep_sum=st.booleans(),
+)
+def test_validate_agrees_with_a_sort(n, seed, column, at, value, relative, keep_sum):
+    """The O(r') validate() passes and fails exactly where the sort-based
+    reference does, with the same message, on random runny tables (capped
+    or not) after one entry of dest_rank, dest_offset or lengths changes:
+    by a small step from its value when relative, or to a value outright.
+    With keep_sum, a changed length changes n along, so that the lengths
+    still sum to n and the table reaches the tiling check."""
+    rng = random.Random(seed)
+    t = from_permutation(random_runny_permutation(rng, n, rng.randint(1, n)))
+    if rng.random() < 0.5:
+        t = length_cap(t, Fraction(1, 2))
+    vals = list(getattr(t, column))
+    j = at % len(vals)
+    vals[j] = vals[j] + value if relative else value
+    fields = {column: vals}
+    if column == "lengths" and keep_sum:
+        fields["n"] = sum(vals)
+    bad = t.replace(**fields)
+    assert _outcome(bad.validate) == _outcome(lambda: validate_by_sort(bad))
 
 
 def _split_variants(t):

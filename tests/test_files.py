@@ -37,9 +37,11 @@ from movestruct.files import fnv1a64
 from support import (
     REF_PERM,
     check_min_widths,
+    move_v1_bytes,
     random_runny_permutation,
     random_text,
     repetitive_text,
+    validate_by_sort,
 )
 
 
@@ -120,7 +122,7 @@ def test_checksum_detects_corruption():
     buf = io.BytesIO()
     save_move(t, buf)
     data = bytearray(buf.getvalue())
-    data[-16] ^= 0x40  # inside the payload: padding spans at most 7 bytes
+    data[-16] ^= 0x40  # inside the payload
     with pytest.raises(FormatError):
         load_move(io.BytesIO(bytes(data)))
 
@@ -168,15 +170,69 @@ def test_inspect_reports_space_accounting():
         assert info["payload_bits"] == info["r_prime"] * info["row_stride_bits"]
         assert info["payload_bytes"] == (info["payload_bits"] + 7) // 8
         # the version byte, then the mode and kind tags of the file format
-        tags = [1, ("abs", "rel").index(t.mode),
+        tags = [2, ("abs", "rel").index(t.mode),
                 ("generic", "lf", "fl", "phi", "phi_inv").index(t.kind)]
         assert list(data[4:7]) == tags
-        # header, payload, zero padding and the checksum make up the file
-        end = _payload_span(data).stop
-        assert not any(data[end : end + -end % 8])
-        assert end + -end % 8 + 8 == len(data)
+        assert (info["version"], info["r"]) == (2, loaded.source_runs)
+        # the header, the payload and the CRC-32 make up the file
+        assert _payload_span(data).stop + 4 == len(data)
         seen.add((t.kind, t.mode, bool(t.cap)))
     assert len(seen) == 5 * 2 * 2
+
+
+def test_round_trip_keeps_every_field():
+    """A version 2 round trip gives a table equal in every field, source_runs
+    included; the same table written as version 1 loads equal but for
+    source_runs, which it takes as r'."""
+    for t in _tables_of_every_kind():
+        assert vars(roundtrip(t)) == vars(t)
+        v1 = load_move(io.BytesIO(move_v1_bytes(t)))
+        assert vars(v1) == {**vars(t), "source_runs": len(t)}
+
+
+def test_capping_a_loaded_table_again_gives_the_same_table():
+    """source_runs survives a save. On the benchmark's text shape (seed 7:
+    r = 5,156), re-capping a loaded LF table at c = 1 gives the L and r' of
+    the table in memory; a version 1 file loads with source_runs = r', which
+    gives L = 12 and r' = 13,658 here."""
+    rl, _ = build_bwt(repetitive_text(random.Random(7), 100, 1000, 10))
+    capped = length_cap(build_lf(rl), 1)
+    for t in (capped, capped.to_relative()):
+        loaded = roundtrip(t)
+        assert loaded.source_runs == rl.r == 5156
+        again = length_cap(loaded, 1)
+        assert (again.cap_len, len(again)) == (capped.cap_len, len(capped)) == (20, 8999)
+        assert vars(again) == vars(length_cap(t, 1))
+
+
+# (offset, new u64) of a header field: alpha 2 -> 9 on a balanced table, and
+# L and source_runs one more than they are.
+HEADER_CHANGES = {
+    "alpha": (47, lambda old: 9),
+    "L": (23, lambda old: old + 1),
+    "source_runs": (55, lambda old: old + 1),
+}
+
+
+@pytest.mark.parametrize("field", sorted(HEADER_CHANGES))
+def test_changed_header_fields_fail_the_checksum(field, tmp_path, capsys):
+    """The CRC-32 covers the header: a v2 file with one header field changed
+    raises FormatError, and invert on it exits 2 and writes nothing."""
+    rl, _ = build_bwt(repetitive_text(random.Random(4), 3, 60, 4))
+    table = balance(length_cap(build_lf(rl), 1), 2)
+    assert (table.alpha, table.cap_len, table.source_runs) == (2, 3, rl.r)
+    raw = _saved(table)
+    at, change = HEADER_CHANGES[field]
+    (old,) = struct.unpack_from("<Q", raw, at)
+    assert old == {"alpha": 2, "L": 3, "source_runs": rl.r}[field]
+    data = raw[:at] + struct.pack("<Q", change(old)) + raw[at + 8 :]
+    with pytest.raises(FormatError, match="checksum"):
+        load_move(io.BytesIO(data))
+    path, out = tmp_path / "bad.mv", tmp_path / "out"
+    path.write_bytes(data)
+    assert main(["invert", str(path), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_round_trip_random_tables():
@@ -191,11 +247,11 @@ def test_round_trip_random_tables():
 
 
 def test_alignment_and_trailer():
-    t = from_permutation(REF_PERM)
-    buf = io.BytesIO()
-    save_move(t, buf)
-    # Everything before the 8-byte checksum is padded to an 8-byte boundary.
-    assert (len(buf.getvalue()) - 8) % 8 == 0
+    data = _saved(from_permutation(REF_PERM))
+    # No padding: the payload ends 4 bytes before the end of the file, and
+    # those bytes are the CRC-32 of everything after the magic.
+    assert _payload_span(data).stop == len(data) - 4
+    assert struct.unpack("<I", data[-4:])[0] == zlib.crc32(data[4:-4])
 
 
 # A relative table of 11 rows with cap metadata and an 8-bit extra column:
@@ -220,11 +276,38 @@ PINNED_FILE = bytes.fromhex(
 
 
 def test_save_move_bytes_are_pinned():
+    """PINNED_FILE is a version 1 file, as save_move wrote it before version
+    2; it must still load, with source_runs = r'."""
     table = IntervalTable(**PINNED_TABLE)
-    assert _saved(table) == PINNED_FILE
+    assert move_v1_bytes(table) == PINNED_FILE
     loaded = load_move(io.BytesIO(PINNED_FILE))
     for field, value in PINNED_TABLE.items():
         assert getattr(loaded, field) == value, field
+    assert loaded.source_runs == 11
+    info = inspect_move(io.BytesIO(PINNED_FILE))
+    assert (info["version"], info["r"], info["r_prime"]) == (1, 11, 11)
+
+
+# PINNED_TABLE as version 2 writes it, with source_runs 5: no padding, the
+# source_runs u64 after alpha, the symbol list 00 01 61 62 63 64 80 ff after
+# the column specs, a 3-bit sym column of ranks, so a 10-bit stride, and a
+# CRC-32 at the end.
+PINNED_V2_FILE = bytes.fromhex(
+    "52504d5602010010000000000000000b000000000000000200000000000000010000"
+    "00000000000100000000000000020000000000000005000000000000000400000003"
+    "6c656e02036f6666010472616e6b040373796d03080000016162636480ff06b99653"
+    "83c24ade4440d18992325ffb6a12"
+)
+
+
+def test_save_move_v2_bytes_are_pinned():
+    table = IntervalTable(**PINNED_TABLE, source_runs=5)
+    assert _saved(table) == PINNED_V2_FILE
+    loaded = load_move(io.BytesIO(PINNED_V2_FILE))
+    assert vars(loaded) == vars(table)
+    info = inspect_move(io.BytesIO(PINNED_V2_FILE))
+    assert (info["version"], info["r"], info["r_prime"]) == (2, 5, 11)
+    assert info["columns"] == [("len", 2), ("off", 1), ("rank", 4), ("sym", 3)]
 
 
 def _saved(table) -> bytes:
@@ -247,14 +330,15 @@ def _lf_with(column: str, value) -> bytes:
 
 
 # Header offsets: the magic, then the version, mode and kind bytes at 4, 5
-# and 6; n, r', L, the cap numerator and denominator, alpha as u64 from 7;
-# the u32 column count at 55; the first column's name length at 59. The
-# abaaba LF file's first column is "start", so its width byte is at 65.
+# and 6; n, r', L, the cap numerator and denominator, alpha and source_runs
+# as u64 from 7; the u32 column count at 63; the first column's name length
+# at 67. The abaaba LF file's first column is "start", so its width byte is
+# at 73.
 def _lf_with_header(at: int, new: bytes) -> bytes:
     """The abaaba LF file with its header bytes from offset at replaced by
-    new; the checksum covers only the payload, so it still matches."""
+    new, and a new CRC-32, so that the change reaches the header checks."""
     raw = _saved(_lf_abaaba()[1])
-    return raw[:at] + new + raw[at + len(new) :]
+    return _with_crc(raw[:at] + new + raw[at + len(new) :])
 
 
 def _lf_with_row_count(count: int) -> bytes:
@@ -301,11 +385,19 @@ def _rlbwt_with_crc_flipped() -> bytes:
 def _lf_with_sym_twice() -> bytes:
     """The abaaba LF file with a second "sym" column after the true one, in
     which a and b are swapped. The second column is saved as "zzz" and
-    renamed in the header, which the checksum does not cover."""
+    renamed in the header, under a new CRC-32."""
     _, lf = _lf_abaaba()
     swapped = [{97: 98, 98: 97}.get(c, c) for c in lf.extras["sym"]]
     raw = _saved(lf.replace(extras={**lf.extras, "zzz": swapped}))
-    return raw.replace(b"\x03zzz", b"\x03sym", 1)
+    return _with_crc(raw.replace(b"\x03zzz", b"\x03sym", 1))
+
+
+def _lf_with_symbols(symbols: bytes) -> bytes:
+    """The abaaba LF file with its symbol list (the u16 count at 90, then
+    00 61 62) replaced by symbols, under a new CRC-32."""
+    raw = _saved(_lf_abaaba()[1])
+    assert raw[90:95] == b"\x03\x00\x00ab"
+    return _with_crc(raw[:90] + struct.pack("<H", len(symbols)) + symbols + raw[95:])
 
 
 MALFORMED = {
@@ -324,13 +416,15 @@ MALFORMED = {
     "rlbwt-sample-n": lambda: _rlbwt_with_samples(lambda v: v.__setitem__(0, 7)),
     "move-huge-row-count": lambda: _lf_with_row_count(1 << 60),
     "move-sym-twice": _lf_with_sym_twice,
-    "move-version-2": lambda: _lf_with_header(4, b"\x02"),
+    "move-version-3": lambda: _lf_with_header(4, b"\x03"),
     "move-mode-tag-2": lambda: _lf_with_header(5, b"\x02"),
     "move-kind-tag-5": lambda: _lf_with_header(6, b"\x05"),
     "move-cap-zero-denominator": lambda: _lf_with_header(31, struct.pack("<QQ", 1, 0)),
-    "move-width-0": lambda: _lf_with_header(65, b"\x00"),
-    "move-width-65": lambda: _lf_with_header(65, bytes([65])),
-    "move-name-not-utf8": lambda: _lf_with_header(60, b"\xff"),
+    "move-width-0": lambda: _lf_with_header(73, b"\x00"),
+    "move-width-65": lambda: _lf_with_header(73, bytes([65])),
+    "move-name-not-utf8": lambda: _lf_with_header(68, b"\xff"),
+    "move-symbols-unsorted": lambda: _lf_with_symbols(b"\x00ba"),
+    "move-sym-rank-beyond-symbols": lambda: _lf_with_symbols(b"\x00a"),
 }
 
 
@@ -352,14 +446,17 @@ def test_malformed_files_raise_format_error(case, tmp_path, capsys):
 
 @pytest.mark.parametrize("perm, row, value", [("lf", 1, 300), ("fl", 2, 1000)])
 def test_symbol_beyond_a_byte_is_rejected(perm, row, value, tmp_path, capsys):
-    """A checksummed file whose symbol column holds a value that is not a
-    byte loads, but inverting it raises InvalidInputError, as inverting a
-    table with a negative symbol does."""
+    """Version 2 stores symbol ranks, so save_move refuses a symbol that is
+    not a byte. A checksummed version 1 file can hold one: it loads, but
+    inverting it raises InvalidInputError, as inverting a table with a
+    negative symbol does."""
     _, lf = _lf_abaaba()
     table = lf if perm == "lf" else inverse(lf)
     sym = list(table.extras["sym"])
     sym[row] = value
-    data = _saved(table.replace(extras={"sym": sym}))
+    with pytest.raises(InvalidInputError, match="not a byte"):
+        save_move(table.replace(extras={"sym": sym}), io.BytesIO())
+    data = move_v1_bytes(table.replace(extras={"sym": sym}))
     with pytest.raises(InvalidInputError, match="not a byte"):
         invert_bwt(load_move(io.BytesIO(data)), io.BytesIO())
     path = tmp_path / "bad.mv"
@@ -397,22 +494,28 @@ def test_samples_that_make_no_permutation_raise(which, tmp_path, capsys):
 def _payload_span(data: bytes) -> range:
     """Offsets of the payload that the header of data declares."""
     info = inspect_move(io.BytesIO(data))
-    # magic and tags, six u64 fields, the column count, then per column a
-    # name length, the name and a width
-    header_len = 7 + 48 + 4 + sum(2 + len(name.encode()) for name, _ in info["columns"])
+    # magic and tags, six u64 fields (seven in v2), the column count, then
+    # per column a name length, the name and a width
+    names = [name for name, _ in info["columns"]]
+    header_len = 7 + 8 * (5 + info["version"]) + 4 + sum(2 + len(s.encode()) for s in names)
+    if info["version"] > 1 and "sym" in names:
+        # the symbol count u16 and the symbols
+        header_len += 2 + struct.unpack_from("<H", data, header_len)[0]
     return range(header_len, header_len + info["payload_bytes"])
 
 
 def _padding(data: bytes) -> range:
-    """Offsets of the zero padding between the payload and the checksum."""
+    """Offsets of the zero padding between the payload and the checksum of a
+    version 1 file; version 2 has none."""
     end = _payload_span(data).stop
-    return range(end, end + -end % 8)
+    return range(end, end + -end % 8) if data[4] == 1 else range(end, end)
 
 
 def _rechecksummed(data: bytes) -> bytes:
-    """data cut after the payload its header declares, padded, and given that
-    payload's checksum, so that a mutation reaches the payload decoder and
-    validate(); data itself when its header or payload is unreadable."""
+    """data cut after the payload its header declares and given its checksum
+    (after zero padding, in version 1), so that a mutation reaches the
+    payload decoder and validate(); data itself when its header or payload
+    is unreadable."""
     try:
         payload = _payload_span(data)
     except FormatError:
@@ -420,6 +523,8 @@ def _rechecksummed(data: bytes) -> bytes:
     end = payload.stop
     if len(data) < end:
         return data
+    if data[4] > 1:
+        return _with_crc(data[:end] + bytes(4))
     return data[:end] + bytes(-end % 8) + struct.pack("<Q", fnv1a64(data[payload.start : end]))
 
 

@@ -41,6 +41,7 @@ from movestruct.oracle import (
     naive_sa,
 )
 from support import (
+    doc_of,
     random_text,
     repetitive_text,
     rlbwt_from_text,
@@ -300,9 +301,9 @@ def test_collect_sa_samples_standalone():
 def test_doc_bounds():
     b = DocBounds([0, 3])
     assert b.d == 2
-    assert b.doc_of(2) == 0
-    assert b.doc_of(3) == 1
-    assert b.doc_of(6) == 1
+    assert doc_of(b, 2) == 0
+    assert doc_of(b, 3) == 1
+    assert doc_of(b, 6) == 1
     with pytest.raises(InvalidInputError):
         DocBounds([])
     with pytest.raises(InvalidInputError):

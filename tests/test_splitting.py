@@ -29,6 +29,7 @@ from support import (
     REF_PERM,
     adversarial_permutation,
     ceil_div,
+    doc_of,
     random_runny_permutation,
     random_text,
     sweep_fast_forwards,
@@ -249,5 +250,5 @@ def test_position_columns_attach_after_splitting():
         out = io.BytesIO()
         enumerate_da(table, out, bounds=bounds)
         assert out.getvalue() == struct.pack(
-            f"<{rl.n}Q", *(bounds.doc_of(v) for v in sa)
+            f"<{rl.n}Q", *(doc_of(bounds, v) for v in sa)
         )

@@ -47,6 +47,7 @@ from movestruct.rlbwt import cut_at_documents, doc_bounds_of
 from support import (
     adversarial_permutation,
     check_consistency,
+    doc_of,
     doubling_search,
     random_runny_permutation,
     random_text,
@@ -161,7 +162,7 @@ def test_enumerate_da_bounds_replace_attached_columns():
     for table in (phi_inv, length_cap(phi_inv, Fraction(1, 4))):
         sink = io.BytesIO()
         enumerate_da(attach_docs(table, a), sink, bounds=b)
-        assert u64s(sink) == [b.doc_of(v) for v in sa]
+        assert u64s(sink) == [doc_of(b, v) for v in sa]
 
 
 def test_sa_da_walks_reject_other_kinds():
@@ -200,7 +201,7 @@ def test_enumerate_da_random_multi_doc():
         table = attach_docs(phi_inv, bounds)
         sink = io.BytesIO()
         enumerate_da(table, sink, bounds=bounds)
-        assert u64s(sink) == [bounds.doc_of(v) for v in sa]
+        assert u64s(sink) == [doc_of(bounds, v) for v in sa]
 
 
 def test_traverse_counted_cycle_closure():
@@ -271,7 +272,7 @@ def test_traverse_counted_relative_and_exponential():
                 assert u64s(sink) == sa
                 sink = io.BytesIO()
                 enumerate_da(attach_docs(t, bounds), sink, bounds=bounds)
-                assert u64s(sink) == [bounds.doc_of(v) for v in sa]
+                assert u64s(sink) == [doc_of(bounds, v) for v in sa]
 
 
 def test_traverse_counted_rejects_negative_steps():
@@ -398,8 +399,8 @@ def _walk_reference(table, cur, steps):
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7])
 def test_walks_across_block_seams(monkeypatch, block):
-    # The kernel carries its cursor, and the value walks their value and the
-    # interval of the next cursor, from one block to the next.
+    # Only the kernel's cursor, and the SA walk's last value, cross from one
+    # block to the next: each query puts the value of the interval it leaves.
     monkeypatch.setattr(traversal, "_BLOCK", block)
     rng = random.Random(1500 + block)
     exp = QueryConfig(search=ms.EXPONENTIAL)
@@ -431,7 +432,7 @@ def test_walks_across_block_seams(monkeypatch, block):
             out = io.BytesIO()
             assert vars(enumerate_da(pi, out, bounds)) == _walk_reference(
                 cut, cut.cursor_of(n - 1), n)
-            assert u64s(out) == [bounds.doc_of(v) for v in sa]
+            assert u64s(out) == [doc_of(bounds, v) for v in sa]
             # Documents that start only at interval starts leave no interval
             # spanning a boundary: the cut adds nothing, and the attached
             # columns suffice.
@@ -439,7 +440,7 @@ def test_walks_across_block_seams(monkeypatch, block):
             for table, given in ((pi, whole), (attach_docs(pi, whole), None)):
                 out = io.BytesIO()
                 assert vars(enumerate_da(table, out, given)) == ref
-                assert u64s(out) == [whole.doc_of(v) for v in sa]
+                assert u64s(out) == [doc_of(whole, v) for v in sa]
 
             for t in (split(lf), pi):
                 start = t.cursor_of(rng.randrange(n))
@@ -482,7 +483,7 @@ def test_da_walks_the_table_cut_at_document_starts(monkeypatch, block):
     def da(bounds):
         out = io.BytesIO()
         stats = enumerate_da(pi, out, bounds)
-        assert u64s(out) == [bounds.doc_of(v) for v in sa]
+        assert u64s(out) == [doc_of(bounds, v) for v in sa]
         cut = cut_at_documents(pi, bounds)
         cut.validate()
         assert vars(stats) == _walk_reference(cut, cut.cursor_of(n - 1), n)
@@ -522,7 +523,7 @@ def test_da_without_bounds_checks_the_doc_columns(tmp_path):
     assert doc_bounds_of(table).starts == [0, 5, 12]
     out = io.BytesIO()
     enumerate_da(table, out)
-    assert u64s(out) == [DocBounds([0, 5, 12]).doc_of(v) for v in sa]
+    assert u64s(out) == [doc_of(DocBounds([0, 5, 12]), v) for v in sa]
     for name in ("doc", "docdist"):
         partial = pi.replace(extras={name: table.extras[name]})
         with pytest.raises(MissingColumnError, match="document bounds"):
