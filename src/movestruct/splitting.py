@@ -5,14 +5,25 @@ permutation exactly; only the interval partition gets finer. Each piece
 copies the extra columns of the interval it is cut from, which is right
 only for the run-constant columns in core.RUN_COLUMNS; any other column
 raises InvalidInputError.
+
+length_cap is one O(r') pass. balance pays per split it makes: it keeps
+the interval starts and the output images in two blocked sorted lists
+(sorted blocks of fewer than 2 * _BLOCK values plus a list of block
+heads), so that finding the alpha-th start after an image, the output
+interval that holds a new start, and each insert cost two bisects and a
+shift within one block. The count of starts inside each output interval
+is updated exactly at each split, with no recount. Each split costs
+O(log r' + _BLOCK + alpha) amortized; setting up and reading out the
+indexes adds O(r' log r') at C level.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, compress, repeat
+from operator import add, index, sub
 from typing import Union
 
 from .core import IntervalTable, interval_columns, run_columns
@@ -20,12 +31,28 @@ from .errors import InvalidParameterError
 
 CapFactor = Union[int, float, str, Fraction]
 
+# Values per block of balance's sorted indexes: blocks start with at most
+# _BLOCK values and are cut in two when they reach 2 * _BLOCK.
+_BLOCK = 512
+
+
+def _cap_factor(c: CapFactor) -> Fraction:
+    """c as a Fraction; InvalidParameterError unless it is a finite positive
+    rational."""
+    try:
+        c = Fraction(c)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise InvalidParameterError(
+            f"cap factor c must be a finite rational, not {c!r}"
+        ) from None
+    if c <= 0:
+        raise InvalidParameterError("cap factor c must be > 0")
+    return c
+
 
 def cap_length(n: int, r: int, c: CapFactor) -> int:
     """Maximum interval length L = max(1, ceil(c * n / r))."""
-    c = Fraction(c)
-    if c <= 0:
-        raise InvalidParameterError("cap factor c must be > 0")
+    c = _cap_factor(c)
     num = c.numerator * n
     den = c.denominator * r
     return max(1, -(-num // den))
@@ -47,7 +74,7 @@ def length_cap(t: IntervalTable, c: CapFactor) -> IntervalTable:
     the intervals tile [0, n), so the fast forwards of the whole pass sum to
     fewer than r.
     """
-    c = Fraction(c)
+    c = _cap_factor(c)
     L = cap_length(t.n, t.source_runs, c)
     lengths = t.lengths
     first = list(accumulate(((ell - 1) // L + 1 for ell in lengths), initial=0))
@@ -80,80 +107,122 @@ def length_cap(t: IntervalTable, c: CapFactor) -> IntervalTable:
     )
 
 
-def _inside_count(sorted_starts: list[int], image: int, length: int) -> int:
-    """Interval starts strictly inside the output interval (image, image+length)."""
-    return bisect.bisect_left(sorted_starts, image + length) - bisect.bisect_right(
-        sorted_starts, image
-    )
+def _split_block(blocks: list[list[int]], heads: list[int], b: int) -> None:
+    """Cut blocks[b] into two halves, each with its head."""
+    blk = blocks[b]
+    half = len(blk) >> 1
+    blocks.insert(b + 1, blk[half:])
+    heads.insert(b + 1, blk[half])
+    del blk[half:]
 
 
 def balance(t: IntervalTable, alpha: int) -> IntervalTable:
     """Split until every output interval contains < 2*alpha interval starts.
 
-    Work-queue over violators; a violator is split at the offset of the
-    alpha-th start contained in its output interval. Ordered indexes over
-    starts and images are kept as sorted lists.
+    A FIFO work queue holds the violators, the intervals whose output
+    interval holds 2*alpha or more starts strictly inside it. A violator is
+    split at the alpha-th such start, s_split: its input interval is cut at
+    offset d = s_split - image, and the new piece starts at p_new and maps
+    onto s_split.
+
+    The counts stay exact without a recount. If the violator held c starts,
+    its left piece holds the alpha - 1 before s_split and the new piece the
+    c - alpha after it; of the other output intervals only the one that
+    contains p_new gains a start. An interval is queued when its count
+    reaches 2*alpha, so the left piece (alpha - 1, or alpha when it
+    contains p_new) never is.
+
+    Two blocked sorted lists serve the searches: the interval starts, for
+    the alpha-th start after an image, and the images, for the output
+    interval that contains p_new. Each is a list of sorted blocks of fewer
+    than 2*_BLOCK values and a list of their heads, so a search is two
+    bisects, an insert shifts one block, and a block that fills is cut in
+    two. A split costs O(log r' + _BLOCK + alpha) plus an amortized
+    O(r' / _BLOCK^2) for the cuts, nearly flat in r'. Both lists hold 0,
+    the first start and the first image, and every inserted value is
+    positive, so each value lands in the block of its predecessor head.
     """
+    try:
+        alpha = index(alpha)
+    except TypeError:
+        raise InvalidParameterError(f"alpha must be an integer, not {alpha!r}") from None
     if alpha < 2:
         raise InvalidParameterError("alpha must be >= 2")
-    starts0, images0 = t.starts, t.images()
+    starts0 = t.starts
     r = len(starts0)
-
     # Interval records indexed by a stable id; order recovered at the end.
     start_ = list(starts0)
-    image_ = list(images0)
+    image_ = t.images()
     len_ = list(t.lengths)
     src_ = list(range(r))
-    sorted_starts = list(starts0)  # already sorted
-    # Output intervals partition the domain: (image, id) sorted by image.
-    by_image = sorted(zip(images0, range(r)))
-    img_keys = [v for v, _ in by_image]
-    img_ids = [i for _, i in by_image]
-
-    cnt = [_inside_count(sorted_starts, image_[i], len_[i]) for i in range(r)]
+    # Starts strictly inside each output interval (image, image + length):
+    # those below its end, less the dest_rank + 1 at or below its image.
+    cnt = list(map(sub, map(bisect_left, repeat(starts0), map(add, image_, len_)),
+                   map((1).__add__, t.dest_rank)))
     limit = 2 * alpha
-    queue = deque(i for i in range(r) if cnt[i] >= limit)
-    queued = set(queue)
+    queue = deque(compress(range(r), map(limit.__le__, cnt)))
 
-    def enqueue(i: int) -> None:
-        if cnt[i] >= limit and i not in queued:
-            queue.append(i)
-            queued.add(i)
+    B = _BLOCK
+    full = 2 * B
+    s_blocks = [starts0[k:k + B] for k in range(0, r, B)]
+    s_heads = [blk[0] for blk in s_blocks]
+    sorted_images = sorted(image_)
+    i_blocks = [sorted_images[k:k + B] for k in range(0, r, B)]
+    i_heads = [blk[0] for blk in i_blocks]
+    img_id = dict(zip(image_, range(r)))  # images tile [0, n): distinct
 
     while queue:
         i = queue.popleft()
-        queued.discard(i)
-        if cnt[i] < limit:
-            continue
-        v, ell = image_[i], len_[i]
-        idx = bisect.bisect_right(sorted_starts, v) + alpha - 1
-        s_split = sorted_starts[idx]
-        d = s_split - v  # 0 < d < ell since s_split is strictly inside
+        v = image_[i]
+        # The alpha-th start after v, which may lie in a later block.
+        b = bisect_right(s_heads, v) - 1
+        blk = s_blocks[b]
+        k = bisect_right(blk, v) + alpha - 1
+        while k >= len(blk):
+            k -= len(blk)
+            b += 1
+            blk = s_blocks[b]
+        s_split = blk[k]
+        d = s_split - v  # 0 < d < len_[i] since s_split is strictly inside
         new_id = len(start_)
         p_new = start_[i] + d
         start_.append(p_new)
         image_.append(s_split)
-        len_.append(ell - d)
-        src_.append(src_[i])
+        len_.append(len_[i] - d)
         len_[i] = d
-        cnt[i] = _inside_count(sorted_starts, v, d)
-        cnt.append(_inside_count(sorted_starts, s_split, ell - d))
-        pos = bisect.bisect_left(img_keys, s_split)
-        img_keys.insert(pos, s_split)
-        img_ids.insert(pos, new_id)
-        # The new domain start lands inside exactly one output interval.
-        bisect.insort(sorted_starts, p_new)
-        owner_pos = bisect.bisect_right(img_keys, p_new) - 1
-        owner = img_ids[owner_pos]
-        if p_new > img_keys[owner_pos]:
-            cnt[owner] += 1
-            enqueue(owner)
-        enqueue(i)
-        enqueue(new_id)
+        src_.append(src_[i])
+        cnt.append(cnt[i] - alpha)
+        cnt[i] = alpha - 1
 
-    # sorted_starts holds every start_ in order, so it is the new start column.
+        b = bisect_right(i_heads, s_split) - 1
+        blk = i_blocks[b]
+        insort(blk, s_split)
+        if len(blk) == full:
+            _split_block(i_blocks, i_heads, b)
+        img_id[s_split] = new_id
+        b = bisect_right(s_heads, p_new) - 1
+        blk = s_blocks[b]
+        insort(blk, p_new)
+        if len(blk) == full:
+            _split_block(s_blocks, s_heads, b)
+
+        # p_new lands in the output interval of the greatest image <= p_new.
+        # The queue holds just the intervals counting limit or more, so the
+        # owner joins it when its count reaches the limit, and the new piece
+        # once its count is final.
+        blk = i_blocks[bisect_right(i_heads, p_new) - 1]
+        w = blk[bisect_right(blk, p_new) - 1]
+        if w != p_new:
+            owner = img_id[w]
+            cnt[owner] += 1
+            if cnt[owner] == limit and owner != new_id:
+                queue.append(owner)
+        if cnt[new_id] >= limit:
+            queue.append(new_id)
+
     order = sorted(range(len(start_)), key=start_.__getitem__)
     return t.replace(
-        **interval_columns(t.n, sorted_starts, [image_[i] for i in order]),
+        **interval_columns(t.n, list(chain.from_iterable(s_blocks)),
+                           [image_[i] for i in order]),
         extras=run_columns(t, [src_[i] for i in order]), alpha=alpha,
     )

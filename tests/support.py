@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import bisect
 import random
 import struct
 from bisect import bisect_right
+from collections import deque
 from fractions import Fraction
 
 from movestruct import (
@@ -15,6 +17,7 @@ from movestruct import (
     FormatError,
     IntervalTable,
     InvalidInputError,
+    InvalidParameterError,
     InvalidSpecError,
     MoveCursor,
     PackedMatrix,
@@ -22,6 +25,7 @@ from movestruct import (
     TraversalStats,
     min_width,
 )
+from movestruct.core import interval_columns, run_columns
 from movestruct.files import fnv1a64
 
 ALPHABET = b"abcd"
@@ -99,10 +103,15 @@ def random_runny_permutation(
     """Permutation assembled from `runs` contiguous blocks in shuffled order."""
     runs = min(runs, n)
     cuts = sorted(rng.sample(range(1, n), runs - 1)) if runs > 1 else []
-    bounds = [0] + cuts + [n]
     order = list(range(runs))
     rng.shuffle(order)
-    pi = [0] * n
+    return runny_permutation([0] + cuts + [n], order)
+
+
+def runny_permutation(bounds: list[int], order: list[int]) -> list[int]:
+    """Permutation that maps the blocks [bounds[b], bounds[b + 1]), taken in
+    the given order, onto consecutive positions."""
+    pi = [0] * bounds[-1]
     pos = 0
     for b in order:
         lo, hi = bounds[b], bounds[b + 1]
@@ -223,6 +232,83 @@ def validate_by_sort(table: IntervalTable) -> None:
     for name, vals in table.extras.items():
         if len(vals) != r:
             raise InvalidInputError(f"extra column {name!r} has wrong length")
+
+
+def _inside_count(sorted_starts: list[int], image: int, length: int) -> int:
+    """Interval starts strictly inside the output interval (image, image+length)."""
+    return bisect.bisect_left(sorted_starts, image + length) - bisect.bisect_right(
+        sorted_starts, image
+    )
+
+
+def balance_by_lists(t: IntervalTable, alpha: int) -> IntervalTable:
+    """Reference for splitting.balance: the same work queue over violators,
+    each split at the offset of the alpha-th start contained in its output
+    interval, with the ordered indexes over starts and images kept as flat
+    sorted lists and each new piece's count recounted by bisection."""
+    if alpha < 2:
+        raise InvalidParameterError("alpha must be >= 2")
+    starts0, images0 = t.starts, t.images()
+    r = len(starts0)
+
+    # Interval records indexed by a stable id; order recovered at the end.
+    start_ = list(starts0)
+    image_ = list(images0)
+    len_ = list(t.lengths)
+    src_ = list(range(r))
+    sorted_starts = list(starts0)  # already sorted
+    # Output intervals partition the domain: (image, id) sorted by image.
+    by_image = sorted(zip(images0, range(r)))
+    img_keys = [v for v, _ in by_image]
+    img_ids = [i for _, i in by_image]
+
+    cnt = [_inside_count(sorted_starts, image_[i], len_[i]) for i in range(r)]
+    limit = 2 * alpha
+    queue = deque(i for i in range(r) if cnt[i] >= limit)
+    queued = set(queue)
+
+    def enqueue(i: int) -> None:
+        if cnt[i] >= limit and i not in queued:
+            queue.append(i)
+            queued.add(i)
+
+    while queue:
+        i = queue.popleft()
+        queued.discard(i)
+        if cnt[i] < limit:
+            continue
+        v, ell = image_[i], len_[i]
+        idx = bisect.bisect_right(sorted_starts, v) + alpha - 1
+        s_split = sorted_starts[idx]
+        d = s_split - v  # 0 < d < ell since s_split is strictly inside
+        new_id = len(start_)
+        p_new = start_[i] + d
+        start_.append(p_new)
+        image_.append(s_split)
+        len_.append(ell - d)
+        src_.append(src_[i])
+        len_[i] = d
+        cnt[i] = _inside_count(sorted_starts, v, d)
+        cnt.append(_inside_count(sorted_starts, s_split, ell - d))
+        pos = bisect.bisect_left(img_keys, s_split)
+        img_keys.insert(pos, s_split)
+        img_ids.insert(pos, new_id)
+        # The new domain start lands inside exactly one output interval.
+        bisect.insort(sorted_starts, p_new)
+        owner_pos = bisect.bisect_right(img_keys, p_new) - 1
+        owner = img_ids[owner_pos]
+        if p_new > img_keys[owner_pos]:
+            cnt[owner] += 1
+            enqueue(owner)
+        enqueue(i)
+        enqueue(new_id)
+
+    # sorted_starts holds every start_ in order, so it is the new start column.
+    order = sorted(range(len(start_)), key=start_.__getitem__)
+    return t.replace(
+        **interval_columns(t.n, sorted_starts, [image_[i] for i in order]),
+        extras=run_columns(t, [src_[i] for i in order]), alpha=alpha,
+    )
 
 
 def doc_of(bounds: DocBounds, position: int) -> int:

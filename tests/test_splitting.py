@@ -4,8 +4,11 @@ import io
 import random
 import struct
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import movestruct as ms
 from movestruct import (
@@ -24,14 +27,17 @@ from movestruct import (
     length_cap,
     table_to_permutation,
 )
+from movestruct import splitting
 from movestruct.oracle import max_fast_forwards
 from support import (
     REF_PERM,
     adversarial_permutation,
+    balance_by_lists,
     ceil_div,
     doc_of,
     random_runny_permutation,
     random_text,
+    runny_permutation,
     sweep_fast_forwards,
 )
 
@@ -114,6 +120,65 @@ def test_balance_parameter_validation():
         balance(t, -2)
     with pytest.raises(InvalidParameterError):
         length_cap(t, -1)
+
+
+# One output interval holds every start, so balance has splits to make.
+ADVERSARIAL = adversarial_permutation(256, 16)
+
+
+@pytest.mark.parametrize("perm, alpha", [
+    pytest.param(ADVERSARIAL, 2.5, id="2.5-with-violator"),
+    pytest.param(ADVERSARIAL, 2.0, id="2.0-with-violator"),
+    pytest.param(list(range(64)), 2.5, id="2.5-without-violator"),
+    pytest.param(ADVERSARIAL, "2", id="str"),
+])
+def test_balance_rejects_non_integer_alpha(perm, alpha):
+    with pytest.raises(InvalidParameterError):
+        balance(from_permutation(perm), alpha)
+
+
+@pytest.mark.parametrize("c", ["abc", None, float("nan"), float("inf"), "1/0"])
+def test_cap_rejects_non_rational_factor(c):
+    t = from_permutation(REF_PERM)
+    with pytest.raises(InvalidParameterError):
+        length_cap(t, c)
+    with pytest.raises(InvalidParameterError):
+        cap_length(t.n, len(t), c)
+
+
+def skewed_runny_permutation(rng: random.Random) -> list[int]:
+    """Runs of 1-3 positions with a few long ones among them, in a random
+    order on each side, so that a long run's image covers many starts and
+    balance has splits to make."""
+    lengths = [rng.randint(1, 3) for _ in range(rng.randint(1, 200))]
+    lengths += [rng.randint(8, 300) for _ in range(rng.randint(0, 8))]
+    rng.shuffle(lengths)
+    order = list(range(len(lengths)))
+    rng.shuffle(order)
+    return runny_permutation(list(accumulate(lengths, initial=0)), order)
+
+
+@pytest.mark.parametrize("block", [2, 3, 7])
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32),
+       cap=st.sampled_from([None, Fraction(1, 2), Fraction(1), Fraction(2)]))
+def test_balance_matches_list_reference(block, seed, cap):
+    # Tiny blocks make balance cut blocks and look for the alpha-th start
+    # across several of them.
+    t = from_permutation(skewed_runny_permutation(random.Random(seed)))
+    if cap is not None:
+        t = length_cap(t, cap)
+    for alpha in (2, 3, 5, 8):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(splitting, "_BLOCK", block)
+            got = balance(t, alpha)
+        assert vars(got) == vars(balance_by_lists(t, alpha))
+
+
+def test_balance_matches_list_reference_adversarial():
+    t = from_permutation(adversarial_permutation(8000, 2000))
+    for alpha in (2, 3):
+        assert vars(balance(t, alpha)) == vars(balance_by_lists(t, alpha))
 
 
 def test_balance_adversarial_max_ff():
