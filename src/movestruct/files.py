@@ -18,14 +18,15 @@ Layout of version 2, which save_move writes (all integers little-endian):
 The "sym" column holds each run's rank among the listed symbols, so it is
 as wide as the alphabet needs; load_move maps the ranks back to bytes.
 
-Version 1, which load_move still reads, has no source_runs field (a v1 table
-loads with source_runs = r'), no symbol list (sym holds the byte values),
-zero padding after the payload to an 8-byte file boundary, and ends with
-an FNV-1a 64-bit checksum of the payload bytes alone.
+Version 1 files had no source_runs field, so a capped table loaded from one
+re-capped to another L; they raise FormatError and need movestruct build.
 
-_FIXED holds the one struct per version of the fixed part from the mode
-byte to the column count; the mode and kind bytes index _MODES and _KINDS.
-A load reads the file once, front to back, and leaves it at its end.
+.mv and .rl files share one container, magic | version u8 | body | CRC-32
+of the version and body: read_framed checks the version, then the CRC,
+before any field is parsed.
+
+_FIXED is the fixed part from the mode byte to the column count; the mode
+and kind bytes index _MODES and _KINDS.
 """
 
 from __future__ import annotations
@@ -45,19 +46,18 @@ MOVE_VERSION = 2
 
 _MODES = (ABSOLUTE, RELATIVE)
 _KINDS = ("generic", "lf", "fl", "phi", "phi_inv")
-# mode, kind, the u64 fields named below, column count; version 1 has no
-# source_runs field
-_FIXED = {1: struct.Struct("<2B6QI"), 2: struct.Struct("<2B7QI")}
+# mode, kind, the u64 fields named below, column count
+_FIXED = struct.Struct("<2B7QI")
 _U64_FIELDS = ("n", "r'", "L", "cap numerator", "cap denominator", "alpha",
                "source_runs")
 _SIGMA = struct.Struct("<H")
+_CRC = struct.Struct("<I")
 
 # The first core column of each mode's files; "off" and "rank" follow it.
 _FIRST_COLUMN = {ABSOLUTE: "start", RELATIVE: "len"}
 
 
 class _Header(NamedTuple):
-    version: int
     mode: str
     kind: str
     n: int
@@ -68,14 +68,13 @@ class _Header(NamedTuple):
     alpha: int
     source_runs: int
     specs: list[ColumnSpec]
-    symbols: Optional[bytes]  # the symbol list of a v2 file with a sym column
-    size: int  # bytes from the magic to the payload
-    payload_bytes: int
-    crc: int  # CRC-32 of the header bytes after the magic
+    symbols: Optional[bytes]  # the symbol list of a file with a sym column
+    payload: memoryview
 
 
 def fnv1a64(data: bytes) -> int:
-    """The checksum of a version 1 file's payload."""
+    """FNV-1a 64-bit hash, the checksum of the refused version 1 files. No
+    library code calls it; the benchmark's tracer wraps it by name."""
     h = 0xCBF29CE484222325
     for b in data:
         h ^= b
@@ -127,104 +126,99 @@ def save_move(table: IntervalTable, fp: BinaryIO) -> None:
         if not 0 <= value < 1 << 64:
             raise ValueOverflowError(f"{name} = {value} does not fit in a u64")
     m = pack_table(table)
-    header = bytearray([MOVE_VERSION])
-    header += _FIXED[MOVE_VERSION].pack(
+    body = bytearray([MOVE_VERSION])
+    body += _FIXED.pack(
         _MODES.index(table.mode), _KINDS.index(table.kind), *values, len(m.columns)
     )
     for spec in m.columns:
         name = spec.name.encode()
         if len(name) > 255:
             raise FormatError("column name too long")
-        header += bytes([len(name)]) + name + bytes([spec.width])
+        body += bytes([len(name)]) + name + bytes([spec.width])
     if "sym" in table.extras:
         symbols = _symbols(table.extras["sym"])
-        header += _SIGMA.pack(len(symbols)) + symbols
-    payload = m.payload
-    fp.write(MOVE_MAGIC)
-    fp.write(header)
-    fp.write(payload)
-    fp.write(struct.pack("<I", zlib.crc32(payload, zlib.crc32(header))))
+        body += _SIGMA.pack(len(symbols)) + symbols
+    body += m.payload
+    write_framed(fp, MOVE_MAGIC, body)
 
 
-def read_exact(fp: BinaryIO, size: int) -> bytes:
-    """The next size bytes of fp; a short read means a truncated file.
+def write_framed(fp: BinaryIO, magic: bytes, body: bytes) -> None:
+    """Write the container of .mv and .rl files: magic, body (its version
+    byte first) and the CRC-32 of the body."""
+    fp.write(magic)
+    fp.write(body)
+    fp.write(_CRC.pack(zlib.crc32(body)))
 
-    Reads at most 1 MiB at a time, so that a size declared by a corrupt
-    header is never allocated before the file proves that long.
-    """
-    parts = []
-    while size > 0:
-        part = fp.read(min(size, 1 << 20))
-        if not part:
-            raise FormatError("truncated file")
-        parts.append(part)
-        size -= len(part)
-    return b"".join(parts)
+
+def read_framed(fp: BinaryIO, magic: bytes, what: str,
+                versions: dict[int, bool]) -> tuple[int, memoryview]:
+    """Read the rest of fp in one call and return the version and the body of
+    the container write_framed wrote. versions maps each version the format
+    reads to whether its files end in a CRC-32; the version, then the CRC,
+    are checked before anything reads a field of the body."""
+    data = memoryview(fp.read())
+    if data[: len(magic)] != magic:
+        raise FormatError(f"not a {what}")
+    body = data[len(magic) :]
+    if not body:
+        raise FormatError(f"truncated {what}")
+    version = body[0]
+    if version not in versions:
+        raise FormatError(
+            f"unsupported {what} version {version}; rebuild it with "
+            "movestruct build-rlbwt (.rl) or movestruct build (.mv)"
+        )
+    if versions[version]:
+        if len(body) < 1 + _CRC.size:
+            raise FormatError(f"truncated {what}")
+        body, (crc,) = body[: -_CRC.size], _CRC.unpack(body[-_CRC.size :])
+        if crc != zlib.crc32(body):
+            raise FormatError(f"{what} checksum mismatch")
+    return version, body
 
 
 def _read_header(fp: BinaryIO) -> _Header:
-    if fp.read(4) != MOVE_MAGIC:
-        raise FormatError("not a move-structure file")
-    tag = read_exact(fp, 1)
-    version = tag[0]
-    fixed = _FIXED.get(version)
-    if fixed is None:
-        raise FormatError(f"unsupported version {version}")
-    raw = read_exact(fp, fixed.size)
-    mode, kind, *fields, ncols = fixed.unpack(raw)
+    _, body = read_framed(fp, MOVE_MAGIC, ".mv file", {MOVE_VERSION: True})
+    try:
+        mode, kind, *fields, ncols = _FIXED.unpack_from(body, 1)
+        at = 1 + _FIXED.size
+        specs = []
+        for _ in range(ncols):
+            name = bytes(body[at + 1 : at + 1 + body[at]])
+            at += 1 + len(name)
+            specs.append(ColumnSpec(name.decode(), body[at]))
+            at += 1
+        names = {s.name for s in specs}
+        symbols = None
+        if "sym" in names:
+            (sigma,) = _SIGMA.unpack_from(body, at)
+            at += _SIGMA.size
+            symbols = bytes(body[at : at + sigma])
+            at += sigma
+    except (struct.error, IndexError):
+        raise FormatError("truncated header") from None
+    except (UnicodeDecodeError, InvalidSpecError) as e:
+        raise FormatError(f"bad column spec: {e}") from e
     if mode >= len(_MODES) or kind >= len(_KINDS):
         raise FormatError("unknown mode or kind tag")
-    if len(fields) < len(_U64_FIELDS):
-        fields.append(fields[1])  # a v1 file's source_runs is r'
     n, r_prime, cap_len, c_num, c_den, alpha, source_runs = fields
     if c_num and not c_den:
         raise FormatError("cap factor has a zero denominator")
-    parts = [tag, raw]
-    specs = []
-    for _ in range(ncols):
-        name_len = read_exact(fp, 1)
-        name_bytes = read_exact(fp, name_len[0])
-        width = read_exact(fp, 1)
-        parts += (name_len, name_bytes, width)
-        try:
-            specs.append(ColumnSpec(name_bytes.decode(), width[0]))
-        except (UnicodeDecodeError, InvalidSpecError) as e:
-            raise FormatError(f"bad column spec: {e}") from e
-    names = {s.name for s in specs}
     if len(names) < len(specs):
         raise FormatError("a column name is repeated")
-    symbols = None
-    if version > 1 and "sym" in names:
-        sigma = read_exact(fp, _SIGMA.size)
-        symbols = read_exact(fp, _SIGMA.unpack(sigma)[0])
-        parts += (sigma, symbols)
-        if not all(map(lt, symbols, symbols[1:])):
-            raise FormatError("the symbol list is not sorted and distinct")
-    head = b"".join(parts)
+    if symbols is not None and not all(map(lt, symbols, symbols[1:])):
+        raise FormatError("the symbol list is not sorted and distinct")
     payload_bytes = (r_prime * sum(s.width for s in specs) + 7) // 8
-    return _Header(version, _MODES[mode], _KINDS[kind], *fields, specs, symbols,
-                   len(MOVE_MAGIC) + len(head), payload_bytes, zlib.crc32(head))
+    if len(body) != at + payload_bytes:
+        raise FormatError("file size does not match its header")
+    return _Header(_MODES[mode], _KINDS[kind], *fields, specs, symbols, body[at:])
 
 
 def load_move(fp: BinaryIO) -> IntervalTable:
-    """Read a table of either version and check its structure; any malformed
-    input raises FormatError."""
+    """Read a version 2 table and check its structure; any malformed input
+    raises FormatError."""
     h = _read_header(fp)
-    payload = read_exact(fp, h.payload_bytes)
-    if h.version == 1:
-        # Neither the padding nor the header is under a v1 checksum.
-        if any(read_exact(fp, (-(h.size + h.payload_bytes)) % 8)):
-            raise FormatError("non-zero padding")
-        (checksum,) = struct.unpack("<Q", read_exact(fp, 8))
-        intact = checksum == fnv1a64(payload)
-    else:
-        (checksum,) = struct.unpack("<I", read_exact(fp, 4))
-        intact = checksum == zlib.crc32(payload, h.crc)
-    if fp.read(1):
-        raise FormatError("trailing bytes after the checksum")
-    if not intact:
-        raise FormatError("checksum mismatch")
-    m = PackedMatrix.from_payload(h.specs, h.r_prime, payload)
+    m = PackedMatrix.from_payload(h.specs, h.r_prime, h.payload)
     cols = {s.name: m.get_column(s.name) for s in h.specs}
     core = (_FIRST_COLUMN[h.mode], "off", "rank")
     for name in core:
@@ -266,7 +260,7 @@ def inspect_move(fp: BinaryIO) -> dict:
     h = _read_header(fp)
     stride = sum(s.width for s in h.specs)
     return {
-        "version": h.version,
+        "version": MOVE_VERSION,
         "n": h.n,
         "r": h.source_runs,
         "r_prime": h.r_prime,
@@ -278,5 +272,5 @@ def inspect_move(fp: BinaryIO) -> dict:
         "columns": [(s.name, s.width) for s in h.specs],
         "row_stride_bits": stride,
         "payload_bits": h.r_prime * stride,
-        "payload_bytes": h.payload_bytes,
+        "payload_bytes": len(h.payload),
     }

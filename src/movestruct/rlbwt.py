@@ -10,16 +10,17 @@ The sentinel is byte 0x00 and compares smallest; symbol order is byte order.
   per run: symbol u8, length u64 |
   head_sa u64 x r | tail_sa u64 x r |
   CRC-32 (zlib.crc32) u32 of everything after the magic
-Version 1 files end after the runs. They still load: one LF walk collects
-their samples and rejects an RLBWT that is the BWT of no text. The walk takes
-time linear in n, so a v1 file with n above V1_MAX_N raises FormatError; a
-text that long needs a v2 file from build-rlbwt.
+That is the container of files.write_framed, so 16 + 25r bytes follow the
+version byte. Version 1 files end after the runs, at 16 + 9r bytes, with no
+CRC. They still load: one LF walk collects their samples and rejects an
+RLBWT that is the BWT of no text. The walk takes time linear in n, so a v1
+file with n above V1_MAX_N raises FormatError; a text that long needs a v2
+file from build-rlbwt.
 """
 
 from __future__ import annotations
 
 import struct
-import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, groupby
@@ -28,12 +29,15 @@ from typing import BinaryIO, Optional, Sequence
 
 from .core import ABSOLUTE, IntervalTable, interval_columns, run_columns, step
 from .errors import FormatError, InvalidInputError, MissingColumnError
-from .files import read_exact
+from .files import read_framed, write_framed
 
 SENTINEL = 0
 
 RLBWT_MAGIC = b"RLBW"
 RLBWT_VERSION = 2
+# Whether the files of each version end in a CRC-32: version 1 ends after
+# its runs.
+_VERSIONS = {1: False, RLBWT_VERSION: True}
 
 # Largest n of a v1 file, whose load walks LF n times: at some 0.3 us per
 # step in CPython, 2^26 steps take about 20 s.
@@ -412,9 +416,7 @@ def save_rlbwt(rl: Rlbwt, fp: BinaryIO) -> None:
     body += struct.pack("<QQ", rl.n, rl.r)
     body += b"".join(struct.pack("<BQ", c, l) for c, l in rl.runs)
     body += struct.pack(f"<{2 * rl.r}Q", *samples.head_sa, *samples.tail_sa)
-    fp.write(RLBWT_MAGIC)
-    fp.write(body)
-    fp.write(struct.pack("<I", zlib.crc32(body)))
+    write_framed(fp, RLBWT_MAGIC, body)
 
 
 def load_rlbwt(fp: BinaryIO) -> Rlbwt:
@@ -424,35 +426,24 @@ def load_rlbwt(fp: BinaryIO) -> Rlbwt:
     FormatError before the walk. Samples of a v2 file are checked
     against n only: the phi builders reject samples that do not make a
     permutation."""
-    if fp.read(4) != RLBWT_MAGIC:
-        raise FormatError("not an RLBWT file")
-    version = fp.read(1)
-    if version not in (b"\x01", bytes([RLBWT_VERSION])):
-        raise FormatError(f"unsupported RLBWT version {version!r}")
-    header = read_exact(fp, 16)
-    n, r = struct.unpack("<QQ", header)
-    if version == b"\x01" and n > V1_MAX_N:
+    version, body = read_framed(fp, RLBWT_MAGIC, ".rl file", _VERSIONS)
+    if len(body) < 17:
+        raise FormatError("truncated RLBWT header")
+    n, r = struct.unpack_from("<QQ", body, 1)
+    if version == 1 and n > V1_MAX_N:
         raise FormatError(
             f"version 1 RLBWT with n = {n} > {V1_MAX_N}; rebuild it with build-rlbwt"
         )
-    runs_raw = read_exact(fp, 9 * r)
-    if version == b"\x01":
-        samples_raw = b""
-    else:
-        samples_raw = read_exact(fp, 16 * r)
-        (crc,) = struct.unpack("<I", read_exact(fp, 4))
-        if crc != zlib.crc32(version + header + runs_raw + samples_raw):
-            raise FormatError("RLBWT checksum mismatch")
-    if fp.read(1):
-        raise FormatError("trailing bytes after the RLBWT")
+    if len(body) != 17 + (9 if version == 1 else 25) * r:
+        raise FormatError("RLBWT file size does not match its run count")
     try:
-        rl = Rlbwt.from_runs(list(struct.iter_unpack("<BQ", runs_raw)))
+        rl = Rlbwt(list(struct.iter_unpack("<BQ", body[17 : 17 + 9 * r])))
     except InvalidInputError as e:
         raise FormatError(f"malformed RLBWT: {e}") from e
     if rl.n != n:
         raise FormatError("run lengths do not sum to the declared n")
-    if samples_raw:
-        values = struct.unpack(f"<{2 * r}Q", samples_raw)
+    if version == RLBWT_VERSION:
+        values = struct.unpack_from(f"<{2 * r}Q", body, 17 + 9 * r)
         if max(values) >= n:
             raise FormatError("SA sample beyond n")
         rl.samples = SaSamples(head_sa=list(values[:r]), tail_sa=list(values[r:]))

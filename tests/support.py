@@ -12,7 +12,6 @@ from fractions import Fraction
 from movestruct import (
     ABSOLUTE,
     RELATIVE,
-    ColumnSpec,
     DocBounds,
     FormatError,
     IntervalTable,
@@ -26,7 +25,6 @@ from movestruct import (
     min_width,
 )
 from movestruct.core import interval_columns, run_columns
-from movestruct.files import fnv1a64
 
 ALPHABET = b"abcd"
 
@@ -173,33 +171,6 @@ def rlbwt_v1_bytes(rl: Rlbwt) -> bytes:
     SA samples and no checksum."""
     runs = b"".join(struct.pack("<BQ", c, l) for c, l in rl.runs)
     return b"RLBW\x01" + struct.pack("<QQ", rl.n, rl.r) + runs
-
-
-def move_v1_bytes(table: IntervalTable) -> bytes:
-    """table as a .mv version 1 file: a header with no source_runs field and
-    no symbol list, the payload with byte-valued symbols, zero padding to an
-    8-byte file boundary and the FNV-1a checksum of the payload."""
-    first = {ABSOLUTE: ("start", table.starts), RELATIVE: ("len", table.lengths)}
-    cols = dict([first[table.mode], ("off", table.dest_offset),
-                 ("rank", table.dest_rank)], **table.extras)
-    m = PackedMatrix(
-        [ColumnSpec(name, min_width(max(vals, default=0))) for name, vals in cols.items()],
-        len(table),
-    )
-    for name, vals in cols.items():
-        m.set_column(name, vals)
-    cap = table.cap or Fraction(0)
-    header = b"RPMV" + struct.pack(
-        "<3B6QI", 1, (ABSOLUTE, RELATIVE).index(table.mode),
-        ("generic", "lf", "fl", "phi", "phi_inv").index(table.kind), table.n,
-        len(table), table.cap_len, cap.numerator, cap.denominator, table.alpha,
-        len(cols),
-    )
-    for name, width in ((c.name.encode(), c.width) for c in m.columns):
-        header += bytes([len(name)]) + name + bytes([width])
-    payload = m.payload
-    pad = bytes(-(len(header) + len(payload)) % 8)
-    return header + payload + pad + struct.pack("<Q", fnv1a64(payload))
 
 
 def validate_by_sort(table: IntervalTable) -> None:

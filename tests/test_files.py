@@ -33,11 +33,9 @@ from movestruct import (
     table_to_permutation,
 )
 from movestruct.cli import main
-from movestruct.files import fnv1a64
 from support import (
     REF_PERM,
     check_min_widths,
-    move_v1_bytes,
     random_runny_permutation,
     random_text,
     repetitive_text,
@@ -181,20 +179,16 @@ def test_inspect_reports_space_accounting():
 
 
 def test_round_trip_keeps_every_field():
-    """A version 2 round trip gives a table equal in every field, source_runs
-    included; the same table written as version 1 loads equal but for
-    source_runs, which it takes as r'."""
+    """A round trip gives a table equal in every field, source_runs included."""
     for t in _tables_of_every_kind():
         assert vars(roundtrip(t)) == vars(t)
-        v1 = load_move(io.BytesIO(move_v1_bytes(t)))
-        assert vars(v1) == {**vars(t), "source_runs": len(t)}
 
 
 def test_capping_a_loaded_table_again_gives_the_same_table():
     """source_runs survives a save. On the benchmark's text shape (seed 7:
     r = 5,156), re-capping a loaded LF table at c = 1 gives the L and r' of
-    the table in memory; a version 1 file loads with source_runs = r', which
-    gives L = 12 and r' = 13,658 here."""
+    the table in memory; a load that took source_runs = r' would give L = 12
+    and r' = 13,658 here."""
     rl, _ = build_bwt(repetitive_text(random.Random(7), 100, 1000, 10))
     capped = length_cap(build_lf(rl), 1)
     for t in (capped, capped.to_relative()):
@@ -254,8 +248,7 @@ def test_alignment_and_trailer():
     assert struct.unpack("<I", data[-4:])[0] == zlib.crc32(data[4:-4])
 
 
-# A relative table of 11 rows with cap metadata and an 8-bit extra column:
-# stride 15 bits, so the payload holds one full 8-row group and a 3-row tail.
+# A relative table of 11 rows with cap metadata and a sym column.
 PINNED_TABLE = dict(
     n=16,
     mode=ms.RELATIVE,
@@ -267,6 +260,8 @@ PINNED_TABLE = dict(
     alpha=2,
     extras={"sym": [97, 98, 97, 99, 100, 255, 0, 97, 98, 1, 128]},
 )
+# PINNED_TABLE as version 1 stored it: no source_runs, byte-valued symbols in
+# an 8-bit column, zero padding to an 8-byte boundary and an FNV-1a checksum.
 PINNED_FILE = bytes.fromhex(
     "52504d5601010010000000000000000b000000000000000200000000000000010000"
     "00000000000100000000000000020000000000000004000000036c656e02036f6666"
@@ -275,17 +270,20 @@ PINNED_FILE = bytes.fromhex(
 )
 
 
-def test_save_move_bytes_are_pinned():
-    """PINNED_FILE is a version 1 file, as save_move wrote it before version
-    2; it must still load, with source_runs = r'."""
-    table = IntervalTable(**PINNED_TABLE)
-    assert move_v1_bytes(table) == PINNED_FILE
-    loaded = load_move(io.BytesIO(PINNED_FILE))
-    for field, value in PINNED_TABLE.items():
-        assert getattr(loaded, field) == value, field
-    assert loaded.source_runs == 11
-    info = inspect_move(io.BytesIO(PINNED_FILE))
-    assert (info["version"], info["r"], info["r_prime"]) == (1, 11, 11)
+def test_version_1_files_are_refused(tmp_path, capsys):
+    """A version 1 file loaded with source_runs = r', so a capped table from
+    one re-capped to another L: loading or inspecting it raises FormatError
+    that names the command which writes a version 2 file, and the CLI exits
+    2 on it."""
+    for read in (load_move, inspect_move):
+        with pytest.raises(FormatError, match="unsupported .* version 1.*movestruct build"):
+            read(io.BytesIO(PINNED_FILE))
+    path, out = tmp_path / "v1.mv", tmp_path / "out"
+    path.write_bytes(PINNED_FILE)
+    for argv in (["invert", str(path), "-o", str(out)], ["inspect", str(path)]):
+        assert main(argv) == 2
+        assert "movestruct build" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # PINNED_TABLE as version 2 writes it, with source_runs 5: no padding, the
@@ -444,30 +442,52 @@ def test_malformed_files_raise_format_error(case, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+# Small v2 files: an absolute LF table with a sym column, a capped relative
+# table without one, and an .rl file.
+CRC_FIRST = {
+    "lf-abs-sym": lambda: (load_move, _saved(_lf_abaaba()[1])),
+    "capped-rel": lambda: (
+        load_move, _saved(length_cap(from_permutation(REF_PERM), 1).to_relative())),
+    "rlbwt": lambda: (load_rlbwt, _rlbwt_bytes()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRC_FIRST))
+def test_checksum_is_checked_before_any_field(case):
+    """Every byte after the magic is under the CRC-32, and it is checked
+    before any field is read: a flip of any one byte but the version byte
+    fails the checksum, a flip of the version byte names the version, and a
+    file cut at any length raises FormatError."""
+    load, data = CRC_FIRST[case]()
+    readers = [load, inspect_move] if load is load_move else [load]
+    for at in range(4, len(data)):
+        message = "unsupported .* version" if at == 4 else "checksum"
+        for flip in (0x01, 0x80, 0xFF):
+            bad = bytearray(data)
+            bad[at] ^= flip
+            for read in readers:
+                with pytest.raises(FormatError, match=message):
+                    read(io.BytesIO(bytes(bad)))
+    for size in range(len(data)):
+        for read in readers:
+            with pytest.raises(FormatError):
+                read(io.BytesIO(data[:size]))
+
+
 @pytest.mark.parametrize("perm, row, value", [("lf", 1, 300), ("fl", 2, 1000)])
-def test_symbol_beyond_a_byte_is_rejected(perm, row, value, tmp_path, capsys):
-    """Version 2 stores symbol ranks, so save_move refuses a symbol that is
-    not a byte. A checksummed version 1 file can hold one: it loads, but
-    inverting it raises InvalidInputError, as inverting a table with a
-    negative symbol does."""
+def test_symbol_beyond_a_byte_is_rejected(perm, row, value):
+    """Files store symbol ranks, so only a table built in process holds a
+    symbol that is not a byte; saving or inverting it raises
+    InvalidInputError."""
     _, lf = _lf_abaaba()
     table = lf if perm == "lf" else inverse(lf)
     sym = list(table.extras["sym"])
-    sym[row] = value
-    with pytest.raises(InvalidInputError, match="not a byte"):
-        save_move(table.replace(extras={"sym": sym}), io.BytesIO())
-    data = move_v1_bytes(table.replace(extras={"sym": sym}))
-    with pytest.raises(InvalidInputError, match="not a byte"):
-        invert_bwt(load_move(io.BytesIO(data)), io.BytesIO())
-    path = tmp_path / "bad.mv"
-    path.write_bytes(data)
-    assert main(["invert", str(path), "-o", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("error:")
-    # Columns are unsigned, so only a table built in process holds a
-    # negative symbol.
-    sym[row] = -1
-    with pytest.raises(InvalidInputError, match="not a byte"):
-        invert_bwt(table.replace(extras={"sym": sym}), io.BytesIO())
+    for symbol in (value, -1):
+        sym[row] = symbol
+        bad = table.replace(extras={"sym": sym})
+        for write in (save_move, invert_bwt):
+            with pytest.raises(InvalidInputError, match="not a byte"):
+                write(bad, io.BytesIO())
 
 
 @pytest.mark.parametrize("which", ["head_sa", "tail_sa"])
@@ -492,40 +512,34 @@ def test_samples_that_make_no_permutation_raise(which, tmp_path, capsys):
 
 
 def _payload_span(data: bytes) -> range:
-    """Offsets of the payload that the header of data declares."""
-    info = inspect_move(io.BytesIO(data))
-    # magic and tags, six u64 fields (seven in v2), the column count, then
-    # per column a name length, the name and a width
-    names = [name for name, _ in info["columns"]]
-    header_len = 7 + 8 * (5 + info["version"]) + 4 + sum(2 + len(s.encode()) for s in names)
-    if info["version"] > 1 and "sym" in names:
-        # the symbol count u16 and the symbols
-        header_len += 2 + struct.unpack_from("<H", data, header_len)[0]
-    return range(header_len, header_len + info["payload_bytes"])
-
-
-def _padding(data: bytes) -> range:
-    """Offsets of the zero padding between the payload and the checksum of a
-    version 1 file; version 2 has none."""
-    end = _payload_span(data).stop
-    return range(end, end + -end % 8) if data[4] == 1 else range(end, end)
+    """Offsets of the payload that the header of data declares, read without
+    a checksum check; struct.error or IndexError when the header is cut."""
+    # magic and tags, seven u64 fields, the column count, then per column a
+    # name length, the name and a width, then the symbol list of a sym column
+    (r_prime,) = struct.unpack_from("<Q", data, 15)
+    (ncols,) = struct.unpack_from("<I", data, 63)
+    at, stride, names = 67, 0, []
+    for _ in range(ncols):
+        names.append(data[at + 1 : at + 1 + data[at]])
+        at += 1 + len(names[-1])
+        stride += data[at]
+        at += 1
+    if b"sym" in names:
+        at += 2 + struct.unpack_from("<H", data, at)[0]
+    return range(at, at + (r_prime * stride + 7) // 8)
 
 
 def _rechecksummed(data: bytes) -> bytes:
-    """data cut after the payload its header declares and given its checksum
-    (after zero padding, in version 1), so that a mutation reaches the
-    payload decoder and validate(); data itself when its header or payload
-    is unreadable."""
+    """data cut after the payload its header declares and given its CRC-32,
+    so that a mutation reaches the header checks, the payload decoder and
+    validate(); data itself when its header is cut or its payload short."""
     try:
-        payload = _payload_span(data)
-    except FormatError:
+        end = _payload_span(data).stop
+    except (struct.error, IndexError):
         return data
-    end = payload.stop
     if len(data) < end:
         return data
-    if data[4] > 1:
-        return _with_crc(data[:end] + bytes(4))
-    return data[:end] + bytes(-end % 8) + struct.pack("<Q", fnv1a64(data[payload.start : end]))
+    return _with_crc(data[:end] + bytes(4))
 
 
 def _fuzz_bases() -> list[bytes]:
@@ -538,27 +552,25 @@ def _fuzz_bases() -> list[bytes]:
         _saved(lf.to_relative()),
         _saved(perm),
         _saved(capped.to_relative()),
-        PINNED_FILE,
+        PINNED_V2_FILE,
     ]
 
 
 FUZZ_BASES = _fuzz_bases()
 # Flips are drawn most often and count back from the end of the file, where
 # the payload is: a flip there reaches the payload decoder once the checksum
-# is recomputed. A "pad" flip hits a padding byte of the unmutated file.
+# is recomputed.
 MUTATION = st.tuples(
-    st.sampled_from(["flip", "flip", "flip", "pad", "truncate", "append"]),
+    st.sampled_from(["flip", "flip", "flip", "truncate", "append"]),
     st.integers(0, 1 << 16),
     st.integers(1, 255),
 )
 
 
-def _mutated(data: bytearray, mutations, padding: range = range(0)) -> bytearray:
+def _mutated(data: bytearray, mutations) -> bytearray:
     for kind, pos, byte in mutations:
         if kind == "flip" and data:
             data[-1 - pos % len(data)] ^= byte
-        elif kind == "pad" and padding and padding[pos % len(padding)] < len(data):
-            data[padding[pos % len(padding)]] ^= byte
         elif kind == "truncate":
             del data[pos % (len(data) + 1) :]
         elif kind == "append":
@@ -575,20 +587,17 @@ def _mutated(data: bytearray, mutations, padding: range = range(0)) -> bytearray
 def test_mutated_files_fail_cleanly(base, mutations, rechecksum):
     """A mutated file either raises FormatError or loads a table that passes
     validate(); no other outcome is allowed. Bytes appended to an intact file
-    and flips confined to its padding, which no checksum covers, must raise."""
+    must raise."""
     original = FUZZ_BASES[base]
-    padding = _padding(original)
-    data = bytes(_mutated(bytearray(original), mutations, padding))
+    data = bytes(_mutated(bytearray(original), mutations))
     if rechecksum:
         data = _rechecksummed(data)
     appended = len(data) > len(original) and data.startswith(original)
-    changed = {i for i, (a, b) in enumerate(zip(data, original)) if a != b}
-    pad_flipped = len(data) == len(original) and changed and changed <= set(padding)
     try:
         table = load_move(io.BytesIO(data))
     except FormatError:
         return
-    assert not appended and not pad_flipped
+    assert not appended
     table.validate()
 
 
