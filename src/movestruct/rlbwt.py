@@ -86,7 +86,7 @@ class Rlbwt:
 
     @classmethod
     def from_bwt(cls, bwt: bytes) -> "Rlbwt":
-        return cls.from_runs([(c, len(list(g))) for c, g in groupby(bwt)])
+        return cls([(c, len(list(g))) for c, g in groupby(bwt)])
 
     def expand(self) -> bytes:
         return b"".join(bytes([c]) * l for c, l in self.runs)
@@ -117,25 +117,26 @@ class DocBounds:
 # --------------------------------------------------------------------- build
 
 
-# Suffix types for SA-IS. A suffix is S-type if it is smaller than the next
-# suffix, L-type if larger; LMS marks an S-type suffix preceded by an L-type.
-_L, _S, _LMS = 0, 1, 2
+_COMPLEMENT = bytes(range(255, -1, -1))  # byte c -> 255 - c
 
 
 def _suffix_array(s: Sequence[int], sigma: int = 256) -> list[int]:
-    """Suffix array by SA-IS (Nong, Zhang & Chan, DCC 2009), in O(n) time.
+    """Suffix array by SA-IS (Nong, Zhang & Chan, DCC 2009).
 
     s is a sequence of ints in [0, sigma) (bytes at the top level, lists of
     LMS-substring names below it) whose last symbol is unique and smallest.
+    A level makes O(n) passes and a C-level sort of its D distinct LMS
+    substrings (O(D log D) comparisons), recurses on their names if two are
+    equal, and induces the SA once.
     """
     n = len(s)
     if n == 1:
         return [0]
-    # Classify right to left: equal neighbours share a type, and an L-type
-    # symbol before an S-type one makes the latter LMS. The last suffix is
-    # S-type, and LMS because the symbol before it is larger.
+    # kind[i] = 1 if suffix i is S-type (smaller than suffix i + 1), else 0
+    # (L-type); an S-type suffix after an L-type one is LMS. Classify right
+    # to left: equal neighbours share a type. The last suffix is LMS.
     kind = bytearray(n)
-    kind[-1] = _S
+    kind[-1] = 1
     lms = []
     is_s = True
     nxt = s[-1]
@@ -143,51 +144,55 @@ def _suffix_array(s: Sequence[int], sigma: int = 256) -> list[int]:
         c = s[i]
         if c != nxt:
             if c > nxt and is_s:
-                kind[i + 1] = _LMS
                 lms.append(i + 1)
             is_s = c < nxt
             nxt = c
         if is_s:
-            kind[i] = _S
+            kind[i] = 1
     lms.reverse()
 
     counts = [0] * sigma
-    for c, k in Counter(s).items():
+    tally = {c: s.count(c) for c in set(s)} if isinstance(s, bytes) else Counter(s)
+    for c, k in tally.items():
         counts[c] = k
-    # Sort the LMS substrings: induce from the LMS positions in text order.
-    sorted_lms = [j for j in _induce(s, kind, counts, lms) if kind[j] == _LMS]
-
-    # Name the LMS substrings in sorted order; each runs from its LMS
-    # position to the next one, inclusive. LMS positions are at least two
-    # apart, so p // 2 indexes one slot per position: it holds the end of the
-    # substring at p until p is named, then its name.
-    slot = [0] * (n // 2 + 1)
-    for p, q in zip(lms, lms[1:]):
-        slot[p // 2] = q + 1
-    slot[(n - 1) // 2] = n
-    name = -1
-    prev = None
-    for p in sorted_lms:
-        sub = s[p : slot[p // 2]]
-        if sub != prev:
-            name += 1
-            prev = sub
-        slot[p // 2] = name
-    if name + 1 < len(lms):
+    names, reduced = _lms_names(s, lms, sigma)
+    if names < len(lms):
         # Equal names: sort the LMS suffixes by the reduced string, whose
         # last name (the sentinel's) is again unique and smallest.
-        reduced = [slot[p // 2] for p in lms]
-        sorted_lms = [lms[k] for k in _suffix_array(reduced, name + 1)]
+        sorted_lms = [lms[k] for k in _suffix_array(reduced, names)]
+    else:  # distinct names are the LMS suffixes' ranks
+        sorted_lms = lms[:]
+        for p, k in zip(lms, reduced):
+            sorted_lms[k] = p
     return _induce(s, kind, counts, sorted_lms)
+
+
+def _lms_names(s: Sequence[int], lms: list[int], sigma: int) -> tuple[int, list[int]]:
+    """The number of distinct LMS substrings and, in text order, the rank of
+    each. One runs to the next LMS position, inclusive. A proper prefix ends
+    at an S-type symbol that its extension holds as L-type, so it sorts after
+    it, as its suffix does: bytes keys are complemented and sorted in
+    reverse, and tuple keys end in sigma, above every name. The keys die on
+    return, before the caller recurses."""
+    ends = lms[1:] + [len(s) - 1]
+    if isinstance(s, bytes):
+        t = s.translate(_COMPLEMENT)
+        keys = [t[p : q + 1] for p, q in zip(lms, ends)]
+        distinct = sorted(set(keys), reverse=True)
+    else:
+        keys = [(*s[p : q + 1], sigma) for p, q in zip(lms, ends)]
+        distinct = sorted(set(keys))
+    rank = dict(zip(distinct, range(len(distinct))))
+    return len(distinct), list(map(rank.__getitem__, keys))
 
 
 def _induce(
     s: Sequence[int], kind: bytearray, counts: list[int], seeds: list[int]
 ) -> list[int]:
-    """Induced sort: seeds (LMS positions) at the tails of their buckets in
-    the given order, then the L-type suffixes left to right, then the S-type
-    suffixes right to left. The list iterators read entries written ahead of
-    them, which is what the induction needs."""
+    """Induced sort, once per level: the sorted LMS positions at the tails of
+    their buckets in the given order, then the L-type suffixes left to right,
+    then the S-type suffixes right to left. The list iterators read entries
+    written ahead of them, which is what the induction needs."""
     sa = [-1] * len(s)
     ends = list(accumulate(counts))
     tail = ends[:]
@@ -207,7 +212,7 @@ def _induce(
     for j in reversed(sa):
         if j > 0:
             j -= 1
-            if kind[j]:  # S-type or LMS
+            if kind[j]:  # S-type
                 c = s[j]
                 tail[c] -= 1
                 sa[tail[c]] = j

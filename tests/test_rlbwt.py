@@ -2,6 +2,7 @@
 builders, checked against the brute-force oracles."""
 
 import io
+import itertools
 import random
 import struct
 import time
@@ -107,6 +108,10 @@ SUFFIX_SORT_CASES = {
     "bytes-1-to-255": (bytes(range(1, 256)) * 4, 2),
     "random-bytes-with-ff": (_random_over(255, 500, 5) + b"\xff" * 9, 1),
     "repetitive": (repetitive_text(random.Random(1), 8, 64, 2), 3),
+    # LMS substrings acba, acb, bc\0 and \0: acb is a proper prefix of acba
+    # and must sort after it. One of the texts of the test below, 150 of
+    # which get a wrong SA if a prefix sorts first.
+    "lms-substring-prefix-of-another": (b"bacbacbc", 1),
 }
 
 
@@ -128,6 +133,14 @@ def test_suffix_sort_matches_naive(case, monkeypatch):
     assert sa == naive_sa(s)
     assert rl.expand() == naive_bwt(s, sa)
     assert len(levels) >= least_levels
+
+
+def test_suffix_sort_matches_naive_on_every_short_text():
+    # 19,680 texts; 0x01 and 0xFF complement to the ends of the key range.
+    for alphabet in (b"abc", bytes([1, 0x80, 0xFF])):
+        for length in range(1, 9):
+            for text in map(bytes, itertools.product(alphabet, repeat=length)):
+                assert build_bwt(text)[1] == naive_sa(text + b"\x00"), text
 
 
 @settings(max_examples=150, deadline=None)
