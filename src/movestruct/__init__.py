@@ -39,7 +39,6 @@ from .rlbwt import (
     build_bwt,
     build_lf,
     build_phi_via_lf,
-    collect_sa_samples,
     load_rlbwt,
     save_rlbwt,
 )

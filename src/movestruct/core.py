@@ -29,8 +29,7 @@ cursor unpacks as `j, k = cur` and equals the plain tuple (j, k). The query
 path builds them with tuple.__new__ and checks its cursor inline, so that a
 point query costs little more than its step or gallop.
 
-step() and gallop() serve point queries (IntervalTable.move) and the LF
-walk that collects the SA samples of an RLBWT without them (a v1 .rl load).
+step() and gallop() serve point queries (IntervalTable.move) only.
 Chained walks run on block kernels that inline them over a whole block of
 queries, since in CPython a call per query costs about as much as the query
 itself: walk() for linear search and gallop_walk() for exponential search.

@@ -26,7 +26,8 @@ class ValueOverflowError(MoveStructError, OverflowError):
 
 
 class MissingColumnError(MoveStructError, KeyError):
-    """A traversal needs an extra column the table does not carry."""
+    """A traversal needs an extra column the table does not carry, or a phi
+    builder or save_rlbwt needs the SA samples an RLBWT does not carry."""
 
     __str__ = Exception.__str__  # the message, not KeyError's quoted repr
 

@@ -22,7 +22,8 @@ Version 1 files had no source_runs field, so a capped table loaded from one
 re-capped to another L; they raise FormatError and need movestruct build.
 
 .mv and .rl files share one container, magic | version u8 | body | CRC-32
-of the version and body: read_framed checks the version, then the CRC,
+of the version and body. Each format reads one version, 2 for both, and
+refuses its version 1 files; read_framed checks the version, then the CRC,
 before any field is parsed.
 
 _FIXED is the fixed part from the mode byte to the column count; the mode
@@ -151,34 +152,32 @@ def write_framed(fp: BinaryIO, magic: bytes, body: bytes) -> None:
 
 
 def read_framed(fp: BinaryIO, magic: bytes, what: str,
-                versions: dict[int, bool]) -> tuple[int, memoryview]:
-    """Read the rest of fp in one call and return the version and the body of
-    the container write_framed wrote. versions maps each version the format
-    reads to whether its files end in a CRC-32; the version, then the CRC,
-    are checked before anything reads a field of the body."""
+                version: int) -> memoryview:
+    """Read the rest of fp in one call and return the body of the container
+    write_framed wrote, its version byte first and without its CRC-32. The
+    version, which must be the one given, then the CRC, are checked before
+    anything reads a field of the body."""
     data = memoryview(fp.read())
     if data[: len(magic)] != magic:
         raise FormatError(f"not a {what}")
     body = data[len(magic) :]
     if not body:
         raise FormatError(f"truncated {what}")
-    version = body[0]
-    if version not in versions:
+    if body[0] != version:
         raise FormatError(
-            f"unsupported {what} version {version}; rebuild it with "
+            f"unsupported {what} version {body[0]}; rebuild it with "
             "movestruct build-rlbwt (.rl) or movestruct build (.mv)"
         )
-    if versions[version]:
-        if len(body) < 1 + _CRC.size:
-            raise FormatError(f"truncated {what}")
-        body, (crc,) = body[: -_CRC.size], _CRC.unpack(body[-_CRC.size :])
-        if crc != zlib.crc32(body):
-            raise FormatError(f"{what} checksum mismatch")
-    return version, body
+    if len(body) < 1 + _CRC.size:
+        raise FormatError(f"truncated {what}")
+    body, (crc,) = body[: -_CRC.size], _CRC.unpack(body[-_CRC.size :])
+    if crc != zlib.crc32(body):
+        raise FormatError(f"{what} checksum mismatch")
+    return body
 
 
 def _read_header(fp: BinaryIO) -> _Header:
-    _, body = read_framed(fp, MOVE_MAGIC, ".mv file", {MOVE_VERSION: True})
+    body = read_framed(fp, MOVE_MAGIC, ".mv file", MOVE_VERSION)
     try:
         mode, kind, *fields, ncols = _FIXED.unpack_from(body, 1)
         at = 1 + _FIXED.size

@@ -11,11 +11,9 @@ The sentinel is byte 0x00 and compares smallest; symbol order is byte order.
   head_sa u64 x r | tail_sa u64 x r |
   CRC-32 (zlib.crc32) u32 of everything after the magic
 That is the container of files.write_framed, so 16 + 25r bytes follow the
-version byte. Version 1 files end after the runs, at 16 + 9r bytes, with no
-CRC. They still load: one LF walk collects their samples and rejects an
-RLBWT that is the BWT of no text. The walk takes time linear in n, so a v1
-file with n above V1_MAX_N raises FormatError; a text that long needs a v2
-file from build-rlbwt.
+version byte. The stored samples are the only source of phi and
+phi-inverse. Version 1 files, which held the runs alone, raise FormatError;
+rebuild their text with build-rlbwt.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from itertools import accumulate, compress, groupby
 from operator import gt, ne
 from typing import BinaryIO, Optional, Sequence
 
-from .core import ABSOLUTE, IntervalTable, interval_columns, run_columns, step
+from .core import ABSOLUTE, IntervalTable, interval_columns, run_columns
 from .errors import FormatError, InvalidInputError, MissingColumnError
 from .files import read_framed, write_framed
 
@@ -35,13 +33,6 @@ SENTINEL = 0
 
 RLBWT_MAGIC = b"RLBW"
 RLBWT_VERSION = 2
-# Whether the files of each version end in a CRC-32: version 1 ends after
-# its runs.
-_VERSIONS = {1: False, RLBWT_VERSION: True}
-
-# Largest n of a v1 file, whose load walks LF n times: at some 0.3 us per
-# step in CPython, 2^26 steps take about 20 s.
-V1_MAX_N = 1 << 26
 
 
 @dataclass
@@ -60,7 +51,8 @@ class Rlbwt:
     n: int = field(init=False)
     r: int = field(init=False)
     sigma: int = field(init=False)
-    # SA samples, when known: derived data, so left out of comparisons.
+    # SA samples, from build_bwt or an .rl file: derived data, so left out of
+    # comparisons. The phi builders and save_rlbwt need them; build_lf does not.
     samples: Optional[SaSamples] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -79,10 +71,6 @@ class Rlbwt:
         self.n = sum(counts)
         self.r = len(runs)
         self.sigma = sum(1 for c in counts if c)
-
-    @classmethod
-    def from_runs(cls, runs: Sequence[tuple[int, int]]) -> "Rlbwt":
-        return cls([(int(c), int(l)) for c, l in runs])
 
     @classmethod
     def from_bwt(cls, bwt: bytes) -> "Rlbwt":
@@ -278,43 +266,22 @@ def build_lf(rl: Rlbwt) -> IntervalTable:
 # ----------------------------------------------------------------- phi family
 
 
-def collect_sa_samples(rl: Rlbwt) -> SaSamples:
-    """SA values at every run head and tail, by one LF walk in O(n) time.
-
-    The walk starts at BWT row 0 (the sentinel's rotation), whose SA value is
-    n - 1, and each LF step lowers the SA value by one. An RLBWT whose walk
-    returns to row 0 before step n has an LF of several cycles: it is the BWT
-    of no text, and raises InvalidInputError.
-    """
-    lf = build_lf(rl)
-    lengths = lf.lengths
-    dest_rank = lf.dest_rank
-    dest_offset = lf.dest_offset
-    head = [0] * rl.r
-    tail = [0] * rl.r
-    j, k = 0, 0
-    for v in range(rl.n - 1, -1, -1):
-        if k == 0:
-            if j == 0 and v != rl.n - 1:
-                raise InvalidInputError(
-                    f"LF returns to row 0 after {rl.n - 1 - v} of {rl.n} steps; "
-                    "the RLBWT is the BWT of no text"
-                )
-            head[j] = v
-        if k == lengths[j] - 1:
-            tail[j] = v
-        j, k, _ff = step(lengths, dest_rank, dest_offset, j, k)
-    return SaSamples(head_sa=head, tail_sa=tail)
+def _samples_of(rl: Rlbwt) -> SaSamples:
+    """rl.samples; MissingColumnError if the RLBWT carries none."""
+    if rl.samples is None:
+        raise MissingColumnError(
+            "the RLBWT has no SA samples; build it with build_bwt or build-rlbwt")
+    return rl.samples
 
 
 def build_phi_via_lf(rl: Rlbwt, inverse: bool = False) -> IntervalTable:
     """Move structure for phi, or for phi-inverse if inverse is set, from the
     SA samples in O(r log r) time.
 
-    The samples are rl.samples when the RLBWT carries them (build_bwt and
-    load_rlbwt); otherwise (Rlbwt.from_runs) one LF walk collects them. Row i
-    at the head of run j has SA value head_sa[j], and row i - 1 (cyclically)
-    is the tail of run j - 1. So phi, which maps SA[i] to SA[i - 1], has an
+    The samples are rl.samples, which build_bwt and load_rlbwt set; an RLBWT
+    without them raises MissingColumnError before any work. Row i at the
+    head of run j has SA value head_sa[j], and row i - 1 (cyclically) is the
+    tail of run j - 1. So phi, which maps SA[i] to SA[i - 1], has an
     interval at each head_sa[j] with image tail_sa[j - 1], and phi-inverse
     one at each tail_sa[j] with image head_sa[j + 1]. Samples that make no
     permutation of [0, n) fail IntervalTable.validate() with
@@ -322,7 +289,7 @@ def build_phi_via_lf(rl: Rlbwt, inverse: bool = False) -> IntervalTable:
 
     The benchmark's tracer wraps this function by its name.
     """
-    samples = rl.samples or collect_sa_samples(rl)
+    samples = _samples_of(rl)
     head, tail = samples.head_sa, samples.tail_sa
     if inverse:
         pairs = sorted(zip(tail, head[1:] + head[:1]))
@@ -414,9 +381,9 @@ def doc_bounds_of(table: IntervalTable) -> DocBounds:
 
 
 def save_rlbwt(rl: Rlbwt, fp: BinaryIO) -> None:
-    """Write an .rl v2 file. An RLBWT without samples gets them from
-    collect_sa_samples, which rejects one that is the BWT of no text."""
-    samples = rl.samples or collect_sa_samples(rl)
+    """Write an .rl v2 file. An RLBWT without samples raises
+    MissingColumnError before anything is written."""
+    samples = _samples_of(rl)
     body = bytearray([RLBWT_VERSION])
     body += struct.pack("<QQ", rl.n, rl.r)
     body += b"".join(struct.pack("<BQ", c, l) for c, l in rl.runs)
@@ -425,21 +392,14 @@ def save_rlbwt(rl: Rlbwt, fp: BinaryIO) -> None:
 
 
 def load_rlbwt(fp: BinaryIO) -> Rlbwt:
-    """Read an .rl file of version 1 or 2; any malformed file raises
-    FormatError. A v1 file gets its samples from one LF walk, which rejects
-    an RLBWT that is the BWT of no text; one with n above V1_MAX_N raises
-    FormatError before the walk. Samples of a v2 file are checked
-    against n only: the phi builders reject samples that do not make a
-    permutation."""
-    version, body = read_framed(fp, RLBWT_MAGIC, ".rl file", _VERSIONS)
+    """Read an .rl v2 file; any malformed file raises FormatError, and so does
+    a v1 file, before any field is read. The samples are checked against n
+    only: the phi builders reject samples that do not make a permutation."""
+    body = read_framed(fp, RLBWT_MAGIC, ".rl file", RLBWT_VERSION)
     if len(body) < 17:
         raise FormatError("truncated RLBWT header")
     n, r = struct.unpack_from("<QQ", body, 1)
-    if version == 1 and n > V1_MAX_N:
-        raise FormatError(
-            f"version 1 RLBWT with n = {n} > {V1_MAX_N}; rebuild it with build-rlbwt"
-        )
-    if len(body) != 17 + (9 if version == 1 else 25) * r:
+    if len(body) != 17 + 25 * r:
         raise FormatError("RLBWT file size does not match its run count")
     try:
         rl = Rlbwt(list(struct.iter_unpack("<BQ", body[17 : 17 + 9 * r])))
@@ -447,14 +407,8 @@ def load_rlbwt(fp: BinaryIO) -> Rlbwt:
         raise FormatError(f"malformed RLBWT: {e}") from e
     if rl.n != n:
         raise FormatError("run lengths do not sum to the declared n")
-    if version == RLBWT_VERSION:
-        values = struct.unpack_from(f"<{2 * r}Q", body, 17 + 9 * r)
-        if max(values) >= n:
-            raise FormatError("SA sample beyond n")
-        rl.samples = SaSamples(head_sa=list(values[:r]), tail_sa=list(values[r:]))
-    else:
-        try:
-            rl.samples = collect_sa_samples(rl)
-        except InvalidInputError as e:
-            raise FormatError(f"malformed RLBWT: {e}") from e
+    values = struct.unpack_from(f"<{2 * r}Q", body, 17 + 9 * r)
+    if max(values) >= n:
+        raise FormatError("SA sample beyond n")
+    rl.samples = SaSamples(head_sa=list(values[:r]), tail_sa=list(values[r:]))
     return rl

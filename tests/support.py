@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import bisect
 import random
-import struct
 from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
@@ -166,13 +165,6 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def rlbwt_v1_bytes(rl: Rlbwt) -> bytes:
-    """rl as an .rl version 1 file: magic, version, n, r and the runs, with no
-    SA samples and no checksum."""
-    runs = b"".join(struct.pack("<BQ", c, l) for c, l in rl.runs)
-    return b"RLBW\x01" + struct.pack("<QQ", rl.n, rl.r) + runs
-
-
 def validate_by_sort(table: IntervalTable) -> None:
     """Reference for IntervalTable.validate: the same checks and messages,
     with the tiling checked by sorting (image, length) pairs."""
@@ -313,7 +305,7 @@ def rlbwt_from_text(text: str) -> Rlbwt:
             runs.append((int(sym_hex, 16), int(length)))
         except ValueError as e:
             raise FormatError(f"bad RLBWT text line {lineno}: {line!r}") from e
-    return Rlbwt.from_runs(runs)
+    return Rlbwt(runs)
 
 
 def check_min_widths(m: PackedMatrix) -> None:

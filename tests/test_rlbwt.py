@@ -4,8 +4,6 @@ builders, checked against the brute-force oracles."""
 import io
 import itertools
 import random
-import struct
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,19 +14,16 @@ from movestruct import (
     DocBounds,
     FormatError,
     InvalidInputError,
+    MissingColumnError,
     MoveCursor,
     Rlbwt,
     SaSamples,
-    balance,
     build_bwt,
     build_lf,
     build_phi_via_lf,
-    collect_sa_samples,
     inverse,
-    length_cap,
     load_rlbwt,
     recover_text,
-    save_move,
     save_rlbwt,
     table_to_permutation,
 )
@@ -47,7 +42,6 @@ from support import (
     repetitive_text,
     rlbwt_from_text,
     rlbwt_to_text,
-    rlbwt_v1_bytes,
 )
 
 ABAABA_SA = [6, 5, 2, 3, 0, 4, 1]
@@ -171,15 +165,15 @@ def test_build_bwt_at_roadmap_scale():
 
 def test_rlbwt_validation():
     with pytest.raises(InvalidInputError):
-        Rlbwt.from_runs([])
+        Rlbwt([])
     with pytest.raises(InvalidInputError):
-        Rlbwt.from_runs([(97, 2), (97, 1), (0, 1)])  # adjacent same symbol
+        Rlbwt([(97, 2), (97, 1), (0, 1)])  # adjacent same symbol
     with pytest.raises(InvalidInputError):
-        Rlbwt.from_runs([(97, 3)])  # no sentinel
+        Rlbwt([(97, 3)])  # no sentinel
     with pytest.raises(InvalidInputError):
-        Rlbwt.from_runs([(0, 2), (97, 1)])  # two sentinels
+        Rlbwt([(0, 2), (97, 1)])  # two sentinels
     with pytest.raises(InvalidInputError):
-        Rlbwt.from_runs([(97, 0), (0, 1)])  # empty run
+        Rlbwt([(97, 0), (0, 1)])  # empty run
 
 
 def test_build_lf_abaaba():
@@ -238,17 +232,19 @@ def test_phi_inverse_composition():
 
 
 def test_phi_sorted_matches_traversal_builder():
-    # Samples read off the suffix array and samples from one LF traversal
-    # give the same tables.
+    # The tables sorted from the samples evaluate to the phi of the suffix
+    # array, which an LF traversal visits in reverse text order.
     rl, sa = build_bwt(b"abaaba")
-    walked = Rlbwt.from_runs(rl.runs)
-    assert walked.samples is None
+    lf = table_to_permutation(build_lf(rl))
+    walked = [0] * rl.n
+    row = 0
+    for v in range(rl.n - 1, -1, -1):
+        walked[row] = v
+        row = lf[row]
+    assert walked == sa
     for inv in (False, True):
         table = build_phi_via_lf(rl, inverse=inv)
-        from_walk = build_phi_via_lf(walked, inverse=inv)
-        assert collect_sa_samples(walked) == rl.samples
-        assert vars(from_walk) == vars(table)
-        assert table_to_permutation(table) == naive_phi(sa, inv)
+        assert table_to_permutation(table) == naive_phi(walked, inv)
 
 
 def test_phi_unary():
@@ -265,12 +261,9 @@ def test_builders_random_sweep():
         assert sa == naive_sa(text + b"\x00")
         assert table_to_permutation(build_lf(rl)) == naive_lf(bwt)
         assert table_to_permutation(inverse(build_lf(rl))) == naive_fl(bwt)
-        walked = Rlbwt.from_runs(rl.runs)
         for inv in (False, True):
-            expected = naive_phi(sa, inv)
-            for source in (rl, walked):
-                table = build_phi_via_lf(source, inverse=inv)
-                assert table_to_permutation(table) == expected
+            table = build_phi_via_lf(rl, inverse=inv)
+            assert table_to_permutation(table) == naive_phi(sa, inv)
 
 
 @settings(max_examples=100, deadline=None)
@@ -279,9 +272,9 @@ def test_builders_random_sweep():
     repetitive=st.booleans(),
 )
 def test_phi_from_samples_matches_naive_hypothesis(seed, repetitive):
-    """Phi and phi-inverse from the samples of build_bwt, of an .rl v2 file
-    and of an LF walk all evaluate to the oracle's, and phi-inverse is
-    inverse(phi) field for field."""
+    """Phi and phi-inverse from the samples of build_bwt and of an .rl v2
+    file both evaluate to the oracle's, and phi-inverse is inverse(phi)
+    field for field."""
     rng = random.Random(seed)
     if repetitive:
         text = repetitive_text(rng, rng.randint(2, 6), rng.randint(4, 60), rng.randint(0, 3))
@@ -293,22 +286,13 @@ def test_phi_from_samples_matches_naive_hypothesis(seed, repetitive):
     save_rlbwt(rl, buf)
     buf.seek(0)
     from_file = load_rlbwt(buf)
-    walked = Rlbwt.from_runs(rl.runs)
-    assert from_file.samples == rl.samples and walked.samples is None
-    for source in (rl, from_file, walked):
+    assert from_file.samples == rl.samples
+    for source in (rl, from_file):
         phi = build_phi_via_lf(source)
         phi_inv = build_phi_via_lf(source, inverse=True)
-        assert (source.samples or collect_sa_samples(source)) == rl.samples
         assert table_to_permutation(phi) == naive_phi(sa)
         assert table_to_permutation(phi_inv) == naive_phi(sa, inverse=True)
         assert vars(phi_inv) == vars(inverse(phi))
-
-
-def test_collect_sa_samples_standalone():
-    rl, sa = build_bwt(b"abaaba")
-    samples = collect_sa_samples(rl)
-    starts = rl.run_starts()
-    assert samples.head_sa == [sa[s] for s in starts]
 
 
 def test_doc_bounds():
@@ -349,7 +333,8 @@ ABAABA_RL_V2 = bytes.fromhex(
     "06000000000000000200000000000000030000000000000000000000000000000100000000000000"
     "3fb55f62"
 )
-# Its version 1 twin: version 1, the same n, r and runs, no samples and no CRC.
+# Its version 1 twin, which load_rlbwt refuses: version 1, the same n, r and
+# runs, no samples and no CRC.
 ABAABA_RL_V1 = bytes.fromhex(
     "524c425701"
     "07000000000000000500000000000000"
@@ -360,64 +345,42 @@ ABAABA_RL_V1 = bytes.fromhex(
 
 def test_save_rlbwt_v2_bytes_are_pinned():
     rl, _ = build_bwt(b"abaaba")
-    for source in (rl, Rlbwt.from_runs(rl.runs)):  # samples from the SA, from LF
-        buf = io.BytesIO()
-        save_rlbwt(source, buf)
-        assert buf.getvalue() == ABAABA_RL_V2
+    buf = io.BytesIO()
+    save_rlbwt(rl, buf)
+    assert buf.getvalue() == ABAABA_RL_V2
     loaded = load_rlbwt(io.BytesIO(ABAABA_RL_V2))
     assert loaded.runs == rl.runs
     assert loaded.samples == SaSamples(head_sa=[6, 5, 3, 0, 4], tail_sa=[6, 2, 3, 0, 1])
 
 
-def test_v1_file_builds_the_move_files_of_its_v2_twin(tmp_path):
-    v1 = load_rlbwt(io.BytesIO(ABAABA_RL_V1))
-    v2 = load_rlbwt(io.BytesIO(ABAABA_RL_V2))
-    assert v1.samples == v2.samples and v1 == v2
-    assert rlbwt_v1_bytes(v2) == ABAABA_RL_V1
+def test_v1_file_is_refused(tmp_path, capsys):
+    """A v1 file holds no SA samples: it raises FormatError before any field
+    is read, and the commands that read it exit 2 with no output."""
+    with pytest.raises(FormatError, match="version 1.*build-rlbwt"):
+        load_rlbwt(io.BytesIO(ABAABA_RL_V1))
+    path = tmp_path / "v1.rl"
+    path.write_bytes(ABAABA_RL_V1)
+    out = tmp_path / "out"
+    for argv in (["build", str(path)], ["invert", str(path)]):
+        assert main(argv + ["-o", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "version 1" in err
+        assert not out.exists(), argv
+
+
+def test_phi_and_save_need_samples():
+    """An RLBWT without SA samples builds LF, but the phi builders and
+    save_rlbwt raise MissingColumnError and write nothing."""
+    rl = Rlbwt.from_bwt(ABAABA_BWT)
+    assert rl.samples is None
+    assert table_to_permutation(build_lf(rl)) == ABAABA_LF
     for inv in (False, True):
-        for split in (lambda t: t, lambda t: balance(length_cap(t, 1), 2)):
-            saved = []
-            for rl in (v1, v2):
-                table = split(build_phi_via_lf(rl, inverse=inv))
-                buf = io.BytesIO()
-                save_move(table.to_relative(), buf)
-                saved.append(buf.getvalue())
-            assert saved[0] == saved[1]
-    # The same through the CLI, with document columns.
-    (tmp_path / "docs").write_text("0\n3\n")
-    for perm in ("phi", "phi-inv"):
-        outputs = []
-        for name, raw in (("v1.rl", ABAABA_RL_V1), ("v2.rl", ABAABA_RL_V2)):
-            (tmp_path / name).write_bytes(raw)
-            out = tmp_path / f"{name}.{perm}.mv"
-            argv = ["build", str(tmp_path / name), "--perm", perm, "--cap", "1",
-                    "--docs", str(tmp_path / "docs"), "-o", str(out)]
-            assert main(argv) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-
-
-def test_v1_file_above_the_limit_is_rejected(tmp_path, capsys):
-    """A v1 file makes the loader walk LF n times, so one that declares n
-    above V1_MAX_N is refused before the walk: here a 39-byte file of runs
-    a^(2^40 - 1), 0x00."""
-    raw = rlbwt_v1_bytes(Rlbwt.from_runs([(97, (1 << 40) - 1), (0, 1)]))
-    assert len(raw) == 39
-    t0 = time.perf_counter()
-    with pytest.raises(FormatError, match="build-rlbwt"):
-        load_rlbwt(io.BytesIO(raw))
-    assert time.perf_counter() - t0 < 1
-    path = tmp_path / "big.rl"
-    path.write_bytes(raw)
-    assert main(["build", str(path), "--perm", "lf", "-o", str(tmp_path / "lf.mv")]) == 2
-    assert capsys.readouterr().err.startswith("error:")
-    # The limit is inclusive: at n = V1_MAX_N the loader reads on, and here
-    # finds runs that do not sum to n.
-    runs = rlbwt_v1_bytes(Rlbwt.from_runs([(97, 5), (0, 1)]))[21:]
-    for n, message in ((rlbwt.V1_MAX_N, "sum to the declared n"),
-                       (rlbwt.V1_MAX_N + 1, "build-rlbwt")):
-        with pytest.raises(FormatError, match=message):
-            load_rlbwt(io.BytesIO(b"RLBW\x01" + struct.pack("<QQ", n, 2) + runs))
+        with pytest.raises(MissingColumnError, match="SA samples"):
+            build_phi_via_lf(rl, inverse=inv)
+    buf = io.BytesIO()
+    with pytest.raises(MissingColumnError, match="SA samples"):
+        save_rlbwt(rl, buf)
+    assert buf.getvalue() == b""
 
 
 def test_rlbwt_binary_errors():

@@ -22,6 +22,7 @@ from movestruct import (
     MoveCursor,
     QueryConfig,
     Rlbwt,
+    SaSamples,
     TraversalStats,
     balance,
     build_bwt,
@@ -333,13 +334,26 @@ def test_walks_flush_in_blocks(monkeypatch):
     assert u64s(out) == [1, 1, 0, 1, 0, 1, 0]
 
 
+def _unary_rlbwt(m: int) -> Rlbwt:
+    """The RLBWT of a^m with its samples in closed form: SA values m, m - 1,
+    ..., 1 fill the run of a's and 0 the sentinel's run."""
+    return Rlbwt([(97, m), (0, 1)], SaSamples(head_sa=[m, 0], tail_sa=[1, 0]))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 9])
+def test_unary_rlbwt_is_that_of_build_bwt(m):
+    rl, _ = build_bwt(b"a" * m)
+    unary = _unary_rlbwt(m)
+    assert unary == rl and unary.samples == rl.samples
+
+
 def test_invert_cli_working_space(tmp_path):
     # n = 1,000,001 in r = 2 runs: the inversion keeps O(r) state and one
     # output block, never the text.
-    rl = Rlbwt.from_runs([(97, 10**6), (0, 1)])
-    for runs, name in (([(97, 3), (0, 1)], "warm.rl"), (rl.runs, "a.rl")):
+    rl = _unary_rlbwt(10**6)
+    for source, name in ((_unary_rlbwt(3), "warm.rl"), (rl, "a.rl")):
         with open(tmp_path / name, "wb") as fp:
-            save_rlbwt(Rlbwt.from_runs(runs), fp)
+            save_rlbwt(source, fp)
     # A first small run makes the one-time allocations of the command line
     # parser and lazy imports, which do not grow with n.
     assert main(["invert", str(tmp_path / "warm.rl"), "-o", str(tmp_path / "w")]) == 0
@@ -358,7 +372,7 @@ def test_invert_cli_working_space(tmp_path):
 def test_sa_walk_working_space(tmp_path):
     # n = 1,000,001 in r = 2 runs: the SA walk keeps O(r) state and one
     # block of values, never a buffer that grows with the output.
-    rl = Rlbwt.from_runs([(97, 10**6), (0, 1)])
+    rl = _unary_rlbwt(10**6)
     phi_inv = build_phi_via_lf(rl, inverse=True)
     with open(tmp_path / "sa.u64", "wb") as fp:
         tracemalloc.start()
