@@ -18,7 +18,7 @@ places. interval_columns() ranks images that arrive unsorted against the
 sorted starts; from_intervals, inverse and balance go through it. The two
 O(r) builders, rlbwt.build_lf and splitting.length_cap, meet their images
 in an order that only moves forward, so each carries one destination
-cursor and fast-forwards it as step() does.
+cursor and fast-forwards it over the lengths.
 
 IntervalTable.validate() is the one check that a table is a permutation of
 [0, n); every builder that takes outside input (from_permutation, the phi
@@ -27,16 +27,16 @@ builders, load_move) calls it.
 A cursor (MoveCursor) and a query result (MoveResult) are named tuples: a
 cursor unpacks as `j, k = cur` and equals the plain tuple (j, k). The query
 path builds them with tuple.__new__ and checks its cursor inline, so that a
-point query costs little more than its step or gallop.
+point query costs little more than its fast forward or search.
 
-step() and gallop() serve point queries (IntervalTable.move) only.
-Chained walks run on block kernels that inline them over a whole block of
-queries, since in CPython a call per query costs about as much as the query
-itself: walk() for linear search and gallop_walk() for exponential search.
-walk() hands a sink the column value of the interval each query leaves,
-which is what the streaming traversals write. Most queries land in their
-destination interval itself, so gallop() and gallop_walk() settle those
-with one probe, or with none in the last interval, before they gallop.
+IntervalTable.move answers one query; walk() and gallop_walk() answer a
+chained block of them, with the same loops inlined over the whole block,
+since in CPython a call per query costs about as much as the query itself.
+walk() searches linearly and hands a sink the column value of the interval
+each query leaves, which is what the streaming traversals write;
+gallop_walk() searches exponentially. Most queries land in their
+destination interval itself, so the exponential search settles those with
+one probe, or with none in the last interval, before it gallops.
 """
 
 from __future__ import annotations
@@ -178,17 +178,58 @@ class IntervalTable:
     # ---------------------------------------------------------------- queries
 
     def move(self, cur: MoveCursor, config: QueryConfig = QueryConfig()) -> MoveResult:
+        """One move query from cur: the destination cursor, the interval
+        boundaries skipped, and the lengths (linear) or starts (exponential)
+        probed. A linear search probes one more length than it skips."""
         j, k = cur
         lengths = self.lengths
         if not (0 <= j < len(lengths) and 0 <= k < lengths[j]):
             raise bad_cursor(cur, len(lengths))
+        q = self.dest_rank[j]
+        k += self.dest_offset[j]
         if config.search == EXPONENTIAL:
-            q, off, ff, probes = gallop(
-                self.starts, self.dest_rank, self.dest_offset, j, k
-            )
-            return _new(MoveResult, (_new(MoveCursor, (q, off)), ff, probes))
-        q, off, ff = step(lengths, self.dest_rank, self.dest_offset, j, k)
-        return _new(MoveResult, (_new(MoveCursor, (q, off)), ff, ff + 1))
+            starts = self.starts
+            r = len(starts)
+            # The first probe, starts[q + 1] > p, settles most queries: they
+            # land in q itself. Nothing lies past the last interval to probe.
+            if q + 1 == r:
+                return _new(MoveResult, (_new(MoveCursor, (q, k)), 0, 0))
+            p = starts[q] + k
+            if starts[q + 1] > p:
+                return _new(MoveResult, (_new(MoveCursor, (q, k)), 0, 1))
+            # Gallop: double the step until a start beyond p (or the table
+            # end) brackets the destination rank.
+            probes = 1
+            lo = q + 1
+            span = 2
+            hi = q + span
+            while hi < r:
+                probes += 1
+                if starts[hi] <= p:
+                    lo = hi
+                    span <<= 1
+                    hi = q + span
+                else:
+                    break
+            if hi > r:
+                hi = r
+            # Bisect [lo, hi) for the last start at or before p.
+            while hi - lo > 1:
+                mid = (lo + hi) >> 1
+                probes += 1
+                if starts[mid] <= p:
+                    lo = mid
+                else:
+                    hi = mid
+            return _new(MoveResult, (_new(MoveCursor, (lo, p - starts[lo])), lo - q, probes))
+        ff = 0
+        ell = lengths[q]
+        while k >= ell:
+            k -= ell
+            q += 1
+            ff += 1
+            ell = lengths[q]
+        return _new(MoveResult, (_new(MoveCursor, (q, k)), ff, ff + 1))
 
     # ------------------------------------------------------------- validation
 
@@ -278,25 +319,6 @@ def inverse(t: IntervalTable) -> IntervalTable:
     )
 
 
-def step(
-    lengths: list[int], dest_rank: list[int], dest_offset: list[int], j: int, k: int
-) -> tuple[int, int, int]:
-    """One move query by linear fast forward, in either storage mode.
-
-    Returns the destination cursor (q, off) of cursor (j, k) and the number
-    of interval boundaries skipped; a linear search probes one more length
-    than it skips.
-    """
-    q = dest_rank[j]
-    off = dest_offset[j] + k
-    ff = 0
-    while off >= lengths[q]:
-        off -= lengths[q]
-        q += 1
-        ff += 1
-    return q, off, ff
-
-
 def walk(
     lengths: list[int],
     dest_rank: list[int],
@@ -309,7 +331,7 @@ def walk(
     counts: list[int],
 ) -> tuple[int, int]:
     """`size` chained move queries by linear fast forward from cursor (j, k),
-    with the loop of step() inlined, in either storage mode.
+    in either storage mode, each as IntervalTable.move takes it.
 
     Before each query, put(col[j]) receives the column value of the interval
     j that the query leaves, so the first value is that of the start cursor
@@ -334,52 +356,6 @@ def walk(
     return j, k
 
 
-def gallop(
-    starts: list[int], dest_rank: list[int], dest_offset: list[int], j: int, k: int
-) -> tuple[int, int, int, int]:
-    """One move query by exponential search over the interval starts.
-
-    Returns the destination cursor (q, off), the fast forwards it stands for
-    and the number of starts probed.
-    """
-    r = len(starts)
-    q0 = dest_rank[j]
-    off = dest_offset[j] + k
-    # The first probe, starts[q0 + 1] > p, settles most queries: they land
-    # in q0 itself. Nothing lies past the last interval to probe.
-    if q0 + 1 == r:
-        return q0, off, 0, 0
-    p = starts[q0] + off
-    if starts[q0 + 1] > p:
-        return q0, off, 0, 1
-    # Gallop: double the step until a start beyond p (or the table end)
-    # brackets the destination rank.
-    probes = 1
-    lo = q0 + 1
-    span = 2
-    hi = q0 + span
-    while hi < r:
-        probes += 1
-        if starts[hi] <= p:
-            lo = hi
-            span <<= 1
-            hi = q0 + span
-        else:
-            break
-    if hi > r:
-        hi = r
-    # Binary search: largest q in [lo, hi) with starts[q] <= p.
-    a, b = lo, hi
-    while b - a > 1:
-        mid = (a + b) >> 1
-        probes += 1
-        if starts[mid] <= p:
-            a = mid
-        else:
-            b = mid
-    return a, p - starts[a], a - q0, probes
-
-
 def gallop_walk(
     starts: list[int],
     lengths: list[int],
@@ -391,15 +367,14 @@ def gallop_walk(
     counts: list[int],
 ) -> tuple[int, int, int, int]:
     """`size` chained move queries by exponential search from cursor (j, k),
-    with the bodies of gallop() inlined.
+    each probed and counted as IntervalTable.move does.
 
-    Each query probes and counts as gallop() does. A query whose offset
-    stays below its destination interval's length is gallop()'s one-probe
-    exit, or its zero-probe exit in the last interval; any other query
-    gallops on from the start after its destination. A query that skips
-    ff > 0 boundaries adds one to counts[ff]; counts[0] is left to the
-    caller. Returns the last cursor reached, the probes of all queries and
-    the most probes of one query.
+    A query whose offset stays below its destination interval's length takes
+    move's one-probe exit, or its zero-probe exit in the last interval; any
+    other query gallops on from the start after its destination. A query
+    that skips ff > 0 boundaries adds one to counts[ff]; counts[0] is left
+    to the caller. Returns the last cursor reached, the probes of all
+    queries and the most probes of one query.
     """
     r = len(starts)
     last = r - 1

@@ -239,7 +239,7 @@ def build_lf(rl: Rlbwt) -> IntervalTable:
     the same symbol's earlier runs. So, taken by symbol and then in text
     order, the runs' images tile [0, n) one after another, and a single
     cursor (q, off) over the runs, advanced by each run's length and
-    fast-forwarded as in core.step, is each run's destination.
+    fast-forwarded over the run lengths, is each run's destination.
     """
     syms = [c for c, _ in rl.runs]
     lengths = [l for _, l in rl.runs]
@@ -393,8 +393,10 @@ def save_rlbwt(rl: Rlbwt, fp: BinaryIO) -> None:
 
 def load_rlbwt(fp: BinaryIO) -> Rlbwt:
     """Read an .rl v2 file; any malformed file raises FormatError, and so does
-    a v1 file, before any field is read. The samples are checked against n
-    only: the phi builders reject samples that do not make a permutation."""
+    a v1 file, before any field is read. The samples must lie below n and
+    agree with the runs at row 0, at the sentinel and at every run of one
+    row. These checks are necessary, not sufficient: the phi builders reject
+    samples that make no permutation, but not a wrong permutation."""
     body = read_framed(fp, RLBWT_MAGIC, ".rl file", RLBWT_VERSION)
     if len(body) < 17:
         raise FormatError("truncated RLBWT header")
@@ -410,5 +412,13 @@ def load_rlbwt(fp: BinaryIO) -> Rlbwt:
     values = struct.unpack_from(f"<{2 * r}Q", body, 17 + 9 * r)
     if max(values) >= n:
         raise FormatError("SA sample beyond n")
-    rl.samples = SaSamples(head_sa=list(values[:r]), tail_sa=list(values[r:]))
+    head, tail = list(values[:r]), list(values[r:])
+    # Row 0 holds the sentinel suffix n - 1, the sentinel's row holds suffix
+    # 0, and a run of one row has one sample.
+    sentinel = rl.runs.index((SENTINEL, 1))
+    single = [l == 1 for _, l in rl.runs]
+    if (head[0] != n - 1 or head[sentinel] or tail[sentinel]
+            or any(map(ne, compress(head, single), compress(tail, single)))):
+        raise FormatError("SA samples do not match the runs")
+    rl.samples = SaSamples(head_sa=head, tail_sa=tail)
     return rl

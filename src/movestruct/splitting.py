@@ -68,7 +68,7 @@ def length_cap(t: IntervalTable, c: CapFactor) -> IntervalTable:
 
     One pass in O(r') time, with no sort and no search. Piece m of interval
     j maps onto source cursor (dest_rank[j], dest_offset[j] + m*L); it is the
-    cursor of piece m - 1 advanced by L and fast-forwarded as in core.step.
+    cursor of piece m - 1 advanced by L and fast-forwarded over the lengths.
     Source interval q splits into pieces from first[q] on, so that cursor
     (q, off) is piece cursor (first[q] + off // L, off % L). The images of
     the intervals tile [0, n), so the fast forwards of the whole pass sum to

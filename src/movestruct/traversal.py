@@ -12,7 +12,7 @@ start, so a block of values is one itertools.accumulate from the value
 carried over; the DA walk emits the doc column of the table cut at its d
 document starts. Both write little-endian u64 values. Their working space is O(r'), O(r' + d) for DA, plus one block.
 Exponential traverse_counted runs on the sibling kernel core.gallop_walk,
-which inlines core.gallop and counts its probes.
+which searches as IntervalTable.move does and counts its probes.
 Inversion walks FL (or LF, inverted first); the SA and DA walks chain
 phi-inverse from SA[0] = n - 1 and refuse any other kind before they write.
 """
@@ -239,20 +239,22 @@ def traverse_counted(
     dest_rank = table.dest_rank
     dest_offset = table.dest_offset
     counts = _ff_counts(table)
-    if config.search == EXPONENTIAL:
-        j, k, total_probes, max_probes = gallop_walk(
+    exponential = config.search == EXPONENTIAL
+    if exponential:
+        j, k, *probes = gallop_walk(
             table.starts, lengths, dest_rank, dest_offset, j, k, steps, counts
         )
-        stats = _walk_stats(counts, steps)
     else:
         # The kernel reports a column value per step; nothing here reads it.
         discard = deque(maxlen=0).append
         j, k = walk(
             lengths, dest_rank, dest_offset, j, k, steps, dest_rank, discard, counts
         )
-        stats = _walk_stats(counts, steps)
-        total_probes = stats.steps + stats.total_fast_forwards
-        max_probes = stats.max_fast_forwards + 1 if stats.steps else 0
-    stats.total_probes = total_probes
-    stats.max_probes = max_probes
+    stats = _walk_stats(counts, steps)
+    if exponential:
+        stats.total_probes, stats.max_probes = probes
+    else:
+        # A linear query probes one more length than it skips.
+        stats.total_probes = steps + stats.total_fast_forwards
+        stats.max_probes = stats.max_fast_forwards + 1 if steps else 0
     return MoveCursor(j, k), stats

@@ -136,7 +136,7 @@ def doubling_search(table: IntervalTable, cur: MoveCursor) -> tuple[int, int, in
     Doubles the step from the destination rank q0 until a start beyond the
     image p (or the table end) brackets it, then bisects, and counts every
     start it reads. It takes no early exit, so it pins the probe counts that
-    core.gallop's exits must reproduce.
+    the early exits of IntervalTable.move must reproduce.
     """
     starts = table.starts
     r = len(starts)

@@ -10,6 +10,7 @@ from movestruct import (
     Rlbwt,
     SaSamples,
     build_lf,
+    from_permutation,
     load_move,
     load_rlbwt,
     save_move,
@@ -216,6 +217,24 @@ def test_verify_fails_on_wrong_source(ws, tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_refuses_a_generic_table(ws, capsys):
+    """verify has an oracle for the RLBWT permutations only."""
+    out = ws / "generic.mv"
+    with open(out, "wb") as fp:
+        save_move(from_permutation([3, 4, 5, 6, 0, 1, 2]), fp)
+    assert main(["verify", str(out), str(ws / "rl")]) == 2
+    assert "cannot verify tables of kind 'generic'" in capsys.readouterr().err
+
+
+def test_cap_with_a_zero_denominator_is_a_usage_error(ws, capsys):
+    out = ws / "x.mv"
+    with pytest.raises(SystemExit) as e:
+        main(["build", str(ws / "rl"), "--cap", "1/0", "-o", str(out)])
+    assert e.value.code == 2
+    assert "bad cap factor '1/0'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_detects_corruption(ws):
     out = ws / "lf.mv"
     main(["build", str(ws / "rl"), "-o", str(out)])
@@ -358,10 +377,13 @@ def _lf_is_one_cycle(bwt: bytes) -> bool:
     return steps == len(bwt)
 
 
-def _save_with_zero_samples(rl: Rlbwt, path) -> None:
-    """Write the runs of rl as an .rl v2 file whose SA samples are all 0. Only
-    the phi builders read the samples, and for r >= 2 they repeat a start."""
-    rl.samples = SaSamples(head_sa=[0] * rl.r, tail_sa=[0] * rl.r)
+def _save_with_placeholder_samples(rl: Rlbwt, path) -> None:
+    """Write the runs of rl as an .rl v2 file whose SA samples are n - 1 for
+    run 0 and 0 for every other run. They pass load_rlbwt's checks unless the
+    sentinel's run comes first and n > 1; only the phi builders read them,
+    and for r >= 3 they repeat a start."""
+    head = [rl.n - 1] + [0] * (rl.r - 1)
+    rl.samples = SaSamples(head_sa=head, tail_sa=list(head))
     with open(path, "wb") as fp:
         save_rlbwt(rl, fp)
 
@@ -374,7 +396,7 @@ def test_rlbwt_of_no_text_is_rejected(tmp_path, capsys):
     for bwt in _one_sentinel_strings(6):
         rl = Rlbwt.from_bwt(bwt)
         path = tmp_path / "in.rl"
-        _save_with_zero_samples(rl, path)
+        _save_with_placeholder_samples(rl, path)
         out = tmp_path / "out"
         if _lf_is_one_cycle(bwt):
             good += 1
@@ -404,7 +426,7 @@ def test_failed_commands_leave_no_output(ws, capsys):
     # An RLBWT of no text whose early sentinel falls in the second output
     # block of the inversion, so that the first block has been written.
     rl = Rlbwt([(97, 70000), (0, 1), (98, 1)])
-    _save_with_zero_samples(rl, ws / "early.rl")
+    _save_with_placeholder_samples(rl, ws / "early.rl")
     with open(ws / "lf.mv", "wb") as fp:
         save_move(build_lf(rl), fp)
     # Document bounds that an interval of the phi-inverse table spans, so

@@ -212,6 +212,23 @@ def test_validator_catches_corruption():
         IntervalTable(4, ms.ABSOLUTE, [2, 3], [0, 0], [0, 2]).validate()
 
 
+def test_unknown_search_kind_is_rejected():
+    with pytest.raises(InvalidParameterError, match="unknown search kind 'binary'"):
+        QueryConfig("binary")
+
+
+def test_validate_rejects_columns_of_the_wrong_length():
+    """validate() refuses core columns that differ in length, and an extra
+    column that is not one value per interval."""
+    t = from_permutation(REF_PERM)
+    short = t.replace(dest_offset=t.dest_offset[:-1])
+    with pytest.raises(InvalidInputError, match="core columns differ in length"):
+        short.validate()
+    extra = t.replace(extras={"sym": [0] * (len(t) + 1)})
+    with pytest.raises(InvalidInputError, match="extra column 'sym' has wrong length"):
+        extra.validate()
+
+
 def _outcome(check) -> str:
     """The message check() raises InvalidInputError with, or "ok"."""
     try:

@@ -412,6 +412,11 @@ MALFORMED = {
     "rlbwt-truncated-samples": lambda: _rlbwt_bytes()[:-12],
     "rlbwt-trailing-byte": lambda: _rlbwt_bytes() + b"\x00",
     "rlbwt-sample-n": lambda: _rlbwt_with_samples(lambda v: v.__setitem__(0, 7)),
+    # run 1's symbol b (at 21 + 9) becomes a, the symbol of run 0
+    "rlbwt-runs-repeat-a-symbol": lambda: _with_crc(
+        _rlbwt_bytes()[:30] + b"a" + _rlbwt_bytes()[31:]),
+    "move-body-shorter-than-header": lambda: _with_crc(
+        _saved(_lf_abaaba()[1])[:30] + bytes(4)),
     "move-huge-row-count": lambda: _lf_with_row_count(1 << 60),
     "move-sym-twice": _lf_with_sym_twice,
     "move-version-3": lambda: _lf_with_header(4, b"\x03"),
@@ -426,11 +431,18 @@ MALFORMED = {
 }
 
 
+# The refusal that a CRC-valid case must reach, where no other case does.
+MALFORMED_MESSAGES = {
+    "rlbwt-runs-repeat-a-symbol": "malformed RLBWT: adjacent runs 0,1 share a symbol",
+    "move-body-shorter-than-header": "truncated header",
+}
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_files_raise_format_error(case, tmp_path, capsys):
     data = MALFORMED[case]()
     load = load_rlbwt if case.startswith("rlbwt") else load_move
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=MALFORMED_MESSAGES.get(case)):
         load(io.BytesIO(data))
     path = tmp_path / "bad"
     path.write_bytes(data)
@@ -472,6 +484,18 @@ def test_checksum_is_checked_before_any_field(case):
         for read in readers:
             with pytest.raises(FormatError):
                 read(io.BytesIO(data[:size]))
+
+
+@pytest.mark.parametrize("name", ["off", "x" * 256], ids=["core-name", "256-byte-name"])
+def test_bad_column_names_are_refused_before_writing(name):
+    """An extra column named like a core column, or with a name longer than
+    its length byte holds, raises FormatError before any byte is written."""
+    _, lf = _lf_abaaba()
+    bad = lf.replace(extras={**lf.extras, name: [0] * len(lf)})
+    buf = io.BytesIO()
+    with pytest.raises(FormatError, match="clashes" if name == "off" else "too long"):
+        save_move(bad, buf)
+    assert buf.getvalue() == b""
 
 
 @pytest.mark.parametrize("perm, row, value", [("lf", 1, 300), ("fl", 2, 1000)])

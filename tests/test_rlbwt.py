@@ -368,6 +368,43 @@ def test_v1_file_is_refused(tmp_path, capsys):
         assert not out.exists(), argv
 
 
+ABAABA_RUNS = [(97, 1), (98, 2), (97, 1), (0, 1), (97, 2)]
+# Samples for abaaba's runs that load_rlbwt refuses; the true ones are
+# head_sa [6, 5, 3, 0, 4] and tail_sa [6, 2, 3, 0, 1]. The first pair makes
+# a phi that passes validate() but is not abaaba's; each other pair breaks
+# one check alone: row 0 holds SA value n - 1, the sentinel's row SA value
+# 0, and a run of one row has one sample.
+WRONG_SAMPLES = {
+    "another-permutation": ([0, 4, 1, 2, 3], [4, 1, 3, 2, 0]),
+    "row-0": ([5, 6, 3, 0, 4], [5, 2, 3, 0, 1]),
+    "sentinel": ([6, 5, 3, 1, 4], [6, 2, 3, 1, 0]),
+    "one-row-run": ([6, 5, 3, 0, 4], [6, 2, 2, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SAMPLES))
+def test_samples_that_are_not_the_runs_are_refused(case, tmp_path, capsys):
+    """A CRC-valid .rl file whose samples disagree with its runs raises
+    FormatError, and building phi or phi-inverse from it exits 2 and leaves
+    no output."""
+    rl = Rlbwt(ABAABA_RUNS, SaSamples(*WRONG_SAMPLES[case]))
+    if case == "another-permutation":
+        table = build_phi_via_lf(rl)
+        table.validate()
+        assert table_to_permutation(table) != naive_phi(ABAABA_SA)
+    buf = io.BytesIO()
+    save_rlbwt(rl, buf)
+    with pytest.raises(FormatError, match="do not match the runs"):
+        load_rlbwt(io.BytesIO(buf.getvalue()))
+    path = tmp_path / "bad.rl"
+    path.write_bytes(buf.getvalue())
+    out = tmp_path / "out"
+    for perm in ("phi", "phi-inv"):
+        assert main(["build", str(path), "--perm", perm, "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+
 def test_phi_and_save_need_samples():
     """An RLBWT without SA samples builds LF, but the phi builders and
     save_rlbwt raise MissingColumnError and write nothing."""
