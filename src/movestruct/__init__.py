@@ -34,7 +34,6 @@ from .files import inspect_move, load_move, pack_table, save_move
 from .rlbwt import (
     DocBounds,
     Rlbwt,
-    SaSamples,
     attach_docs,
     build_bwt,
     build_lf,

@@ -180,6 +180,8 @@ def cmd_verify(args) -> int:
     table = _read_table(args.input)
     with open(args.rlbwt, "rb") as fp:
         rl = rlbwt.load_rlbwt(fp)
+    if table.kind not in ("lf", "fl", "phi", "phi_inv"):
+        raise InvalidInputError(f"cannot verify tables of kind {table.kind!r}")
     failures = []
 
     def check(name: str, ok: bool) -> None:
@@ -196,19 +198,25 @@ def cmd_verify(args) -> int:
         )
     bwt = rl.expand()
     lf = oracle.naive_lf(bwt)
-    if table.kind in ("lf", "fl"):
-        reference = lf if table.kind == "lf" else oracle.naive_fl(bwt)
-    elif table.kind in ("phi", "phi_inv"):
-        # SA recovered definitionally: the LF chain from row 0 visits SA
-        # values n-1, n-2, ..., 0 in order.
-        sa = [0] * rl.n
-        row = 0
-        for t in range(rl.n):
-            sa[row] = rl.n - 1 - t
-            row = lf[row]
-        reference = oracle.naive_phi(sa, inverse=(table.kind == "phi_inv"))
+    # SA recovered definitionally: the LF chain from row 0 visits SA values
+    # n-1, n-2, ..., 0 in order. The runs are the BWT of a text only if it
+    # first returns to row 0 at step n, that is, at SA value 0.
+    sa = [0] * rl.n
+    row = 0
+    for v in range(rl.n - 1, -1, -1):
+        sa[row] = v
+        row = lf[row]
+        if not row:
+            break
+    check("LF is one cycle", v == 0)
+    if failures:
+        return 1
+    if table.kind == "lf":
+        reference = lf
+    elif table.kind == "fl":
+        reference = oracle.naive_fl(bwt)
     else:
-        raise InvalidInputError(f"cannot verify tables of kind {table.kind!r}")
+        reference = oracle.naive_phi(sa, inverse=(table.kind == "phi_inv"))
 
     check("evaluation equals oracle", table_to_permutation(table) == reference)
     max_ff = oracle.max_fast_forwards(table)  # O(r' log r'), beside the O(n) oracle

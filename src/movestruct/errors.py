@@ -26,8 +26,7 @@ class ValueOverflowError(MoveStructError, OverflowError):
 
 
 class MissingColumnError(MoveStructError, KeyError):
-    """A traversal needs an extra column the table does not carry, or a phi
-    builder or save_rlbwt needs the SA samples an RLBWT does not carry."""
+    """A table lacks an extra column that the operation needs."""
 
     __str__ = Exception.__str__  # the message, not KeyError's quoted repr
 

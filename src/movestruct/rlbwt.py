@@ -12,8 +12,8 @@ The sentinel is byte 0x00 and compares smallest; symbol order is byte order.
   CRC-32 (zlib.crc32) u32 of everything after the magic
 That is the container of files.write_framed, so 16 + 25r bytes follow the
 version byte. The stored samples are the only source of phi and
-phi-inverse. Version 1 files, which held the runs alone, raise FormatError;
-rebuild their text with build-rlbwt.
+phi-inverse, and every Rlbwt carries them. Version 1 files, which held the
+runs alone, raise FormatError; rebuild their text with build-rlbwt.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, groupby
 from operator import gt, ne
-from typing import BinaryIO, Optional, Sequence
+from typing import BinaryIO, Sequence
 
 from .core import ABSOLUTE, IntervalTable, interval_columns, run_columns
 from .errors import FormatError, InvalidInputError, MissingColumnError
@@ -36,24 +36,21 @@ RLBWT_VERSION = 2
 
 
 @dataclass
-class SaSamples:
-    """SA values at the head and the tail row of each BWT run."""
-
-    head_sa: list[int]
-    tail_sa: list[int]
-
-
-@dataclass
 class Rlbwt:
-    """A run-length BWT; n, r and sigma are derived from runs."""
+    """A run-length BWT with the SA samples at its run heads and tails; n, r
+    and sigma are derived from runs. The constructor raises
+    InvalidInputError unless the runs hold one sentinel and no empty run or
+    repeated symbol, and the samples lie in [0, n), one head and one tail a
+    run, and agree with the runs at row 0, at the sentinel and at every run
+    of one row. These checks are necessary, not sufficient: the phi
+    builders reject samples that make no permutation, but not a wrong one."""
 
     runs: list[tuple[int, int]]  # (symbol, length)
+    head_sa: list[int]  # SA value at each run's first row
+    tail_sa: list[int]  # SA value at each run's last row
     n: int = field(init=False)
     r: int = field(init=False)
     sigma: int = field(init=False)
-    # SA samples, from build_bwt or an .rl file: derived data, so left out of
-    # comparisons. The phi builders and save_rlbwt need them; build_lf does not.
-    samples: Optional[SaSamples] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         runs = self.runs
@@ -68,24 +65,25 @@ class Rlbwt:
             counts[c] += l
         if counts[SENTINEL] != 1:
             raise InvalidInputError("exactly one sentinel byte required")
-        self.n = sum(counts)
-        self.r = len(runs)
+        self.n = n = sum(counts)
+        self.r = r = len(runs)
         self.sigma = sum(1 for c in counts if c)
-
-    @classmethod
-    def from_bwt(cls, bwt: bytes) -> "Rlbwt":
-        return cls([(c, len(list(g))) for c, g in groupby(bwt)])
+        head, tail = self.head_sa, self.tail_sa
+        if len(head) != r or len(tail) != r:
+            raise InvalidInputError(
+                f"{len(head)} head and {len(tail)} tail SA samples for {r} runs")
+        if min(head) < 0 or min(tail) < 0 or max(head) >= n or max(tail) >= n:
+            raise InvalidInputError(f"SA sample outside [0, {n})")
+        # Row 0 holds the sentinel suffix n - 1, the sentinel's row holds suffix
+        # 0, and a run of one row has one sample.
+        sentinel = runs.index((SENTINEL, 1))
+        single = [l == 1 for _, l in runs]
+        if (head[0] != n - 1 or head[sentinel] or tail[sentinel]
+                or any(map(ne, compress(head, single), compress(tail, single)))):
+            raise InvalidInputError("SA samples do not match the runs")
 
     def expand(self) -> bytes:
         return b"".join(bytes([c]) * l for c, l in self.runs)
-
-    def run_starts(self) -> list[int]:
-        out = []
-        pos = 0
-        for _, l in self.runs:
-            out.append(pos)
-            pos += l
-        return out
 
 
 @dataclass
@@ -219,12 +217,9 @@ def build_bwt(text: bytes) -> tuple[Rlbwt, list[int]]:
     # BWT[i] = s[sa[i] - 1]: read sa through s rotated right by one, so that
     # sa[i] == 0 reads the sentinel.
     bwt = bytes(map((s[-1:] + s[:-1]).__getitem__, sa))
-    rl = Rlbwt.from_bwt(bwt)
-    heads = rl.run_starts()
-    rl.samples = SaSamples(
-        head_sa=[sa[i] for i in heads],
-        tail_sa=[sa[i - 1] for i in heads[1:] + [rl.n]],
-    )
+    runs = [(c, len(list(g))) for c, g in groupby(bwt)]
+    ends = list(accumulate(l for _, l in runs))  # one past each run's last row
+    rl = Rlbwt(runs, [sa[i] for i in [0, *ends[:-1]]], [sa[i - 1] for i in ends])
     return rl, sa
 
 
@@ -266,31 +261,20 @@ def build_lf(rl: Rlbwt) -> IntervalTable:
 # ----------------------------------------------------------------- phi family
 
 
-def _samples_of(rl: Rlbwt) -> SaSamples:
-    """rl.samples; MissingColumnError if the RLBWT carries none."""
-    if rl.samples is None:
-        raise MissingColumnError(
-            "the RLBWT has no SA samples; build it with build_bwt or build-rlbwt")
-    return rl.samples
-
-
 def build_phi_via_lf(rl: Rlbwt, inverse: bool = False) -> IntervalTable:
     """Move structure for phi, or for phi-inverse if inverse is set, from the
     SA samples in O(r log r) time.
 
-    The samples are rl.samples, which build_bwt and load_rlbwt set; an RLBWT
-    without them raises MissingColumnError before any work. Row i at the
-    head of run j has SA value head_sa[j], and row i - 1 (cyclically) is the
-    tail of run j - 1. So phi, which maps SA[i] to SA[i - 1], has an
-    interval at each head_sa[j] with image tail_sa[j - 1], and phi-inverse
-    one at each tail_sa[j] with image head_sa[j + 1]. Samples that make no
-    permutation of [0, n) fail IntervalTable.validate() with
-    InvalidInputError; a repeated start is a zero-length interval.
+    Row i at the head of run j has SA value head_sa[j], and row i - 1
+    (cyclically) is the tail of run j - 1. So phi, which maps SA[i] to
+    SA[i - 1], has an interval at each head_sa[j] with image tail_sa[j - 1],
+    and phi-inverse one at each tail_sa[j] with image head_sa[j + 1].
+    Samples that make no permutation of [0, n) fail IntervalTable.validate()
+    with InvalidInputError; a repeated start is a zero-length interval.
 
     The benchmark's tracer wraps this function by its name.
     """
-    samples = _samples_of(rl)
-    head, tail = samples.head_sa, samples.tail_sa
+    head, tail = rl.head_sa, rl.tail_sa
     if inverse:
         pairs = sorted(zip(tail, head[1:] + head[:1]))
     else:
@@ -381,44 +365,30 @@ def doc_bounds_of(table: IntervalTable) -> DocBounds:
 
 
 def save_rlbwt(rl: Rlbwt, fp: BinaryIO) -> None:
-    """Write an .rl v2 file. An RLBWT without samples raises
-    MissingColumnError before anything is written."""
-    samples = _samples_of(rl)
+    """Write an .rl v2 file."""
     body = bytearray([RLBWT_VERSION])
     body += struct.pack("<QQ", rl.n, rl.r)
     body += b"".join(struct.pack("<BQ", c, l) for c, l in rl.runs)
-    body += struct.pack(f"<{2 * rl.r}Q", *samples.head_sa, *samples.tail_sa)
+    body += struct.pack(f"<{2 * rl.r}Q", *rl.head_sa, *rl.tail_sa)
     write_framed(fp, RLBWT_MAGIC, body)
 
 
 def load_rlbwt(fp: BinaryIO) -> Rlbwt:
     """Read an .rl v2 file; any malformed file raises FormatError, and so does
-    a v1 file, before any field is read. The samples must lie below n and
-    agree with the runs at row 0, at the sentinel and at every run of one
-    row. These checks are necessary, not sufficient: the phi builders reject
-    samples that make no permutation, but not a wrong permutation."""
+    a v1 file, before any field is read. Runs or samples that the Rlbwt
+    constructor refuses raise FormatError too."""
     body = read_framed(fp, RLBWT_MAGIC, ".rl file", RLBWT_VERSION)
     if len(body) < 17:
         raise FormatError("truncated RLBWT header")
     n, r = struct.unpack_from("<QQ", body, 1)
     if len(body) != 17 + 25 * r:
         raise FormatError("RLBWT file size does not match its run count")
+    values = struct.unpack_from(f"<{2 * r}Q", body, 17 + 9 * r)
     try:
-        rl = Rlbwt(list(struct.iter_unpack("<BQ", body[17 : 17 + 9 * r])))
+        rl = Rlbwt(list(struct.iter_unpack("<BQ", body[17 : 17 + 9 * r])),
+                   list(values[:r]), list(values[r:]))
     except InvalidInputError as e:
         raise FormatError(f"malformed RLBWT: {e}") from e
     if rl.n != n:
         raise FormatError("run lengths do not sum to the declared n")
-    values = struct.unpack_from(f"<{2 * r}Q", body, 17 + 9 * r)
-    if max(values) >= n:
-        raise FormatError("SA sample beyond n")
-    head, tail = list(values[:r]), list(values[r:])
-    # Row 0 holds the sentinel suffix n - 1, the sentinel's row holds suffix
-    # 0, and a run of one row has one sample.
-    sentinel = rl.runs.index((SENTINEL, 1))
-    single = [l == 1 for _, l in rl.runs]
-    if (head[0] != n - 1 or head[sentinel] or tail[sentinel]
-            or any(map(ne, compress(head, single), compress(tail, single)))):
-        raise FormatError("SA samples do not match the runs")
-    rl.samples = SaSamples(head_sa=head, tail_sa=tail)
     return rl

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import bisect
 import random
+import struct
+import zlib
 from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
@@ -294,7 +296,21 @@ def rlbwt_to_text(rl: Rlbwt) -> str:
     return "".join(f"{c:02x} {l}\n" for c, l in rl.runs)
 
 
-def rlbwt_from_text(text: str) -> Rlbwt:
+def rl_file_bytes(
+    runs: list[tuple[int, int]], head_sa: list[int], tail_sa: list[int]
+) -> bytes:
+    """An .rl v2 file, written field by field as the layout in the rlbwt
+    module's docstring, so that it can hold samples that no Rlbwt holds."""
+    n, r = sum(l for _, l in runs), len(runs)
+    body = bytes([2]) + struct.pack("<QQ", n, r)
+    body += b"".join(struct.pack("<BQ", c, l) for c, l in runs)
+    body += struct.pack(f"<{2 * r}Q", *head_sa, *tail_sa)
+    return b"RLBW" + body + struct.pack("<I", zlib.crc32(body))
+
+
+def rlbwt_from_text(text: str) -> list[tuple[int, int]]:
+    """The (symbol, length) runs of the debug text form. It holds no SA
+    samples, so it makes no Rlbwt."""
     runs = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -305,7 +321,7 @@ def rlbwt_from_text(text: str) -> Rlbwt:
             runs.append((int(sym_hex, 16), int(length)))
         except ValueError as e:
             raise FormatError(f"bad RLBWT text line {lineno}: {line!r}") from e
-    return Rlbwt(runs)
+    return runs
 
 
 def check_min_widths(m: PackedMatrix) -> None:

@@ -7,19 +7,18 @@ import pytest
 
 from movestruct import (
     DocBounds,
+    InvalidInputError,
     Rlbwt,
-    SaSamples,
     build_lf,
     from_permutation,
     load_move,
     load_rlbwt,
     save_move,
-    save_rlbwt,
     table_to_permutation,
 )
 from movestruct.cli import main
 from movestruct.oracle import naive_bwt, naive_lf, naive_sa
-from support import doc_of
+from support import doc_of, rl_file_bytes
 
 
 @pytest.fixture()
@@ -217,6 +216,38 @@ def test_verify_fails_on_wrong_source(ws, tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+# The .rl file of a\0a with samples that pass the Rlbwt constructor: its LF
+# is the cycle (0 1) and the fixed point 2, so it is the BWT of no text.
+NO_TEXT_RL = rl_file_bytes([(97, 1), (0, 1), (97, 1)], [2, 0, 0], [2, 0, 0])
+
+
+@pytest.mark.parametrize("perm", ["lf", "fl"])
+def test_verify_fails_when_lf_is_not_one_cycle(tmp_path, capsys, perm):
+    """build stays O(r) and writes the table of an RLBWT of no text, but
+    verify fails it before any other check, and invert refuses it."""
+    rl, out = tmp_path / "nt.rl", tmp_path / "nt.mv"
+    rl.write_bytes(NO_TEXT_RL)
+    assert main(["build", str(rl), "--perm", perm, "--cap", "0", "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out), str(rl)]) == 1
+    assert capsys.readouterr().out == "FAIL LF is one cycle\n"
+    assert main(["invert", str(rl), "-o", str(tmp_path / "text")]) == 2
+    assert not (tmp_path / "text").exists()
+
+
+def test_verify_catches_samples_that_pass_every_check(tmp_path, capsys):
+    """The runs of abab with samples that the constructor accepts and that
+    make a phi-inverse passing validate(), but not abab's: verify fails it
+    against the oracle."""
+    rl, out = tmp_path / "abab.rl", tmp_path / "pi.mv"
+    rl.write_bytes(rl_file_bytes([(98, 2), (0, 1), (97, 2)], [4, 0, 1], [3, 0, 4]))
+    assert main(["build", str(rl), "--perm", "phi-inv", "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out), str(rl)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["PASS LF is one cycle", "FAIL evaluation equals oracle"]
+
+
 def test_verify_refuses_a_generic_table(ws, capsys):
     """verify has an oracle for the RLBWT permutations only."""
     out = ws / "generic.mv"
@@ -377,26 +408,32 @@ def _lf_is_one_cycle(bwt: bytes) -> bool:
     return steps == len(bwt)
 
 
-def _save_with_placeholder_samples(rl: Rlbwt, path) -> None:
-    """Write the runs of rl as an .rl v2 file whose SA samples are n - 1 for
-    run 0 and 0 for every other run. They pass load_rlbwt's checks unless the
-    sentinel's run comes first and n > 1; only the phi builders read them,
-    and for r >= 3 they repeat a start."""
-    head = [rl.n - 1] + [0] * (rl.r - 1)
-    rl.samples = SaSamples(head_sa=head, tail_sa=list(head))
-    with open(path, "wb") as fp:
-        save_rlbwt(rl, fp)
+def _placeholder_samples(runs: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """SA samples n - 1 for run 0 and 0 for every other run. They pass the
+    Rlbwt constructor's checks unless the sentinel's run comes first and
+    n > 1; only the phi builders read them, and for r >= 3 they repeat a
+    start."""
+    head = [sum(l for _, l in runs) - 1] + [0] * (len(runs) - 1)
+    return head, list(head)
+
+
+def _save_with_placeholder_samples(runs: list[tuple[int, int]], path) -> None:
+    """Write runs as an .rl v2 file with _placeholder_samples, byte by byte,
+    so that the file exists even where the constructor refuses them."""
+    path.write_bytes(rl_file_bytes(runs, *_placeholder_samples(runs)))
 
 
 def test_rlbwt_of_no_text_is_rejected(tmp_path, capsys):
     """A BWT whose LF is not one cycle is the BWT of no text: inverting its
     .rl file or its LF table, and building phi or phi-inverse from the file,
-    exit 2 with an error, and a valid one inverts to its text."""
-    bad = good = 0
+    exit 2 with an error, and a valid one inverts to its text. Where the
+    sentinel's run comes first, the constructor refuses the samples, so no
+    LF table is built."""
+    bad = good = sentinel_first = 0
     for bwt in _one_sentinel_strings(6):
-        rl = Rlbwt.from_bwt(bwt)
+        runs = [(c, len(list(g))) for c, g in itertools.groupby(bwt)]
         path = tmp_path / "in.rl"
-        _save_with_placeholder_samples(rl, path)
+        _save_with_placeholder_samples(runs, path)
         out = tmp_path / "out"
         if _lf_is_one_cycle(bwt):
             good += 1
@@ -405,30 +442,37 @@ def test_rlbwt_of_no_text_is_rejected(tmp_path, capsys):
             assert text.endswith(b"\x00") and naive_bwt(text, naive_sa(text)) == bwt
             continue
         bad += 1
-        lf = tmp_path / "lf.mv"
-        with open(lf, "wb") as fp:
-            save_move(build_lf(rl), fp)
-        for argv in (
+        commands = [
             ["build", str(path), "--perm", "phi"],
             ["build", str(path), "--perm", "phi-inv"],
             ["invert", str(path)],
-            ["invert", str(lf)],
-        ):
+        ]
+        if runs[0][0] == 0:
+            sentinel_first += 1
+            with pytest.raises(InvalidInputError, match="do not match the runs"):
+                Rlbwt(runs, *_placeholder_samples(runs))
+        else:
+            lf = tmp_path / "lf.mv"
+            with open(lf, "wb") as fp:
+                save_move(build_lf(Rlbwt(runs, *_placeholder_samples(runs))), fp)
+            commands.append(["invert", str(lf)])
+        for argv in commands:
             assert main(argv + ["-o", str(out)]) == 2, (bwt, argv)
             assert capsys.readouterr().err.startswith("error:")
     # 63 texts of at most five bytes over {a, b}, one BWT each, out of the
-    # 321 strings.
-    assert (good, bad) == (63, 258)
+    # 321 strings; the 62 of 2 to 6 bytes that start with the sentinel are
+    # the BWT of no text.
+    assert (good, bad, sentinel_first) == (63, 258, 62)
 
 
 def test_failed_commands_leave_no_output(ws, capsys):
     """A command that fails after it has opened its output removes it."""
     # An RLBWT of no text whose early sentinel falls in the second output
     # block of the inversion, so that the first block has been written.
-    rl = Rlbwt([(97, 70000), (0, 1), (98, 1)])
-    _save_with_placeholder_samples(rl, ws / "early.rl")
+    runs = [(97, 70000), (0, 1), (98, 1)]
+    _save_with_placeholder_samples(runs, ws / "early.rl")
     with open(ws / "lf.mv", "wb") as fp:
-        save_move(build_lf(rl), fp)
+        save_move(build_lf(Rlbwt(runs, *_placeholder_samples(runs))), fp)
     # Document bounds that an interval of the phi-inverse table spans, so
     # that da needs --docs at that interval.
     (ws / "docs").write_text("0\n4\n")

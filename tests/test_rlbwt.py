@@ -14,10 +14,8 @@ from movestruct import (
     DocBounds,
     FormatError,
     InvalidInputError,
-    MissingColumnError,
     MoveCursor,
     Rlbwt,
-    SaSamples,
     build_bwt,
     build_lf,
     build_phi_via_lf,
@@ -40,6 +38,7 @@ from support import (
     doc_of,
     random_text,
     repetitive_text,
+    rl_file_bytes,
     rlbwt_from_text,
     rlbwt_to_text,
 )
@@ -165,15 +164,15 @@ def test_build_bwt_at_roadmap_scale():
 
 def test_rlbwt_validation():
     with pytest.raises(InvalidInputError):
-        Rlbwt([])
+        Rlbwt([], [], [])
     with pytest.raises(InvalidInputError):
-        Rlbwt([(97, 2), (97, 1), (0, 1)])  # adjacent same symbol
+        Rlbwt([(97, 2), (97, 1), (0, 1)], [3, 1, 0], [2, 1, 0])  # adjacent same symbol
     with pytest.raises(InvalidInputError):
-        Rlbwt([(97, 3)])  # no sentinel
+        Rlbwt([(97, 3)], [2], [0])  # no sentinel
     with pytest.raises(InvalidInputError):
-        Rlbwt([(0, 2), (97, 1)])  # two sentinels
+        Rlbwt([(0, 2), (97, 1)], [2, 0], [1, 0])  # two sentinels
     with pytest.raises(InvalidInputError):
-        Rlbwt([(97, 0), (0, 1)])  # empty run
+        Rlbwt([(97, 0), (0, 1)], [0, 0], [0, 0])  # empty run
 
 
 def test_build_lf_abaaba():
@@ -212,15 +211,15 @@ def test_phi_abaaba():
     expected = naive_phi(sa)
     assert expected == [3, 4, 5, 2, 0, 6, 1]
     phi = build_phi_via_lf(rl)
-    samples = rl.samples
     phi.validate()
     assert table_to_permutation(phi) == expected
     assert len(phi) <= rl.r
     # Samples hold the SA value at each run head and tail.
-    starts = rl.run_starts()
+    start = 0
     for k, (sym, length) in enumerate(rl.runs):
-        assert samples.head_sa[k] == sa[starts[k]]
-        assert samples.tail_sa[k] == sa[starts[k] + length - 1]
+        assert rl.head_sa[k] == sa[start]
+        assert rl.tail_sa[k] == sa[start + length - 1]
+        start += length
 
 
 def test_phi_inverse_composition():
@@ -286,7 +285,7 @@ def test_phi_from_samples_matches_naive_hypothesis(seed, repetitive):
     save_rlbwt(rl, buf)
     buf.seek(0)
     from_file = load_rlbwt(buf)
-    assert from_file.samples == rl.samples
+    assert (from_file.head_sa, from_file.tail_sa) == (rl.head_sa, rl.tail_sa)
     for source in (rl, from_file):
         phi = build_phi_via_lf(source)
         phi_inv = build_phi_via_lf(source, inverse=True)
@@ -350,7 +349,7 @@ def test_save_rlbwt_v2_bytes_are_pinned():
     assert buf.getvalue() == ABAABA_RL_V2
     loaded = load_rlbwt(io.BytesIO(ABAABA_RL_V2))
     assert loaded.runs == rl.runs
-    assert loaded.samples == SaSamples(head_sa=[6, 5, 3, 0, 4], tail_sa=[6, 2, 3, 0, 1])
+    assert loaded.head_sa == [6, 5, 3, 0, 4] and loaded.tail_sa == [6, 2, 3, 0, 1]
 
 
 def test_v1_file_is_refused(tmp_path, capsys):
@@ -369,11 +368,11 @@ def test_v1_file_is_refused(tmp_path, capsys):
 
 
 ABAABA_RUNS = [(97, 1), (98, 2), (97, 1), (0, 1), (97, 2)]
-# Samples for abaaba's runs that load_rlbwt refuses; the true ones are
-# head_sa [6, 5, 3, 0, 4] and tail_sa [6, 2, 3, 0, 1]. The first pair makes
-# a phi that passes validate() but is not abaaba's; each other pair breaks
-# one check alone: row 0 holds SA value n - 1, the sentinel's row SA value
-# 0, and a run of one row has one sample.
+# Samples for abaaba's runs that the Rlbwt constructor refuses; the true ones
+# are head_sa [6, 5, 3, 0, 4] and tail_sa [6, 2, 3, 0, 1]. The first pair
+# would make a phi that passes validate() but is not abaaba's; each other
+# pair breaks one check alone: row 0 holds SA value n - 1, the sentinel's
+# row SA value 0, and a run of one row has one sample.
 WRONG_SAMPLES = {
     "another-permutation": ([0, 4, 1, 2, 3], [4, 1, 3, 2, 0]),
     "row-0": ([5, 6, 3, 0, 4], [5, 2, 3, 0, 1]),
@@ -382,42 +381,44 @@ WRONG_SAMPLES = {
 }
 
 
+def test_rl_file_bytes_are_those_of_save_rlbwt():
+    rl, _ = build_bwt(b"abaaba")
+    assert rl_file_bytes(rl.runs, rl.head_sa, rl.tail_sa) == ABAABA_RL_V2
+
+
 @pytest.mark.parametrize("case", sorted(WRONG_SAMPLES))
 def test_samples_that_are_not_the_runs_are_refused(case, tmp_path, capsys):
-    """A CRC-valid .rl file whose samples disagree with its runs raises
-    FormatError, and building phi or phi-inverse from it exits 2 and leaves
-    no output."""
-    rl = Rlbwt(ABAABA_RUNS, SaSamples(*WRONG_SAMPLES[case]))
-    if case == "another-permutation":
-        table = build_phi_via_lf(rl)
-        table.validate()
-        assert table_to_permutation(table) != naive_phi(ABAABA_SA)
-    buf = io.BytesIO()
-    save_rlbwt(rl, buf)
-    with pytest.raises(FormatError, match="do not match the runs"):
-        load_rlbwt(io.BytesIO(buf.getvalue()))
+    """The Rlbwt constructor refuses samples that disagree with the runs. A
+    CRC-valid .rl file that holds them raises FormatError, and building phi
+    or phi-inverse from it exits 2 and leaves no output."""
+    with pytest.raises(InvalidInputError, match="do not match the runs"):
+        Rlbwt(ABAABA_RUNS, *WRONG_SAMPLES[case])
+    data = rl_file_bytes(ABAABA_RUNS, *WRONG_SAMPLES[case])
+    with pytest.raises(FormatError, match="malformed RLBWT: SA samples do not match"):
+        load_rlbwt(io.BytesIO(data))
     path = tmp_path / "bad.rl"
-    path.write_bytes(buf.getvalue())
+    path.write_bytes(data)
     out = tmp_path / "out"
     for perm in ("phi", "phi-inv"):
         assert main(["build", str(path), "--perm", perm, "-o", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and not captured.out
         assert not out.exists()
 
 
-def test_phi_and_save_need_samples():
-    """An RLBWT without SA samples builds LF, but the phi builders and
-    save_rlbwt raise MissingColumnError and write nothing."""
-    rl = Rlbwt.from_bwt(ABAABA_BWT)
-    assert rl.samples is None
-    assert table_to_permutation(build_lf(rl)) == ABAABA_LF
-    for inv in (False, True):
-        with pytest.raises(MissingColumnError, match="SA samples"):
-            build_phi_via_lf(rl, inverse=inv)
-    buf = io.BytesIO()
-    with pytest.raises(MissingColumnError, match="SA samples"):
-        save_rlbwt(rl, buf)
-    assert buf.getvalue() == b""
+# Samples for abaaba's runs of the wrong count or outside [0, n), n = 7.
+OUT_OF_SHAPE_SAMPLES = {
+    "four-heads": ([6, 5, 3, 0], [6, 2, 3, 0, 1]),
+    "six-tails": ([6, 5, 3, 0, 4], [6, 2, 3, 0, 1, 1]),
+    "negative": ([6, 5, 3, 0, 4], [6, -2, 3, 0, 1]),
+    "n": ([6, 5, 3, 0, 7], [6, 2, 3, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_SHAPE_SAMPLES))
+def test_samples_of_the_wrong_count_or_range_are_refused(case):
+    with pytest.raises(InvalidInputError, match="SA sample"):
+        Rlbwt(ABAABA_RUNS, *OUT_OF_SHAPE_SAMPLES[case])
 
 
 def test_rlbwt_binary_errors():
@@ -436,7 +437,6 @@ def test_rlbwt_text_round_trip():
     rl, _ = build_bwt(b"abaaba")
     text = rlbwt_to_text(rl)
     assert text.splitlines()[0] == "61 1"
-    rl2 = rlbwt_from_text(text)
-    assert rl2.runs == rl.runs
+    assert rlbwt_from_text(text) == rl.runs
     with pytest.raises(FormatError):
         rlbwt_from_text("61 one\n")

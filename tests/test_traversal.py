@@ -22,7 +22,6 @@ from movestruct import (
     MoveCursor,
     QueryConfig,
     Rlbwt,
-    SaSamples,
     TraversalStats,
     balance,
     build_bwt,
@@ -337,14 +336,14 @@ def test_walks_flush_in_blocks(monkeypatch):
 def _unary_rlbwt(m: int) -> Rlbwt:
     """The RLBWT of a^m with its samples in closed form: SA values m, m - 1,
     ..., 1 fill the run of a's and 0 the sentinel's run."""
-    return Rlbwt([(97, m), (0, 1)], SaSamples(head_sa=[m, 0], tail_sa=[1, 0]))
+    return Rlbwt([(97, m), (0, 1)], head_sa=[m, 0], tail_sa=[1, 0])
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 9])
 def test_unary_rlbwt_is_that_of_build_bwt(m):
     rl, _ = build_bwt(b"a" * m)
     unary = _unary_rlbwt(m)
-    assert unary == rl and unary.samples == rl.samples
+    assert unary == rl
 
 
 def test_invert_cli_working_space(tmp_path):
