@@ -47,7 +47,6 @@ from .traversal import (
     enumerate_da,
     enumerate_sa,
     invert_bwt,
-    recover_text,
     traverse_counted,
 )
 

@@ -220,11 +220,19 @@ def cmd_verify(args) -> int:
 
     check("evaluation equals oracle", table_to_permutation(table) == reference)
     max_ff = oracle.max_fast_forwards(table)  # O(r' log r'), beside the O(n) oracle
-    if table.cap_len:
+    # The interval bound starts at r; capping adds floor(n/L), and balancing
+    # adds ceil(R/(alpha-1)) to the bound R of its input, which only grows.
+    limit = table.source_runs
+    if table.cap or table.cap_len:
+        L = splitting.cap_length(table.n, limit, table.cap) if table.cap else 0
+        check(f"L {table.cap_len} == {L} from n, r and c", table.cap_len == L)
+        limit += L and table.n // L
         check("max interval length <= L", table.max_len <= table.cap_len)
         check("per-query fast forwards <= L", max_ff <= table.cap_len)
     if table.alpha >= 2:
         check("per-query fast forwards < 2*alpha", max_ff < 2 * table.alpha)
+        limit += -(-limit // (table.alpha - 1))
+    check(f"intervals {len(table)} <= {limit}", len(table) <= limit)
     return 1 if failures else 0
 
 

@@ -89,7 +89,6 @@ class Rlbwt:
 @dataclass
 class DocBounds:
     starts: list[int]  # document start positions in the text, sorted
-    d: int = field(init=False)
 
     def __post_init__(self) -> None:
         s = self.starts
@@ -97,7 +96,6 @@ class DocBounds:
             raise InvalidInputError("document bounds must be non-empty")
         if s[0] != 0 or any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
             raise InvalidInputError("bounds must start at 0 and strictly increase")
-        self.d = len(s)
 
 
 # --------------------------------------------------------------------- build
@@ -326,7 +324,7 @@ def cut_at_documents(table: IntervalTable, bounds: DocBounds) -> IntervalTable:
     for j, (s, ell) in enumerate(zip(table.starts, table.lengths)):
         cut.append(s)
         src.append(j)
-        while i < bounds.d and docs[i] < s + ell:
+        while i < len(docs) and docs[i] < s + ell:
             if docs[i] > s:
                 cut.append(docs[i])
                 src.append(j)

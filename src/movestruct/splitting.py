@@ -51,8 +51,10 @@ def _cap_factor(c: CapFactor) -> Fraction:
 
 
 def cap_length(n: int, r: int, c: CapFactor) -> int:
-    """Maximum interval length L = max(1, ceil(c * n / r))."""
+    """Maximum interval length L = max(1, ceil(c * n / r)); r must be >= 1."""
     c = _cap_factor(c)
+    if r < 1:
+        raise InvalidParameterError(f"run count r must be >= 1, got {r}")
     num = c.numerator * n
     den = c.denominator * r
     return max(1, -(-num // den))

@@ -4,8 +4,10 @@ SA enumeration, DA enumeration, and an instrumented traversal driver.
 Every linear walk runs on one block kernel, core.walk: it takes a block of
 chained steps with the fast-forward loop inlined, hands a C-level sink the
 column value of the interval each query leaves, and counts the fast
-forwards per step, so the amortized bounds can be checked exactly. The
-three streaming walks share one block loop, which writes to a binary file
+forwards per step, so the amortized bounds can be checked exactly: every
+walk's stats, probes included, are those of the same queries made one
+IntervalTable.move at a time, and _walk_stats makes them. The three
+streaming walks share one block loop, which writes to a binary file
 object once per block of _BLOCK entries. Inversion emits the symbol
 column into a bytearray. The SA walk emits each interval's image minus
 start, so a block of values is one itertools.accumulate from the value
@@ -19,14 +21,13 @@ phi-inverse from SA[0] = n - 1 and refuse any other kind before they write.
 
 from __future__ import annotations
 
-import io
 import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import sub
-from typing import Any, BinaryIO, Callable, Iterator, Optional, Sequence
+from typing import Any, BinaryIO, Callable, Optional, Sequence
 
 from . import rlbwt
 from .core import (
@@ -34,7 +35,6 @@ from .core import (
     IntervalTable,
     MoveCursor,
     QueryConfig,
-    bad_cursor,
     gallop_walk,
     inverse,
     walk,
@@ -54,21 +54,6 @@ class TraversalStats:
     total_probes: int = 0
     max_probes: int = 0
 
-    @classmethod
-    def from_histogram(cls, counts: list[int]) -> "TraversalStats":
-        """Stats of a walk whose counts[ff] steps each took ff fast forwards.
-
-        Probes are left at 0; only traverse_counted accounts for them.
-        """
-        stats = cls()
-        for ff, hits in enumerate(counts):
-            if hits:
-                stats.histogram[ff] = hits
-                stats.steps += hits
-                stats.total_fast_forwards += ff * hits
-                stats.max_fast_forwards = ff
-        return stats
-
 
 def _ff_counts(table: IntervalTable) -> list[int]:
     """Zeroed per-step fast-forward counts. On a valid table a query skips
@@ -77,10 +62,17 @@ def _ff_counts(table: IntervalTable) -> list[int]:
 
 
 def _walk_stats(counts: list[int], steps: int) -> TraversalStats:
-    """Stats of `steps` kernel steps whose counts hold only the steps that
-    fast-forwarded; the rest took none."""
+    """Stats of `steps` linear queries whose counts hold only the queries
+    that fast-forwarded; the rest took none. A linear query probes one more
+    length than it skips, so these are the sums of the MoveResults of the
+    same queries made one IntervalTable.move at a time."""
     counts[0] = steps - sum(counts)
-    return TraversalStats.from_histogram(counts)
+    histogram = {ff: hits for ff, hits in enumerate(counts) if hits}
+    total = sum(ff * hits for ff, hits in histogram.items())
+    top = max(histogram, default=0)
+    return TraversalStats(
+        steps, total, top, histogram, steps + total, top + 1 if steps else 0
+    )
 
 
 def _require_extra(table: IntervalTable, name: str, need: str) -> list[int]:
@@ -88,11 +80,6 @@ def _require_extra(table: IntervalTable, name: str, need: str) -> list[int]:
         return table.extras[name]
     except KeyError:
         raise MissingColumnError(f"table lacks extra column {name!r}; {need}") from None
-
-
-def _blocks(n: int) -> Iterator[int]:
-    """Sizes of the consecutive blocks of at most _BLOCK entries that cover n."""
-    return (min(_BLOCK, n - i) for i in range(0, n, _BLOCK))
 
 
 def _block_walk(
@@ -110,14 +97,16 @@ def _block_walk(
     dest_rank = table.dest_rank
     dest_offset = table.dest_offset
     counts = _ff_counts(table)
+    n = table.n
     j, k = start
-    for size in _blocks(table.n):
+    for i in range(0, n, _BLOCK):
         j, k = walk(
-            lengths, dest_rank, dest_offset, j, k, size, col, buf.append, counts
+            lengths, dest_rank, dest_offset, j, k, min(_BLOCK, n - i), col,
+            buf.append, counts,
         )
         fp.write(flush(buf))
         del buf[:]
-    return _walk_stats(counts, table.n)
+    return _walk_stats(counts, n)
 
 
 def _u64(values: array) -> array:
@@ -162,13 +151,6 @@ def invert_bwt(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
 
     start = table.move(MoveCursor(0, 0)).cursor
     return _block_walk(table, fp, start, sym, bytearray(), flush)
-
-
-def recover_text(table: IntervalTable) -> bytes:
-    """The text with its trailing sentinel, from an LF or FL table."""
-    out = io.BytesIO()
-    invert_bwt(table, out)
-    return out.getvalue()
 
 
 def _check_sa_kind(table: IntervalTable) -> None:
@@ -228,33 +210,27 @@ def traverse_counted(
     steps: int,
     config: QueryConfig = QueryConfig(),
 ) -> tuple[MoveCursor, TraversalStats]:
-    """`steps` chained move queries from `start`, aggregating fast-forward
-    stats; a negative count raises InvalidParameterError."""
+    """`steps` chained move queries from `start`, with the stats of the
+    same queries made one IntervalTable.move at a time; a negative count
+    raises InvalidParameterError and a cursor outside the table BoundsError."""
     if steps < 0:
         raise InvalidParameterError(f"steps must be >= 0, got {steps}")
+    table.position_of(start)
     j, k = start
     lengths = table.lengths
-    if not (0 <= j < len(lengths) and 0 <= k < lengths[j]):
-        raise bad_cursor(start, len(lengths))
     dest_rank = table.dest_rank
     dest_offset = table.dest_offset
     counts = _ff_counts(table)
-    exponential = config.search == EXPONENTIAL
-    if exponential:
-        j, k, *probes = gallop_walk(
-            table.starts, lengths, dest_rank, dest_offset, j, k, steps, counts
-        )
-    else:
+    if config.search != EXPONENTIAL:
         # The kernel reports a column value per step; nothing here reads it.
         discard = deque(maxlen=0).append
         j, k = walk(
             lengths, dest_rank, dest_offset, j, k, steps, dest_rank, discard, counts
         )
+        return MoveCursor(j, k), _walk_stats(counts, steps)
+    j, k, *probes = gallop_walk(
+        table.starts, lengths, dest_rank, dest_offset, j, k, steps, counts
+    )
     stats = _walk_stats(counts, steps)
-    if exponential:
-        stats.total_probes, stats.max_probes = probes
-    else:
-        # A linear query probes one more length than it skips.
-        stats.total_probes = steps + stats.total_fast_forwards
-        stats.max_probes = stats.max_fast_forwards + 1 if steps else 0
+    stats.total_probes, stats.max_probes = probes
     return MoveCursor(j, k), stats

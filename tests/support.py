@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import io
 import random
 import struct
 import zlib
@@ -11,18 +12,15 @@ from collections import deque
 from fractions import Fraction
 
 from movestruct import (
-    ABSOLUTE,
-    RELATIVE,
     DocBounds,
-    FormatError,
     IntervalTable,
     InvalidInputError,
     InvalidParameterError,
     InvalidSpecError,
     MoveCursor,
     PackedMatrix,
-    Rlbwt,
     TraversalStats,
+    invert_bwt,
     min_width,
 )
 from movestruct.core import interval_columns, run_columns
@@ -281,19 +279,11 @@ def doc_of(bounds: DocBounds, position: int) -> int:
     return bisect_right(bounds.starts, position) - 1
 
 
-def from_runs(n: int, runs: list[tuple[int, int]], mode: str = ABSOLUTE) -> IntervalTable:
-    """Move structure of r (start, image) pairs; raises InvalidInputError
-    unless the starts rise from 0 below n and the images tile [0, n)."""
-    if not runs:
-        raise InvalidInputError("runs must be non-empty")
-    t = IntervalTable.from_intervals(n, [s for s, _ in runs], [v for _, v in runs])
-    t.validate()
-    return t.to_relative() if mode == RELATIVE else t
-
-
-def rlbwt_to_text(rl: Rlbwt) -> str:
-    """Debug text form: one "symbol_hex length" pair per line."""
-    return "".join(f"{c:02x} {l}\n" for c, l in rl.runs)
+def recover_text(table: IntervalTable) -> bytes:
+    """The text with its trailing sentinel, from an LF or FL table."""
+    out = io.BytesIO()
+    invert_bwt(table, out)
+    return out.getvalue()
 
 
 def rl_file_bytes(
@@ -306,22 +296,6 @@ def rl_file_bytes(
     body += b"".join(struct.pack("<BQ", c, l) for c, l in runs)
     body += struct.pack(f"<{2 * r}Q", *head_sa, *tail_sa)
     return b"RLBW" + body + struct.pack("<I", zlib.crc32(body))
-
-
-def rlbwt_from_text(text: str) -> list[tuple[int, int]]:
-    """The (symbol, length) runs of the debug text form. It holds no SA
-    samples, so it makes no Rlbwt."""
-    runs = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            sym_hex, length = line.split()
-            runs.append((int(sym_hex, 16), int(length)))
-        except ValueError as e:
-            raise FormatError(f"bad RLBWT text line {lineno}: {line!r}") from e
-    return runs
 
 
 def check_min_widths(m: PackedMatrix) -> None:

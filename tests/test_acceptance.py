@@ -30,7 +30,6 @@ from movestruct import (
     inverse,
     length_cap,
     load_move,
-    recover_text,
     save_move,
     table_to_permutation,
     traverse_counted,
@@ -52,6 +51,7 @@ from support import (
     adversarial_permutation,
     ceil_div,
     random_text,
+    recover_text,
     repetitive_text,
     run_blocks_text,
     sweep_fast_forwards,

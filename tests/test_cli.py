@@ -1,12 +1,16 @@
 """End-to-end command-line workflows on temporary files."""
 
 import itertools
+import random
 import struct
+import zlib
+from fractions import Fraction
 
 import pytest
 
 from movestruct import (
     DocBounds,
+    cap_length,
     InvalidInputError,
     Rlbwt,
     build_lf,
@@ -17,6 +21,7 @@ from movestruct import (
     table_to_permutation,
 )
 from movestruct.cli import main
+from movestruct.core import interval_columns, run_columns
 from movestruct.oracle import naive_bwt, naive_lf, naive_sa
 from support import doc_of, rl_file_bytes
 
@@ -264,6 +269,113 @@ def test_cap_with_a_zero_denominator_is_a_usage_error(ws, capsys):
     assert e.value.code == 2
     assert "bad cap factor '1/0'" in capsys.readouterr().err
     assert not out.exists()
+
+
+# The BWT of the 400-piece text of the CI's console-script steps has
+# n = 1471 and r = 317.
+PIECES_N, PIECES_R = 1471, 317
+
+
+@pytest.fixture(scope="module")
+def pieces(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pieces")
+    rng = random.Random(1)
+    (root / "text").write_bytes(
+        b"".join(rng.choice([b"abaab", b"abba", b"ba"]) for _ in range(400)))
+    assert main(["build-rlbwt", str(root / "text"), "-o", str(root / "rl")]) == 0
+    with open(root / "rl", "rb") as fp:
+        rl = load_rlbwt(fp)
+    assert (rl.n, rl.r) == (PIECES_N, PIECES_R)
+    return root
+
+
+def _set_u64(path, at, value):
+    """Overwrite the u64 header field at byte `at` of a .mv file and redo its
+    CRC-32, so that the file loads."""
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<Q", data, at, value)
+    struct.pack_into("<I", data, len(data) - 4, zlib.crc32(data[4:-4]))
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("perm", ["lf", "fl", "phi", "phi-inv"])
+def test_verify_checks_L_and_the_interval_count(pieces, capsys, perm):
+    """Every file that build writes passes both checks, with the bound of
+    the paper: r intervals, plus floor(n/L) when capped, and then
+    ceil(R/(alpha-1)) of the bound R so far when balanced."""
+    n, r = PIECES_N, PIECES_R
+    out = pieces / f"{perm}.mv"
+    for cap, alpha in itertools.product(("0", "1/2", "1", "2", "8"), (0, 2, 3, 4)):
+        assert main(["build", str(pieces / "rl"), "--perm", perm, "--cap", cap,
+                     "--balance", str(alpha), "-o", str(out)]) == 0
+        with open(out, "rb") as fp:
+            r_prime = len(load_move(fp))
+        capsys.readouterr()
+        assert main(["verify", str(out), str(pieces / "rl")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        limit = r
+        if cap != "0":
+            L = cap_length(n, r, Fraction(cap))
+            assert f"PASS L {L} == {L} from n, r and c" in lines
+            limit += n // L
+        else:
+            assert not any(line.startswith(("PASS L ", "FAIL L ")) for line in lines)
+        if alpha:
+            limit += -(-limit // (alpha - 1))
+        assert lines[-1] == f"PASS intervals {r_prime} <= {limit}"
+
+
+@pytest.mark.parametrize("cap, at, value, failed", [
+    # source_runs lowered by one: the uncapped table has one interval too many.
+    ("0", 55, PIECES_R - 1, ["FAIL intervals 317 <= 316"]),
+    # L raised to n: the length and fast-forward checks against it pass.
+    ("1", 23, PIECES_N, ["FAIL L 1471 == 5 from n, r and c"]),
+], ids=["source_runs", "L"])
+def test_verify_fails_a_header_that_lies(pieces, capsys, cap, at, value, failed):
+    """Header fields rewritten with the CRC-32 redone: the file loads, and
+    verify fails it on the L and interval-count checks alone."""
+    out = pieces / "lie.mv"
+    assert main(["build", str(pieces / "rl"), "--cap", cap, "-o", str(out)]) == 0
+    _set_u64(out, at, value)
+    capsys.readouterr()
+    assert main(["verify", str(out), str(pieces / "rl")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == failed
+
+
+def test_verify_refuses_a_capped_file_of_no_runs(pieces, capsys):
+    """A source_runs field of 0 under a redone CRC-32: no L follows from it,
+    so verify reports an error in place of dividing by zero."""
+    out = pieces / "norun.mv"
+    assert main(["build", str(pieces / "rl"), "--cap", "1", "-o", str(out)]) == 0
+    _set_u64(out, 55, 0)
+    capsys.readouterr()
+    assert main(["verify", str(out), str(pieces / "rl")]) == 2
+    assert "run count r must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_verify_fails_one_split_beyond_the_bound(pieces, capsys):
+    """An uncapped LF file with one interval split in two: the permutation
+    and every other check stay right, and the count exceeds r by one."""
+    out = pieces / "split.mv"
+    assert main(["build", str(pieces / "rl"), "--cap", "0", "-o", str(out)]) == 0
+    with open(out, "rb") as fp:
+        t = load_move(fp)
+    j = t.lengths.index(max(t.lengths))
+    starts, images = t.starts[:], t.images()
+    starts.insert(j + 1, starts[j] + 1)
+    images.insert(j + 1, images[j] + 1)
+    src = list(range(len(t)))
+    src.insert(j + 1, j)
+    with open(out, "wb") as fp:
+        save_move(t.replace(**interval_columns(t.n, starts, images),
+                            extras=run_columns(t, src)), fp)
+    capsys.readouterr()
+    assert main(["verify", str(out), str(pieces / "rl")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "PASS evaluation equals oracle" in lines
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        f"FAIL intervals {PIECES_R + 1} <= {PIECES_R}"]
 
 
 def test_verify_detects_corruption(ws):

@@ -35,7 +35,6 @@ from support import (
     REF_IMAGES,
     REF_PERM,
     REF_STARTS,
-    from_runs,
     random_runny_permutation,
     validate_by_sort,
 )
@@ -118,14 +117,16 @@ def test_from_permutation_accepts_exactly_the_bijections():
 
 
 def test_from_runs():
-    t = from_runs(16, list(zip(REF_STARTS, REF_IMAGES)))
+    t = IntervalTable.from_intervals(16, REF_STARTS, REF_IMAGES)
+    t.validate()
     assert table_to_permutation(t) == REF_PERM
-    with pytest.raises(InvalidInputError):
-        from_runs(16, [(1, 0)])
-    with pytest.raises(InvalidInputError):
-        from_runs(16, [(0, 1), (2, 9), (5, 9)])  # images collide
-    with pytest.raises(InvalidInputError):
-        from_runs(4, [])
+    for n, starts, images, error in (
+        (16, [1], [0], "lengths do not sum to n"),  # the first start is not 0
+        (16, [0, 2, 5], [1, 9, 9], "images do not tile"),  # images collide
+        (4, [], [], "empty table"),
+    ):
+        with pytest.raises(InvalidInputError, match=error):
+            IntervalTable.from_intervals(n, starts, images).validate()
 
 
 def test_relative_mode_equivalence(ref_table):

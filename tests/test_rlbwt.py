@@ -21,7 +21,6 @@ from movestruct import (
     build_phi_via_lf,
     inverse,
     load_rlbwt,
-    recover_text,
     save_rlbwt,
     table_to_permutation,
 )
@@ -37,10 +36,9 @@ from movestruct.oracle import (
 from support import (
     doc_of,
     random_text,
+    recover_text,
     repetitive_text,
     rl_file_bytes,
-    rlbwt_from_text,
-    rlbwt_to_text,
 )
 
 ABAABA_SA = [6, 5, 2, 3, 0, 4, 1]
@@ -296,7 +294,7 @@ def test_phi_from_samples_matches_naive_hypothesis(seed, repetitive):
 
 def test_doc_bounds():
     b = DocBounds([0, 3])
-    assert b.d == 2
+    assert len(b.starts) == 2
     assert doc_of(b, 2) == 0
     assert doc_of(b, 3) == 1
     assert doc_of(b, 6) == 1
@@ -431,12 +429,3 @@ def test_rlbwt_binary_errors():
     data[4] = 99  # unsupported version
     with pytest.raises(FormatError):
         load_rlbwt(io.BytesIO(bytes(data)))
-
-
-def test_rlbwt_text_round_trip():
-    rl, _ = build_bwt(b"abaaba")
-    text = rlbwt_to_text(rl)
-    assert text.splitlines()[0] == "61 1"
-    assert rlbwt_from_text(text) == rl.runs
-    with pytest.raises(FormatError):
-        rlbwt_from_text("61 one\n")

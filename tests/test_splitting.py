@@ -51,6 +51,8 @@ def test_cap_length_formula():
     assert cap_length(5, 100, 1) == 1  # floor at 1
     with pytest.raises(InvalidParameterError):
         cap_length(16, 9, 0)
+    with pytest.raises(InvalidParameterError, match="run count"):
+        cap_length(16, 0, 1)
 
 
 def test_cap_reference_c1():
@@ -120,6 +122,9 @@ def test_balance_parameter_validation():
         balance(t, -2)
     with pytest.raises(InvalidParameterError):
         length_cap(t, -1)
+    # A table loaded from a file whose source_runs field reads 0.
+    with pytest.raises(InvalidParameterError, match="run count"):
+        length_cap(t.replace(source_runs=0), 1)
 
 
 # One output interval holds every start, so balance has splits to make.

@@ -34,7 +34,6 @@ from movestruct import (
     inverse,
     invert_bwt,
     length_cap,
-    recover_text,
     load_move,
     save_move,
     save_rlbwt,
@@ -51,6 +50,7 @@ from support import (
     doubling_search,
     random_runny_permutation,
     random_text,
+    recover_text,
     repetitive_text,
 )
 
@@ -294,9 +294,13 @@ def test_traverse_counted_bad_start():
 
 
 def test_stats_consistency_check():
-    s = TraversalStats.from_histogram([1, 0, 1])
-    assert s.histogram == {2: 1, 0: 1}
-    assert (s.steps, s.total_fast_forwards, s.max_fast_forwards) == (2, 2, 2)
+    # Two linear queries, one of which skips two boundaries: the kernel
+    # counts only that one, and probes are one per query plus its skips.
+    s = traversal._walk_stats([0, 0, 1], 2)
+    assert vars(s) == {
+        "steps": 2, "total_fast_forwards": 2, "max_fast_forwards": 2,
+        "histogram": {0: 1, 2: 1}, "total_probes": 4, "max_probes": 3,
+    }
     check_consistency(s)
     s.steps = 5
     with pytest.raises(InvalidInputError):
@@ -404,12 +408,6 @@ def _moved_stats(table, cur, steps, config=QueryConfig()):
     }
 
 
-def _walk_reference(table, cur, steps):
-    """Reference stats of a streaming walk, which counts no probes."""
-    _, ref = _moved_stats(table, cur, steps)
-    return {**ref, "total_probes": 0, "max_probes": 0}
-
-
 @pytest.mark.parametrize("block", [1, 2, 3, 7])
 def test_walks_across_block_seams(monkeypatch, block):
     # Only the kernel's cursor, and the SA walk's last value, cross from one
@@ -432,19 +430,19 @@ def test_walks_across_block_seams(monkeypatch, block):
             out = io.BytesIO()
             stats = invert_bwt(fl, out)
             assert out.getvalue() == text + b"\x00"
-            assert vars(stats) == _walk_reference(fl, MoveCursor(0, 0), n)
+            assert vars(stats) == _moved_stats(fl, MoveCursor(0, 0), n)[1]
 
             pi = split(phi_inv)
             first = pi.cursor_of(n - 1)
-            ref = _walk_reference(pi, first, n)
+            ref = _moved_stats(pi, first, n)[1]
             out = io.BytesIO()
             assert vars(enumerate_sa(pi, out)) == ref
             assert u64s(out) == sa
             # DA stats are those of the walk on the table cut at the bounds.
             cut = cut_at_documents(pi, bounds)
             out = io.BytesIO()
-            assert vars(enumerate_da(pi, out, bounds)) == _walk_reference(
-                cut, cut.cursor_of(n - 1), n)
+            assert vars(enumerate_da(pi, out, bounds)) == _moved_stats(
+                cut, cut.cursor_of(n - 1), n)[1]
             assert u64s(out) == [doc_of(bounds, v) for v in sa]
             # Documents that start only at interval starts leave no interval
             # spanning a boundary: the cut adds nothing, and the attached
@@ -499,7 +497,7 @@ def test_da_walks_the_table_cut_at_document_starts(monkeypatch, block):
         assert u64s(out) == [doc_of(bounds, v) for v in sa]
         cut = cut_at_documents(pi, bounds)
         cut.validate()
-        assert vars(stats) == _walk_reference(cut, cut.cursor_of(n - 1), n)
+        assert vars(stats) == _moved_stats(cut, cut.cursor_of(n - 1), n)[1]
         return u64s(out), cut
 
     def core(t):
