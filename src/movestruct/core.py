@@ -24,10 +24,14 @@ IntervalTable.validate() is the one check that a table is a permutation of
 [0, n); every builder that takes outside input (from_permutation, the phi
 builders, load_move) calls it.
 
-A cursor (MoveCursor) and a query result (MoveResult) are named tuples: a
-cursor unpacks as `j, k = cur` and equals the plain tuple (j, k). The query
-path builds them with tuple.__new__ and checks its cursor inline, so that a
-point query costs little more than its fast forward or search.
+A cursor is a pair (j, k). The cursors the library returns are plain tuples,
+since in CPython an instance of a tuple subclass costs several times a plain
+tuple to build and misses the fast path of unpacking; MoveCursor is the
+named tuple for callers who want named fields, and equals the plain pair.
+Every method takes either. A query result (MoveResult) is a named tuple that
+the query path builds with tuple.__new__, and the path checks its cursor
+inline, so that a point query costs little more than its fast forward or
+search.
 
 IntervalTable.move answers one query; walk() and gallop_walk() answer a
 chained block of them, with the same loops inlined over the whole block,
@@ -83,17 +87,17 @@ class QueryConfig:
 
 
 class MoveResult(NamedTuple):
-    cursor: MoveCursor
+    cursor: tuple[int, int]
     fast_forwards: int
     probes: int
 
 
-# Builds a MoveCursor or MoveResult from a tuple of its fields in one C call,
-# without the Python frame of the generated __new__.
+# Builds a MoveResult from a tuple of its fields in one C call, without the
+# Python frame of the generated __new__.
 _new = tuple.__new__
 
 
-def bad_cursor(cur: MoveCursor, r: int) -> BoundsError:
+def bad_cursor(cur: tuple[int, int], r: int) -> BoundsError:
     """The error for a cursor outside a table of r intervals; callers check
     0 <= j < r and 0 <= k < lengths[j] inline, on the query path."""
     return BoundsError(f"cursor {cur} invalid for table with r'={r}")
@@ -161,14 +165,14 @@ class IntervalTable:
 
     # --------------------------------------------------------------- cursors
 
-    def cursor_of(self, i: int) -> MoveCursor:
+    def cursor_of(self, i: int) -> tuple[int, int]:
         if not 0 <= i < self.n:
             raise BoundsError(f"position {i} out of range 0..{self.n - 1}")
         starts = self.starts
         j = bisect_right(starts, i) - 1
-        return _new(MoveCursor, (j, i - starts[j]))
+        return j, i - starts[j]
 
-    def position_of(self, cur: MoveCursor) -> int:
+    def position_of(self, cur: tuple[int, int]) -> int:
         j, k = cur
         lengths = self.lengths
         if not (0 <= j < len(lengths) and 0 <= k < lengths[j]):
@@ -177,10 +181,13 @@ class IntervalTable:
 
     # ---------------------------------------------------------------- queries
 
-    def move(self, cur: MoveCursor, config: QueryConfig = QueryConfig()) -> MoveResult:
-        """One move query from cur: the destination cursor, the interval
-        boundaries skipped, and the lengths (linear) or starts (exponential)
-        probed. A linear search probes one more length than it skips."""
+    def move(
+        self, cur: tuple[int, int], config: QueryConfig = QueryConfig()
+    ) -> MoveResult:
+        """One move query from cur: the destination cursor as a plain (j, k),
+        the interval boundaries skipped, and the lengths (linear) or starts
+        (exponential) probed. A linear search probes one more length than it
+        skips."""
         j, k = cur
         lengths = self.lengths
         if not (0 <= j < len(lengths) and 0 <= k < lengths[j]):
@@ -193,10 +200,10 @@ class IntervalTable:
             # The first probe, starts[q + 1] > p, settles most queries: they
             # land in q itself. Nothing lies past the last interval to probe.
             if q + 1 == r:
-                return _new(MoveResult, (_new(MoveCursor, (q, k)), 0, 0))
+                return _new(MoveResult, ((q, k), 0, 0))
             p = starts[q] + k
             if starts[q + 1] > p:
-                return _new(MoveResult, (_new(MoveCursor, (q, k)), 0, 1))
+                return _new(MoveResult, ((q, k), 0, 1))
             # Gallop: double the step until a start beyond p (or the table
             # end) brackets the destination rank.
             probes = 1
@@ -221,7 +228,7 @@ class IntervalTable:
                     lo = mid
                 else:
                     hi = mid
-            return _new(MoveResult, (_new(MoveCursor, (lo, p - starts[lo])), lo - q, probes))
+            return _new(MoveResult, ((lo, p - starts[lo]), lo - q, probes))
         ff = 0
         ell = lengths[q]
         while k >= ell:
@@ -229,7 +236,7 @@ class IntervalTable:
             q += 1
             ff += 1
             ell = lengths[q]
-        return _new(MoveResult, (_new(MoveCursor, (q, k)), ff, ff + 1))
+        return _new(MoveResult, ((q, k), ff, ff + 1))
 
     # ------------------------------------------------------------- validation
 

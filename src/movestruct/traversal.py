@@ -33,7 +33,6 @@ from . import rlbwt
 from .core import (
     EXPONENTIAL,
     IntervalTable,
-    MoveCursor,
     QueryConfig,
     gallop_walk,
     inverse,
@@ -149,7 +148,7 @@ def invert_bwt(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
         pos += len(text)
         return text
 
-    start = table.move(MoveCursor(0, 0)).cursor
+    start = table.move((0, 0)).cursor
     return _block_walk(table, fp, start, sym, bytearray(), flush)
 
 
@@ -206,15 +205,18 @@ def enumerate_da(
 
 def traverse_counted(
     table: IntervalTable,
-    start: MoveCursor,
+    start: tuple[int, int],
     steps: int,
     config: QueryConfig = QueryConfig(),
-) -> tuple[MoveCursor, TraversalStats]:
-    """`steps` chained move queries from `start`, with the stats of the
-    same queries made one IntervalTable.move at a time; a negative count
-    raises InvalidParameterError and a cursor outside the table BoundsError."""
-    if steps < 0:
-        raise InvalidParameterError(f"steps must be >= 0, got {steps}")
+) -> tuple[tuple[int, int], TraversalStats]:
+    """`steps` chained move queries from `start`, with the end cursor (j, k)
+    and the stats of the same queries made one IntervalTable.move at a time.
+    A count below 0 or above sys.maxsize raises InvalidParameterError, and a
+    cursor outside the table BoundsError."""
+    if not 0 <= steps <= sys.maxsize:
+        raise InvalidParameterError(
+            f"steps must be in 0..{sys.maxsize}, got {steps}"
+        )
     table.position_of(start)
     j, k = start
     lengths = table.lengths
@@ -227,10 +229,10 @@ def traverse_counted(
         j, k = walk(
             lengths, dest_rank, dest_offset, j, k, steps, dest_rank, discard, counts
         )
-        return MoveCursor(j, k), _walk_stats(counts, steps)
+        return (j, k), _walk_stats(counts, steps)
     j, k, *probes = gallop_walk(
         table.starts, lengths, dest_rank, dest_offset, j, k, steps, counts
     )
     stats = _walk_stats(counts, steps)
     stats.total_probes, stats.max_probes = probes
-    return MoveCursor(j, k), stats
+    return (j, k), stats

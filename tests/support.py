@@ -140,8 +140,9 @@ def doubling_search(table: IntervalTable, cur: MoveCursor) -> tuple[int, int, in
     """
     starts = table.starts
     r = len(starts)
-    q0 = table.dest_rank[cur.j]
-    p = starts[q0] + table.dest_offset[cur.j] + cur.k
+    j, k = cur
+    q0 = table.dest_rank[j]
+    p = starts[q0] + table.dest_offset[j] + k
     probes = 0
     lo, span = q0, 1
     while q0 + span < r:

@@ -301,8 +301,8 @@ def test_criterion_09_exponential_search_equivalence(grid, capsys):
                     for k in range(lengths[j]):
                         while q + 1 < r and starts[q + 1] <= p:
                             q += 1
-                        res = final.move(MoveCursor(j, k), EXP)
-                        if res.cursor != MoveCursor(q, p - starts[q]):
+                        res = final.move((j, k), EXP)
+                        if res.cursor != (q, p - starts[q]):
                             bad.append(f"output {idx} {kind} c={c} a={alpha} {j},{k}")
                         if probe_cap is not None and res.probes > probe_cap:
                             bad.append(

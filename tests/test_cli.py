@@ -3,6 +3,7 @@
 import itertools
 import random
 import struct
+import sys
 import zlib
 from fractions import Fraction
 
@@ -409,6 +410,18 @@ def test_bench_rejects_steps_below_one(ws, capsys, steps):
     assert main(["bench", str(out), "--steps", steps]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "--steps" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("search", ["linear", "exp"])
+def test_bench_rejects_steps_past_maxsize(ws, capsys, search):
+    out = ws / "lf.mv"
+    main(["build", str(ws / "rl"), "-o", str(out)])
+    capsys.readouterr()
+    steps = str(sys.maxsize + 1)
+    assert main(["bench", str(out), "--steps", steps, "--search", search]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "steps" in captured.err
     assert captured.out == ""
 
 

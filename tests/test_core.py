@@ -180,24 +180,35 @@ def test_cursor_bounds(ref_table):
 
 
 def test_cursor_value_semantics(ref_table):
-    """Cursors and results are immutable named tuples, equal by value."""
-    a, b = MoveCursor(8, 1), ref_table.cursor_of(14)
-    assert a == b == (8, 1) and hash(a) == hash(b)
-    assert a is not b
-    assert {a, b} == {a} and {a: "x"}[b] == "x"
-    j, k = b
-    assert (j, k) == (b.j, b.k) == (8, 1)
-    with pytest.raises(AttributeError):
-        a.j = 0
-    assert "j=8" in repr(a) and "k=1" in repr(a)
-    assert MoveCursor(8, 1) != MoveCursor(1, 8)
+    """The cursors the library returns are plain (j, k) tuples, equal and
+    hash-equal to the MoveCursor of the same fields; move answers a
+    MoveCursor and the same plain pair alike; a result is a named tuple."""
+    want = MoveCursor(2, 0)
     res = ref_table.move(MoveCursor(4, 1))
-    assert res.cursor == MoveCursor(2, 0) and type(res.cursor) is MoveCursor
-    assert (res.fast_forwards, res.probes) == (1, 2)
-    assert res == (MoveCursor(2, 0), 1, 2)
-    assert type(ref_table.move(MoveCursor(4, 1), EXP).cursor) is MoveCursor
     end, _ = traverse_counted(ref_table, MoveCursor(4, 1), 1)
-    assert end == MoveCursor(2, 0) and type(end) is MoveCursor
+    got = [
+        ref_table.cursor_of(14), res.cursor,
+        ref_table.move(MoveCursor(4, 1), EXP).cursor, end,
+    ]
+    for cur, named in zip(got, [MoveCursor(8, 1), want, want, want]):
+        assert type(cur) is tuple
+        assert cur == named and hash(cur) == hash(named)
+        assert {cur, named} == {named} and {named: "x"}[cur] == "x"
+    named = MoveCursor(8, 1)
+    j, k = named
+    assert (j, k) == (named.j, named.k) == (8, 1)
+    with pytest.raises(AttributeError):
+        named.j = 0
+    assert "j=8" in repr(named) and "k=1" in repr(named)
+    assert MoveCursor(8, 1) != MoveCursor(1, 8)
+    for t in (ref_table, ref_table.to_relative()):
+        for config in (QueryConfig(), EXP):
+            for j in range(len(t)):
+                for k in range(t.lengths[j]):
+                    assert t.move(MoveCursor(j, k), config) == t.move((j, k), config)
+    assert res._fields == ("cursor", "fast_forwards", "probes")
+    assert (res.fast_forwards, res.probes) == (1, 2)
+    assert res == (want, 1, 2)
 
 
 def test_validator_catches_corruption():
@@ -416,7 +427,7 @@ def test_walk_puts_the_interval_each_query_leaves():
         left, want_counts = [], [0] * len(t)
         cur = start
         for _ in range(size):
-            left.append(cur.j)
+            left.append(cur[0])
             res = t.move(cur)
             if res.fast_forwards:
                 want_counts[res.fast_forwards] += 1

@@ -4,6 +4,7 @@ import io
 import math
 import random
 import struct
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -286,6 +287,17 @@ def test_traverse_counted_rejects_negative_steps():
         assert vars(stats) == vars(TraversalStats())
 
 
+def test_traverse_counted_rejects_steps_past_maxsize():
+    # A count that no C-level loop can take is a parameter error, raised
+    # before any query, not an OverflowError from inside the kernel.
+    rl, _ = build_bwt(b"abaaba")
+    lf = build_lf(rl)
+    for config in (QueryConfig(), QueryConfig(search=ms.EXPONENTIAL)):
+        for steps in (sys.maxsize + 1, 2**64):
+            with pytest.raises(InvalidParameterError):
+                traverse_counted(lf, MoveCursor(0, 0), steps, config)
+
+
 def test_traverse_counted_bad_start():
     rl, _ = build_bwt(b"abaaba")
     lf = build_lf(rl)
@@ -473,7 +485,7 @@ def test_da_without_bounds_fails_before_the_first_byte(monkeypatch):
         # SA ranks whose cursor is in an interval that starts before b at a
         # value at or past b.
         crossing = [i for i, v in enumerate(sa)
-                    if starts[pi.cursor_of(v).j] < b <= v]
+                    if starts[pi.cursor_of(v)[0]] < b <= v]
         if crossing and crossing[0] >= 3:
             break
     else:
@@ -589,7 +601,7 @@ def test_exponential_walk_landing_in_the_last_interval():
         for steps in (0, 1, 2, 3, 4, 401):
             _exp_walk(u, u.cursor_of(half - 1), steps)
     res = t.move(t.cursor_of(half - 1), EXP)
-    assert (res.cursor.j, res.fast_forwards) == (last, blocks - 1)
+    assert (res.cursor[0], res.fast_forwards) == (last, blocks - 1)
 
     # A last interval that maps onto itself keeps the walk there, with no
     # probe per step. Capped, the identity is cut into intervals that each
@@ -601,7 +613,7 @@ def test_exponential_walk_landing_in_the_last_interval():
     for u in (t, capped):
         stats = _exp_walk(u, u.cursor_of(99), 300)
         assert (stats.total_probes, stats.max_probes) == (0, 0)
-    assert capped.cursor_of(60).j < len(capped) - 1
+    assert capped.cursor_of(60)[0] < len(capped) - 1
     stats = _exp_walk(capped, capped.cursor_of(60), 300)
     assert (stats.total_probes, stats.max_probes) == (300, 1)
 
