@@ -227,10 +227,13 @@ def cmd_verify(args) -> int:
         L = splitting.cap_length(table.n, limit, table.cap) if table.cap else 0
         check(f"L {table.cap_len} == {L} from n, r and c", table.cap_len == L)
         limit += L and table.n // L
-        check("max interval length <= L", table.max_len <= table.cap_len)
-        check("per-query fast forwards <= L", max_ff <= table.cap_len)
+        check(f"max interval length {table.max_len} <= L {table.cap_len}",
+              table.max_len <= table.cap_len)
+        check(f"per-query fast forwards {max_ff} <= L {table.cap_len}",
+              max_ff <= table.cap_len)
     if table.alpha >= 2:
-        check("per-query fast forwards < 2*alpha", max_ff < 2 * table.alpha)
+        check(f"per-query fast forwards {max_ff} < 2*alpha {2 * table.alpha}",
+              max_ff < 2 * table.alpha)
         limit += -(-limit // (table.alpha - 1))
     check(f"intervals {len(table)} <= {limit}", len(table) <= limit)
     return 1 if failures else 0

@@ -343,8 +343,9 @@ def walk(
     Before each query, put(col[j]) receives the column value of the interval
     j that the query leaves, so the first value is that of the start cursor
     and none is that of the cursor returned. A query that skips ff > 0
-    boundaries adds one to counts[ff]; counts[0] is left to the caller,
-    which knows the number of queries. Returns the last cursor reached.
+    boundaries adds one to counts[ff], which grows geometrically when ff is
+    past its end; counts[0] is left to the caller, which knows the number
+    of queries. Returns the last cursor reached.
     """
     for _ in repeat(None, size):
         put(col[j])
@@ -358,7 +359,11 @@ def walk(
                 q += 1
                 ff += 1
                 ell = lengths[q]
-            counts[ff] += 1
+            try:
+                counts[ff] += 1
+            except IndexError:
+                counts.extend([0] * (ff + len(counts)))
+                counts[ff] += 1
         j = q
     return j, k
 
@@ -379,9 +384,9 @@ def gallop_walk(
     A query whose offset stays below its destination interval's length takes
     move's one-probe exit, or its zero-probe exit in the last interval; any
     other query gallops on from the start after its destination. A query
-    that skips ff > 0 boundaries adds one to counts[ff]; counts[0] is left
-    to the caller. Returns the last cursor reached, the probes of all
-    queries and the most probes of one query.
+    that skips ff > 0 boundaries adds one to counts[ff], grown as walk
+    grows it; counts[0] is left to the caller. Returns the last cursor
+    reached, the probes of all queries and the most probes of one query.
     """
     r = len(starts)
     last = r - 1
@@ -420,7 +425,11 @@ def gallop_walk(
                 lo = mid
             else:
                 b = mid
-        counts[lo - q] += 1
+        try:
+            counts[lo - q] += 1
+        except IndexError:
+            counts.extend([0] * (lo - q + len(counts)))
+            counts[lo - q] += 1
         total += probes
         if probes > top:
             top = probes

@@ -6,10 +6,12 @@ chained steps with the fast-forward loop inlined, hands a C-level sink the
 column value of the interval each query leaves, and counts the fast
 forwards per step, so the amortized bounds can be checked exactly: every
 walk's stats, probes included, are those of the same queries made one
-IntervalTable.move at a time, and _walk_stats makes them. The three
-streaming walks share one block loop, which writes to a binary file
-object once per block of _BLOCK entries. Inversion emits the symbol
-column into a bytearray. The SA walk emits each interval's image minus
+IntervalTable.move at a time, and _walk_stats makes them from the filled
+counts. The counts start at _FF_SLOTS and the kernels grow them, so a
+walk's fixed cost does not grow with L or r'. The three streaming walks
+share one block loop, which writes to a binary file object once per
+block of _BLOCK entries. Inversion emits the symbol column into a
+bytearray. The SA walk emits each interval's image minus
 start, so a block of values is one itertools.accumulate from the value
 carried over; the DA walk emits the doc column of the table cut at its d
 document starts. Both write little-endian u64 values. Their working space is O(r'), O(r' + d) for DA, plus one block.
@@ -25,8 +27,8 @@ import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate
-from operator import sub
+from itertools import accumulate, compress
+from operator import mul, sub
 from typing import Any, BinaryIO, Callable, Optional, Sequence
 
 from . import rlbwt
@@ -42,6 +44,11 @@ from .errors import InvalidInputError, InvalidParameterError, MissingColumnError
 
 # Entries buffered between two writes to the output file.
 _BLOCK = 1 << 16
+# Fast-forward counts a walk starts with, whatever the table; the kernels
+# grow them for a query that skips more boundaries.
+_FF_SLOTS = 16
+# The kernels' sink for column values that nobody reads; it keeps none.
+_DISCARD = deque(maxlen=0).append
 
 
 @dataclass
@@ -54,21 +61,16 @@ class TraversalStats:
     max_probes: int = 0
 
 
-def _ff_counts(table: IntervalTable) -> list[int]:
-    """Zeroed per-step fast-forward counts. On a valid table a query skips
-    fewer boundaries than its interval's length and than r'."""
-    return [0] * min(table.max_len, len(table))
-
-
 def _walk_stats(counts: list[int], steps: int) -> TraversalStats:
     """Stats of `steps` linear queries whose counts hold only the queries
     that fast-forwarded; the rest took none. A linear query probes one more
     length than it skips, so these are the sums of the MoveResults of the
     same queries made one IntervalTable.move at a time."""
     counts[0] = steps - sum(counts)
-    histogram = {ff: hits for ff, hits in enumerate(counts) if hits}
-    total = sum(ff * hits for ff, hits in histogram.items())
-    top = max(histogram, default=0)
+    ffs = list(compress(range(len(counts)), counts))
+    histogram = dict(zip(ffs, compress(counts, counts)))
+    total = sum(map(mul, ffs, histogram.values()))
+    top = ffs[-1] if ffs else 0
     return TraversalStats(
         steps, total, top, histogram, steps + total, top + 1 if steps else 0
     )
@@ -95,7 +97,7 @@ def _block_walk(
     lengths = table.lengths
     dest_rank = table.dest_rank
     dest_offset = table.dest_offset
-    counts = _ff_counts(table)
+    counts = [0] * _FF_SLOTS
     n = table.n
     j, k = start
     for i in range(0, n, _BLOCK):
@@ -222,12 +224,10 @@ def traverse_counted(
     lengths = table.lengths
     dest_rank = table.dest_rank
     dest_offset = table.dest_offset
-    counts = _ff_counts(table)
+    counts = [0] * _FF_SLOTS
     if config.search != EXPONENTIAL:
-        # The kernel reports a column value per step; nothing here reads it.
-        discard = deque(maxlen=0).append
         j, k = walk(
-            lengths, dest_rank, dest_offset, j, k, steps, dest_rank, discard, counts
+            lengths, dest_rank, dest_offset, j, k, steps, dest_rank, _DISCARD, counts
         )
         return (j, k), _walk_stats(counts, steps)
     j, k, *probes = gallop_walk(

@@ -23,7 +23,7 @@ from movestruct import (
 )
 from movestruct.cli import main
 from movestruct.core import interval_columns, run_columns
-from movestruct.oracle import naive_bwt, naive_lf, naive_sa
+from movestruct.oracle import max_fast_forwards, naive_bwt, naive_lf, naive_sa
 from support import doc_of, rl_file_bytes
 
 
@@ -301,16 +301,18 @@ def _set_u64(path, at, value):
 
 @pytest.mark.parametrize("perm", ["lf", "fl", "phi", "phi-inv"])
 def test_verify_checks_L_and_the_interval_count(pieces, capsys, perm):
-    """Every file that build writes passes both checks, with the bound of
-    the paper: r intervals, plus floor(n/L) when capped, and then
-    ceil(R/(alpha-1)) of the bound R so far when balanced."""
+    """Every file that build writes passes every bound check, each printed
+    with its value and its limit. The interval bound is that of the paper:
+    r intervals, plus floor(n/L) when capped, and then ceil(R/(alpha-1)) of
+    the bound R so far when balanced."""
     n, r = PIECES_N, PIECES_R
     out = pieces / f"{perm}.mv"
     for cap, alpha in itertools.product(("0", "1/2", "1", "2", "8"), (0, 2, 3, 4)):
         assert main(["build", str(pieces / "rl"), "--perm", perm, "--cap", cap,
                      "--balance", str(alpha), "-o", str(out)]) == 0
         with open(out, "rb") as fp:
-            r_prime = len(load_move(fp))
+            t = load_move(fp)
+        r_prime, ff = len(t), max_fast_forwards(t)
         capsys.readouterr()
         assert main(["verify", str(out), str(pieces / "rl")]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -318,10 +320,13 @@ def test_verify_checks_L_and_the_interval_count(pieces, capsys, perm):
         if cap != "0":
             L = cap_length(n, r, Fraction(cap))
             assert f"PASS L {L} == {L} from n, r and c" in lines
+            assert f"PASS max interval length {t.max_len} <= L {L}" in lines
+            assert f"PASS per-query fast forwards {ff} <= L {L}" in lines
             limit += n // L
         else:
             assert not any(line.startswith(("PASS L ", "FAIL L ")) for line in lines)
         if alpha:
+            assert f"PASS per-query fast forwards {ff} < 2*alpha {2 * alpha}" in lines
             limit += -(-limit // (alpha - 1))
         assert lines[-1] == f"PASS intervals {r_prime} <= {limit}"
 

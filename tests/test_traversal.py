@@ -404,6 +404,24 @@ def test_sa_walk_working_space(tmp_path):
     assert struct.unpack("<Q", raw[-8:]) == (0,)
 
 
+def test_traverse_counted_working_space():
+    # max_len 20,000 and r' 10,001: a 1-step walk whose query skips no
+    # boundary keeps a fixed few fast-forward counts, not one per interval.
+    t = from_permutation(adversarial_permutation(40000, 10000))
+    assert min(t.max_len, len(t)) >= 10**4
+    start = t.cursor_of(t.n // 2)
+    for config in (QueryConfig(), EXP):
+        traverse_counted(t, start, 1, config)
+        tracemalloc.start()
+        try:
+            _, stats = traverse_counted(t, start, 1, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.histogram == {0: 1}
+        assert peak < 4096
+
+
 def _moved_stats(table, cur, steps, config=QueryConfig()):
     """The end cursor and vars() of the stats of `steps` chained
     IntervalTable.move queries from cur, summed one query at a time."""
@@ -637,3 +655,56 @@ def test_exponential_walk_equals_chained_moves(n, seed):
                 stats = _exp_walk(u, start, steps)
                 if u.cap_len:
                     assert stats.max_probes <= 2 * math.log2(u.cap_len) + 4
+
+
+def _long_run_text() -> bytes:
+    """Its uncapped LF has a query that skips 82 intervals, and FL one
+    that skips 76."""
+    rng = random.Random(2)
+    return b"".join(rng.choice([b"abaab", b"abba", b"ba"]) for _ in range(300))
+
+
+@pytest.mark.parametrize("block", [7, 1 << 16])
+def test_walks_grow_their_fast_forward_counts(monkeypatch, block):
+    # Uncapped tables whose walks skip more boundaries in one query than a
+    # walk's counts start with, so the kernels grow them, mid-block or
+    # across block seams. Every walk's stats still equal those of the same
+    # queries made one move at a time, with the histogram in ascending order.
+    monkeypatch.setattr(traversal, "_BLOCK", block)
+    slots = traversal._FF_SLOTS
+    adv = from_permutation(adversarial_permutation(2000, 100))
+    text = _long_run_text()
+    rl, sa = build_bwt(text)
+    lf = build_lf(rl)
+    assert lf.cap_len == 0
+    for t in (adv, adv.to_relative(), lf, lf.to_relative()):
+        start = t.cursor_of(max(
+            range(t.n), key=lambda i: t.move(t.cursor_of(i)).fast_forwards))
+        assert t.move(start).fast_forwards > slots
+        for steps in (0, 1, 400, t.n):
+            for config in (QueryConfig(), EXP):
+                end, stats = traverse_counted(t, start, steps, config)
+                assert (end, vars(stats)) == _moved_stats(t, start, steps, config)
+                assert list(stats.histogram) == sorted(stats.histogram)
+
+    fl = inverse(lf)
+    out = io.BytesIO()
+    stats = invert_bwt(fl, out)
+    assert out.getvalue() == text + b"\x00"
+    assert stats.max_fast_forwards > slots
+    assert vars(stats) == _moved_stats(fl, MoveCursor(0, 0), rl.n)[1]
+    assert list(stats.histogram) == sorted(stats.histogram)
+
+    # The SA walk chains any phi-inverse table from n - 1: on the
+    # adversarial permutation it writes the values of that cycle.
+    pi = adv.replace(kind="phi_inv")
+    perm = adversarial_permutation(2000, 100)
+    values = [pi.n - 1]
+    while len(values) < pi.n:
+        values.append(perm[values[-1]])
+    out = io.BytesIO()
+    stats = enumerate_sa(pi, out)
+    assert u64s(out) == values
+    assert stats.max_fast_forwards > slots
+    assert vars(stats) == _moved_stats(pi, pi.cursor_of(pi.n - 1), pi.n)[1]
+    assert list(stats.histogram) == sorted(stats.histogram)
