@@ -15,10 +15,11 @@ the one way to derive a table: every transform (inverse, length capping,
 balancing, document columns, storage mode) names only the fields it changes,
 and replace() carries the rest. Destination ranks come from one of two
 places. interval_columns() ranks images that arrive unsorted against the
-sorted starts; from_intervals, inverse and balance go through it. The two
-O(r) builders, rlbwt.build_lf and splitting.length_cap, meet their images
-in an order that only moves forward, so each carries one destination
-cursor and fast-forwards it over the lengths.
+sorted starts; from_intervals, inverse and refine() go through it, and
+refine() is the one way to cut a table at new starts. The two O(r)
+builders, rlbwt.build_lf and splitting.length_cap, meet their images in an
+order that only moves forward, so each carries one destination cursor and
+fast-forwards it over the lengths, with no search.
 
 IntervalTable.validate() is the one check that a table is a permutation of
 [0, n); every builder that takes outside input (from_permutation, the phi
@@ -305,6 +306,30 @@ def interval_columns(
         "dest_rank": dest_rank,
         "dest_offset": list(map(sub, images, map(starts.__getitem__, dest_rank))),
     }
+
+
+def refine(t: IntervalTable, new: Sequence[int], alpha: int = 0) -> IntervalTable:
+    """t cut at the sorted positions new, in [0, n), by one merge into
+    t.starts; a position that is already a start adds no cut. Each piece
+    keeps its source interval's image offset and run columns. New starts
+    can break a balance, so alpha is 0 unless passed."""
+    starts = t.starts
+    cut, src = [], []
+    i, m = 0, len(new)
+    for j, (s, ell) in enumerate(zip(starts, t.lengths)):
+        cut.append(s)
+        src.append(j)
+        while i < m and new[i] < s + ell:
+            if new[i] > cut[-1]:
+                cut.append(new[i])
+                src.append(j)
+            i += 1
+    images = t.images()
+    return t.replace(
+        **interval_columns(
+            t.n, cut, [images[j] + p - starts[j] for p, j in zip(cut, src)]),
+        extras=run_columns(t, src), alpha=alpha,
+    )
 
 
 def inverse(t: IntervalTable) -> IntervalTable:

@@ -25,7 +25,7 @@ from itertools import accumulate, compress, groupby
 from operator import gt, ne
 from typing import BinaryIO, Sequence
 
-from .core import ABSOLUTE, IntervalTable, interval_columns, run_columns
+from .core import ABSOLUTE, IntervalTable, refine
 from .errors import FormatError, InvalidInputError, MissingColumnError
 from .files import read_framed, write_framed
 
@@ -313,30 +313,12 @@ def attach_docs(table: IntervalTable, bounds: DocBounds) -> IntervalTable:
 
 
 def cut_at_documents(table: IntervalTable, bounds: DocBounds) -> IntervalTable:
-    """The table cut at each document start inside an interval, found by one
-    merge in O(r' + d), with the doc columns of bounds in place of any it
-    holds: "doc" is then the document of every position of an interval.
-    Pieces keep their interval's run columns; alpha resets, as in length_cap.
-    """
-    docs = bounds.starts
-    cut, src = [], []
-    i = 1  # docs[0] = 0 starts interval 0
-    for j, (s, ell) in enumerate(zip(table.starts, table.lengths)):
-        cut.append(s)
-        src.append(j)
-        while i < len(docs) and docs[i] < s + ell:
-            if docs[i] > s:
-                cut.append(docs[i])
-                src.append(j)
-            i += 1
-    images, starts = table.images(), table.starts
+    """The table cut at each document start inside an interval by
+    core.refine, with the doc columns of bounds in place of any it holds, so
+    that "doc" is the document of every position; alpha resets to 0."""
     plain = table.replace(extras={
         k: v for k, v in table.extras.items() if k not in ("doc", "docdist")})
-    return attach_docs(plain.replace(
-        **interval_columns(
-            table.n, cut, [images[j] + p - starts[j] for p, j in zip(cut, src)]),
-        extras=run_columns(plain, src), alpha=0,
-    ), bounds)
+    return attach_docs(refine(plain, bounds.starts), bounds)
 
 
 def doc_bounds_of(table: IntervalTable) -> DocBounds:

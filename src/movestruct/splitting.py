@@ -6,15 +6,16 @@ copies the extra columns of the interval it is cut from, which is right
 only for the run-constant columns in core.RUN_COLUMNS; any other column
 raises InvalidInputError.
 
-length_cap is one O(r') pass. balance pays per split it makes: it keeps
-the interval starts and the output images in two blocked sorted lists
-(sorted blocks of fewer than 2 * _BLOCK values plus a list of block
-heads), so that finding the alpha-th start after an image, the output
-interval that holds a new start, and each insert cost two bisects and a
-shift within one block. The count of starts inside each output interval
-is updated exactly at each split, with no recount. Each split costs
-O(log r' + _BLOCK + alpha) amortized; setting up and reading out the
-indexes adds O(r' log r') at C level.
+length_cap is one O(r') pass: one forward cursor places its cuts, with no
+search. balance pays per split it makes: it keeps the interval starts and
+the output images in two blocked sorted lists (sorted blocks of fewer than
+2 * _BLOCK values plus a list of block heads), so that finding the alpha-th
+start after an image, the output interval that holds a new start, and each
+insert cost two bisects and a shift within one block. The count of starts
+inside each output interval is updated exactly at each split, with no
+recount. Each split costs O(log r' + _BLOCK + alpha) amortized; setting up
+the indexes adds O(r' log r') at C level, and core.refine reads the table
+out with one merge.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, compress, repeat
 from operator import add, index, sub
 from typing import Union
 
-from .core import IntervalTable, interval_columns, run_columns
+from .core import IntervalTable, refine, run_columns
 from .errors import InvalidParameterError
 
 CapFactor = Union[int, float, str, Fraction]
@@ -143,6 +144,7 @@ def balance(t: IntervalTable, alpha: int) -> IntervalTable:
     O(r' / _BLOCK^2) for the cuts, nearly flat in r'. Both lists hold 0,
     the first start and the first image, and every inserted value is
     positive, so each value lands in the block of its predecessor head.
+    Once no violator is left, core.refine cuts t at the new starts.
     """
     try:
         alpha = index(alpha)
@@ -152,14 +154,12 @@ def balance(t: IntervalTable, alpha: int) -> IntervalTable:
         raise InvalidParameterError("alpha must be >= 2")
     starts0 = t.starts
     r = len(starts0)
-    # Interval records indexed by a stable id; order recovered at the end.
+    # Interval records indexed by a stable id; the new pieces from r on.
     start_ = list(starts0)
     image_ = t.images()
-    len_ = list(t.lengths)
-    src_ = list(range(r))
     # Starts strictly inside each output interval (image, image + length):
     # those below its end, less the dest_rank + 1 at or below its image.
-    cnt = list(map(sub, map(bisect_left, repeat(starts0), map(add, image_, len_)),
+    cnt = list(map(sub, map(bisect_left, repeat(starts0), map(add, image_, t.lengths)),
                    map((1).__add__, t.dest_rank)))
     limit = 2 * alpha
     queue = deque(compress(range(r), map(limit.__le__, cnt)))
@@ -185,14 +185,11 @@ def balance(t: IntervalTable, alpha: int) -> IntervalTable:
             b += 1
             blk = s_blocks[b]
         s_split = blk[k]
-        d = s_split - v  # 0 < d < len_[i] since s_split is strictly inside
+        # 0 < s_split - v < i's length, since s_split is strictly inside.
         new_id = len(start_)
-        p_new = start_[i] + d
+        p_new = start_[i] + s_split - v
         start_.append(p_new)
         image_.append(s_split)
-        len_.append(len_[i] - d)
-        len_[i] = d
-        src_.append(src_[i])
         cnt.append(cnt[i] - alpha)
         cnt[i] = alpha - 1
 
@@ -222,9 +219,4 @@ def balance(t: IntervalTable, alpha: int) -> IntervalTable:
         if cnt[new_id] >= limit:
             queue.append(new_id)
 
-    order = sorted(range(len(start_)), key=start_.__getitem__)
-    return t.replace(
-        **interval_columns(t.n, list(chain.from_iterable(s_blocks)),
-                           [image_[i] for i in order]),
-        extras=run_columns(t, [src_[i] for i in order]), alpha=alpha,
-    )
+    return refine(t, sorted(start_[r:]), alpha=alpha)

@@ -19,6 +19,8 @@ Exponential traverse_counted runs on the sibling kernel core.gallop_walk,
 which searches as IntervalTable.move does and counts its probes.
 Inversion walks FL (or LF, inverted first); the SA and DA walks chain
 phi-inverse from SA[0] = n - 1 and refuse any other kind before they write.
+Inversion refuses an FL that is not one cycle, and the SA walk a
+phi-inverse that is not, before the block that shows it is written.
 """
 
 from __future__ import annotations
@@ -170,16 +172,31 @@ def enumerate_sa(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
 
     A step from a cursor in interval j adds image minus start of j to its
     value, so a block of these deltas accumulates from the value carried
-    over from the block before.
+    over from the block before. A walk that meets n - 1 again before the
+    end has come back to SA[0] early: phi-inverse is not one cycle, and
+    InvalidInputError is raised before that block is written.
     """
     _check_sa_kind(table)
     v = table.n - 1
+    sa0 = v.to_bytes(8, "little")
+    pos = 0
 
-    def flush(deltas: list[int]) -> array:
-        nonlocal v
+    def flush(deltas: list[int]) -> bytes:
+        nonlocal v, pos
         values = array("Q", accumulate(deltas, initial=v))
         v = values.pop()
-        return _u64(values)
+        data = _u64(values).tobytes()
+        # An 8-byte aligned match past SA[0]; unaligned ones straddle values.
+        i = data.find(sa0, 0 if pos else 8)
+        while i != -1 and i & 7:
+            i = data.find(sa0, i + 1)
+        if i != -1:
+            raise InvalidInputError(
+                f"SA value {table.n - 1} again at position {pos + i // 8}; "
+                "phi-inverse is not one cycle"
+            )
+        pos += len(values)
+        return data
 
     deltas = list(map(sub, table.images(), table.starts))
     return _block_walk(table, fp, table.cursor_of(v), deltas, [], flush)

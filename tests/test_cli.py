@@ -22,7 +22,7 @@ from movestruct import (
     table_to_permutation,
 )
 from movestruct.cli import main
-from movestruct.core import interval_columns, run_columns
+from movestruct.core import refine
 from movestruct.oracle import max_fast_forwards, naive_bwt, naive_lf, naive_sa
 from support import doc_of, rl_file_bytes
 
@@ -254,6 +254,18 @@ def test_verify_catches_samples_that_pass_every_check(tmp_path, capsys):
     assert lines[:2] == ["PASS LF is one cycle", "FAIL evaluation equals oracle"]
 
 
+def test_sa_refuses_a_phi_inverse_that_is_not_one_cycle(tmp_path, capsys):
+    """The same file's phi-inverse fixes n - 1 = 4, so the SA walk meets it
+    again at its first step: sa fails and leaves no file."""
+    rl, out = tmp_path / "abab.rl", tmp_path / "pi.mv"
+    rl.write_bytes(rl_file_bytes([(98, 2), (0, 1), (97, 2)], [4, 0, 1], [3, 0, 4]))
+    assert main(["build", str(rl), "--perm", "phi-inv", "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["sa", str(out), "-o", str(tmp_path / "sa.u64")]) == 2
+    assert "SA value 4 again at position 1" in capsys.readouterr().err
+    assert not (tmp_path / "sa.u64").exists()
+
+
 def test_verify_refuses_a_generic_table(ws, capsys):
     """verify has an oracle for the RLBWT permutations only."""
     out = ws / "generic.mv"
@@ -368,14 +380,8 @@ def test_verify_fails_one_split_beyond_the_bound(pieces, capsys):
     with open(out, "rb") as fp:
         t = load_move(fp)
     j = t.lengths.index(max(t.lengths))
-    starts, images = t.starts[:], t.images()
-    starts.insert(j + 1, starts[j] + 1)
-    images.insert(j + 1, images[j] + 1)
-    src = list(range(len(t)))
-    src.insert(j + 1, j)
     with open(out, "wb") as fp:
-        save_move(t.replace(**interval_columns(t.n, starts, images),
-                            extras=run_columns(t, src)), fp)
+        save_move(refine(t, [t.starts[j] + 1]), fp)
     capsys.readouterr()
     assert main(["verify", str(out), str(pieces / "rl")]) == 1
     lines = capsys.readouterr().out.splitlines()

@@ -28,6 +28,7 @@ from movestruct import (
     table_to_permutation,
 )
 from movestruct import splitting
+from movestruct.core import refine
 from movestruct.oracle import max_fast_forwards
 from support import (
     REF_PERM,
@@ -322,3 +323,37 @@ def test_position_columns_attach_after_splitting():
         assert out.getvalue() == struct.pack(
             f"<{rl.n}Q", *(doc_of(bounds, v) for v in sa)
         )
+
+
+def _refine_positions(rng: random.Random, t) -> list[int]:
+    """Sorted positions of [0, n): empty, or a random set holding some of
+    t's starts and, when drawn, 0 and n - 1."""
+    if rng.random() < 0.2:
+        return []
+    new = set(rng.sample(range(t.n), rng.randint(1, min(t.n, 30))))
+    new.update(rng.sample(t.starts, min(len(t), rng.randint(0, 3))))
+    new.update(p for p in (0, t.n - 1) if rng.random() < 0.5)
+    return sorted(new)
+
+
+def test_refine_cuts_at_new_starts_and_keeps_the_permutation():
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(1, 300)
+        pi = random_runny_permutation(rng, n, rng.randint(1, max(1, n // 4)))
+        base = from_permutation(pi)
+        base.extras["sym"] = [rng.randrange(256) for _ in range(len(base))]
+        for t in (base, length_cap(base, 1).to_relative(), balance(base, 2)):
+            new = _refine_positions(rng, t)
+            for alpha in (None, 3):
+                out = refine(t, new) if alpha is None else refine(t, new, alpha)
+                out.validate()
+                assert table_to_permutation(out) == pi
+                assert out.starts == sorted(set(t.starts) | set(new))
+                assert out.extras["sym"] == [
+                    t.extras["sym"][t.cursor_of(s)[0]] for s in out.starts]
+                assert out.alpha == (alpha or 0)
+                for name in ("n", "mode", "source_runs", "kind", "cap", "cap_len"):
+                    assert getattr(out, name) == getattr(t, name)
+            if not new:
+                assert vars(refine(t, new, t.alpha)) == vars(t)

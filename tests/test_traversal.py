@@ -135,6 +135,35 @@ def test_enumerate_sa_is_permutation():
         assert sorted(out) == list(range(rl.n))
 
 
+@pytest.mark.parametrize("block", [4, 1 << 16])
+def test_sa_walk_that_returns_to_n_minus_1_early_fails_before_that_block(
+    block, monkeypatch
+):
+    # A phi-inverse table of two cycles: 19 -> 0 -> ... -> 8 -> 19 and
+    # 9 -> ... -> 18 -> 9. The walk meets 19 again at step 10, so the
+    # blocks before step 8 are written and the one holding step 10 is not.
+    pi = [i + 1 for i in range(20)]
+    pi[8], pi[18], pi[19] = 19, 9, 0
+    table = from_permutation(pi).replace(kind="phi_inv")
+    monkeypatch.setattr(traversal, "_BLOCK", block)
+    sink = io.BytesIO()
+    with pytest.raises(InvalidInputError, match="19 again at position 10"):
+        enumerate_sa(table, sink)
+    assert u64s(sink) == [19, *range(9)][: 8 if block == 4 else 0]
+
+
+def test_sa_walk_ignores_n_minus_1_across_two_values():
+    # n - 1 = 256 is the bytes 00 01 00 ... 00, which the u64 values v and 1
+    # make whenever 1 follows v in the SA.
+    text = random_text(random.Random(256), 256, 256)
+    rl, sa = build_bwt(text)
+    assert rl.n == 257
+    sink = io.BytesIO()
+    enumerate_sa(build_phi_via_lf(rl, inverse=True), sink)
+    assert struct.pack("<Q", 256) in sink.getvalue()[8:]
+    assert u64s(sink) == sa
+
+
 def test_enumerate_da_abaaba():
     rl, _ = build_bwt(b"abaaba")
     phi_inv = inverse(build_phi_via_lf(rl))
@@ -695,13 +724,16 @@ def test_walks_grow_their_fast_forward_counts(monkeypatch, block):
     assert vars(stats) == _moved_stats(fl, MoveCursor(0, 0), rl.n)[1]
     assert list(stats.histogram) == sorted(stats.histogram)
 
-    # The SA walk chains any phi-inverse table from n - 1: on the
-    # adversarial permutation it writes the values of that cycle.
-    pi = adv.replace(kind="phi_inv")
-    perm = adversarial_permutation(2000, 100)
+    # The SA walk chains any phi-inverse table of one cycle from n - 1. In
+    # the adversarial shape, [0, 1000) maps onto [1000, 2000), and 1000 + b
+    # back onto 21b + 7 mod 1000, a map of full period, so the walk writes
+    # every position and one interval's image holds 1,000 starts.
+    perm = list(range(1000, 2000)) + [(21 * b + 7) % 1000 for b in range(1000)]
+    pi = from_permutation(perm).replace(kind="phi_inv")
     values = [pi.n - 1]
     while len(values) < pi.n:
         values.append(perm[values[-1]])
+    assert sorted(values) == list(range(pi.n))
     out = io.BytesIO()
     stats = enumerate_sa(pi, out)
     assert u64s(out) == values
