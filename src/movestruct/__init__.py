@@ -44,6 +44,7 @@ from .rlbwt import (
 from .splitting import balance, cap_length, length_cap
 from .traversal import (
     TraversalStats,
+    cycle_profile,
     enumerate_da,
     enumerate_sa,
     invert_bwt,

@@ -7,6 +7,7 @@ A failed command prints "error:" and exits with 2, leaving no output file.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -231,6 +232,12 @@ def cmd_verify(args) -> int:
               table.max_len <= table.cap_len)
         check(f"per-query fast forwards {max_ff} <= L {table.cap_len}",
               max_ff <= table.cap_len)
+        if table.cap:
+            # The amortized bound on one query from every position, which
+            # is a full cycle for every kind that verify accepts.
+            total = traversal.cycle_profile(table).total_fast_forwards
+            bound = math.floor(table.n * (table.cap + 1))
+            check(f"total fast forwards {total} <= n*(c+1) {bound}", total <= bound)
     if table.alpha >= 2:
         check(f"per-query fast forwards {max_ff} < 2*alpha {2 * table.alpha}",
               max_ff < 2 * table.alpha)

@@ -34,14 +34,18 @@ the query path builds with tuple.__new__, and the path checks its cursor
 inline, so that a point query costs little more than its fast forward or
 search.
 
-IntervalTable.move answers one query; walk() and gallop_walk() answer a
-chained block of them, with the same loops inlined over the whole block,
-since in CPython a call per query costs about as much as the query itself.
-walk() searches linearly and hands a sink the column value of the interval
-each query leaves, which is what the streaming traversals write;
-gallop_walk() searches exponentially. Most queries land in their
-destination interval itself, so the exponential search settles those with
-one probe, or with none in the last interval, before it gallops.
+IntervalTable.move answers one query; walk(), counted_walk() and
+gallop_walk() answer a chained block of them, with the same loops inlined
+over the whole block, since in CPython a call per query costs about as much
+as the query itself. Each does only the work its callers read. walk()
+searches linearly and hands a sink the column value of the interval each
+query leaves, which is what the streaming traversals write, and counts
+nothing, since their stats have a closed form (traversal.cycle_profile).
+counted_walk() searches linearly and counts fast forwards, for linear
+traversal.traverse_counted. gallop_walk() searches exponentially and counts
+fast forwards and probes. Most queries land in their destination interval
+itself, so it settles those with one probe, or with none in the last
+interval, before it gallops.
 """
 
 from __future__ import annotations
@@ -360,20 +364,43 @@ def walk(
     size: int,
     col: Sequence[int],
     put: Callable[[int], object],
-    counts: list[int],
 ) -> tuple[int, int]:
     """`size` chained move queries by linear fast forward from cursor (j, k),
-    in either storage mode, each as IntervalTable.move takes it.
+    in either storage mode, each as IntervalTable.move takes it, with no
+    counting: the streaming walks' kernel.
 
     Before each query, put(col[j]) receives the column value of the interval
     j that the query leaves, so the first value is that of the start cursor
-    and none is that of the cursor returned. A query that skips ff > 0
-    boundaries adds one to counts[ff], which grows geometrically when ff is
-    past its end; counts[0] is left to the caller, which knows the number
-    of queries. Returns the last cursor reached.
+    and none is that of the cursor returned. Returns the last cursor reached.
     """
     for _ in repeat(None, size):
         put(col[j])
+        q = dest_rank[j]
+        k += dest_offset[j]
+        ell = lengths[q]
+        while k >= ell:
+            k -= ell
+            q += 1
+            ell = lengths[q]
+        j = q
+    return j, k
+
+
+def counted_walk(
+    lengths: list[int],
+    dest_rank: list[int],
+    dest_offset: list[int],
+    j: int,
+    k: int,
+    size: int,
+    counts: list[int],
+) -> tuple[int, int]:
+    """The queries of walk(), with no sink, counted: a query that skips
+    ff > 0 boundaries adds one to counts[ff], which grows geometrically when
+    ff is past its end; counts[0] is left to the caller, which knows the
+    number of queries. Returns the last cursor reached.
+    """
+    for _ in repeat(None, size):
         q = dest_rank[j]
         k += dest_offset[j]
         ell = lengths[q]
@@ -409,9 +436,10 @@ def gallop_walk(
     A query whose offset stays below its destination interval's length takes
     move's one-probe exit, or its zero-probe exit in the last interval; any
     other query gallops on from the start after its destination. A query
-    that skips ff > 0 boundaries adds one to counts[ff], grown as walk
-    grows it; counts[0] is left to the caller. Returns the last cursor
-    reached, the probes of all queries and the most probes of one query.
+    that skips ff > 0 boundaries adds one to counts[ff], grown as
+    counted_walk grows it; counts[0] is left to the caller. Returns the
+    last cursor reached, the probes of all queries and the most probes of
+    one query.
     """
     r = len(starts)
     last = r - 1

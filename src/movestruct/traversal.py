@@ -1,36 +1,41 @@
 """Streaming algorithms driven by chained move queries: BWT inversion,
 SA enumeration, DA enumeration, and an instrumented traversal driver.
 
-Every linear walk runs on one block kernel, core.walk: it takes a block of
-chained steps with the fast-forward loop inlined, hands a C-level sink the
-column value of the interval each query leaves, and counts the fast
-forwards per step, so the amortized bounds can be checked exactly: every
-walk's stats, probes included, are those of the same queries made one
-IntervalTable.move at a time, and _walk_stats makes them from the filled
-counts. The counts start at _FF_SLOTS and the kernels grow them, so a
-walk's fixed cost does not grow with L or r'. The three streaming walks
-share one block loop, which writes to a binary file object once per
-block of _BLOCK entries. Inversion emits the symbol column into a
-bytearray. The SA walk emits each interval's image minus
+Each walk runs on a block kernel that does only the work its caller reads,
+with the fast-forward loop inlined. The three streaming walks run on
+core.walk, which hands a C-level sink the column value of the interval each
+query leaves and counts nothing: each is a full cycle of n steps, so its
+stats are cycle_profile(table), made in O(r') with no walk. Linear
+traverse_counted runs on core.counted_walk, which counts fast forwards and
+emits nothing, and exponential traverse_counted on core.gallop_walk, which
+searches as IntervalTable.move does and counts its probes too. Every walk's
+stats, probes included, are the sums of the MoveResults of the same queries
+made one IntervalTable.move at a time; _walk_stats makes them from
+fast-forward counts. traverse_counted's counts start at _FF_SLOTS and grow
+on demand, so its fixed cost does not grow with L or r'.
+
+The three streaming walks share one block loop, which writes to a binary
+file object once per block of _BLOCK entries. Inversion emits the symbol
+column into a bytearray. The SA walk emits each interval's image minus
 start, so a block of values is one itertools.accumulate from the value
 carried over; the DA walk emits the doc column of the table cut at its d
-document starts. Both write little-endian u64 values. Their working space is O(r'), O(r' + d) for DA, plus one block.
-Exponential traverse_counted runs on the sibling kernel core.gallop_walk,
-which searches as IntervalTable.move does and counts its probes.
-Inversion walks FL (or LF, inverted first); the SA and DA walks chain
-phi-inverse from SA[0] = n - 1 and refuse any other kind before they write.
-Inversion refuses an FL that is not one cycle, and the SA walk a
-phi-inverse that is not, before the block that shows it is written.
+document starts. Both write little-endian u64 values. Their working space
+is O(r'), O(r' + d) for DA, plus one block. Inversion walks FL (or LF,
+inverted first); the SA and DA walks chain phi-inverse from SA[0] = n - 1
+and refuse any other kind before they write. Inversion refuses an FL that
+is not one cycle, and the SA walk a phi-inverse that is not, before the
+block that shows it is written, so their stats are those of their walks.
+The DA walk has no such check: its stats are those of its walk only when
+phi-inverse is one cycle.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Any, BinaryIO, Callable, Optional, Sequence
 
 from . import rlbwt
@@ -38,6 +43,7 @@ from .core import (
     EXPONENTIAL,
     IntervalTable,
     QueryConfig,
+    counted_walk,
     gallop_walk,
     inverse,
     walk,
@@ -49,8 +55,6 @@ _BLOCK = 1 << 16
 # Fast-forward counts a walk starts with, whatever the table; the kernels
 # grow them for a query that skips more boundaries.
 _FF_SLOTS = 16
-# The kernels' sink for column values that nobody reads; it keeps none.
-_DISCARD = deque(maxlen=0).append
 
 
 @dataclass
@@ -78,6 +82,36 @@ def _walk_stats(counts: list[int], steps: int) -> TraversalStats:
     )
 
 
+def cycle_profile(table: IntervalTable) -> TraversalStats:
+    """The stats of n linear queries, one from each position, with no walk:
+    those of a walk of n steps when the table is one cycle, and the sums of
+    the MoveResults of IntervalTable.move from every position whatever its
+    cycles.
+
+    The query of offset k in interval j lands at offset dest_offset[j] + k
+    of j's destination q. Only an interval whose image runs past q's end
+    skips boundaries: its positions past that end fill q + 1, q + 2, ... in
+    order, and those in the d-th interval crossed skip d. The images tile
+    [0, n), so the scans cross each interval start at most once: O(r').
+    """
+    lengths = table.lengths
+    dest_rank = table.dest_rank
+    # A query skips fewer boundaries than there are intervals.
+    counts = [0] * len(lengths)
+    # How far each image runs past its destination's end, where it does.
+    over = list(map(sub, map(add, table.dest_offset, lengths),
+                    map(lengths.__getitem__, dest_rank)))
+    for q, rest in compress(zip(dest_rank, over), map((0).__lt__, over)):
+        ff = 0
+        while rest > 0:
+            q += 1
+            ff += 1
+            ell = lengths[q]
+            counts[ff] += rest if rest < ell else ell
+            rest -= ell
+    return _walk_stats(counts, table.n)
+
+
 def _require_extra(table: IntervalTable, name: str, need: str) -> list[int]:
     try:
         return table.extras[name]
@@ -95,21 +129,21 @@ def _block_walk(
 ) -> TraversalStats:
     """n chained steps from start, in blocks: the kernel appends to buf the
     col value of the interval each step leaves, and fp receives flush(buf)
-    once per block, after which buf is emptied."""
+    once per block, after which buf is emptied. Returns cycle_profile(table),
+    which is the stats of these steps when the table is one cycle."""
     lengths = table.lengths
     dest_rank = table.dest_rank
     dest_offset = table.dest_offset
-    counts = [0] * _FF_SLOTS
     n = table.n
     j, k = start
     for i in range(0, n, _BLOCK):
         j, k = walk(
             lengths, dest_rank, dest_offset, j, k, min(_BLOCK, n - i), col,
-            buf.append, counts,
+            buf.append,
         )
         fp.write(flush(buf))
         del buf[:]
-    return _walk_stats(counts, n)
+    return cycle_profile(table)
 
 
 def _u64(values: array) -> array:
@@ -125,10 +159,13 @@ def invert_bwt(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
     Walks FL from the row of suffix 0, one move from row 0, the sentinel's
     row: each step leaves the row of the next suffix, whose first symbol is
     the "sym" column of the FL interval it leaves. An LF table is inverted
-    into FL first. A walk that writes the sentinel before the end has come
-    back to row 0 early: FL is not one cycle, the table is the BWT of no
-    text, and InvalidInputError is raised, as it is for a symbol outside
-    0..255.
+    into FL first. Row 0's interval must hold the sentinel, or
+    InvalidInputError is raised before anything is written, as it is for a
+    symbol outside 0..255. A walk that writes the sentinel before the end
+    has then come back to row 0 early: FL is not one cycle, the table is the
+    BWT of no text, and InvalidInputError is raised before that block is
+    written. So a walk that ends has passed row 0 once, FL is one cycle, and
+    the stats are those of the walk.
     """
     if table.kind == "lf":
         table = inverse(table)
@@ -139,6 +176,11 @@ def invert_bwt(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
     sym = _require_extra(table, "sym", "inversion reads the BWT symbols")
     if min(sym) < 0 or max(sym) > 255:
         raise InvalidInputError("symbol column holds a value that is not a byte")
+    if sym[0] != rlbwt.SENTINEL:
+        raise InvalidInputError(
+            f"row 0's interval holds symbol {sym[0]}, not the sentinel; "
+            "the table is the BWT of no text"
+        )
     pos = 0
 
     def flush(text: bytearray) -> bytearray:
@@ -174,7 +216,8 @@ def enumerate_sa(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
     value, so a block of these deltas accumulates from the value carried
     over from the block before. A walk that meets n - 1 again before the
     end has come back to SA[0] early: phi-inverse is not one cycle, and
-    InvalidInputError is raised before that block is written.
+    InvalidInputError is raised before that block is written. So a walk
+    that ends has covered one cycle, and the stats are those of the walk.
     """
     _check_sa_kind(table)
     v = table.n - 1
@@ -209,10 +252,13 @@ def enumerate_da(
 ) -> TraversalStats:
     """Write DA[0..n-1], the document of each SA value, by the walk of
     enumerate_sa on the table cut at document starts (rlbwt.cut_at_documents),
-    emitting its "doc" column; the stats are those of that walk. The cut is
-    at bounds, in place of any doc columns the table holds, or else at those
-    that its columns describe (rlbwt.doc_bounds_of, which raises on missing
-    or inconsistent ones). Every error is raised before anything is written.
+    emitting its "doc" column. The cut is at bounds, in place of any doc
+    columns the table holds, or else at those that its columns describe
+    (rlbwt.doc_bounds_of, which raises on missing or inconsistent ones).
+    Every error is raised before anything is written. The stats are the
+    cut table's cycle_profile, which equals those of the walk only when
+    phi-inverse is one cycle; unlike enumerate_sa, this walk does not check
+    that it is.
     """
     _check_sa_kind(table)
     if bounds is None:
@@ -243,9 +289,7 @@ def traverse_counted(
     dest_offset = table.dest_offset
     counts = [0] * _FF_SLOTS
     if config.search != EXPONENTIAL:
-        j, k = walk(
-            lengths, dest_rank, dest_offset, j, k, steps, dest_rank, _DISCARD, counts
-        )
+        j, k = counted_walk(lengths, dest_rank, dest_offset, j, k, steps, counts)
         return (j, k), _walk_stats(counts, steps)
     j, k, *probes = gallop_walk(
         table.starts, lengths, dest_rank, dest_offset, j, k, steps, counts

@@ -24,6 +24,7 @@ from movestruct import (
     build_bwt,
     build_lf,
     build_phi_via_lf,
+    cycle_profile,
     enumerate_sa,
     from_permutation,
     inspect_move,
@@ -136,20 +137,25 @@ def test_criterion_02_amortized_fast_forward_bound(grid, capsys):
         for kind, base in inst.base.items():
             r = len(base)
             for c, alpha, capped, final in _variants(base):
+                end, stats = traverse_counted(final, MoveCursor(0, 0), n)
+                if end != MoveCursor(0, 0):
+                    bad.append(f"cycle {idx} {kind} c={c} alpha={alpha}")
+                # One cycle, so the walk makes the query of every position
+                # once: its stats are the closed-form profile's.
+                if cycle_profile(final) != stats:
+                    bad.append(f"profile {idx} {kind} c={c} alpha={alpha}")
                 if c == 0:
                     continue
                 L = capped.cap_len
                 if len(capped) > r + n // L:
                     bad.append(f"interval count {idx} {kind} c={c}")
-                end, stats = traverse_counted(final, MoveCursor(0, 0), n)
-                if end != MoveCursor(0, 0):
-                    bad.append(f"cycle {idx} {kind} c={c} alpha={alpha}")
                 if stats.total_fast_forwards > n * (c + 1):
                     bad.append(
                         f"total ff {idx} {kind} c={c} alpha={alpha}: "
                         f"{stats.total_fast_forwards} > {n * (c + 1)}"
                     )
-    _report(capsys, 2, "n-step traversal total fast forwards <= n*(c+1)", not bad)
+    _report(capsys, 2, "n-step traversal total fast forwards <= n*(c+1), "
+            "equal to the cycle profile", not bad)
     assert not bad, bad[:10]
 
 

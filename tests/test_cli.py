@@ -1,6 +1,7 @@
 """End-to-end command-line workflows on temporary files."""
 
 import itertools
+import math
 import random
 import struct
 import sys
@@ -20,6 +21,7 @@ from movestruct import (
     load_rlbwt,
     save_move,
     table_to_permutation,
+    traverse_counted,
 )
 from movestruct.cli import main
 from movestruct.core import refine
@@ -314,7 +316,9 @@ def _set_u64(path, at, value):
 @pytest.mark.parametrize("perm", ["lf", "fl", "phi", "phi-inv"])
 def test_verify_checks_L_and_the_interval_count(pieces, capsys, perm):
     """Every file that build writes passes every bound check, each printed
-    with its value and its limit. The interval bound is that of the paper:
+    with its value and its limit. When capped, the total fast forwards of
+    one query from every position is at most n(c+1). The interval bound is
+    that of the paper:
     r intervals, plus floor(n/L) when capped, and then ceil(R/(alpha-1)) of
     the bound R so far when balanced."""
     n, r = PIECES_N, PIECES_R
@@ -334,9 +338,16 @@ def test_verify_checks_L_and_the_interval_count(pieces, capsys, perm):
             assert f"PASS L {L} == {L} from n, r and c" in lines
             assert f"PASS max interval length {t.max_len} <= L {L}" in lines
             assert f"PASS per-query fast forwards {ff} <= L {L}" in lines
+            # Every kind that build writes is one cycle, so the closed-form
+            # total is that of a walk of n steps.
+            _end, walked = traverse_counted(t, (0, 0), n)
+            bound = math.floor(n * (Fraction(cap) + 1))
+            assert (f"PASS total fast forwards {walked.total_fast_forwards} "
+                    f"<= n*(c+1) {bound}") in lines
             limit += n // L
         else:
-            assert not any(line.startswith(("PASS L ", "FAIL L ")) for line in lines)
+            assert not any(line.startswith(("PASS L ", "FAIL L ", "PASS total"))
+                           for line in lines)
         if alpha:
             assert f"PASS per-query fast forwards {ff} < 2*alpha {2 * alpha}" in lines
             limit += -(-limit // (alpha - 1))
@@ -359,6 +370,31 @@ def test_verify_fails_a_header_that_lies(pieces, capsys, cap, at, value, failed)
     assert main(["verify", str(out), str(pieces / "rl")]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if line.startswith("FAIL")] == failed
+
+
+def test_verify_fails_a_cap_that_the_table_does_not_keep(pieces, capsys):
+    """An uncapped LF file whose header claims c = 1 and the L that follows
+    from it, under a redone CRC-32: the L check passes, and the length, the
+    per-query and the amortized total checks fail, the total being that of
+    a walk over the whole cycle."""
+    out = pieces / "claim.mv"
+    assert main(["build", str(pieces / "rl"), "--cap", "0", "-o", str(out)]) == 0
+    with open(out, "rb") as fp:
+        t = load_move(fp)
+    L = cap_length(PIECES_N, PIECES_R, Fraction(1))
+    for at, value in ((23, L), (31, 1), (39, 1)):  # L, then c = 1/1
+        _set_u64(out, at, value)
+    total = traverse_counted(t, (0, 0), PIECES_N)[1].total_fast_forwards
+    assert total > 2 * PIECES_N
+    capsys.readouterr()
+    assert main(["verify", str(out), str(pieces / "rl")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert f"PASS L {L} == {L} from n, r and c" in lines
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        f"FAIL max interval length {t.max_len} <= L {L}",
+        f"FAIL per-query fast forwards {max_fast_forwards(t)} <= L {L}",
+        f"FAIL total fast forwards {total} <= n*(c+1) {2 * PIECES_N}",
+    ]
 
 
 def test_verify_refuses_a_capped_file_of_no_runs(pieces, capsys):
@@ -525,6 +561,19 @@ def test_invert_round_trip_fl(ws, mode):
     rec = ws / "rec"
     assert main(["invert", str(out), "-o", str(rec)]) == 0
     assert rec.read_bytes() == b"abaaba\x00"
+
+
+def test_invert_refuses_an_fl_whose_row_0_interval_is_not_the_sentinel(tmp_path, capsys):
+    # Two cycles of two rows each and no sentinel: invert exited 0 and
+    # wrote "aaaa" before it checked sym[0].
+    bad = tmp_path / "bad.mv"
+    with open(bad, "wb") as fp:
+        save_move(from_permutation([1, 0, 3, 2]).replace(
+            kind="fl", extras={"sym": [97] * 4}), fp)
+    out = tmp_path / "out"
+    assert main(["invert", str(bad), "-o", str(out)]) == 2
+    assert "not the sentinel" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _one_sentinel_strings(longest: int):

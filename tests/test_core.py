@@ -28,7 +28,7 @@ from movestruct import (
     table_to_permutation,
     traverse_counted,
 )
-from movestruct.core import walk
+from movestruct.core import counted_walk, walk
 from movestruct.oracle import eval_abs
 from support import (
     REF_DEST_RANK,
@@ -406,33 +406,50 @@ def test_single_cycle_chain_visits_everything():
         assert len(seen) == rl.n
 
 
-def test_walk_puts_the_interval_each_query_leaves():
-    # On a capped table, with each interval's own rank as its column value,
-    # the kernel puts the interval of every cursor it leaves, starting with
-    # the start's, ends where chained IntervalTable.move ends and counts the
-    # queries that fast-forward by their fast forwards.
-    rng = random.Random(11)
+def _capped_walks(seed: int):
+    """Capped tables with a start cursor and a step count, as the kernels
+    take them."""
+    rng = random.Random(seed)
     for _ in range(20):
         n = rng.randint(2, 300)
         t = length_cap(
             from_permutation(random_runny_permutation(rng, n, rng.randint(1, 6))),
             Fraction(1, 2),
         )
+        yield t, t.cursor_of(rng.randrange(n)), rng.randint(0, 2 * n)
+
+
+def test_walk_puts_the_interval_each_query_leaves():
+    # On a capped table, with each interval's own rank as its column value,
+    # the kernel puts the interval of every cursor it leaves, starting with
+    # the start's, and ends where chained IntervalTable.move ends.
+    for t, start, size in _capped_walks(11):
         col = list(range(len(t)))
-        start = t.cursor_of(rng.randrange(n))
-        size = rng.randint(0, 2 * n)
-        got, counts = [], [0] * len(t)
-        end = walk(t.lengths, t.dest_rank, t.dest_offset, *start, size, col,
-                   got.append, counts)
-        left, want_counts = [], [0] * len(t)
+        got = []
+        end = walk(t.lengths, t.dest_rank, t.dest_offset, *start, size, col, got.append)
+        left = []
         cur = start
         for _ in range(size):
             left.append(cur[0])
+            cur = t.move(cur).cursor
+        assert got == left
+        assert end == cur
+
+
+def test_counted_walk_counts_the_queries_that_fast_forward():
+    # The counting kernel ends where chained IntervalTable.move ends and
+    # counts the queries that fast-forward by their fast forwards, leaving
+    # counts[0] alone.
+    for t, start, size in _capped_walks(11):
+        counts = [0] * len(t)
+        end = counted_walk(t.lengths, t.dest_rank, t.dest_offset, *start, size, counts)
+        want_counts = [0] * len(t)
+        cur = start
+        for _ in range(size):
             res = t.move(cur)
             if res.fast_forwards:
                 want_counts[res.fast_forwards] += 1
             cur = res.cursor
-        assert got == left
         assert end == cur
         assert counts == want_counts
 

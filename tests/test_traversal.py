@@ -29,6 +29,7 @@ from movestruct import (
     build_lf,
     build_phi_via_lf,
     attach_docs,
+    cycle_profile,
     enumerate_da,
     enumerate_sa,
     from_permutation,
@@ -38,11 +39,18 @@ from movestruct import (
     load_move,
     save_move,
     save_rlbwt,
+    table_to_permutation,
     traverse_counted,
 )
 from movestruct import traversal
 from movestruct.cli import main
-from movestruct.oracle import naive_lf, naive_phi, naive_sa, simulate_fast_forwards
+from movestruct.oracle import (
+    max_fast_forwards,
+    naive_lf,
+    naive_phi,
+    naive_sa,
+    simulate_fast_forwards,
+)
 from movestruct.rlbwt import cut_at_documents, doc_bounds_of
 from support import (
     adversarial_permutation,
@@ -98,6 +106,25 @@ def test_invert_rejects_other_kinds():
     phi_inv = inverse(build_phi_via_lf(rl))
     with pytest.raises(InvalidInputError):
         invert_bwt(phi_inv.replace(extras={"sym": [0] * len(phi_inv)}), io.BytesIO())
+
+
+def test_invert_refuses_an_fl_whose_row_0_interval_is_not_the_sentinel():
+    # Two cycles of two rows each and no sentinel: the walk never meets
+    # row 0's sentinel, so only the check of sym[0] stops it writing "aaaa".
+    t = from_permutation([1, 0, 3, 2]).replace(kind="fl", extras={"sym": [97] * 4})
+    out = io.BytesIO()
+    with pytest.raises(InvalidInputError, match="not the sentinel"):
+        invert_bwt(t, out)
+    assert out.getvalue() == b""
+    # One cycle, with the sentinel moved off row 0's interval.
+    fl = inverse(build_lf(build_bwt(b"abaaba")[0]))
+    sym = list(fl.extras["sym"])
+    sym[0], sym[1] = sym[1], sym[0]
+    assert sym[0] != 0
+    out = io.BytesIO()
+    with pytest.raises(InvalidInputError, match="not the sentinel"):
+        invert_bwt(fl.replace(extras={"sym": sym}), out)
+    assert out.getvalue() == b""
 
 
 def test_invert_random_sweep_with_caps():
@@ -740,3 +767,100 @@ def test_walks_grow_their_fast_forward_counts(monkeypatch, block):
     assert stats.max_fast_forwards > slots
     assert vars(stats) == _moved_stats(pi, pi.cursor_of(pi.n - 1), pi.n)[1]
     assert list(stats.histogram) == sorted(stats.histogram)
+
+
+def _profile_by_moves(table):
+    """vars() of the stats of one IntervalTable.move from every position,
+    summed one query at a time."""
+    ffs, probes = Counter(), []
+    for i in range(table.n):
+        res = table.move(table.cursor_of(i))
+        ffs[res.fast_forwards] += 1
+        probes.append(res.probes)
+    return {
+        "steps": table.n, "total_fast_forwards": sum(f * c for f, c in ffs.items()),
+        "max_fast_forwards": max(ffs), "histogram": dict(sorted(ffs.items())),
+        "total_probes": sum(probes), "max_probes": max(probes),
+    }
+
+
+def _cycles(table) -> int:
+    pi = table_to_permutation(table)
+    seen, count = set(), 0
+    for i in range(table.n):
+        if i not in seen:
+            count += 1
+            while i not in seen:
+                seen.add(i)
+                i = pi[i]
+    return count
+
+
+def test_cycle_profile_equals_the_moves_from_every_position():
+    # Random runny permutations, most of several cycles, so no walk covers
+    # them; uncapped, capped, balanced and relative. The profile is the sum
+    # over every position whatever the cycles, with its histogram ascending,
+    # and its maximum is the oracle's worst query.
+    rng = random.Random(3001)
+    several = 0
+    for _ in range(150):
+        n = rng.randint(1, 300)
+        t = from_permutation(random_runny_permutation(rng, n, rng.randint(1, max(1, n // 3))))
+        several += _cycles(t) > 1
+        for u in (t, length_cap(t, Fraction(1, 2)), length_cap(t, 1),
+                  length_cap(t, 8).to_relative(), balance(t, 2),
+                  balance(length_cap(t, 1), 3)):
+            stats = cycle_profile(u)
+            assert vars(stats) == _profile_by_moves(u)
+            assert list(stats.histogram) == sorted(stats.histogram)
+            assert stats.max_fast_forwards == max_fast_forwards(u)
+    assert several > 100
+    # An image that covers every start of the other half: one interval's
+    # positions skip 0 to 99 boundaries.
+    adv = from_permutation(adversarial_permutation(2000, 100))
+    for u in (adv, length_cap(adv, 1), balance(adv, 2)):
+        assert vars(cycle_profile(u)) == _profile_by_moves(u)
+    assert cycle_profile(adv).max_fast_forwards == 99
+
+
+_TEXTS = st.one_of(
+    st.binary(min_size=1, max_size=200).map(lambda b: b.replace(b"\0", b"a")),
+    st.lists(st.sampled_from([b"a", b"b", b"ab", b"ba", b"abb", b"abab"]),
+             min_size=1, max_size=120).map(b"".join),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_TEXTS, st.sampled_from([None, Fraction(1, 2), Fraction(2)]))
+def test_cycle_profile_of_text_tables(text, cap):
+    # LF, FL, phi and phi-inverse of a text, each one cycle: the profile is
+    # the summed moves from every position and the stats of a full walk.
+    rl, _sa = build_bwt(text)
+    lf = build_lf(rl)
+    phi = build_phi_via_lf(rl)
+    for t in (lf, inverse(lf), phi, inverse(phi)):
+        if cap is not None:
+            t = length_cap(t, cap)
+        stats = cycle_profile(t)
+        assert vars(stats) == _profile_by_moves(t)
+        assert stats == traverse_counted(t, t.cursor_of(rl.n // 2), rl.n)[1]
+
+
+def test_streaming_walk_stats_equal_traverse_counted():
+    # Each streaming walk reports the profile of its table, which is the
+    # stats of a linear walk of n steps from its own start.
+    rng = random.Random(3002)
+    for text in [random_text(rng, 2, 400) for _ in range(5)] + [
+            repetitive_text(rng, copies=6, seed_len=40, mutations=2)]:
+        rl, _sa = build_bwt(text)
+        n = rl.n
+        fl = length_cap(inverse(build_lf(rl)), 1)
+        assert invert_bwt(fl, io.BytesIO()) == traverse_counted(
+            fl, fl.move((0, 0)).cursor, n)[1]
+        pi = balance(build_phi_via_lf(rl, inverse=True), 2)
+        assert enumerate_sa(pi, io.BytesIO()) == traverse_counted(
+            pi, pi.cursor_of(n - 1), n)[1]
+        bounds = DocBounds([0] + sorted(rng.sample(range(1, n), min(3, n - 1))))
+        cut = cut_at_documents(pi, bounds)
+        assert enumerate_da(pi, io.BytesIO(), bounds) == traverse_counted(
+            cut, cut.cursor_of(n - 1), n)[1]
