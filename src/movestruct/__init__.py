@@ -13,7 +13,6 @@ from .core import (
     RELATIVE,
     RUN_COLUMNS,
     IntervalTable,
-    MoveCursor,
     MoveResult,
     QueryConfig,
     from_permutation,
@@ -41,7 +40,7 @@ from .rlbwt import (
     load_rlbwt,
     save_rlbwt,
 )
-from .splitting import balance, cap_length, length_cap
+from .splitting import balance, bounds, cap_length, length_cap
 from .traversal import (
     TraversalStats,
     cycle_profile,

@@ -25,12 +25,10 @@ IntervalTable.validate() is the one check that a table is a permutation of
 [0, n); every builder that takes outside input (from_permutation, the phi
 builders, load_move) calls it.
 
-A cursor is a pair (j, k). The cursors the library returns are plain tuples,
-since in CPython an instance of a tuple subclass costs several times a plain
-tuple to build and misses the fast path of unpacking; MoveCursor is the
-named tuple for callers who want named fields, and equals the plain pair.
-Every method takes either. A query result (MoveResult) is a named tuple that
-the query path builds with tuple.__new__, and the path checks its cursor
+A cursor is a plain tuple (j, k), since in CPython an instance of a tuple
+subclass costs several times a plain tuple to build and misses the fast
+path of unpacking. A query result (MoveResult) is a named tuple that the
+query path builds with tuple.__new__, and the path checks its cursor
 inline, so that a point query costs little more than its fast forward or
 search.
 
@@ -73,13 +71,6 @@ RUN_COLUMNS = ("sym",)
 _INVERSE_KIND = {
     "generic": "generic", "lf": "fl", "fl": "lf", "phi": "phi_inv", "phi_inv": "phi",
 }
-
-
-class MoveCursor(NamedTuple):
-    """Position as (interval rank j, offset k within interval)."""
-
-    j: int
-    k: int
 
 
 @dataclass(frozen=True)

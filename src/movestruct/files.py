@@ -201,6 +201,8 @@ def _read_header(fp: BinaryIO) -> _Header:
     if mode >= len(_MODES) or kind >= len(_KINDS):
         raise FormatError("unknown mode or kind tag")
     n, r_prime, cap_len, c_num, c_den, alpha, source_runs = fields
+    if alpha == 1:
+        raise FormatError("header claims alpha 1, but balancing needs alpha >= 2")
     if c_num and not c_den:
         raise FormatError("cap factor has a zero denominator")
     if len(names) < len(specs):

@@ -4,7 +4,8 @@ Both consume and produce an IntervalTable and preserve the evaluated
 permutation exactly; only the interval partition gets finer. Each piece
 copies the extra columns of the interval it is cut from, which is right
 only for the run-constant columns in core.RUN_COLUMNS; any other column
-raises InvalidInputError.
+raises InvalidInputError. bounds(t) is the one statement of the bounds
+they give, which movestruct verify prints line by line.
 
 length_cap is one O(r') pass: one forward cursor places its cuts, with no
 search. balance pays per split it makes: it keeps the interval starts and
@@ -24,11 +25,12 @@ from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
-from operator import add, index, sub
+from operator import add, eq, index, le, lt, sub
 from typing import Union
 
 from .core import IntervalTable, refine, run_columns
 from .errors import InvalidParameterError
+from .traversal import cycle_profile
 
 CapFactor = Union[int, float, str, Fraction]
 
@@ -108,6 +110,29 @@ def length_cap(t: IntervalTable, c: CapFactor) -> IntervalTable:
         lengths=new_lens, dest_rank=dest_rank, dest_offset=dest_offset,
         extras=run_columns(t, src), cap=c, cap_len=L, alpha=0,
     )
+
+
+def bounds(t: IntervalTable) -> list[tuple[str, int, int, bool]]:
+    """The bounds t's header claims, as (line, value, limit, holds), with
+    cycle_profile(t)'s fast forwards, in O(r'). Capping at c claims L from
+    n, r and c, lengths and per-query fast forwards up to L, and at most
+    floor(n(c+1)) in all; balancing fewer than 2*alpha per query. Intervals:
+    r, plus floor(n/L) after capping, plus ceil(R/(alpha-1)) of the R before."""
+    prof = cycle_profile(t)
+    ff, n, L, alpha = prof.max_fast_forwards, t.n, t.cap_len, t.alpha
+    want = cap_length(n, t.source_runs, t.cap) if t.cap else 0
+    limit = t.source_runs + (want and n // want)
+    rows = [("L {} == {} from n, r and c", L, want, eq),
+            ("max interval length {} <= L {}", t.max_len, L, le),
+            ("per-query fast forwards {} <= L {}", ff, L, le)] if t.cap or L else []
+    if t.cap:
+        rows.append(("total fast forwards {} <= n*(c+1) {}",
+                     prof.total_fast_forwards, n * (t.cap + 1) // 1, le))
+    if alpha >= 2:
+        rows.append(("per-query fast forwards {} < 2*alpha {}", ff, 2 * alpha, lt))
+        limit += -(-limit // (alpha - 1))
+    rows.append(("intervals {} <= {}", len(t), limit, le))
+    return [(line.format(v, m), v, m, op(v, m)) for line, v, m, op in rows]
 
 
 def _split_block(blocks: list[list[int]], heads: list[int], b: int) -> None:

@@ -17,7 +17,6 @@ from movestruct import (
     InvalidInputError,
     InvalidParameterError,
     InvalidSpecError,
-    MoveCursor,
     PackedMatrix,
     TraversalStats,
     invert_bwt,
@@ -123,14 +122,14 @@ def sweep_fast_forwards(table: IntervalTable) -> tuple[int, int]:
     total = worst = 0
     for j in range(len(table)):
         for k in range(table.lengths[j]):
-            ff = table.move(MoveCursor(j, k)).fast_forwards
+            ff = table.move((j, k)).fast_forwards
             total += ff
             if ff > worst:
                 worst = ff
     return total, worst
 
 
-def doubling_search(table: IntervalTable, cur: MoveCursor) -> tuple[int, int, int, int]:
+def doubling_search(table: IntervalTable, cur: tuple[int, int]) -> tuple[int, int, int, int]:
     """Reference exponential search for the move of cur: (q, off, ff, probes).
 
     Doubles the step from the destination rank q0 until a start beyond the

@@ -18,9 +18,9 @@ import movestruct as ms
 from movestruct import (
     FormatError,
     IntervalTable,
-    MoveCursor,
     QueryConfig,
     balance,
+    bounds,
     build_bwt,
     build_lf,
     build_phi_via_lf,
@@ -137,18 +137,22 @@ def test_criterion_02_amortized_fast_forward_bound(grid, capsys):
         for kind, base in inst.base.items():
             r = len(base)
             for c, alpha, capped, final in _variants(base):
-                end, stats = traverse_counted(final, MoveCursor(0, 0), n)
-                if end != MoveCursor(0, 0):
+                end, stats = traverse_counted(final, (0, 0), n)
+                if end != (0, 0):
                     bad.append(f"cycle {idx} {kind} c={c} alpha={alpha}")
                 # One cycle, so the walk makes the query of every position
                 # once: its stats are the closed-form profile's.
                 if cycle_profile(final) != stats:
                     bad.append(f"profile {idx} {kind} c={c} alpha={alpha}")
+                if not all(holds for *_, holds in bounds(final)):
+                    bad.append(f"bounds {idx} {kind} c={c} alpha={alpha}")
                 if c == 0:
                     continue
                 L = capped.cap_len
                 if len(capped) > r + n // L:
                     bad.append(f"interval count {idx} {kind} c={c}")
+                if bounds(capped)[-1][2] != r + n // L:
+                    bad.append(f"bounds interval limit {idx} {kind} c={c}")
                 if stats.total_fast_forwards > n * (c + 1):
                     bad.append(
                         f"total ff {idx} {kind} c={c} alpha={alpha}: "
@@ -172,6 +176,15 @@ def test_criterion_03_balanced_worst_case(grid, capsys):
                 worst = max_fast_forwards(final)
                 if worst >= 2 * alpha:
                     bad.append(f"worst ff {idx} {kind} c={c} alpha={alpha}: {worst}")
+                # bounds() states the interval bound from the bound R of
+                # the capped stage, not from its count.
+                R = len(base) + (inst.rl.n // capped.cap_len if c else 0)
+                rows = bounds(final)
+                if (not all(holds for *_, holds in rows)
+                        or rows[-1][2] != R + ceil_div(R, alpha - 1)
+                        or (f"per-query fast forwards {worst} < 2*alpha {2 * alpha}",
+                            worst, 2 * alpha, True) not in rows):
+                    bad.append(f"bounds {idx} {kind} c={c} alpha={alpha}")
                 if inst.rl.n <= 300:
                     swept_total, swept_worst = sweep_fast_forwards(final)
                     if swept_worst != worst:
@@ -209,6 +222,12 @@ def test_criterion_05_cap_limits(grid, capsys):
                 worst = max_fast_forwards(capped)
                 if worst > L:
                     bad.append(f"ff {idx} {kind} c={c}: {worst} > {L}")
+                rows = bounds(capped)
+                if (not all(holds for *_, holds in rows)
+                        or rows[-1][2] != len(base) + inst.rl.n // L
+                        or (f"per-query fast forwards {worst} <= L {L}",
+                            worst, L, True) not in rows):
+                    bad.append(f"bounds {idx} {kind} c={c}")
                 if inst.rl.n <= 300:
                     _total, swept_worst = sweep_fast_forwards(capped)
                     if swept_worst != worst:
@@ -386,7 +405,7 @@ def test_criterion_11_throughput_bench(capsys):
     steps_total = 10_000_000
     chunk = 500_000
     timings = {"uncapped": 0.0, "capped": 0.0}
-    cursors = {"uncapped": MoveCursor(0, 0), "capped": MoveCursor(0, 0)}
+    cursors = {"uncapped": (0, 0), "capped": (0, 0)}
     tables = {"uncapped": uncapped, "capped": capped}
     done = 0
     # Alternate chunks so machine-load drift hits both tables equally.

@@ -13,6 +13,7 @@ import pytest
 from movestruct import (
     DocBounds,
     cap_length,
+    FormatError,
     InvalidInputError,
     Rlbwt,
     build_lf,
@@ -23,6 +24,7 @@ from movestruct import (
     table_to_permutation,
     traverse_counted,
 )
+from movestruct import oracle
 from movestruct.cli import main
 from movestruct.core import refine
 from movestruct.oracle import max_fast_forwards, naive_bwt, naive_lf, naive_sa
@@ -424,6 +426,39 @@ def test_verify_fails_one_split_beyond_the_bound(pieces, capsys):
     assert "PASS evaluation equals oracle" in lines
     assert [line for line in lines if line.startswith("FAIL")] == [
         f"FAIL intervals {PIECES_R + 1} <= {PIECES_R}"]
+
+
+def test_verify_fails_a_profile_that_the_oracle_contradicts(pieces, capsys, monkeypatch):
+    """The bound lines read the closed-form profile's worst case; verify
+    cross-checks it against the oracle's and fails the file when they
+    differ, here through an oracle that is off by one."""
+    out = pieces / "cross.mv"
+    assert main(["build", str(pieces / "rl"), "--cap", "1", "-o", str(out)]) == 0
+    with open(out, "rb") as fp:
+        ff = max_fast_forwards(load_move(fp))
+    monkeypatch.setattr(oracle, "max_fast_forwards", lambda t: max_fast_forwards(t) + 1)
+    capsys.readouterr()
+    assert main(["verify", str(out), str(pieces / "rl")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert f"PASS per-query fast forwards {ff} <= L 5" in lines
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        f"FAIL profile max fast forwards {ff} == oracle {ff + 1}"]
+
+
+def test_an_alpha_of_1_is_refused(pieces, capsys):
+    """No builder writes alpha = 1, since balance needs alpha >= 2. A header
+    that claims it under a redone CRC-32 would skip the 2*alpha check, so
+    load_move, inspect and verify refuse it."""
+    out = pieces / "alpha1.mv"
+    assert main(["build", str(pieces / "rl"), "--cap", "1", "-o", str(out)]) == 0
+    _set_u64(out, 47, 1)
+    with open(out, "rb") as fp, pytest.raises(FormatError, match="alpha 1"):
+        load_move(fp)
+    capsys.readouterr()
+    assert main(["inspect", str(out)]) == 2
+    assert main(["verify", str(out), str(pieces / "rl")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("alpha 1") == 2
 
 
 def test_verify_detects_corruption(ws):

@@ -16,7 +16,6 @@ from movestruct import (
     IntervalTable,
     InvalidInputError,
     InvalidParameterError,
-    MoveCursor,
     QueryConfig,
     from_permutation,
     attach_docs,
@@ -56,12 +55,12 @@ def test_reference_table_layout(ref_table):
 
 
 def test_reference_queries(ref_table):
-    res = ref_table.move(MoveCursor(3, 0))
-    assert (res.cursor, res.fast_forwards) == (MoveCursor(7, 0), 0)
-    res = ref_table.move(MoveCursor(4, 1))
-    assert (res.cursor, res.fast_forwards) == (MoveCursor(2, 0), 1)
-    res = ref_table.move(MoveCursor(1, 1))
-    assert res.cursor == MoveCursor(5, 0)
+    res = ref_table.move((3, 0))
+    assert (res.cursor, res.fast_forwards) == ((7, 0), 0)
+    res = ref_table.move((4, 1))
+    assert (res.cursor, res.fast_forwards) == ((2, 0), 1)
+    res = ref_table.move((1, 1))
+    assert res.cursor == (5, 0)
 
 
 def test_reference_eval_abs(ref_table):
@@ -71,8 +70,8 @@ def test_reference_eval_abs(ref_table):
 
 
 def test_reference_cursors(ref_table):
-    assert ref_table.cursor_of(14) == MoveCursor(8, 1)
-    assert ref_table.cursor_of(0) == MoveCursor(0, 0)
+    assert ref_table.cursor_of(14) == (8, 1)
+    assert ref_table.cursor_of(0) == (0, 0)
     for t in (ref_table, ref_table.to_relative()):
         for i in range(16):
             assert t.position_of(t.cursor_of(i)) == i
@@ -90,8 +89,8 @@ def test_identity_and_reversal():
 
 def test_degenerate_single_element():
     t = from_permutation([0])
-    res = t.move(MoveCursor(0, 0))
-    assert res.cursor == MoveCursor(0, 0)
+    res = t.move((0, 0))
+    assert res.cursor == (0, 0)
     t.validate()
 
 
@@ -146,8 +145,8 @@ def test_exponential_equals_linear(ref_table):
     for t in (ref_table, ref_table.to_relative()):
         for j in range(len(t)):
             for k in range(t.lengths[j]):
-                lin = t.move(MoveCursor(j, k))
-                exp = t.move(MoveCursor(j, k), EXP)
+                lin = t.move((j, k))
+                exp = t.move((j, k), EXP)
                 assert exp.cursor == lin.cursor
                 assert exp.fast_forwards == lin.fast_forwards
 
@@ -161,7 +160,7 @@ def test_cursor_bounds(ref_table):
     bad += [(j, ell) for j, ell in enumerate(ref_table.lengths)]
     for t in (ref_table, ref_table.to_relative()):
         for j, k in bad:
-            cur = MoveCursor(j, k)
+            cur = (j, k)
             for query in (
                 lambda: t.move(cur),
                 lambda: t.move(cur, EXP),
@@ -180,32 +179,18 @@ def test_cursor_bounds(ref_table):
 
 
 def test_cursor_value_semantics(ref_table):
-    """The cursors the library returns are plain (j, k) tuples, equal and
-    hash-equal to the MoveCursor of the same fields; move answers a
-    MoveCursor and the same plain pair alike; a result is a named tuple."""
-    want = MoveCursor(2, 0)
-    res = ref_table.move(MoveCursor(4, 1))
-    end, _ = traverse_counted(ref_table, MoveCursor(4, 1), 1)
+    """The cursors the library returns are plain (j, k) tuples; a result is
+    a named tuple."""
+    want = (2, 0)
+    res = ref_table.move((4, 1))
+    end, _ = traverse_counted(ref_table, (4, 1), 1)
     got = [
         ref_table.cursor_of(14), res.cursor,
-        ref_table.move(MoveCursor(4, 1), EXP).cursor, end,
+        ref_table.move((4, 1), EXP).cursor, end,
     ]
-    for cur, named in zip(got, [MoveCursor(8, 1), want, want, want]):
+    for cur, expected in zip(got, [(8, 1), want, want, want]):
         assert type(cur) is tuple
-        assert cur == named and hash(cur) == hash(named)
-        assert {cur, named} == {named} and {named: "x"}[cur] == "x"
-    named = MoveCursor(8, 1)
-    j, k = named
-    assert (j, k) == (named.j, named.k) == (8, 1)
-    with pytest.raises(AttributeError):
-        named.j = 0
-    assert "j=8" in repr(named) and "k=1" in repr(named)
-    assert MoveCursor(8, 1) != MoveCursor(1, 8)
-    for t in (ref_table, ref_table.to_relative()):
-        for config in (QueryConfig(), EXP):
-            for j in range(len(t)):
-                for k in range(t.lengths[j]):
-                    assert t.move(MoveCursor(j, k), config) == t.move((j, k), config)
+        assert cur == expected
     assert res._fields == ("cursor", "fast_forwards", "probes")
     assert (res.fast_forwards, res.probes) == (1, 2)
     assert res == (want, 1, 2)
@@ -366,7 +351,7 @@ def test_unknown_kind_or_mode_is_rejected(ref_table):
 def test_move_result_probe_counts(ref_table):
     for j in range(len(ref_table)):
         for k in range(ref_table.lengths[j]):
-            lin = ref_table.move(MoveCursor(j, k))
+            lin = ref_table.move((j, k))
             assert lin.probes >= lin.fast_forwards
 
 
@@ -397,12 +382,12 @@ def test_single_cycle_chain_visits_everything():
         rl, _ = build_bwt(text)
         t = build_lf(rl)
         seen = set()
-        cur = MoveCursor(0, 0)
+        cur = (0, 0)
         for _ in range(rl.n):
             assert cur not in seen
             seen.add(cur)
             cur = t.move(cur).cursor
-        assert cur == MoveCursor(0, 0)
+        assert cur == (0, 0)
         assert len(seen) == rl.n
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from movestruct import InvalidInputError, MoveCursor, from_permutation
+from movestruct import InvalidInputError, from_permutation
 from movestruct.oracle import (
     naive_bwt,
     naive_fl,

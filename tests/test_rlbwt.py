@@ -14,7 +14,6 @@ from movestruct import (
     DocBounds,
     FormatError,
     InvalidInputError,
-    MoveCursor,
     Rlbwt,
     build_bwt,
     build_lf,
@@ -196,12 +195,12 @@ def test_build_fl_inverse_of_lf():
 def test_build_lf_unary_single_cycle():
     rl, _ = build_bwt(b"aaa")
     lf = build_lf(rl)
-    cur = MoveCursor(0, 0)
+    cur = (0, 0)
     seen = set()
     for _ in range(rl.n):
         seen.add(cur)
         cur = lf.move(cur).cursor
-    assert cur == MoveCursor(0, 0) and len(seen) == rl.n
+    assert cur == (0, 0) and len(seen) == rl.n
 
 
 def test_phi_abaaba():

@@ -20,7 +20,6 @@ from movestruct import (
     InvalidInputError,
     InvalidParameterError,
     MissingColumnError,
-    MoveCursor,
     QueryConfig,
     Rlbwt,
     TraversalStats,
@@ -264,8 +263,8 @@ def test_enumerate_da_random_multi_doc():
 def test_traverse_counted_cycle_closure():
     rl, _ = build_bwt(b"abaaba")
     lf = build_lf(rl)
-    end, stats = traverse_counted(lf, MoveCursor(0, 0), rl.n)
-    assert end == MoveCursor(0, 0)
+    end, stats = traverse_counted(lf, (0, 0), rl.n)
+    assert end == (0, 0)
     assert stats.steps == rl.n
     check_consistency(stats)
 
@@ -274,12 +273,12 @@ def test_traverse_counted_relative_and_exponential():
     rl, _ = build_bwt(b"abaaba")
     lf = build_lf(rl)
     rel = lf.to_relative()
-    _, s_abs = traverse_counted(lf, MoveCursor(0, 0), rl.n)
-    _, s_rel = traverse_counted(rel, MoveCursor(0, 0), rl.n)
+    _, s_abs = traverse_counted(lf, (0, 0), rl.n)
+    _, s_rel = traverse_counted(rel, (0, 0), rl.n)
     assert s_abs.total_fast_forwards == s_rel.total_fast_forwards
     exp = QueryConfig(search=ms.EXPONENTIAL)
-    end, s_exp = traverse_counted(lf, MoveCursor(0, 0), rl.n, exp)
-    assert end == MoveCursor(0, 0)
+    end, s_exp = traverse_counted(lf, (0, 0), rl.n, exp)
+    assert end == (0, 0)
 
     # Both storage modes and both search kinds agree with each other and
     # with the oracles on random texts, capped, balanced or neither.
@@ -337,9 +336,9 @@ def test_traverse_counted_rejects_negative_steps():
     lf = build_lf(rl)
     for config in (QueryConfig(), QueryConfig(search=ms.EXPONENTIAL)):
         with pytest.raises(InvalidParameterError):
-            traverse_counted(lf, MoveCursor(0, 0), -5, config)
-        end, stats = traverse_counted(lf, MoveCursor(0, 0), 0, config)
-        assert end == MoveCursor(0, 0)
+            traverse_counted(lf, (0, 0), -5, config)
+        end, stats = traverse_counted(lf, (0, 0), 0, config)
+        assert end == (0, 0)
         assert vars(stats) == vars(TraversalStats())
 
 
@@ -351,14 +350,14 @@ def test_traverse_counted_rejects_steps_past_maxsize():
     for config in (QueryConfig(), QueryConfig(search=ms.EXPONENTIAL)):
         for steps in (sys.maxsize + 1, 2**64):
             with pytest.raises(InvalidParameterError):
-                traverse_counted(lf, MoveCursor(0, 0), steps, config)
+                traverse_counted(lf, (0, 0), steps, config)
 
 
 def test_traverse_counted_bad_start():
     rl, _ = build_bwt(b"abaaba")
     lf = build_lf(rl)
     with pytest.raises(BoundsError):
-        traverse_counted(lf, MoveCursor(99, 0), 1)
+        traverse_counted(lf, (99, 0), 1)
 
 
 def test_stats_consistency_check():
@@ -516,7 +515,7 @@ def test_walks_across_block_seams(monkeypatch, block):
             out = io.BytesIO()
             stats = invert_bwt(fl, out)
             assert out.getvalue() == text + b"\x00"
-            assert vars(stats) == _moved_stats(fl, MoveCursor(0, 0), n)[1]
+            assert vars(stats) == _moved_stats(fl, (0, 0), n)[1]
 
             pi = split(phi_inv)
             first = pi.cursor_of(n - 1)
@@ -748,7 +747,7 @@ def test_walks_grow_their_fast_forward_counts(monkeypatch, block):
     stats = invert_bwt(fl, out)
     assert out.getvalue() == text + b"\x00"
     assert stats.max_fast_forwards > slots
-    assert vars(stats) == _moved_stats(fl, MoveCursor(0, 0), rl.n)[1]
+    assert vars(stats) == _moved_stats(fl, (0, 0), rl.n)[1]
     assert list(stats.histogram) == sorted(stats.histogram)
 
     # The SA walk chains any phi-inverse table of one cycle from n - 1. In
