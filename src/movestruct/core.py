@@ -27,10 +27,12 @@ builders, load_move) calls it.
 
 A cursor is a plain tuple (j, k), since in CPython an instance of a tuple
 subclass costs several times a plain tuple to build and misses the fast
-path of unpacking. A query result (MoveResult) is a named tuple that the
-query path builds with tuple.__new__, and the path checks its cursor
-inline, so that a point query costs little more than its fast forward or
-search.
+path of unpacking. A query result (MoveResult) is a slotted tuple subclass
+with no __new__ of its own and properties for its fields, so the query
+path builds it by one type call (tuple.__new__ called as a function goes
+through a slot wrapper that builds two argument tuples). The path checks
+its cursor by one index of the lengths, so that a point query costs
+little more than its fast forward or search.
 
 IntervalTable.move answers one query; walk(), counted_walk() and
 gallop_walk() answer a chained block of them, with the same loops inlined
@@ -53,8 +55,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import add, lt, sub
-from typing import Callable, NamedTuple, Optional, Sequence
+from operator import add, itemgetter, lt, sub
+from typing import Callable, Optional, Sequence
 
 from .errors import BoundsError, InvalidInputError, InvalidParameterError
 
@@ -82,20 +84,26 @@ class QueryConfig:
             raise InvalidParameterError(f"unknown search kind {self.search!r}")
 
 
-class MoveResult(NamedTuple):
-    cursor: tuple[int, int]
-    fast_forwards: int
-    probes: int
+class MoveResult(tuple):
+    """The result of one move query, the tuple (cursor, fast_forwards,
+    probes), equal to and hashed as that plain tuple. It defines no __new__,
+    so MoveResult((cursor, ff, probes)) builds one by a single type call."""
 
+    __slots__ = ()
+    _fields = ("cursor", "fast_forwards", "probes")
 
-# Builds a MoveResult from a tuple of its fields in one C call, without the
-# Python frame of the generated __new__.
-_new = tuple.__new__
+    cursor = property(itemgetter(0), doc="The destination cursor, a plain (j, k).")
+    fast_forwards = property(itemgetter(1), doc="The interval boundaries skipped.")
+    probes = property(itemgetter(2), doc="The lengths or starts read by the search.")
+
+    def __repr__(self) -> str:
+        return "MoveResult(cursor=%r, fast_forwards=%r, probes=%r)" % self
 
 
 def bad_cursor(cur: tuple[int, int], r: int) -> BoundsError:
-    """The error for a cursor outside a table of r intervals; callers check
-    0 <= j < r and 0 <= k < lengths[j] inline, on the query path."""
+    """The error for a cursor outside a table of r intervals. The query path
+    checks j < 0 and 0 <= k < lengths[j] inside a try, and raises this from
+    None in place of the IndexError that a j of r or more raises there."""
     return BoundsError(f"cursor {cur} invalid for table with r'={r}")
 
 
@@ -171,8 +179,11 @@ class IntervalTable:
     def position_of(self, cur: tuple[int, int]) -> int:
         j, k = cur
         lengths = self.lengths
-        if not (0 <= j < len(lengths) and 0 <= k < lengths[j]):
-            raise bad_cursor(cur, len(lengths))
+        try:
+            if j < 0 or not 0 <= k < lengths[j]:
+                raise IndexError
+        except IndexError:
+            raise bad_cursor(cur, len(lengths)) from None
         return self.starts[j] + k
 
     # ---------------------------------------------------------------- queries
@@ -186,8 +197,11 @@ class IntervalTable:
         skips."""
         j, k = cur
         lengths = self.lengths
-        if not (0 <= j < len(lengths) and 0 <= k < lengths[j]):
-            raise bad_cursor(cur, len(lengths))
+        try:
+            if j < 0 or not 0 <= k < lengths[j]:
+                raise IndexError
+        except IndexError:
+            raise bad_cursor(cur, len(lengths)) from None
         q = self.dest_rank[j]
         k += self.dest_offset[j]
         if config.search == EXPONENTIAL:
@@ -196,10 +210,10 @@ class IntervalTable:
             # The first probe, starts[q + 1] > p, settles most queries: they
             # land in q itself. Nothing lies past the last interval to probe.
             if q + 1 == r:
-                return _new(MoveResult, ((q, k), 0, 0))
+                return MoveResult(((q, k), 0, 0))
             p = starts[q] + k
             if starts[q + 1] > p:
-                return _new(MoveResult, ((q, k), 0, 1))
+                return MoveResult(((q, k), 0, 1))
             # Gallop: double the step until a start beyond p (or the table
             # end) brackets the destination rank.
             probes = 1
@@ -224,7 +238,7 @@ class IntervalTable:
                     lo = mid
                 else:
                     hi = mid
-            return _new(MoveResult, ((lo, p - starts[lo]), lo - q, probes))
+            return MoveResult(((lo, p - starts[lo]), lo - q, probes))
         ff = 0
         ell = lengths[q]
         while k >= ell:
@@ -232,7 +246,7 @@ class IntervalTable:
             q += 1
             ff += 1
             ell = lengths[q]
-        return _new(MoveResult, ((q, k), ff, ff + 1))
+        return MoveResult(((q, k), ff, ff + 1))
 
     # ------------------------------------------------------------- validation
 

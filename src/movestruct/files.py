@@ -40,7 +40,13 @@ from typing import BinaryIO, NamedTuple, Optional
 
 from .bitpack import ColumnSpec, PackedMatrix, min_width
 from .core import ABSOLUTE, RELATIVE, IntervalTable
-from .errors import FormatError, InvalidInputError, InvalidSpecError, ValueOverflowError
+from .errors import (
+    FormatError,
+    InvalidInputError,
+    InvalidParameterError,
+    InvalidSpecError,
+    ValueOverflowError,
+)
 
 MOVE_MAGIC = b"RPMV"
 MOVE_VERSION = 2
@@ -118,14 +124,17 @@ def pack_table(table: IntervalTable) -> PackedMatrix:
 
 
 def save_move(table: IntervalTable, fp: BinaryIO) -> None:
-    """Write table to fp as a version 2 file. A header field beyond u64, or a
-    symbol beyond a byte, raises before anything is written."""
+    """Write table to fp as a version 2 file. A header field beyond u64, an
+    alpha of 1, which load_move refuses, or a symbol beyond a byte raises
+    before anything is written."""
     cap = table.cap if table.cap is not None else Fraction(0)
     values = (table.n, len(table), table.cap_len, cap.numerator, cap.denominator,
               table.alpha, table.source_runs)
     for name, value in zip(_U64_FIELDS, values):
         if not 0 <= value < 1 << 64:
             raise ValueOverflowError(f"{name} = {value} does not fit in a u64")
+    if table.alpha == 1:
+        raise InvalidParameterError("alpha 1 is no balance: balancing needs alpha >= 2")
     m = pack_table(table)
     body = bytearray([MOVE_VERSION])
     body += _FIXED.pack(

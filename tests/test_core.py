@@ -1,8 +1,11 @@
 """Interval tables and move queries against brute-force evaluation."""
 
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +19,7 @@ from movestruct import (
     IntervalTable,
     InvalidInputError,
     InvalidParameterError,
+    MoveResult,
     QueryConfig,
     from_permutation,
     attach_docs,
@@ -158,8 +162,12 @@ def test_cursor_bounds(ref_table):
     r = len(ref_table)
     bad = [(-1, 0), (0, -1), (r, 0), (r + 5, 0), (-r - 1, 0)]
     bad += [(j, ell) for j, ell in enumerate(ref_table.lengths)]
+    # Indices no list holds, and an offset no interval does. BoundsError is
+    # an IndexError, so the exact type shows that no bare IndexError from
+    # indexing the lengths gets out.
+    huge = [(2**70, 0), (sys.maxsize, 0), (0, 2**70)]
     for t in (ref_table, ref_table.to_relative()):
-        for j, k in bad:
+        for j, k in bad + huge:
             cur = (j, k)
             for query in (
                 lambda: t.move(cur),
@@ -168,8 +176,9 @@ def test_cursor_bounds(ref_table):
                 lambda: traverse_counted(t, cur, 1),
                 lambda: traverse_counted(t, cur, 1, EXP),
             ):
-                with pytest.raises(BoundsError, match=r"invalid for table with r'=9"):
+                with pytest.raises(BoundsError, match=r"invalid for table with r'=9") as e:
                     query()
+                assert type(e.value) is BoundsError
     with pytest.raises(BoundsError):
         ref_table.cursor_of(16)
     with pytest.raises(BoundsError):
@@ -180,7 +189,7 @@ def test_cursor_bounds(ref_table):
 
 def test_cursor_value_semantics(ref_table):
     """The cursors the library returns are plain (j, k) tuples; a result is
-    a named tuple."""
+    a MoveResult."""
     want = (2, 0)
     res = ref_table.move((4, 1))
     end, _ = traverse_counted(ref_table, (4, 1), 1)
@@ -194,6 +203,32 @@ def test_cursor_value_semantics(ref_table):
     assert res._fields == ("cursor", "fast_forwards", "probes")
     assert (res.fast_forwards, res.probes) == (1, 2)
     assert res == (want, 1, 2)
+
+
+def test_move_result_contract(ref_table):
+    """A MoveResult is the plain tuple (cursor, fast_forwards, probes) with
+    read-only field names, and survives pickle and copy as itself."""
+    for t in (ref_table, ref_table.to_relative()):
+        for config in (QueryConfig(), EXP):
+            for j, ell in enumerate(t.lengths):
+                for k in range(ell):
+                    res = t.move((j, k), config)
+                    assert type(res) is MoveResult
+                    assert type(res.cursor) is tuple
+                    assert res == (res.cursor, res.fast_forwards, res.probes)
+                    assert hash(res) == hash(tuple(res))
+                    for name in ("cursor", "probes", "other"):
+                        with pytest.raises(AttributeError):
+                            setattr(res, name, 0)
+                    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+                        back = pickle.loads(pickle.dumps(res, proto))
+                        assert type(back) is MoveResult and back == res
+                    for back in (copy.copy(res), copy.deepcopy(res)):
+                        assert type(back) is MoveResult and back == res
+                    assert repr(res) == (
+                        f"MoveResult(cursor={res.cursor!r}, "
+                        f"fast_forwards={res.fast_forwards!r}, probes={res.probes!r})"
+                    )
 
 
 def test_validator_catches_corruption():

@@ -15,7 +15,9 @@ from movestruct import (
     FormatError,
     IntervalTable,
     InvalidInputError,
+    InvalidParameterError,
     MoveStructError,
+    ValueOverflowError,
     balance,
     build_bwt,
     build_lf,
@@ -495,6 +497,20 @@ def test_bad_column_names_are_refused_before_writing(name):
     buf = io.BytesIO()
     with pytest.raises(FormatError, match="clashes" if name == "off" else "too long"):
         save_move(bad, buf)
+    assert buf.getvalue() == b""
+
+
+@pytest.mark.parametrize("alpha, error, message", [
+    (1, InvalidParameterError, "alpha 1"),
+    (1 << 64, ValueOverflowError, "alpha = 18446744073709551616"),
+], ids=["alpha-1", "alpha-beyond-u64"])
+def test_header_fields_that_load_move_refuses_are_not_written(alpha, error, message):
+    """load_move refuses a header that claims alpha 1, and a u64 cannot hold
+    2**64, so save_move raises before it writes any byte."""
+    table = from_permutation([3, 4, 5, 6, 0, 1, 2]).replace(alpha=alpha)
+    buf = io.BytesIO()
+    with pytest.raises(error, match=message):
+        save_move(table, buf)
     assert buf.getvalue() == b""
 
 
