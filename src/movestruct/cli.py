@@ -7,6 +7,7 @@ A failed command prints "error:" and exits with 2, leaving no output file.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -235,7 +236,11 @@ def _print_stats(stats: traversal.TraversalStats) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process. It holds no command function:
+    main looks up cmd_<command> when it runs, so that a replaced module
+    attribute is the one called."""
     parser = argparse.ArgumentParser(
         prog="movestruct",
         description="Move structures over RLBWT permutations",
@@ -245,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-rlbwt", help="suffix-sort a text file into an RLBWT")
     p.add_argument("text")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_build_rlbwt)
 
     p = sub.add_parser("build", help="build a move structure from an RLBWT")
     p.add_argument("rlbwt")
@@ -257,49 +261,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[ABSOLUTE, RELATIVE], default=ABSOLUTE)
     p.add_argument("--docs", help="document start positions, one per line")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser(
         "invert", help="recover the text from an LF or FL move file or an RLBWT"
     )
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("sa", help="enumerate the suffix array as raw u64 values")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_sa)
 
     p = sub.add_parser("da", help="enumerate the document array as raw u64 values")
     p.add_argument("input")
     p.add_argument("--docs", help="document start positions, one per line; "
                    "replaces any doc columns in the file")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_da)
 
     p = sub.add_parser("bench", help="time chained move queries")
     p.add_argument("input")
     p.add_argument("--steps", type=int, default=1_000_000)
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--search", choices=["linear", "exp"], default="linear")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("inspect", help="print header and space accounting")
     p.add_argument("input")
-    p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("verify", help="check a move file against its RLBWT")
     p.add_argument("input")
     p.add_argument("rlbwt")
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (MoveStructError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

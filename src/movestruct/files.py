@@ -38,9 +38,10 @@ from fractions import Fraction
 from operator import lt, sub
 from typing import BinaryIO, NamedTuple, Optional
 
-from .bitpack import ColumnSpec, PackedMatrix, min_width
+from .bitpack import ColumnSpec, PackedMatrix, min_width, unpack_columns
 from .core import ABSOLUTE, RELATIVE, IntervalTable
 from .errors import (
+    BoundsError,
     FormatError,
     InvalidInputError,
     InvalidParameterError,
@@ -98,9 +99,13 @@ def _symbols(sym: list[int]) -> bytes:
         raise InvalidInputError("symbol column holds a value that is not a byte") from None
 
 
-def pack_table(table: IntervalTable) -> PackedMatrix:
+def pack_table(table: IntervalTable, symbols: Optional[bytes] = None) -> PackedMatrix:
     """The serialized columns in order, core columns for the mode and then
-    extras, each at its minimal width; sym holds symbol ranks."""
+    extras, each at its minimal width, which one max per column gives; sym
+    holds each run's rank among symbols, by default the sorted distinct
+    values of the sym column. A column that is not r' long raises
+    BoundsError, a negative value ValueOverflowError, and a value of 2**64
+    or more InvalidSpecError."""
     first = table.starts if table.mode == ABSOLUTE else table.lengths
     cols = {_FIRST_COLUMN[table.mode]: first, "off": table.dest_offset,
             "rank": table.dest_rank}
@@ -110,23 +115,26 @@ def pack_table(table: IntervalTable) -> PackedMatrix:
         cols[name] = vals
     if "sym" in cols:
         rank_of = bytearray(256)
-        for rank, symbol in enumerate(_symbols(cols["sym"])):
+        if symbols is None:
+            symbols = _symbols(cols["sym"])
+        for rank, symbol in enumerate(symbols):
             rank_of[symbol] = rank
         cols["sym"] = list(map(rank_of.__getitem__, cols["sym"]))
-    specs = [
-        ColumnSpec(name, min_width(max(vals) if vals else 0))
-        for name, vals in cols.items()
-    ]
-    m = PackedMatrix(specs, len(table))
+    rows = len(table)
+    specs = []
     for name, vals in cols.items():
-        m.set_column(name, vals)
-    return m
+        if len(vals) != rows:
+            raise BoundsError(f"column {name!r} needs {rows} values, got {len(vals)}")
+        if min(vals, default=0) < 0:
+            raise ValueOverflowError(f"column {name!r} holds {min(vals)}, below 0")
+        specs.append(ColumnSpec(name, min_width(max(vals, default=0))))
+    return PackedMatrix(specs, rows, list(cols.values()))
 
 
 def save_move(table: IntervalTable, fp: BinaryIO) -> None:
     """Write table to fp as a version 2 file. A header field beyond u64, an
-    alpha of 1, which load_move refuses, or a symbol beyond a byte raises
-    before anything is written."""
+    alpha of 1, which load_move refuses, a symbol beyond a byte or a column
+    value that is not an integer raises before anything is written."""
     cap = table.cap if table.cap is not None else Fraction(0)
     values = (table.n, len(table), table.cap_len, cap.numerator, cap.denominator,
               table.alpha, table.source_runs)
@@ -135,7 +143,12 @@ def save_move(table: IntervalTable, fp: BinaryIO) -> None:
             raise ValueOverflowError(f"{name} = {value} does not fit in a u64")
     if table.alpha == 1:
         raise InvalidParameterError("alpha 1 is no balance: balancing needs alpha >= 2")
-    m = pack_table(table)
+    try:
+        symbols = _symbols(table.extras["sym"]) if "sym" in table.extras else None
+        m = pack_table(table, symbols)
+        payload = m.payload
+    except (TypeError, AttributeError):  # a float or None meets min, max or <<
+        raise InvalidInputError("a column holds a value that is not an integer") from None
     body = bytearray([MOVE_VERSION])
     body += _FIXED.pack(
         _MODES.index(table.mode), _KINDS.index(table.kind), *values, len(m.columns)
@@ -145,10 +158,9 @@ def save_move(table: IntervalTable, fp: BinaryIO) -> None:
         if len(name) > 255:
             raise FormatError("column name too long")
         body += bytes([len(name)]) + name + bytes([spec.width])
-    if "sym" in table.extras:
-        symbols = _symbols(table.extras["sym"])
+    if symbols is not None:
         body += _SIGMA.pack(len(symbols)) + symbols
-    body += m.payload
+    body += payload
     write_framed(fp, MOVE_MAGIC, body)
 
 
@@ -228,8 +240,9 @@ def load_move(fp: BinaryIO) -> IntervalTable:
     """Read a version 2 table and check its structure; any malformed input
     raises FormatError."""
     h = _read_header(fp)
-    m = PackedMatrix.from_payload(h.specs, h.r_prime, h.payload)
-    cols = {s.name: m.get_column(s.name) for s in h.specs}
+    widths = [s.width for s in h.specs]
+    cols = dict(zip([s.name for s in h.specs],
+                    unpack_columns(widths, h.r_prime, h.payload)))
     core = (_FIRST_COLUMN[h.mode], "off", "rank")
     for name in core:
         if name not in cols:

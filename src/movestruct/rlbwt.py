@@ -22,7 +22,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, groupby
-from operator import gt, ne
+from operator import gt, itemgetter, ne
 from typing import BinaryIO, Sequence
 
 from .core import ABSOLUTE, IntervalTable, refine
@@ -57,12 +57,17 @@ class Rlbwt:
         if not runs:
             raise InvalidInputError("RLBWT must have at least one run")
         counts = [0] * 256
-        for i, (c, l) in enumerate(runs):
+        prev = -1
+        rest = iter(runs)
+        for c, l in rest:
             if not 0 <= c < 256 or l < 1:
+                i = len(runs) - 1 - sum(1 for _ in rest)  # only on failure
                 raise InvalidInputError(f"bad run {i}: symbol {c}, length {l}")
-            if i and runs[i - 1][0] == c:
+            if c == prev:
+                i = len(runs) - 1 - sum(1 for _ in rest)
                 raise InvalidInputError(f"adjacent runs {i - 1},{i} share a symbol")
             counts[c] += l
+            prev = c
         if counts[SENTINEL] != 1:
             raise InvalidInputError("exactly one sentinel byte required")
         self.n = n = sum(counts)
@@ -214,10 +219,12 @@ def build_bwt(text: bytes) -> tuple[Rlbwt, list[int]]:
     sa = _suffix_array(s)
     # BWT[i] = s[sa[i] - 1]: read sa through s rotated right by one, so that
     # sa[i] == 0 reads the sentinel.
-    bwt = bytes(map((s[-1:] + s[:-1]).__getitem__, sa))
+    bwt = bytes(itemgetter(*sa)(s[-1:] + s[:-1]))
     runs = [(c, len(list(g))) for c, g in groupby(bwt)]
     ends = list(accumulate(l for _, l in runs))  # one past each run's last row
-    rl = Rlbwt(runs, [sa[i] for i in [0, *ends[:-1]]], [sa[i - 1] for i in ends])
+    # r >= 2 (the sentinel and a text byte), so each getter returns a tuple.
+    rl = Rlbwt(runs, list(itemgetter(0, *ends[:-1])(sa)),
+               list(itemgetter(*[e - 1 for e in ends])(sa)))
     return rl, sa
 
 
@@ -274,13 +281,14 @@ def build_phi_via_lf(rl: Rlbwt, inverse: bool = False) -> IntervalTable:
     """
     head, tail = rl.head_sa, rl.tail_sa
     if inverse:
-        pairs = sorted(zip(tail, head[1:] + head[:1]))
+        starts, images = tail, head[1:] + head[:1]
     else:
-        pairs = sorted(zip(head, tail[-1:] + tail[:-1]))
+        starts, images = head, tail[-1:] + tail[:-1]
+    order = sorted(range(rl.r), key=starts.__getitem__)
     table = IntervalTable.from_intervals(
         rl.n,
-        [s for s, _ in pairs],
-        [v for _, v in pairs],
+        list(map(starts.__getitem__, order)),
+        list(map(images.__getitem__, order)),
         kind="phi_inv" if inverse else "phi",
     )
     table.validate()

@@ -322,3 +322,38 @@ def check_consistency(stats: TraversalStats) -> None:
 def rows_of(m: PackedMatrix) -> list[list[int]]:
     """The matrix's cells, row by row, read through get_column."""
     return [list(row) for row in zip(*(m.get_column(c.name) for c in m.columns))]
+
+
+def reference_pack(widths: list[int], rows: list[list[int]]) -> bytes:
+    """The layout of the bitpack module docstring, one bit at a time: the
+    fields of each row in column order, bit b of the stream at bit b mod 8
+    of byte b // 8."""
+    bits = [(v >> i) & 1 for row in rows for w, v in zip(widths, row) for i in range(w)]
+    out = bytearray((len(bits) + 7) // 8)
+    for b, bit in enumerate(bits):
+        out[b // 8] |= bit << (b % 8)
+    return bytes(out)
+
+
+def mv_file_bytes(table: IntervalTable) -> bytes:
+    """A .mv v2 file, written field by field as the layout in the files
+    module's docstring: each column at the width of its largest value, the
+    sym column as ranks, and the payload packed by reference_pack."""
+    first = ("start", table.starts) if table.mode == "abs" else ("len", table.lengths)
+    cols = dict([first, ("off", table.dest_offset), ("rank", table.dest_rank)])
+    cols.update(table.extras)
+    symbols = bytes(sorted(set(cols.get("sym", []))))
+    if "sym" in cols:
+        cols["sym"] = [symbols.index(c) for c in cols["sym"]]
+    widths = [max(1, max(vals, default=0).bit_length()) for vals in cols.values()]
+    cap = table.cap or Fraction(0)
+    kinds = ("generic", "lf", "fl", "phi", "phi_inv")
+    body = bytes([2, ("abs", "rel").index(table.mode), kinds.index(table.kind)])
+    body += struct.pack("<7QI", table.n, len(table), table.cap_len, cap.numerator,
+                        cap.denominator, table.alpha, table.source_runs, len(cols))
+    for name, width in zip(cols, widths):
+        body += bytes([len(name)]) + name.encode() + bytes([width])
+    if "sym" in cols:
+        body += struct.pack("<H", len(symbols)) + symbols
+    body += reference_pack(widths, [list(row) for row in zip(*cols.values())])
+    return b"RPMV" + body + struct.pack("<I", zlib.crc32(body))

@@ -14,7 +14,8 @@ from movestruct import (
     ValueOverflowError,
     min_width,
 )
-from support import check_min_widths, rows_of
+from movestruct.bitpack import pack_columns, unpack_columns
+from support import check_min_widths, reference_pack, rows_of
 
 
 def test_min_width():
@@ -156,17 +157,6 @@ def test_random_matrix_lossless(data):
     assert rows_of(m2) == expect
 
 
-def reference_pack(widths: list[int], rows: list[list[int]]) -> bytes:
-    """The layout of the bitpack module docstring, one bit at a time: the
-    fields of each row in column order, bit b of the stream at bit b mod 8
-    of byte b // 8."""
-    bits = [(v >> i) & 1 for row in rows for w, v in zip(widths, row) for i in range(w)]
-    out = bytearray((len(bits) + 7) // 8)
-    for b, bit in enumerate(bits):
-        out[b // 8] |= bit << (b % 8)
-    return bytes(out)
-
-
 def check_against_reference(widths: list[int], rows: list[list[int]]) -> None:
     specs = [ColumnSpec(f"c{i}", w) for i, w in enumerate(widths)]
     m = PackedMatrix(specs, len(rows))
@@ -174,10 +164,13 @@ def check_against_reference(widths: list[int], rows: list[list[int]]) -> None:
         m.set_column(spec.name, [row[i] for row in rows])
     payload = m.payload
     assert payload == reference_pack(widths, rows)
+    columns = [[row[i] for row in rows] for i in range(len(widths))]
+    assert pack_columns(columns, widths) == payload
     assert len(payload) == (m.payload_bits + 7) // 8
     for tail in (b"", b"\xa5" * 9):
         m2 = PackedMatrix.from_payload(specs, len(rows), payload + tail)
         assert rows_of(m2) == rows
+        assert unpack_columns(widths, len(rows), payload + tail) == columns
         assert m2.payload == payload
     if payload:
         with pytest.raises(InvalidSpecError):

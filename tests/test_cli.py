@@ -1,5 +1,6 @@
 """End-to-end command-line workflows on temporary files."""
 
+import io
 import itertools
 import math
 import random
@@ -18,6 +19,7 @@ from movestruct import (
     Rlbwt,
     build_lf,
     from_permutation,
+    length_cap,
     load_move,
     load_rlbwt,
     save_move,
@@ -530,6 +532,42 @@ def test_build_is_deterministic(ws):
     main(args + ["-o", str(a)])
     main(args + ["-o", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_main_runs_the_command_that_the_module_holds_now(ws, monkeypatch):
+    """The parser is built once per process and main looks up cmd_<command>
+    on every call, so a command replaced after the first call is the one
+    that runs, as the benchmark's tracer needs."""
+    from movestruct import cli
+
+    phi_inv = ws / "phi_inv.mv"
+    assert main(["build", str(ws / "rl"), "--perm", "phi-inv", "-o", str(phi_inv)]) == 0
+    assert main(["sa", str(phi_inv), "-o", str(ws / "sa.u64")]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_sa", lambda args: calls.append(args.input) or 0)
+    assert main(["sa", str(phi_inv), "-o", str(ws / "spied.u64")]) == 0
+    assert calls == [str(phi_inv)]
+    assert (ws / "sa.u64").exists() and not (ws / "spied.u64").exists()
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_build_leaves_no_option_to_the_next(ws):
+    """After a phi-inverse build with docs, cap 1 and relative mode, a plain
+    build in the same process writes the bytes of LF at cap 8 in absolute
+    mode, with no doc columns."""
+    (ws / "docs").write_text("0\n3\n")
+    first, plain = ws / "first.mv", ws / "plain.mv"
+    assert main(["build", str(ws / "rl"), "--perm", "phi-inv", "--docs", str(ws / "docs"),
+                 "--cap", "1", "--mode", "rel", "-o", str(first)]) == 0
+    with open(first, "rb") as fp:
+        t = load_move(fp)
+    assert (t.kind, t.mode, t.cap, "doc" in t.extras) == ("phi_inv", "rel", 1, True)
+    assert main(["build", str(ws / "rl"), "-o", str(plain)]) == 0
+    with open(ws / "rl", "rb") as fp:
+        table = length_cap(build_lf(load_rlbwt(fp)), 8)
+    buf = io.BytesIO()
+    save_move(table, buf)
+    assert plain.read_bytes() == buf.getvalue()
 
 
 def test_loaded_table_evaluates(ws):

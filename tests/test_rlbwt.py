@@ -170,6 +170,15 @@ def test_rlbwt_validation():
         Rlbwt([(0, 2), (97, 1)], [2, 0], [1, 0])  # two sentinels
     with pytest.raises(InvalidInputError):
         Rlbwt([(97, 0), (0, 1)], [0, 0], [0, 0])  # empty run
+    # The message names the first bad run, which is found only on failure;
+    # a run that is both empty and a repeat is reported as bad.
+    for runs, message in [
+        ([(97, 1), (98, 1), (97, 1), (97, 2), (0, 1)], "adjacent runs 2,3 share"),
+        ([(97, 1), (98, 1), (256, 1), (0, 1)], "bad run 2: symbol 256, length 1"),
+        ([(97, 1), (98, 1), (98, 0), (0, 1)], "bad run 2: symbol 98, length 0"),
+    ]:
+        with pytest.raises(InvalidInputError, match=message):
+            Rlbwt(runs, [0] * len(runs), [0] * len(runs))
 
 
 def test_build_lf_abaaba():
