@@ -96,7 +96,8 @@ class ColumnSpec:
 
 class PackedMatrix:
     """A matrix of row_count rows and fixed-width columns: the given column
-    lists, taken as they are, or zeros."""
+    lists, or zeros. values is taken as it is, unchecked: one list per column,
+    each row_count long, each value fitting its column's width."""
 
     def __init__(self, columns: Sequence[ColumnSpec], row_count: int,
                  values: Optional[list[list[int]]] = None):
@@ -125,9 +126,8 @@ class PackedMatrix:
         cls, columns: Sequence[ColumnSpec], row_count: int, payload: bytes
     ) -> "PackedMatrix":
         """Unpack the first ceil(payload_bits / 8) bytes of payload."""
-        m = cls(columns, row_count, [])
-        m._cols = unpack_columns([c.width for c in m.columns], row_count, payload)
-        return m
+        widths = [c.width for c in columns]
+        return cls(columns, row_count, unpack_columns(widths, row_count, payload))
 
     def column_of(self, name: str) -> int:
         try:

@@ -99,13 +99,12 @@ def _symbols(sym: list[int]) -> bytes:
         raise InvalidInputError("symbol column holds a value that is not a byte") from None
 
 
-def pack_table(table: IntervalTable, symbols: Optional[bytes] = None) -> PackedMatrix:
+def pack_table(table: IntervalTable) -> PackedMatrix:
     """The serialized columns in order, core columns for the mode and then
     extras, each at its minimal width, which one max per column gives; sym
-    holds each run's rank among symbols, by default the sorted distinct
-    values of the sym column. A column that is not r' long raises
-    BoundsError, a negative value ValueOverflowError, and a value of 2**64
-    or more InvalidSpecError."""
+    holds symbol ranks. A column that is not r' long raises BoundsError, a
+    negative value ValueOverflowError, and a value of 2**64 or more
+    InvalidSpecError."""
     first = table.starts if table.mode == ABSOLUTE else table.lengths
     cols = {_FIRST_COLUMN[table.mode]: first, "off": table.dest_offset,
             "rank": table.dest_rank}
@@ -115,9 +114,7 @@ def pack_table(table: IntervalTable, symbols: Optional[bytes] = None) -> PackedM
         cols[name] = vals
     if "sym" in cols:
         rank_of = bytearray(256)
-        if symbols is None:
-            symbols = _symbols(cols["sym"])
-        for rank, symbol in enumerate(symbols):
+        for rank, symbol in enumerate(_symbols(cols["sym"])):
             rank_of[symbol] = rank
         cols["sym"] = list(map(rank_of.__getitem__, cols["sym"]))
     rows = len(table)
@@ -144,9 +141,9 @@ def save_move(table: IntervalTable, fp: BinaryIO) -> None:
     if table.alpha == 1:
         raise InvalidParameterError("alpha 1 is no balance: balancing needs alpha >= 2")
     try:
-        symbols = _symbols(table.extras["sym"]) if "sym" in table.extras else None
-        m = pack_table(table, symbols)
+        m = pack_table(table)
         payload = m.payload
+        symbols = _symbols(table.extras["sym"]) if "sym" in table.extras else None
     except (TypeError, AttributeError):  # a float or None meets min, max or <<
         raise InvalidInputError("a column holds a value that is not an integer") from None
     body = bytearray([MOVE_VERSION])

@@ -57,14 +57,13 @@ class Rlbwt:
         if not runs:
             raise InvalidInputError("RLBWT must have at least one run")
         counts = [0] * 256
-        prev = -1
+        prev = None
         rest = iter(runs)
         for c, l in rest:
-            if not 0 <= c < 256 or l < 1:
+            if not 0 <= c < 256 or l < 1 or c == prev:
                 i = len(runs) - 1 - sum(1 for _ in rest)  # only on failure
-                raise InvalidInputError(f"bad run {i}: symbol {c}, length {l}")
-            if c == prev:
-                i = len(runs) - 1 - sum(1 for _ in rest)
+                if l < 1 or c != prev:
+                    raise InvalidInputError(f"bad run {i}: symbol {c}, length {l}")
                 raise InvalidInputError(f"adjacent runs {i - 1},{i} share a symbol")
             counts[c] += l
             prev = c
@@ -218,13 +217,12 @@ def build_bwt(text: bytes) -> tuple[Rlbwt, list[int]]:
     s = bytes(text) + bytes([SENTINEL])
     sa = _suffix_array(s)
     # BWT[i] = s[sa[i] - 1]: read sa through s rotated right by one, so that
-    # sa[i] == 0 reads the sentinel.
+    # sa[i] == 0 reads the sentinel. The text is not empty, so sa has two or
+    # more rows and itemgetter returns a tuple, not one int.
     bwt = bytes(itemgetter(*sa)(s[-1:] + s[:-1]))
     runs = [(c, len(list(g))) for c, g in groupby(bwt)]
     ends = list(accumulate(l for _, l in runs))  # one past each run's last row
-    # r >= 2 (the sentinel and a text byte), so each getter returns a tuple.
-    rl = Rlbwt(runs, list(itemgetter(0, *ends[:-1])(sa)),
-               list(itemgetter(*[e - 1 for e in ends])(sa)))
+    rl = Rlbwt(runs, [sa[i] for i in [0, *ends[:-1]]], [sa[i - 1] for i in ends])
     return rl, sa
 
 
