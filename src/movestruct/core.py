@@ -15,11 +15,12 @@ the one way to derive a table: every transform (inverse, length capping,
 balancing, document columns, storage mode) names only the fields it changes,
 and replace() carries the rest. Destination ranks come from one of two
 places. interval_columns() ranks images that arrive unsorted against the
-sorted starts; from_intervals, inverse and refine() go through it, and
-refine() is the one way to cut a table at new starts. The two O(r)
-builders, rlbwt.build_lf and splitting.length_cap, meet their images in an
-order that only moves forward, so each carries one destination cursor and
-fast-forwards it over the lengths, with no search.
+sorted starts; only from_intervals and inverse still go through it. The
+forward-cursor builders, rlbwt.build_lf, splitting.length_cap and refine()
+(the one way to cut a table at new starts), meet their images in an order
+that only moves forward, so each carries a destination cursor and
+fast-forwards it, with no search; refine() bisects only the images that
+land in an interval it cuts, among that interval's cuts.
 
 IntervalTable.validate() is the one check that a table is a permutation of
 [0, n); every builder that takes outside input (from_permutation, the phi
@@ -34,13 +35,16 @@ through a slot wrapper that builds two argument tuples). The path checks
 its cursor by one index of the lengths, so that a point query costs
 little more than its fast forward or search.
 
-IntervalTable.move answers one query; walk(), counted_walk() and
-gallop_walk() answer a chained block of them, with the same loops inlined
-over the whole block, since in CPython a call per query costs about as much
-as the query itself. Each does only the work its callers read. walk()
-searches linearly and hands a sink the column value of the interval each
-query leaves, which is what the streaming traversals write, and counts
-nothing, since their stats have a closed form (traversal.cycle_profile).
+IntervalTable.move answers one query; walk(), position_walk(),
+counted_walk() and gallop_walk() answer a chained block of them, with the
+same loops inlined over the whole block, since in CPython a call per query
+costs about as much as the query itself. Each does only the work its
+callers read. walk() searches linearly and hands a sink the column value of
+the interval each query leaves, which is what inversion and the DA walk
+write, and counts nothing, since their stats have a closed form
+(traversal.cycle_profile). position_walk() makes the same queries carrying
+the position in place of the offset, fast-forwards over the interval ends,
+and hands the sink each position it leaves: on phi-inverse, the SA values.
 counted_walk() searches linearly and counts fast forwards, for linear
 traversal.traverse_counted. gallop_walk() searches exponentially and counts
 fast forwards and probes. Most queries land in their destination interval
@@ -51,11 +55,11 @@ interval, before it gallops.
 from __future__ import annotations
 
 import dataclasses
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import add, itemgetter, lt, sub
+from itertools import accumulate, compress, repeat
+from operator import add, itemgetter, le, lt, sub
 from typing import Callable, Optional, Sequence
 
 from .errors import BoundsError, InvalidInputError, InvalidParameterError
@@ -318,26 +322,70 @@ def interval_columns(
 
 
 def refine(t: IntervalTable, new: Sequence[int], alpha: int = 0) -> IntervalTable:
-    """t cut at the sorted positions new, in [0, n), by one merge into
-    t.starts; a position that is already a start adds no cut. Each piece
-    keeps its source interval's image offset and run columns. New starts
-    can break a balance, so alpha is 0 unless passed."""
-    starts = t.starts
-    cut, src = [], []
-    i, m = 0, len(new)
-    for j, (s, ell) in enumerate(zip(starts, t.lengths)):
-        cut.append(s)
-        src.append(j)
-        while i < m and new[i] < s + ell:
-            if new[i] > cut[-1]:
-                cut.append(new[i])
-                src.append(j)
-            i += 1
-    images = t.images()
+    """t cut at the sorted positions new, in [0, n), or InvalidParameterError;
+    a position that is already a start adds no cut. Each piece keeps its
+    source interval's image offset and run columns. New starts can break a
+    balance, so alpha is 0 unless passed.
+
+    No image is searched for among all the starts. One that lands in an
+    uncut interval keeps its offset, and its rank shifts by the cuts before
+    that interval; one that lands in a cut interval is placed by one bisect
+    among that interval's cuts. The images of a cut interval's pieces follow
+    that of its first piece in order, so one forward cursor over the new
+    ends, from the first piece's image, places them. The images tile
+    [0, n), so m cuts, A of the images landing in cut intervals, cost
+    O(r' + m + A log m).
+    """
+    n = t.n
+    if not all(map(le, [0, *new], [*new, n - 1])):
+        raise InvalidParameterError(f"cut positions are not sorted in [0, {n})")
+    starts, lengths, dest_rank = t.starts, t.lengths, t.dest_rank
+    r = len(starts)
+    fresh = sorted(set(new).difference(starts))
+    cuts: dict[int, list[int]] = {}  # the cuts inside each cut interval
+    shift = [0] * r
+    i = 0
+    while i < len(fresh):
+        j = bisect_right(starts, fresh[i]) - 1
+        hi = bisect_left(fresh, starts[j] + lengths[j], i)
+        cuts[j] = fresh[i:hi]
+        shift[j] = hi - i
+        i = hi
+    # base[q]: the new rank of interval q's first piece.
+    base = list(map(add, range(r), accumulate(shift, initial=0)))
+    ranks = list(map(base.__getitem__, dest_rank))
+    offs = list(t.dest_offset)
+    for j in compress(range(r), map(cuts.__contains__, dest_rank)):
+        q = dest_rank[j]
+        cs = cuts[q]
+        p = starts[q] + offs[j]
+        x = bisect_right(cs, p)
+        if x:
+            ranks[j] += x
+            offs[j] = p - cs[x - 1]
+    # The first pieces up to each cut interval, then that interval's pieces,
+    # whose images follow its first piece's in order.
+    cut_starts = sorted(starts + fresh)
+    cut_ends = cut_starts[1:] + [n]
+    out_rank, out_off, src, lo = [], [], [], 0
+    for j, cs in cuts.items():
+        out_rank += ranks[lo:j + 1]
+        out_off += offs[lo:j + 1]
+        src += range(lo, j + 1)
+        src += repeat(j, len(cs))
+        q = ranks[j]
+        d = cut_starts[q] + offs[j] - starts[j]
+        for c in cs:
+            p = c + d
+            while p >= cut_ends[q]:
+                q += 1
+            out_rank.append(q)
+            out_off.append(p - cut_starts[q])
+        lo = j + 1
     return t.replace(
-        **interval_columns(
-            t.n, cut, [images[j] + p - starts[j] for p, j in zip(cut, src)]),
-        extras=run_columns(t, src), alpha=alpha,
+        lengths=list(map(sub, cut_ends, cut_starts)),
+        dest_rank=out_rank + ranks[lo:], dest_offset=out_off + offs[lo:],
+        extras=run_columns(t, src + list(range(lo, r))), alpha=alpha,
     )
 
 
@@ -389,6 +437,31 @@ def walk(
             ell = lengths[q]
         j = q
     return j, k
+
+
+def position_walk(
+    ends: list[int],
+    dest_rank: list[int],
+    delta: list[int],
+    j: int,
+    p: int,
+    size: int,
+    put: Callable[[int], object],
+) -> tuple[int, int]:
+    """The queries of walk() carried by position: from position p in
+    interval j, `size` chained move queries, where ends[q] is the end of
+    interval q and delta[j] the image of j minus its start. Each query puts
+    the position it leaves, so the first is p and none is the position
+    returned, then adds delta[j] and fast-forwards its destination rank over
+    the ends. Returns the last interval and position reached.
+    """
+    for _ in repeat(None, size):
+        put(p)
+        p += delta[j]
+        j = dest_rank[j]
+        while p >= ends[j]:
+            j += 1
+    return j, p
 
 
 def counted_walk(

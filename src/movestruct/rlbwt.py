@@ -293,6 +293,12 @@ def build_phi_via_lf(rl: Rlbwt, inverse: bool = False) -> IntervalTable:
     return table
 
 
+def _check_below_n(bounds: DocBounds, n: int) -> None:
+    """InvalidInputError unless the last document starts below n."""
+    if bounds.starts[-1] >= n:
+        raise InvalidInputError(f"document start {bounds.starts[-1]} is not below n={n}")
+
+
 def attach_docs(table: IntervalTable, bounds: DocBounds) -> IntervalTable:
     """Attach per-interval document data to a phi/phi-inverse table.
 
@@ -302,10 +308,7 @@ def attach_docs(table: IntervalTable, bounds: DocBounds) -> IntervalTable:
     against the document ends finds both in O(r' + d). A document that
     starts at or past n raises InvalidInputError.
     """
-    if bounds.starts[-1] >= table.n:
-        raise InvalidInputError(
-            f"document start {bounds.starts[-1]} is not below n={table.n}"
-        )
+    _check_below_n(bounds, table.n)
     ends = bounds.starts[1:] + [table.n]
     doc0 = []
     dist = []
@@ -321,7 +324,10 @@ def attach_docs(table: IntervalTable, bounds: DocBounds) -> IntervalTable:
 def cut_at_documents(table: IntervalTable, bounds: DocBounds) -> IntervalTable:
     """The table cut at each document start inside an interval by
     core.refine, with the doc columns of bounds in place of any it holds, so
-    that "doc" is the document of every position; alpha resets to 0."""
+    that "doc" is the document of every position; alpha resets to 0. A
+    document that starts at or past n raises InvalidInputError before the
+    cut."""
+    _check_below_n(bounds, table.n)
     plain = table.replace(extras={
         k: v for k, v in table.extras.items() if k not in ("doc", "docdist")})
     return attach_docs(refine(plain, bounds.starts), bounds)

@@ -16,7 +16,8 @@ insert cost two bisects and a shift within one block. The count of starts
 inside each output interval is updated exactly at each split, with no
 recount. Each split costs O(log r' + _BLOCK + alpha) amortized; setting up
 the indexes adds O(r' log r') at C level, and core.refine reads the table
-out with one merge.
+out in O(r' + m + A log m) for m splits, A of the images landing in a split
+interval.
 """
 
 from __future__ import annotations

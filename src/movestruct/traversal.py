@@ -2,9 +2,10 @@
 SA enumeration, DA enumeration, and an instrumented traversal driver.
 
 Each walk runs on a block kernel that does only the work its caller reads,
-with the fast-forward loop inlined. The three streaming walks run on
+with the fast-forward loop inlined. Inversion and the DA walk run on
 core.walk, which hands a C-level sink the column value of the interval each
-query leaves and counts nothing: each is a full cycle of n steps, so its
+query leaves, and the SA walk on core.position_walk, which hands it each
+position; neither counts: each walk is a full cycle of n steps, so its
 stats are cycle_profile(table), made in O(r') with no walk. Linear
 traverse_counted runs on core.counted_walk, which counts fast forwards and
 emits nothing, and exponential traverse_counted on core.gallop_walk, which
@@ -16,11 +17,11 @@ on demand, so its fixed cost does not grow with L or r'.
 
 The three streaming walks share one block loop, which writes to a binary
 file object once per block of _BLOCK entries. Inversion emits the symbol
-column into a bytearray. The SA walk emits each interval's image minus
-start, so a block of values is one itertools.accumulate from the value
-carried over; the DA walk emits the doc column of the table cut at its d
-document starts. Both write little-endian u64 values. Their working space
-is O(r'), O(r' + d) for DA, plus one block. Inversion walks FL (or LF,
+column into a bytearray. The SA walk emits the positions it leaves, which
+on phi-inverse are the SA values, straight into an array("Q"); the DA walk
+emits the doc column of the table cut at its d document starts. Both write
+little-endian u64 values. Their working space is O(r'), O(r' + d) for DA,
+plus one block. Inversion walks FL (or LF,
 inverted first); the SA and DA walks chain phi-inverse from SA[0] = n - 1
 and refuse any other kind before they write. Inversion refuses an FL that
 is not one cycle, and the SA walk a phi-inverse that is not, before the
@@ -34,9 +35,10 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
+from functools import partial
+from itertools import compress
 from operator import add, mul, sub
-from typing import Any, BinaryIO, Callable, Optional, Sequence
+from typing import Any, BinaryIO, Callable, Optional
 
 from . import rlbwt
 from .core import (
@@ -46,6 +48,7 @@ from .core import (
     counted_walk,
     gallop_walk,
     inverse,
+    position_walk,
     walk,
 )
 from .errors import InvalidInputError, InvalidParameterError, MissingColumnError
@@ -122,25 +125,19 @@ def _require_extra(table: IntervalTable, name: str, need: str) -> list[int]:
 def _block_walk(
     table: IntervalTable,
     fp: BinaryIO,
-    start: tuple[int, int],
-    col: Sequence[int],
+    kernel: Callable[..., tuple[int, int]],
+    state: tuple[int, int],
     buf: Any,
     flush: Callable[[Any], Any],
 ) -> TraversalStats:
-    """n chained steps from start, in blocks: the kernel appends to buf the
-    col value of the interval each step leaves, and fp receives flush(buf)
-    once per block, after which buf is emptied. Returns cycle_profile(table),
-    which is the stats of these steps when the table is one cycle."""
-    lengths = table.lengths
-    dest_rank = table.dest_rank
-    dest_offset = table.dest_offset
+    """n chained steps from state, in blocks: kernel(*state, size, put=...)
+    walks a block, putting one value per step into buf, and returns the
+    state the next block starts from; fp receives flush(buf) once per
+    block, after which buf is emptied. Returns cycle_profile(table), which
+    is the stats of these steps when the table is one cycle."""
     n = table.n
-    j, k = start
     for i in range(0, n, _BLOCK):
-        j, k = walk(
-            lengths, dest_rank, dest_offset, j, k, min(_BLOCK, n - i), col,
-            buf.append,
-        )
+        state = kernel(*state, min(_BLOCK, n - i), put=buf.append)
         fp.write(flush(buf))
         del buf[:]
     return cycle_profile(table)
@@ -195,7 +192,8 @@ def invert_bwt(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
         return text
 
     start = table.move((0, 0)).cursor
-    return _block_walk(table, fp, start, sym, bytearray(), flush)
+    kernel = partial(walk, table.lengths, table.dest_rank, table.dest_offset, col=sym)
+    return _block_walk(table, fp, kernel, start, bytearray(), flush)
 
 
 def _check_sa_kind(table: IntervalTable) -> None:
@@ -212,22 +210,20 @@ def enumerate_sa(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
     """Write SA[0..n-1] by chaining phi-inverse from SA[0] = n - 1. A table
     of any other kind raises InvalidInputError before anything is written.
 
-    A step from a cursor in interval j adds image minus start of j to its
-    value, so a block of these deltas accumulates from the value carried
-    over from the block before. A walk that meets n - 1 again before the
-    end has come back to SA[0] early: phi-inverse is not one cycle, and
+    The walk carries the position, which for phi-inverse is the SA value
+    (core.position_walk), so each step appends its value straight into the
+    block's array. A walk that meets n - 1 again before the end has come
+    back to SA[0] early: phi-inverse is not one cycle, and
     InvalidInputError is raised before that block is written. So a walk
     that ends has covered one cycle, and the stats are those of the walk.
     """
     _check_sa_kind(table)
-    v = table.n - 1
-    sa0 = v.to_bytes(8, "little")
+    n = table.n
+    sa0 = (n - 1).to_bytes(8, "little")
     pos = 0
 
-    def flush(deltas: list[int]) -> bytes:
-        nonlocal v, pos
-        values = array("Q", accumulate(deltas, initial=v))
-        v = values.pop()
+    def flush(values: array) -> bytes:
+        nonlocal pos
         data = _u64(values).tobytes()
         # An 8-byte aligned match past SA[0]; unaligned ones straddle values.
         i = data.find(sa0, 0 if pos else 8)
@@ -235,14 +231,17 @@ def enumerate_sa(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
             i = data.find(sa0, i + 1)
         if i != -1:
             raise InvalidInputError(
-                f"SA value {table.n - 1} again at position {pos + i // 8}; "
+                f"SA value {n - 1} again at position {pos + i // 8}; "
                 "phi-inverse is not one cycle"
             )
         pos += len(values)
         return data
 
-    deltas = list(map(sub, table.images(), table.starts))
-    return _block_walk(table, fp, table.cursor_of(v), deltas, [], flush)
+    starts = table.starts
+    kernel = partial(position_walk, starts[1:] + [n], table.dest_rank,
+                     list(map(sub, table.images(), starts)))
+    start = (table.cursor_of(n - 1)[0], n - 1)
+    return _block_walk(table, fp, kernel, start, array("Q"), flush)
 
 
 def enumerate_da(
@@ -265,7 +264,9 @@ def enumerate_da(
         bounds = rlbwt.doc_bounds_of(table)
     table = rlbwt.cut_at_documents(table, bounds)
     start = table.cursor_of(table.n - 1)
-    return _block_walk(table, fp, start, table.extras["doc"], array("Q"), _u64)
+    kernel = partial(
+        walk, table.lengths, table.dest_rank, table.dest_offset, col=table.extras["doc"])
+    return _block_walk(table, fp, kernel, start, array("Q"), _u64)
 
 
 def traverse_counted(

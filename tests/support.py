@@ -274,6 +274,30 @@ def balance_by_lists(t: IntervalTable, alpha: int) -> IntervalTable:
     )
 
 
+def refine_by_search(t: IntervalTable, new: list[int], alpha: int = 0) -> IntervalTable:
+    """core.refine by one merge of the sorted positions new into t.starts
+    and a search of every image among the merged starts
+    (core.interval_columns): the reference that refine's forward cursor
+    must match."""
+    starts = t.starts
+    cut, src = [], []
+    i, m = 0, len(new)
+    for j, (s, ell) in enumerate(zip(starts, t.lengths)):
+        cut.append(s)
+        src.append(j)
+        while i < m and new[i] < s + ell:
+            if new[i] > cut[-1]:
+                cut.append(new[i])
+                src.append(j)
+            i += 1
+    images = t.images()
+    return t.replace(
+        **interval_columns(
+            t.n, cut, [images[j] + p - starts[j] for p, j in zip(cut, src)]),
+        extras=run_columns(t, src), alpha=alpha,
+    )
+
+
 def doc_of(bounds: DocBounds, position: int) -> int:
     """The document that position lies in."""
     return bisect_right(bounds.starts, position) - 1

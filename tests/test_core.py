@@ -31,13 +31,14 @@ from movestruct import (
     table_to_permutation,
     traverse_counted,
 )
-from movestruct.core import counted_walk, walk
+from movestruct.core import counted_walk, position_walk, walk
 from movestruct.oracle import eval_abs
 from support import (
     REF_DEST_RANK,
     REF_IMAGES,
     REF_PERM,
     REF_STARTS,
+    adversarial_permutation,
     random_runny_permutation,
     validate_by_sort,
 )
@@ -454,6 +455,51 @@ def test_walk_puts_the_interval_each_query_leaves():
             cur = t.move(cur).cursor
         assert got == left
         assert end == cur
+
+
+def _moved_positions(t, start, size):
+    """The positions that `size` chained IntervalTable.move queries from
+    start leave, the end cursor, and the most boundaries one skipped."""
+    left, cur, top = [], start, 0
+    for _ in range(size):
+        left.append(t.position_of(cur))
+        res = t.move(cur)
+        cur, top = res.cursor, max(top, res.fast_forwards)
+    return left, cur, top
+
+
+def test_position_walk_puts_the_position_each_query_leaves():
+    # The kernel carries (interval, position): it puts the position of
+    # every cursor it leaves, starting with the start's, and ends at the
+    # interval and position of chained IntervalTable.move's end cursor.
+    pi = adversarial_permutation(400, 100)
+    uncapped = from_permutation(pi)
+    last = len(uncapped) - 1
+    cases = list(_capped_walks(13))
+    for i in (0, 150, 399):
+        cases.append((uncapped, uncapped.cursor_of(i), 2 * uncapped.n))
+    # Walks that end in the last interval: size steps back from its start
+    # along the inverse permutation.
+    back = {v: i for i, v in enumerate(pi)}
+    p = uncapped.starts[last]
+    for size in range(1, 60):
+        p = back[p]
+        cases.append((uncapped, uncapped.cursor_of(p), size))
+    skipped = []
+    for t, start, size in cases:
+        ends = t.starts[1:] + [t.n]
+        delta = [v - s for v, s in zip(t.images(), t.starts)]
+        got = []
+        j, p = position_walk(
+            ends, t.dest_rank, delta, start[0], t.position_of(start), size, got.append)
+        left, cur, top = _moved_positions(t, start, size)
+        assert got == left
+        assert (j, p) == (cur[0], t.position_of(cur))
+        skipped.append(top)
+        if t is uncapped and size < 60:
+            assert j == last
+    # Uncapped, a query from [0, 200) skips up to 99 boundaries.
+    assert max(skipped) > 16
 
 
 def test_counted_walk_counts_the_queries_that_fast_forward():

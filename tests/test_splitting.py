@@ -38,6 +38,7 @@ from support import (
     doc_of,
     random_runny_permutation,
     random_text,
+    refine_by_search,
     runny_permutation,
     sweep_fast_forwards,
 )
@@ -357,3 +358,64 @@ def test_refine_cuts_at_new_starts_and_keeps_the_permutation():
                     assert getattr(out, name) == getattr(t, name)
             if not new:
                 assert vars(refine(t, new, t.alpha)) == vars(t)
+
+
+# A table of n = 8000 whose interval [0, 4000) holds the images of all 400
+# blocks of [4000, 8000): balance's shape, with room for thousands of cuts.
+_LONG = from_permutation(adversarial_permutation(8000, 400))
+
+
+@st.composite
+def _refine_cases(draw):
+    """A table, positions to cut it at and an alpha, for refine."""
+    if draw(st.integers(0, 9)) == 0:
+        t = _LONG
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        n = draw(st.integers(1, 200))
+        t = from_permutation(
+            random_runny_permutation(rng, n, rng.randint(1, max(1, n // 4))))
+        if draw(st.booleans()):
+            t.extras["sym"] = [rng.randrange(256) for _ in range(len(t))]
+        shape = draw(st.sampled_from(["plain", "capped", "balanced"]))
+        if shape == "capped":
+            t = length_cap(t, draw(st.sampled_from([Fraction(1, 2), 1]))).to_relative()
+        elif shape == "balanced" and n > 1:
+            t = balance(length_cap(t, 2), draw(st.sampled_from([2, 3])))
+    n = t.n
+    kind = draw(st.sampled_from(["none", "every", "one interval", "mixed"]))
+    if kind == "none":
+        new = []
+    elif kind == "every":
+        new = list(range(n))
+    elif kind == "one interval":
+        # Every step-th position of the longest interval, some twice: on
+        # _LONG, thousands of cuts.
+        j = max(range(len(t)), key=t.lengths.__getitem__)
+        s, end = t.starts[j], t.starts[j] + t.lengths[j]
+        new = list(range(s + draw(st.integers(0, 3)), end, draw(st.integers(1, 3))))
+        new += draw(st.lists(st.integers(s, end - 1), max_size=5))
+        new.sort()
+    else:
+        new = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+        new += draw(st.lists(st.sampled_from(t.starts), max_size=3))
+        new += draw(st.lists(st.sampled_from([0, n - 1]), max_size=2))
+        new.sort()
+    return t, new, draw(st.sampled_from([0, 2, 3]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_refine_cases())
+def test_refine_equals_the_search_reference(case):
+    # The forward-cursor cut is the merge whose images are ranked by
+    # search, field for field.
+    t, new, alpha = case
+    assert vars(refine(t, new, alpha)) == vars(refine_by_search(t, new, alpha))
+
+
+@pytest.mark.parametrize("new", [[5, 2], [12], [-1], [0, 10], [3, 3, 2]])
+def test_refine_refuses_unsorted_or_outside_positions(new):
+    t = from_permutation(list(range(10)))
+    with pytest.raises(InvalidParameterError, match="not sorted in"):
+        refine(t, new)
+
