@@ -89,6 +89,10 @@ def cmd_build_rlbwt(args) -> int:
 
 
 def cmd_build(args) -> int:
+    # Refuse --docs and parse its bounds before any load or build.
+    if args.docs and args.perm not in ("phi", "phi-inv"):
+        raise InvalidInputError("--docs only applies to phi/phi-inv tables")
+    bounds = _load_bounds(args.docs) if args.docs else None
     with open(args.rlbwt, "rb") as fp:
         rl = rlbwt.load_rlbwt(fp)
     table = _PERM_BUILDERS[args.perm](rl)
@@ -100,10 +104,8 @@ def cmd_build(args) -> int:
         table = splitting.balance(table, args.balance)
     if args.mode == RELATIVE:
         table = table.to_relative()
-    if args.docs:
-        if args.perm not in ("phi", "phi-inv"):
-            raise InvalidInputError("--docs only applies to phi/phi-inv tables")
-        table = rlbwt.attach_docs(table, _load_bounds(args.docs))
+    if bounds is not None:
+        table = rlbwt.attach_docs(table, bounds)
     with _output(args.output) as fp:
         files.save_move(table, fp)
     print(

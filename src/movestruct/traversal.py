@@ -23,11 +23,14 @@ emits the doc column of the table cut at its d document starts. Both write
 little-endian u64 values. Their working space is O(r'), O(r' + d) for DA,
 plus one block. Inversion walks FL (or LF,
 inverted first); the SA and DA walks chain phi-inverse from SA[0] = n - 1
-and refuse any other kind before they write. Inversion refuses an FL that
-is not one cycle, and the SA walk a phi-inverse that is not, before the
-block that shows it is written, so their stats are those of their walks.
-The DA walk has no such check: its stats are those of its walk only when
-phi-inverse is one cycle.
+and refuse any other kind before they write.
+
+The block loop holds the one rule that proves a walk is one cycle: such a
+walk writes a marker value at exactly one index, inversion the sentinel at
+n - 1 and the SA walk n - 1 at index 0. A block that holds the marker at
+any other index is refused before it is written, so a walk that ends is one
+cycle and its stats are those of its walk. The DA walk passes no marker: its
+stats are those of its walk only when phi-inverse is one cycle.
 """
 
 from __future__ import annotations
@@ -128,26 +131,37 @@ def _block_walk(
     kernel: Callable[..., tuple[int, int]],
     state: tuple[int, int],
     buf: Any,
-    flush: Callable[[Any], Any],
+    marker: bytes = b"",
+    at: int = 0,
+    error: str = "",
 ) -> TraversalStats:
     """n chained steps from state, in blocks: kernel(*state, size, put=...)
     walks a block, putting one value per step into buf, and returns the
-    state the next block starts from; fp receives flush(buf) once per
-    block, after which buf is emptied. Returns cycle_profile(table), which
-    is the stats of these steps when the table is one cycle."""
+    state the next block starts from. Each block is encoded, a bytearray as
+    it is and an array("Q") little-endian, written to fp, and emptied.
+
+    A walk that is one cycle from its start puts the value encoded as
+    marker at index `at` and at no other. A block that holds it at another
+    index raises InvalidInputError, error formatted with the first such
+    index, before it is written; so a walk that ends is one cycle. Returns
+    cycle_profile(table), which is the stats of these steps when it is."""
     n = table.n
+    width = len(marker)
     for i in range(0, n, _BLOCK):
         state = kernel(*state, min(_BLOCK, n - i), put=buf.append)
-        fp.write(flush(buf))
+        if isinstance(buf, array) and sys.byteorder == "big":
+            buf.byteswap()
+        # Only a walk with a marker pays for a copy of its values as bytes,
+        # where unaligned matches straddle two values.
+        data = buf.tobytes() if width > 1 else buf
+        j = data.find(marker) if marker else -1
+        while j != -1 and (j % width or i + j // width == at):
+            j = data.find(marker, j + 1)
+        if j != -1:
+            raise InvalidInputError(error.format(i + j // width))
+        fp.write(data)
         del buf[:]
     return cycle_profile(table)
-
-
-def _u64(values: array) -> array:
-    """An array("Q") in little-endian byte order, swapped in place."""
-    if sys.byteorder == "big":
-        values.byteswap()
-    return values
 
 
 def invert_bwt(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
@@ -178,22 +192,12 @@ def invert_bwt(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
             f"row 0's interval holds symbol {sym[0]}, not the sentinel; "
             "the table is the BWT of no text"
         )
-    pos = 0
-
-    def flush(text: bytearray) -> bytearray:
-        nonlocal pos
-        early = text.find(rlbwt.SENTINEL)
-        if early != -1 and pos + early != table.n - 1:
-            raise InvalidInputError(
-                f"sentinel at text position {pos + early} of {table.n}; "
-                "the table is the BWT of no text"
-            )
-        pos += len(text)
-        return text
-
+    n = table.n
     start = table.move((0, 0)).cursor
     kernel = partial(walk, table.lengths, table.dest_rank, table.dest_offset, col=sym)
-    return _block_walk(table, fp, kernel, start, bytearray(), flush)
+    return _block_walk(
+        table, fp, kernel, start, bytearray(), bytes([rlbwt.SENTINEL]), n - 1,
+        f"sentinel at text position {{}} of {n}; the table is the BWT of no text")
 
 
 def _check_sa_kind(table: IntervalTable) -> None:
@@ -219,29 +223,13 @@ def enumerate_sa(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
     """
     _check_sa_kind(table)
     n = table.n
-    sa0 = (n - 1).to_bytes(8, "little")
-    pos = 0
-
-    def flush(values: array) -> bytes:
-        nonlocal pos
-        data = _u64(values).tobytes()
-        # An 8-byte aligned match past SA[0]; unaligned ones straddle values.
-        i = data.find(sa0, 0 if pos else 8)
-        while i != -1 and i & 7:
-            i = data.find(sa0, i + 1)
-        if i != -1:
-            raise InvalidInputError(
-                f"SA value {n - 1} again at position {pos + i // 8}; "
-                "phi-inverse is not one cycle"
-            )
-        pos += len(values)
-        return data
-
     starts = table.starts
     kernel = partial(position_walk, starts[1:] + [n], table.dest_rank,
                      list(map(sub, table.images(), starts)))
     start = (table.cursor_of(n - 1)[0], n - 1)
-    return _block_walk(table, fp, kernel, start, array("Q"), flush)
+    return _block_walk(
+        table, fp, kernel, start, array("Q"), (n - 1).to_bytes(8, "little"), 0,
+        f"SA value {n - 1} again at position {{}}; phi-inverse is not one cycle")
 
 
 def enumerate_da(
@@ -256,8 +244,8 @@ def enumerate_da(
     (rlbwt.doc_bounds_of, which raises on missing or inconsistent ones).
     Every error is raised before anything is written. The stats are the
     cut table's cycle_profile, which equals those of the walk only when
-    phi-inverse is one cycle; unlike enumerate_sa, this walk does not check
-    that it is.
+    phi-inverse is one cycle; unlike enumerate_sa, this walk passes the
+    block loop no marker, so it does not check that it is.
     """
     _check_sa_kind(table)
     if bounds is None:
@@ -266,7 +254,7 @@ def enumerate_da(
     start = table.cursor_of(table.n - 1)
     kernel = partial(
         walk, table.lengths, table.dest_rank, table.dest_offset, col=table.extras["doc"])
-    return _block_walk(table, fp, kernel, start, array("Q"), _u64)
+    return _block_walk(table, fp, kernel, start, array("Q"))
 
 
 def traverse_counted(

@@ -26,7 +26,7 @@ from movestruct import (
     table_to_permutation,
     traverse_counted,
 )
-from movestruct import oracle
+from movestruct import oracle, rlbwt
 from movestruct.cli import main
 from movestruct.core import refine
 from movestruct.oracle import max_fast_forwards, naive_bwt, naive_lf, naive_sa
@@ -206,6 +206,21 @@ def test_docs_flag_rejected_for_lf(ws):
         ["build", str(ws / "rl"), "--perm", "lf", "--docs", str(docs),
          "-o", str(ws / "x.mv")]
     ) == 2
+
+
+@pytest.mark.parametrize("perm", ["lf", "fl"])
+def test_docs_flag_rejected_before_the_rlbwt_is_loaded(ws, capsys, monkeypatch, perm):
+    (ws / "docs").write_text("0\n")
+
+    def load_rlbwt(fp):
+        raise AssertionError("build loaded the RLBWT before refusing --docs")
+
+    monkeypatch.setattr(rlbwt, "load_rlbwt", load_rlbwt)
+    out = ws / "x.mv"
+    assert main(["build", str(ws / "rl"), "--perm", perm, "--docs", str(ws / "docs"),
+                 "-o", str(out)]) == 2
+    assert "--docs only applies to phi/phi-inv tables" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_build_all_kinds_verify(ws):

@@ -178,6 +178,52 @@ def test_sa_walk_that_returns_to_n_minus_1_early_fails_before_that_block(
     assert u64s(sink) == [19, *range(9)][: 8 if block == 4 else 0]
 
 
+@pytest.mark.parametrize("block", [4, 1 << 16])
+def test_invert_walk_that_returns_to_row_0_early_fails_before_that_block(
+    block, monkeypatch
+):
+    # An FL table of two cycles: 0 -> 2 -> ... -> 10 -> 1 -> 0 and
+    # 11 -> ... -> 19 -> 11. Row 0's interval holds the sentinel alone, and
+    # the walk leaves row 0 at step 10, so it writes the sentinel at text
+    # position 10: the blocks before step 8 are written and the one holding
+    # step 10 is not.
+    pi = [2, 0, *range(3, 11), 1, *range(12, 20), 11]
+    table = from_permutation(pi)
+    assert table.starts == [0, 1, 2, 10, 11, 19]
+    table = table.replace(kind="fl", extras={"sym": [0, 98, 97, 99, 100, 101]})
+    monkeypatch.setattr(traversal, "_BLOCK", block)
+    sink = io.BytesIO()
+    with pytest.raises(InvalidInputError) as info:
+        invert_bwt(table, sink)
+    assert str(info.value) == (
+        "sentinel at text position 10 of 20; the table is the BWT of no text")
+    assert sink.getvalue() == (b"a" * 8 if block == 4 else b"")
+
+
+def test_walks_in_every_block_size_equal_the_oracle(monkeypatch):
+    # From one entry per block to one block past n: the sentinel at n - 1
+    # starts a block whenever the size divides n - 1, and is alone in the
+    # last block at size n - 1; SA[0] = n - 1 always starts the first block.
+    text = b"abaabbabaabaababbaabaababaaabbabaabaaba"
+    rl, sa = build_bwt(text)
+    n = rl.n
+    assert n == 40 and sa == naive_sa(text + b"\x00")
+    lf = build_lf(rl)
+    pi = build_phi_via_lf(rl, inverse=True)
+    bounds = DocBounds([0, 7, 20, 39])
+    for block in range(1, n + 2):
+        monkeypatch.setattr(traversal, "_BLOCK", block)
+        out = io.BytesIO()
+        assert invert_bwt(lf, out).steps == n
+        assert out.getvalue() == text + b"\x00"
+        out = io.BytesIO()
+        assert enumerate_sa(pi, out).steps == n
+        assert u64s(out) == sa
+        out = io.BytesIO()
+        assert enumerate_da(pi, out, bounds).steps == n
+        assert u64s(out) == [doc_of(bounds, v) for v in sa]
+
+
 def test_sa_walk_ignores_n_minus_1_across_two_values():
     # n - 1 = 256 is the bytes 00 01 00 ... 00, which the u64 values v and 1
     # make whenever 1 follows v in the SA.
