@@ -21,16 +21,16 @@ column into a bytearray. The SA walk emits the positions it leaves, which
 on phi-inverse are the SA values, straight into an array("Q"); the DA walk
 emits the doc column of the table cut at its d document starts. Both write
 little-endian u64 values. Their working space is O(r'), O(r' + d) for DA,
-plus one block. Inversion walks FL (or LF,
-inverted first); the SA and DA walks chain phi-inverse from SA[0] = n - 1
-and refuse any other kind before they write.
+plus one block. Inversion walks FL (or LF, inverted first); the SA and DA
+walks chain phi-inverse from SA[0] = n - 1 and refuse any other kind before
+they write.
 
-The block loop holds the one rule that proves a walk is one cycle: such a
-walk writes a marker value at exactly one index, inversion the sentinel at
-n - 1 and the SA walk n - 1 at index 0. A block that holds the marker at
-any other index is refused before it is written, so a walk that ends is one
-cycle and its stats are those of its walk. The DA walk passes no marker: its
-stats are those of its walk only when phi-inverse is one cycle.
+The block loop holds the one rule that proves a walk is one cycle: a walk
+fixes one value, starts one move past it, and refuses, unwritten, any block
+of its other n - 1 steps that holds its marker. Inversion writes its marker,
+the sentinel, after its steps, and the SA walk n - 1 before them; the DA
+walk writes d - 1 first and refuses the document that [n - 1, n) has to
+itself. So a walk that ends is one cycle, with the stats of its walk.
 """
 
 from __future__ import annotations
@@ -118,44 +118,35 @@ def cycle_profile(table: IntervalTable) -> TraversalStats:
     return _walk_stats(counts, table.n)
 
 
-def _require_extra(table: IntervalTable, name: str, need: str) -> list[int]:
-    try:
-        return table.extras[name]
-    except KeyError:
-        raise MissingColumnError(f"table lacks extra column {name!r}; {need}") from None
-
-
 def _block_walk(
     table: IntervalTable,
     fp: BinaryIO,
     kernel: Callable[..., tuple[int, int]],
     state: tuple[int, int],
     buf: Any,
-    marker: bytes = b"",
-    at: int = 0,
-    error: str = "",
+    marker: bytes,
+    error: str,
 ) -> TraversalStats:
-    """n chained steps from state, in blocks: kernel(*state, size, put=...)
-    walks a block, putting one value per step into buf, and returns the
-    state the next block starts from. Each block is encoded, a bytearray as
-    it is and an array("Q") little-endian, written to fp, and emptied.
-
-    A walk that is one cycle from its start puts the value encoded as
-    marker at index `at` and at no other. A block that holds it at another
-    index raises InvalidInputError, error formatted with the first such
-    index, before it is written; so a walk that ends is one cycle. Returns
-    cycle_profile(table), which is the stats of these steps when it is."""
-    n = table.n
+    """n - 1 chained steps from state, in blocks, after any value buf holds:
+    kernel(*state, size, put=...) walks a block, putting one value per step
+    into buf, and returns the state the next block starts from. Each block
+    is encoded, a bytearray as it is and an array("Q") little-endian,
+    written to fp, and emptied. A one-cycle walk from one move past a fixed
+    value puts the value encoded as marker at none of its steps. A block
+    whose steps hold it raises InvalidInputError, error formatted with the
+    index of the first, before it is written. So a walk that ends is one
+    cycle, and the cycle_profile(table) returned is the stats of its n moves."""
     width = len(marker)
-    for i in range(0, n, _BLOCK):
-        state = kernel(*state, min(_BLOCK, n - i), put=buf.append)
+    end = table.n - 1 + len(buf)
+    for i in range(0, end, _BLOCK):
+        fixed = len(buf)
+        state = kernel(*state, min(_BLOCK, end - i) - fixed, put=buf.append)
         if isinstance(buf, array) and sys.byteorder == "big":
             buf.byteswap()
-        # Only a walk with a marker pays for a copy of its values as bytes,
-        # where unaligned matches straddle two values.
+        # Values as bytes, where unaligned matches straddle two values.
         data = buf.tobytes() if width > 1 else buf
-        j = data.find(marker) if marker else -1
-        while j != -1 and (j % width or i + j // width == at):
+        j = data.find(marker, fixed * width)
+        while j != -1 and j % width:
             j = data.find(marker, j + 1)
         if j != -1:
             raise InvalidInputError(error.format(i + j // width))
@@ -168,15 +159,14 @@ def invert_bwt(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
     """Write the text and then its sentinel to fp, in text order.
 
     Walks FL from the row of suffix 0, one move from row 0, the sentinel's
-    row: each step leaves the row of the next suffix, whose first symbol is
-    the "sym" column of the FL interval it leaves. An LF table is inverted
-    into FL first. Row 0's interval must hold the sentinel, or
+    row: each of n - 1 steps leaves the row of the next suffix, whose first
+    symbol is the "sym" column of the FL interval it leaves. An LF table is
+    inverted into FL first. Row 0's interval must hold the sentinel, or
     InvalidInputError is raised before anything is written, as it is for a
-    symbol outside 0..255. A walk that writes the sentinel before the end
-    has then come back to row 0 early: FL is not one cycle, the table is the
-    BWT of no text, and InvalidInputError is raised before that block is
-    written. So a walk that ends has passed row 0 once, FL is one cycle, and
-    the stats are those of the walk.
+    symbol outside 0..255. A step that writes the sentinel has come back to
+    row 0 early: FL is not one cycle, the table is the BWT of no text, and
+    InvalidInputError is raised before that block is written. So a walk
+    that ends is one cycle, and its stats are those of the walk.
     """
     if table.kind == "lf":
         table = inverse(table)
@@ -184,7 +174,10 @@ def invert_bwt(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
         raise InvalidInputError(
             f"inversion needs an LF or FL table, not kind {table.kind!r}"
         )
-    sym = _require_extra(table, "sym", "inversion reads the BWT symbols")
+    sym = table.extras.get("sym")
+    if sym is None:
+        raise MissingColumnError(
+            "table lacks extra column 'sym'; inversion reads the BWT symbols")
     if min(sym) < 0 or max(sym) > 255:
         raise InvalidInputError("symbol column holds a value that is not a byte")
     if sym[0] != rlbwt.SENTINEL:
@@ -192,12 +185,13 @@ def invert_bwt(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
             f"row 0's interval holds symbol {sym[0]}, not the sentinel; "
             "the table is the BWT of no text"
         )
-    n = table.n
     start = table.move((0, 0)).cursor
     kernel = partial(walk, table.lengths, table.dest_rank, table.dest_offset, col=sym)
-    return _block_walk(
-        table, fp, kernel, start, bytearray(), bytes([rlbwt.SENTINEL]), n - 1,
-        f"sentinel at text position {{}} of {n}; the table is the BWT of no text")
+    stats = _block_walk(
+        table, fp, kernel, start, bytearray(), bytes([rlbwt.SENTINEL]),
+        f"sentinel at text position {{}} of {table.n}; the table is the BWT of no text")
+    fp.write(bytes([rlbwt.SENTINEL]))
+    return stats
 
 
 def _check_sa_kind(table: IntervalTable) -> None:
@@ -214,21 +208,22 @@ def enumerate_sa(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
     """Write SA[0..n-1] by chaining phi-inverse from SA[0] = n - 1. A table
     of any other kind raises InvalidInputError before anything is written.
 
-    The walk carries the position, which for phi-inverse is the SA value
-    (core.position_walk), so each step appends its value straight into the
-    block's array. A walk that meets n - 1 again before the end has come
-    back to SA[0] early: phi-inverse is not one cycle, and
-    InvalidInputError is raised before that block is written. So a walk
-    that ends has covered one cycle, and the stats are those of the walk.
+    After n - 1, the walk takes n - 1 steps from SA[1]. It carries the
+    position, which for phi-inverse is the SA value (core.position_walk), so
+    each step appends its value straight into the block's array. A step that
+    meets n - 1 again has come back to SA[0] early: phi-inverse is not one
+    cycle, and InvalidInputError is raised before that block is written. So
+    a walk that ends is one cycle, and its stats are those of the walk.
     """
     _check_sa_kind(table)
     n = table.n
     starts = table.starts
     kernel = partial(position_walk, starts[1:] + [n], table.dest_rank,
                      list(map(sub, table.images(), starts)))
-    start = (table.cursor_of(n - 1)[0], n - 1)
+    j, k = table.move(table.cursor_of(n - 1)).cursor
     return _block_walk(
-        table, fp, kernel, start, array("Q"), (n - 1).to_bytes(8, "little"), 0,
+        table, fp, kernel, (j, starts[j] + k), array("Q", [n - 1]),
+        (n - 1).to_bytes(8, "little"),
         f"SA value {n - 1} again at position {{}}; phi-inverse is not one cycle")
 
 
@@ -241,20 +236,25 @@ def enumerate_da(
     enumerate_sa on the table cut at document starts (rlbwt.cut_at_documents),
     emitting its "doc" column. The cut is at bounds, in place of any doc
     columns the table holds, or else at those that its columns describe
-    (rlbwt.doc_bounds_of, which raises on missing or inconsistent ones).
-    Every error is raised before anything is written. The stats are the
-    cut table's cycle_profile, which equals those of the walk only when
-    phi-inverse is one cycle; unlike enumerate_sa, this walk passes the
-    block loop no marker, so it does not check that it is.
+    (rlbwt.doc_bounds_of, which raises on missing or inconsistent ones),
+    and at n - 1, whose "doc" value no other position then has. After
+    DA[0] = d - 1, a step that meets it has come back to SA[0] early, and
+    InvalidInputError is raised before that block is written. Every other
+    error is raised before anything is written. The stats are the cut
+    table's cycle_profile, which is those of the walk.
     """
     _check_sa_kind(table)
     if bounds is None:
         bounds = rlbwt.doc_bounds_of(table)
-    table = rlbwt.cut_at_documents(table, bounds)
-    start = table.cursor_of(table.n - 1)
-    kernel = partial(
-        walk, table.lengths, table.dest_rank, table.dest_offset, col=table.extras["doc"])
-    return _block_walk(table, fp, kernel, start, array("Q"))
+    n = table.n
+    cut = rlbwt.cut_at_documents(table, rlbwt.DocBounds(sorted({*bounds.starts, n - 1})))
+    doc = cut.extras["doc"]
+    start = cut.move(cut.cursor_of(n - 1)).cursor
+    kernel = partial(walk, cut.lengths, cut.dest_rank, cut.dest_offset, col=doc)
+    return _block_walk(
+        cut, fp, kernel, start, array("Q", [len(bounds.starts) - 1]),
+        doc[-1].to_bytes(8, "little"),
+        f"SA value {n - 1} again at position {{}}; phi-inverse is not one cycle")
 
 
 def traverse_counted(

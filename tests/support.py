@@ -10,6 +10,7 @@ import zlib
 from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
+from itertools import accumulate
 
 from movestruct import (
     DocBounds,
@@ -115,6 +116,18 @@ def runny_permutation(bounds: list[int], order: list[int]) -> list[int]:
             pi[i] = pos
             pos += 1
     return pi
+
+
+def skewed_runny_permutation(rng: random.Random) -> list[int]:
+    """Runs of 1-3 positions with a few long ones among them, in a random
+    order on each side, so that a long run's image covers many starts and
+    balance has splits to make."""
+    lengths = [rng.randint(1, 3) for _ in range(rng.randint(1, 200))]
+    lengths += [rng.randint(8, 300) for _ in range(rng.randint(0, 8))]
+    rng.shuffle(lengths)
+    order = list(range(len(lengths)))
+    rng.shuffle(order)
+    return runny_permutation(list(accumulate(lengths, initial=0)), order)
 
 
 def sweep_fast_forwards(table: IntervalTable) -> tuple[int, int]:

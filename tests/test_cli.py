@@ -287,6 +287,28 @@ def test_sa_refuses_a_phi_inverse_that_is_not_one_cycle(tmp_path, capsys):
     assert not (tmp_path / "sa.u64").exists()
 
 
+def test_da_refuses_a_phi_inverse_that_is_not_one_cycle(tmp_path, capsys):
+    """The same phi-inverse under documents: da meets n - 1 = 4 again at its
+    first step, with bounds 0 and 2 from --docs and from columns built for
+    bounds 0 and 3 (0 and 2 split the interval [0, 3), whose columns da
+    refuses before it walks), and fails with no file."""
+    rl = tmp_path / "abab.rl"
+    rl.write_bytes(rl_file_bytes([(98, 2), (0, 1), (97, 2)], [4, 0, 1], [3, 0, 4]))
+    docs, docs3 = tmp_path / "docs", tmp_path / "docs3"
+    docs.write_text("0\n2\n")
+    docs3.write_text("0\n3\n")
+    pi, pi_docs = tmp_path / "pi.mv", tmp_path / "pi_docs.mv"
+    assert main(["build", str(rl), "--perm", "phi-inv", "-o", str(pi)]) == 0
+    assert main(["build", str(rl), "--perm", "phi-inv", "--docs", str(docs3),
+                 "-o", str(pi_docs)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "da.u64"
+    for args in ([str(pi), "--docs", str(docs)], [str(pi_docs)]):
+        assert main(["da", *args, "-o", str(out)]) == 2
+        assert "SA value 4 again at position 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_verify_refuses_a_generic_table(ws, capsys):
     """verify has an oracle for the RLBWT permutations only."""
     out = ws / "generic.mv"

@@ -4,7 +4,6 @@ import io
 import random
 import struct
 from fractions import Fraction
-from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +38,7 @@ from support import (
     random_runny_permutation,
     random_text,
     refine_by_search,
-    runny_permutation,
+    skewed_runny_permutation,
     sweep_fast_forwards,
 )
 
@@ -151,18 +150,6 @@ def test_cap_rejects_non_rational_factor(c):
         length_cap(t, c)
     with pytest.raises(InvalidParameterError):
         cap_length(t.n, len(t), c)
-
-
-def skewed_runny_permutation(rng: random.Random) -> list[int]:
-    """Runs of 1-3 positions with a few long ones among them, in a random
-    order on each side, so that a long run's image covers many starts and
-    balance has splits to make."""
-    lengths = [rng.randint(1, 3) for _ in range(rng.randint(1, 200))]
-    lengths += [rng.randint(8, 300) for _ in range(rng.randint(0, 8))]
-    rng.shuffle(lengths)
-    order = list(range(len(lengths)))
-    rng.shuffle(order)
-    return runny_permutation(list(accumulate(lengths, initial=0)), order)
 
 
 @pytest.mark.parametrize("block", [2, 3, 7])

@@ -60,6 +60,7 @@ from support import (
     random_text,
     recover_text,
     repetitive_text,
+    skewed_runny_permutation,
 )
 
 EXP = QueryConfig(search=ms.EXPONENTIAL)
@@ -179,6 +180,31 @@ def test_sa_walk_that_returns_to_n_minus_1_early_fails_before_that_block(
 
 
 @pytest.mark.parametrize("block", [4, 1 << 16])
+@pytest.mark.parametrize("attached", [False, True])
+def test_da_walk_that_returns_to_n_minus_1_early_fails_before_that_block(
+    block, attached, monkeypatch
+):
+    # The two-cycle phi-inverse above, with documents that start at its
+    # interval starts 0, 8 and 18, passed as bounds or as attached doc
+    # columns. The cut at n - 1 = 19 gives 19 a document of its own, which
+    # the walk meets at step 10, as the SA walk meets 19.
+    pi = [i + 1 for i in range(20)]
+    pi[8], pi[18], pi[19] = 19, 9, 0
+    table = from_permutation(pi).replace(kind="phi_inv")
+    bounds = DocBounds([0, 8, 18])
+    assert set(bounds.starts) <= set(table.starts)
+    table, given = (attach_docs(table, bounds), None) if attached else (table, bounds)
+    monkeypatch.setattr(traversal, "_BLOCK", block)
+    sink = io.BytesIO()
+    with pytest.raises(InvalidInputError) as info:
+        enumerate_da(table, sink, given)
+    assert str(info.value) == (
+        "SA value 19 again at position 10; phi-inverse is not one cycle")
+    assert u64s(sink) == [doc_of(bounds, v) for v in [19, *range(9)]][
+        : 8 if block == 4 else 0]
+
+
+@pytest.mark.parametrize("block", [4, 1 << 16])
 def test_invert_walk_that_returns_to_row_0_early_fails_before_that_block(
     block, monkeypatch
 ):
@@ -222,6 +248,24 @@ def test_walks_in_every_block_size_equal_the_oracle(monkeypatch):
         out = io.BytesIO()
         assert enumerate_da(pi, out, bounds).steps == n
         assert u64s(out) == [doc_of(bounds, v) for v in sa]
+
+
+def test_walks_of_one_and_two_positions():
+    # The first block holds the fixed value and at most one walked step.
+    one = from_permutation([0])
+    out = io.BytesIO()
+    assert invert_bwt(one.replace(kind="fl", extras={"sym": [0]}), out).steps == 1
+    assert out.getvalue() == b"\0"
+    two = from_permutation([1, 0]).replace(kind="phi_inv")
+    for table, bounds, da in ((one.replace(kind="phi_inv"), DocBounds([0]), [0]),
+                              (two, DocBounds([0, 1]), [1, 0]),
+                              (two, DocBounds([0]), [0, 0])):
+        out = io.BytesIO()
+        assert enumerate_sa(table, out).steps == table.n
+        assert u64s(out) == list(range(table.n))[::-1]
+        out = io.BytesIO()
+        assert enumerate_da(table, out, bounds).steps == table.n
+        assert u64s(out) == da
 
 
 def test_sa_walk_ignores_n_minus_1_across_two_values():
@@ -569,16 +613,19 @@ def test_walks_across_block_seams(monkeypatch, block):
             out = io.BytesIO()
             assert vars(enumerate_sa(pi, out)) == ref
             assert u64s(out) == sa
-            # DA stats are those of the walk on the table cut at the bounds.
-            cut = cut_at_documents(pi, bounds)
+            # DA stats are those of the walk on the table cut at the bounds
+            # and at n - 1.
+            cut = cut_at_documents(pi, DocBounds(sorted({*bounds.starts, n - 1})))
             out = io.BytesIO()
             assert vars(enumerate_da(pi, out, bounds)) == _moved_stats(
                 cut, cut.cursor_of(n - 1), n)[1]
             assert u64s(out) == [doc_of(bounds, v) for v in sa]
             # Documents that start only at interval starts leave no interval
-            # spanning a boundary: the cut adds nothing, and the attached
+            # spanning a boundary: the cut adds only n - 1, and the attached
             # columns suffice.
             whole = DocBounds(sorted({0, *rng.sample(pi.starts, min(3, len(pi)))}))
+            cut = cut_at_documents(pi, DocBounds(sorted({*pi.starts, n - 1})))
+            ref = _moved_stats(cut, cut.cursor_of(n - 1), n)[1]
             for table, given in ((pi, whole), (attach_docs(pi, whole), None)):
                 out = io.BytesIO()
                 assert vars(enumerate_da(table, out, given)) == ref
@@ -906,6 +953,41 @@ def test_streaming_walk_stats_equal_traverse_counted():
         assert enumerate_sa(pi, io.BytesIO()) == traverse_counted(
             pi, pi.cursor_of(n - 1), n)[1]
         bounds = DocBounds([0] + sorted(rng.sample(range(1, n), min(3, n - 1))))
-        cut = cut_at_documents(pi, bounds)
+        cut = cut_at_documents(pi, DocBounds(sorted({*bounds.starts, n - 1})))
         assert enumerate_da(pi, io.BytesIO(), bounds) == traverse_counted(
             cut, cut.cursor_of(n - 1), n)[1]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), skewed=st.booleans(),
+       block=st.sampled_from([1, 3, 1 << 16]))
+def test_da_walk_is_refused_exactly_when_phi_inverse_is_not_one_cycle(
+    seed, skewed, block
+):
+    # Runny permutations relabelled phi-inverse, with random document bounds:
+    # skewed ones, mostly of many cycles, and ones of a few runs, often of
+    # one. The DA walk meets n - 1 again at the length of its cycle.
+    rng = random.Random(seed)
+    if skewed:
+        perm = skewed_runny_permutation(rng)
+    else:
+        perm = random_runny_permutation(rng, rng.randint(1, 60), rng.randint(1, 4))
+    table = from_permutation(perm).replace(kind="phi_inv")
+    n = table.n
+    bounds = DocBounds(sorted({0, *rng.sample(range(n), min(n, rng.randint(0, 5)))}))
+    length, p = 1, perm[n - 1]
+    while p != n - 1:
+        length, p = length + 1, perm[p]
+    out = io.BytesIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(traversal, "_BLOCK", block)
+        if _cycles(table) > 1:
+            with pytest.raises(InvalidInputError) as info:
+                enumerate_da(table, out, bounds)
+            assert str(info.value) == (f"SA value {n - 1} again at position "
+                                       f"{length}; phi-inverse is not one cycle")
+        else:
+            enumerate_da(table, out, bounds)
+            sa = io.BytesIO()
+            enumerate_sa(table, sa)
+            assert u64s(out) == [doc_of(bounds, v) for v in u64s(sa)]
