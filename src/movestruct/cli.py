@@ -175,6 +175,9 @@ def cmd_inspect(args) -> int:
     print(f"row_stride_bits={info['row_stride_bits']}")
     print(f"payload_bits={info['payload_bits']}")
     print(f"payload_bytes={info['payload_bytes']}")
+    for key in ("doc_records", "doc_record_bytes"):
+        if key in info:
+            print(f"{key}={info[key]}")
     print(f"space_bytes={info['r_prime'] * info['row_stride_bits'] / 8:.1f}")
     return 0
 

@@ -6,25 +6,37 @@ capped tables. Both load to the same in-memory table; an absolute file's
 starts are checked through the lengths they yield, which must be >= 1 and
 sum to n.
 
-Layout of version 2, which save_move writes (all integers little-endian):
+Layout of version 3, which save_move writes (all integers little-endian):
   magic "RPMV" | version u8 | mode u8 | kind u8 | n u64 | r' u64 | L u64 |
   c numerator u64 | c denominator u64 | alpha u64 | source_runs u64 |
   column count u32 | per column: name length u8, name bytes, width u8 |
   if a column is named "sym": symbol count u16, the sorted distinct
   symbols as bytes |
-  payload (bit-packed matrix, rows contiguous) |
+  if columns are named "doc" and "docdist": record count u32, the
+  document records (bit-packed, records contiguous) |
+  payload (bit-packed matrix of the other columns, rows contiguous) |
   CRC-32 (zlib.crc32) u32 of every byte after the magic, and nothing after it
 
 The "sym" column holds each run's rank among the listed symbols, so it is
 as wide as the alphabet needs; load_move maps the ranks back to bytes.
 
+The document columns of rlbwt.attach_docs follow from two numbers per
+document, so a table that holds both is stored per document, not per
+interval. Record k holds how many interval starts lie in document k, at
+the width of the "doc" spec, and where k ends, at the width of the
+"docdist" spec, or 0 if k holds no start; records run from document 0 to
+the last one that "doc" names. load_move repeats each k its count to make
+"doc", and docdist[j] is the end of doc[j] minus starts[j]. A lone "doc"
+or "docdist" column is an ordinary payload column.
+
 Version 1 files had no source_runs field, so a capped table loaded from one
-re-capped to another L; they raise FormatError and need movestruct build.
+re-capped to another L, and version 2 files stored the document columns
+per interval; both raise FormatError and need movestruct build.
 
 .mv and .rl files share one container, magic | version u8 | body | CRC-32
-of the version and body. Each format reads one version, 2 for both, and
-refuses its version 1 files; read_framed checks the version, then the CRC,
-before any field is parsed.
+of the version and body. Each format reads one version, 3 for .mv and 2
+for .rl, and refuses every other; read_framed checks the version, then the
+CRC, before any field is parsed.
 
 _FIXED is the fixed part from the mode byte to the column count; the mode
 and kind bytes index _MODES and _KINDS.
@@ -35,10 +47,11 @@ from __future__ import annotations
 import struct
 import zlib
 from fractions import Fraction
-from operator import lt, sub
+from itertools import chain, compress, repeat
+from operator import lt, ne, sub
 from typing import BinaryIO, NamedTuple, Optional
 
-from .bitpack import ColumnSpec, PackedMatrix, min_width, unpack_columns
+from .bitpack import ColumnSpec, PackedMatrix, min_width, pack_columns, unpack_columns
 from .core import ABSOLUTE, RELATIVE, IntervalTable
 from .errors import (
     BoundsError,
@@ -50,7 +63,7 @@ from .errors import (
 )
 
 MOVE_MAGIC = b"RPMV"
-MOVE_VERSION = 2
+MOVE_VERSION = 3
 
 _MODES = (ABSOLUTE, RELATIVE)
 _KINDS = ("generic", "lf", "fl", "phi", "phi_inv")
@@ -59,10 +72,13 @@ _FIXED = struct.Struct("<2B7QI")
 _U64_FIELDS = ("n", "r'", "L", "cap numerator", "cap denominator", "alpha",
                "source_runs")
 _SIGMA = struct.Struct("<H")
+_RECORDS = struct.Struct("<I")
 _CRC = struct.Struct("<I")
 
 # The first core column of each mode's files; "off" and "rank" follow it.
 _FIRST_COLUMN = {ABSOLUTE: "start", RELATIVE: "len"}
+# The document columns that a file holding both stores as records.
+_DOC_PAIR = ("doc", "docdist")
 
 
 class _Header(NamedTuple):
@@ -75,8 +91,11 @@ class _Header(NamedTuple):
     c_den: int
     alpha: int
     source_runs: int
-    specs: list[ColumnSpec]
+    specs: list[ColumnSpec]  # every column, in file order
+    payload_specs: list[ColumnSpec]  # the columns that the payload holds
     symbols: Optional[bytes]  # the symbol list of a file with a sym column
+    records: Optional[list[list[int]]]  # counts and ends of a file with records
+    record_bytes: int
     payload: memoryview
 
 
@@ -99,12 +118,17 @@ def _symbols(sym: list[int]) -> bytes:
         raise InvalidInputError("symbol column holds a value that is not a byte") from None
 
 
+def _has_doc_pair(names) -> bool:
+    return _DOC_PAIR[0] in names and _DOC_PAIR[1] in names
+
+
 def pack_table(table: IntervalTable) -> PackedMatrix:
-    """The serialized columns in order, core columns for the mode and then
-    extras, each at its minimal width, which one max per column gives; sym
-    holds symbol ranks. A column that is not r' long raises BoundsError, a
-    negative value ValueOverflowError, and a value of 2**64 or more
-    InvalidSpecError."""
+    """The payload: the serialized columns in order, core columns for the
+    mode and then extras but a doc pair, which records hold, each at its
+    minimal width, which one max per column gives; sym holds symbol ranks.
+    A column, the pair's included, that is not r' long raises BoundsError,
+    a negative value ValueOverflowError, and a payload value of 2**64 or
+    more InvalidSpecError."""
     first = table.starts if table.mode == ABSOLUTE else table.lengths
     cols = {_FIRST_COLUMN[table.mode]: first, "off": table.dest_offset,
             "rank": table.dest_rank}
@@ -118,20 +142,64 @@ def pack_table(table: IntervalTable) -> PackedMatrix:
             rank_of[symbol] = rank
         cols["sym"] = list(map(rank_of.__getitem__, cols["sym"]))
     rows = len(table)
-    specs = []
+    pair = _DOC_PAIR if _has_doc_pair(cols) else ()
+    specs, values = [], []
     for name, vals in cols.items():
         if len(vals) != rows:
             raise BoundsError(f"column {name!r} needs {rows} values, got {len(vals)}")
         if min(vals, default=0) < 0:
             raise ValueOverflowError(f"column {name!r} holds {min(vals)}, below 0")
-        specs.append(ColumnSpec(name, min_width(max(vals, default=0))))
-    return PackedMatrix(specs, rows, list(cols.values()))
+        if name not in pair:
+            specs.append(ColumnSpec(name, min_width(max(vals, default=0))))
+            values.append(vals)
+    return PackedMatrix(specs, rows, values)
+
+
+def _doc_columns(records: list[list[int]], starts: list[int]) -> list[list[int]]:
+    """"doc" and "docdist" from the counts and the ends of the records:
+    each document k repeated its count, and each interval's document end
+    minus its start."""
+    counts, ends = records
+    doc = list(chain.from_iterable(map(repeat, range(len(counts)), counts)))
+    dist = list(map(sub, chain.from_iterable(map(repeat, ends, counts)), starts))
+    return [doc, dist]
+
+
+def _doc_records(table: IntervalTable) -> list[list[int]]:
+    """The counts and the ends of the records of a table's doc pair, one
+    each per document up to the last that "doc" names, taken from the
+    first interval of each run of equal "doc" values. A pair that
+    _doc_columns does not rebuild from them, a "doc" that decreases or two
+    intervals of one document that name different ends, raises
+    InvalidInputError, and so does one that load_move would refuse, an end
+    at or before its interval's start or past n. A document beyond a u32
+    count raises ValueOverflowError."""
+    doc, dist = table.extras["doc"], table.extras["docdist"]
+    starts, r = table.starts, len(table)
+    firsts = list(compress(range(r), map(ne, [None, *doc], doc)))
+    d = max([doc[i] for i in firsts], default=-1) + 1
+    if d >> 32:
+        raise ValueOverflowError(f"{d} documents do not fit in a u32 record count")
+    counts, ends = [0] * d, [0] * d
+    for i, j in zip(firsts, firsts[1:] + [r]):
+        counts[doc[i]] = j - i
+        ends[doc[i]] = starts[i] + dist[i]
+    rebuilt = _doc_columns([counts, ends], starts)
+    if rebuilt[0] != doc:
+        raise InvalidInputError("the doc column decreases")
+    if rebuilt[1] != dist:
+        raise InvalidInputError("two intervals of one document name different ends")
+    if min(dist, default=1) < 1 or max(ends, default=0) > table.n:
+        raise InvalidInputError(
+            f"a docdist ends its document at or before its start, or past n={table.n}")
+    return [counts, ends]
 
 
 def save_move(table: IntervalTable, fp: BinaryIO) -> None:
-    """Write table to fp as a version 2 file. A header field beyond u64, an
-    alpha of 1, which load_move refuses, a symbol beyond a byte or a column
-    value that is not an integer raises before anything is written."""
+    """Write table to fp as a version 3 file. A header field beyond u64, an
+    alpha of 1, which load_move refuses, a symbol beyond a byte, a column
+    value that is not an integer or a doc pair that _doc_records refuses
+    raises before anything is written."""
     cap = table.cap if table.cap is not None else Fraction(0)
     values = (table.n, len(table), table.cap_len, cap.numerator, cap.denominator,
               table.alpha, table.source_runs)
@@ -144,19 +212,29 @@ def save_move(table: IntervalTable, fp: BinaryIO) -> None:
         m = pack_table(table)
         payload = m.payload
         symbols = _symbols(table.extras["sym"]) if "sym" in table.extras else None
+        width = {spec.name: spec.width for spec in m.columns}
+        records = None
+        if _has_doc_pair(table.extras):
+            records = _doc_records(table)
+            for name, vals in zip(_DOC_PAIR, records):
+                width[name] = min_width(max(vals, default=0))
     except (TypeError, AttributeError):  # a float or None meets min, max or <<
         raise InvalidInputError("a column holds a value that is not an integer") from None
+    names = [_FIRST_COLUMN[table.mode], "off", "rank", *table.extras]
     body = bytearray([MOVE_VERSION])
     body += _FIXED.pack(
-        _MODES.index(table.mode), _KINDS.index(table.kind), *values, len(m.columns)
+        _MODES.index(table.mode), _KINDS.index(table.kind), *values, len(names)
     )
-    for spec in m.columns:
-        name = spec.name.encode()
-        if len(name) > 255:
+    for name in names:
+        raw = name.encode()
+        if len(raw) > 255:
             raise FormatError("column name too long")
-        body += bytes([len(name)]) + name + bytes([spec.width])
+        body += bytes([len(raw)]) + raw + bytes([width[name]])
     if symbols is not None:
         body += _SIGMA.pack(len(symbols)) + symbols
+    if records is not None:
+        body += _RECORDS.pack(len(records[0]))
+        body += pack_columns(records, [width[name] for name in _DOC_PAIR])
     body += payload
     write_framed(fp, MOVE_MAGIC, body)
 
@@ -212,6 +290,18 @@ def _read_header(fp: BinaryIO) -> _Header:
             at += _SIGMA.size
             symbols = bytes(body[at : at + sigma])
             at += sigma
+        records, record_bytes, payload_specs = None, 0, specs
+        if _has_doc_pair(names):
+            (count,) = _RECORDS.unpack_from(body, at)
+            at += _RECORDS.size
+            width = {s.name: s.width for s in specs}
+            widths = [width[name] for name in _DOC_PAIR]
+            record_bytes = (count * sum(widths) + 7) // 8
+            if len(body) < at + record_bytes:
+                raise FormatError("truncated doc records")
+            records = unpack_columns(widths, count, body[at : at + record_bytes])
+            at += record_bytes
+            payload_specs = [s for s in specs if s.name not in _DOC_PAIR]
     except (struct.error, IndexError):
         raise FormatError("truncated header") from None
     except (UnicodeDecodeError, InvalidSpecError) as e:
@@ -227,19 +317,22 @@ def _read_header(fp: BinaryIO) -> _Header:
         raise FormatError("a column name is repeated")
     if symbols is not None and not all(map(lt, symbols, symbols[1:])):
         raise FormatError("the symbol list is not sorted and distinct")
-    payload_bytes = (r_prime * sum(s.width for s in specs) + 7) // 8
+    payload_bytes = (r_prime * sum(s.width for s in payload_specs) + 7) // 8
     if len(body) != at + payload_bytes:
         raise FormatError("file size does not match its header")
-    return _Header(_MODES[mode], _KINDS[kind], *fields, specs, symbols, body[at:])
+    return _Header(_MODES[mode], _KINDS[kind], *fields, specs, payload_specs,
+                   symbols, records, record_bytes, body[at:])
 
 
 def load_move(fp: BinaryIO) -> IntervalTable:
-    """Read a version 2 table and check its structure; any malformed input
+    """Read a version 3 table and check its structure; any malformed input
     raises FormatError."""
     h = _read_header(fp)
-    widths = [s.width for s in h.specs]
-    cols = dict(zip([s.name for s in h.specs],
-                    unpack_columns(widths, h.r_prime, h.payload)))
+    # Every column in file order; records fill in the doc pair below.
+    cols = dict.fromkeys(s.name for s in h.specs)
+    cols.update(zip([s.name for s in h.payload_specs],
+                    unpack_columns([s.width for s in h.payload_specs], h.r_prime,
+                                   h.payload)))
     core = (_FIRST_COLUMN[h.mode], "off", "rank")
     for name in core:
         if name not in cols:
@@ -269,6 +362,16 @@ def load_move(fp: BinaryIO) -> IntervalTable:
         alpha=h.alpha,
         extras=extras,
     )
+    if h.records is not None:
+        counts, ends = h.records
+        if sum(counts) != h.r_prime:
+            raise FormatError("doc record counts do not sum to r'")
+        table.extras["doc"], table.extras["docdist"] = doc, dist = _doc_columns(
+            h.records, table.starts)
+        if min(dist, default=1) < 1:
+            raise FormatError("a doc record ends its document at or before a start in it")
+        if max(compress(ends, counts), default=0) > h.n:
+            raise FormatError(f"a doc record ends its document past n={h.n}")
     try:
         table.validate()
     except InvalidInputError as e:
@@ -278,7 +381,9 @@ def load_move(fp: BinaryIO) -> IntervalTable:
 
 def inspect_move(fp: BinaryIO) -> dict:
     h = _read_header(fp)
-    stride = sum(s.width for s in h.specs)
+    stride = sum(s.width for s in h.payload_specs)
+    records = {} if h.records is None else {
+        "doc_records": len(h.records[0]), "doc_record_bytes": h.record_bytes}
     return {
         "version": MOVE_VERSION,
         "n": h.n,
@@ -289,8 +394,9 @@ def inspect_move(fp: BinaryIO) -> dict:
         "cap": f"{h.c_num}/{h.c_den}" if h.c_num else "off",
         "alpha": h.alpha or "off",
         "cap_len": h.cap_len or "off",
-        "columns": [(s.name, s.width) for s in h.specs],
+        "columns": [(s.name, s.width) for s in h.payload_specs],
         "row_stride_bits": stride,
         "payload_bits": h.r_prime * stride,
         "payload_bytes": len(h.payload),
+        **records,
     }

@@ -107,7 +107,7 @@ def cycle_profile(table: IntervalTable) -> TraversalStats:
     # How far each image runs past its destination's end, where it does.
     over = list(map(sub, map(add, table.dest_offset, lengths),
                     map(lengths.__getitem__, dest_rank)))
-    for q, rest in compress(zip(dest_rank, over), map((0).__lt__, over)):
+    for q, rest in zip(dest_rank, over):
         ff = 0
         while rest > 0:
             q += 1
@@ -135,8 +135,15 @@ def _block_walk(
     value puts the value encoded as marker at none of its steps. A block
     whose steps hold it raises InvalidInputError, error formatted with the
     index of the first, before it is written. So a walk that ends is one
-    cycle, and the cycle_profile(table) returned is the stats of its n moves."""
+    cycle, and the cycle_profile(table) returned is the stats of its n moves.
+
+    A marker of one significant byte, as small DA values have, is searched
+    by that byte alone, since its zero bytes would match almost every byte
+    of the other values; a hit counts only where the whole marker lies at
+    an aligned offset."""
     width = len(marker)
+    low = marker.rstrip(b"\0")
+    needle = low if len(low) == 1 else marker
     end = table.n - 1 + len(buf)
     for i in range(0, end, _BLOCK):
         fixed = len(buf)
@@ -145,9 +152,9 @@ def _block_walk(
             buf.byteswap()
         # Values as bytes, where unaligned matches straddle two values.
         data = buf.tobytes() if width > 1 else buf
-        j = data.find(marker, fixed * width)
-        while j != -1 and j % width:
-            j = data.find(marker, j + 1)
+        j = data.find(needle, fixed * width)
+        while j != -1 and (j % width or data[j : j + width] != marker):
+            j = data.find(needle, j + 1)
         if j != -1:
             raise InvalidInputError(error.format(i + j // width))
         fp.write(data)

@@ -373,24 +373,40 @@ def reference_pack(widths: list[int], rows: list[list[int]]) -> bytes:
 
 
 def mv_file_bytes(table: IntervalTable) -> bytes:
-    """A .mv v2 file, written field by field as the layout in the files
+    """A .mv v3 file, written field by field as the layout in the files
     module's docstring: each column at the width of its largest value, the
-    sym column as ranks, and the payload packed by reference_pack."""
+    sym column as ranks, a doc pair as one record per document up to the
+    last that "doc" names, found by one scan of the intervals, and the
+    records and the payload packed by reference_pack."""
     first = ("start", table.starts) if table.mode == "abs" else ("len", table.lengths)
     cols = dict([first, ("off", table.dest_offset), ("rank", table.dest_rank)])
     cols.update(table.extras)
     symbols = bytes(sorted(set(cols.get("sym", []))))
     if "sym" in cols:
         cols["sym"] = [symbols.index(c) for c in cols["sym"]]
-    widths = [max(1, max(vals, default=0).bit_length()) for vals in cols.values()]
+    records = {}
+    if "doc" in cols and "docdist" in cols:
+        d = max(cols["doc"], default=-1) + 1
+        counts, ends = [0] * d, [0] * d
+        for k, start, dist in zip(cols["doc"], table.starts, cols["docdist"]):
+            counts[k] += 1
+            ends[k] = start + dist
+        records = {"doc": counts, "docdist": ends}
+    widths = {name: max(1, max(records.get(name, vals), default=0).bit_length())
+              for name, vals in cols.items()}
     cap = table.cap or Fraction(0)
     kinds = ("generic", "lf", "fl", "phi", "phi_inv")
-    body = bytes([2, ("abs", "rel").index(table.mode), kinds.index(table.kind)])
+    body = bytes([3, ("abs", "rel").index(table.mode), kinds.index(table.kind)])
     body += struct.pack("<7QI", table.n, len(table), table.cap_len, cap.numerator,
                         cap.denominator, table.alpha, table.source_runs, len(cols))
-    for name, width in zip(cols, widths):
+    for name, width in widths.items():
         body += bytes([len(name)]) + name.encode() + bytes([width])
     if "sym" in cols:
         body += struct.pack("<H", len(symbols)) + symbols
-    body += reference_pack(widths, [list(row) for row in zip(*cols.values())])
+    if records:
+        body += struct.pack("<I", d) + reference_pack(
+            [widths["doc"], widths["docdist"]], [list(row) for row in zip(counts, ends)])
+    payload = [name for name in cols if name not in records]
+    body += reference_pack([widths[name] for name in payload],
+                           [list(row) for row in zip(*(cols[name] for name in payload))])
     return b"RPMV" + body + struct.pack("<I", zlib.crc32(body))

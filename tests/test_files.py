@@ -39,12 +39,14 @@ from movestruct import (
     table_to_permutation,
 )
 from movestruct.cli import main
+from movestruct.rlbwt import cut_at_documents
 from support import (
     REF_PERM,
     check_min_widths,
     mv_file_bytes,
     random_runny_permutation,
     random_text,
+    reference_pack,
     repetitive_text,
     validate_by_sort,
 )
@@ -175,20 +177,60 @@ def test_inspect_reports_space_accounting():
         assert info["payload_bits"] == info["r_prime"] * info["row_stride_bits"]
         assert info["payload_bytes"] == (info["payload_bits"] + 7) // 8
         # the version byte, then the mode and kind tags of the file format
-        tags = [2, ("abs", "rel").index(t.mode),
+        tags = [3, ("abs", "rel").index(t.mode),
                 ("generic", "lf", "fl", "phi", "phi_inv").index(t.kind)]
         assert list(data[4:7]) == tags
-        assert (info["version"], info["r"]) == (2, loaded.source_runs)
+        assert (info["version"], info["r"]) == (3, loaded.source_runs)
         # the header, the payload and the CRC-32 make up the file
         assert _payload_span(data).stop + 4 == len(data)
+        assert "doc_records" not in info
         seen.add((t.kind, t.mode, bool(t.cap)))
     assert len(seen) == 5 * 2 * 2
+    # The doc pair is stored as records, outside the columns and the
+    # payload: the file is the one without the pair, plus the pair's specs,
+    # the record count and the records.
+    info = inspect_move(io.BytesIO(PINNED_V3_FILE))
+    assert info["columns"] == [("len", 2), ("off", 1), ("rank", 4), ("sym", 3)]
+    assert (info["row_stride_bits"], info["payload_bits"], info["payload_bytes"]) == (
+        10, 110, 14)
+    assert (info["doc_records"], info["doc_record_bytes"]) == (5, 5)
+    plain = _saved(IntervalTable(**PINNED_TABLE, source_runs=5))
+    specs = len(b"\x03doc\x03\x07docdist\x05")
+    assert len(PINNED_V3_FILE) == len(plain) + specs + 4 + 5
 
 
 def test_round_trip_keeps_every_field():
     """A round trip gives a table equal in every field, source_runs included."""
     for t in _tables_of_every_kind():
         assert vars(roundtrip(t)) == vars(t)
+
+
+def test_doc_pairs_round_trip_through_records():
+    """Seeded runny tables with the doc columns of attach_docs or
+    cut_at_documents, sym and a 64-bit extra, in both modes, load to tables
+    equal in every field, with their columns in the same order; some of
+    their documents hold no interval start."""
+    rng = random.Random(38)
+    empty = 0
+    for _ in range(150):
+        n = rng.randint(1, 300)
+        t = from_permutation(random_runny_permutation(rng, n, rng.randint(1, 40)))
+        if rng.random() < 0.5:
+            t = length_cap(t, rng.choice([Fraction(1, 2), 1, 8]))
+        bounds = DocBounds(sorted([0, *rng.sample(range(1, n), min(n - 1, rng.randint(0, 12)))]))
+        for docs in (attach_docs(t, bounds), cut_at_documents(t, bounds)):
+            extras = {"sym": [rng.choice(b"\x00ab\xff") for _ in docs.lengths],
+                      **docs.extras,
+                      "wide": [rng.randrange(2**64) for _ in docs.lengths]}
+            docs = docs.replace(extras=extras)
+            # docdist first too: the records hold the count, then the end
+            swapped = docs.replace(extras={k: extras[k] for k in reversed(extras)})
+            for table in (docs, docs.to_relative(), swapped):
+                loaded = roundtrip(table)
+                assert vars(loaded) == vars(table)
+                assert list(loaded.extras) == list(table.extras)
+            empty += len(bounds.starts) - len(set(docs.extras["doc"]))
+    assert empty > 100
 
 
 def test_capping_a_loaded_table_again_gives_the_same_table():
@@ -277,26 +319,10 @@ PINNED_FILE = bytes.fromhex(
 )
 
 
-def test_version_1_files_are_refused(tmp_path, capsys):
-    """A version 1 file loaded with source_runs = r', so a capped table from
-    one re-capped to another L: loading or inspecting it raises FormatError
-    that names the command which writes a version 2 file, and the CLI exits
-    2 on it."""
-    for read in (load_move, inspect_move):
-        with pytest.raises(FormatError, match="unsupported .* version 1.*movestruct build"):
-            read(io.BytesIO(PINNED_FILE))
-    path, out = tmp_path / "v1.mv", tmp_path / "out"
-    path.write_bytes(PINNED_FILE)
-    for argv in (["invert", str(path), "-o", str(out)], ["inspect", str(path)]):
-        assert main(argv) == 2
-        assert "movestruct build" in capsys.readouterr().err
-    assert not out.exists()
-
-
-# PINNED_TABLE as version 2 writes it, with source_runs 5: no padding, the
+# PINNED_TABLE as version 2 wrote it, with source_runs 5: no padding, the
 # source_runs u64 after alpha, the symbol list 00 01 61 62 63 64 80 ff after
 # the column specs, a 3-bit sym column of ranks, so a 10-bit stride, and a
-# CRC-32 at the end.
+# CRC-32 at the end. Version 2 stored doc columns as payload columns.
 PINNED_V2_FILE = bytes.fromhex(
     "52504d5602010010000000000000000b000000000000000200000000000000010000"
     "00000000000100000000000000020000000000000005000000000000000400000003"
@@ -305,14 +331,59 @@ PINNED_V2_FILE = bytes.fromhex(
 )
 
 
-def test_save_move_v2_bytes_are_pinned():
-    table = IntervalTable(**PINNED_TABLE, source_runs=5)
-    assert _saved(table) == PINNED_V2_FILE
-    loaded = load_move(io.BytesIO(PINNED_V2_FILE))
+@pytest.mark.parametrize("version, data", [(1, PINNED_FILE), (2, PINNED_V2_FILE)],
+                         ids=["v1", "v2"])
+def test_old_version_files_are_refused(version, data, tmp_path, capsys):
+    """A version 1 file loaded with source_runs = r', so a capped table from
+    one re-capped to another L, and a version 2 file stored doc columns per
+    interval: loading or inspecting either raises FormatError that names the
+    command which writes a version 3 file, and the CLI exits 2 on it."""
+    for read in (load_move, inspect_move):
+        with pytest.raises(FormatError,
+                           match=f"unsupported .* version {version}.*movestruct build"):
+            read(io.BytesIO(data))
+    path, out = tmp_path / "old.mv", tmp_path / "out"
+    path.write_bytes(data)
+    for argv in (["invert", str(path), "-o", str(out)], ["inspect", str(path)]):
+        assert main(argv) == 2
+        assert "movestruct build" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# PINNED_TABLE with the doc columns of documents 0, 3, 9, 14 and 15, as
+# version 3 writes it: the version 2 file with version byte 3, column count
+# 6 and the specs of doc and docdist after sym at the widths of the record
+# fields (3 and 5 bits), then after the symbol list the record count 5 and one byte a
+# record, count | end << 3: 1a 4c 74 00 81 for counts 2, 4, 4, 0, 1 and
+# ends 3, 9, 14, 0, 16 (document 3, [14, 15), holds no start), then the
+# payload of version 2 and the CRC-32.
+PINNED_V3_FILE = bytes.fromhex(
+    "52504d5603010010000000000000000b000000000000000200000000000000010000"
+    "00000000000100000000000000020000000000000005000000000000000600000003"
+    "6c656e02036f6666010472616e6b040373796d0303646f630307646f636469737405"
+    "080000016162636480ff050000001a4c74008106b9965383c24ade4440d18992320f"
+    "e3a796"
+)
+PINNED_DOCS = DocBounds([0, 3, 9, 14, 15])
+# The counts and the ends of its records, and their offsets: the 67-byte
+# fixed header, 35 bytes of specs, the symbol count and 8 symbols, then the
+# record count.
+PINNED_RECORDS = ([2, 4, 4, 0, 1], [3, 9, 14, 0, 16])
+PINNED_RECORD_SPAN = range(116, 121)
+
+
+def test_save_move_v3_bytes_are_pinned():
+    table = attach_docs(IntervalTable(**PINNED_TABLE, source_runs=5), PINNED_DOCS)
+    assert table.extras["doc"] == [0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 4]
+    assert _saved(table) == PINNED_V3_FILE == mv_file_bytes(table)
+    loaded = load_move(io.BytesIO(PINNED_V3_FILE))
     assert vars(loaded) == vars(table)
-    info = inspect_move(io.BytesIO(PINNED_V2_FILE))
-    assert (info["version"], info["r"], info["r_prime"]) == (2, 5, 11)
-    assert info["columns"] == [("len", 2), ("off", 1), ("rank", 4), ("sym", 3)]
+    info = inspect_move(io.BytesIO(PINNED_V3_FILE))
+    assert (info["version"], info["r"], info["r_prime"]) == (3, 5, 11)
+    at = PINNED_RECORD_SPAN
+    assert PINNED_V3_FILE[at.start - 4 : at.stop].hex() == "050000001a4c740081"
+    assert _payload_span(PINNED_V3_FILE).start == at.stop
+    assert PINNED_V3_FILE[at.stop :] == PINNED_V2_FILE[-18:-4] + PINNED_V3_FILE[-4:]
 
 
 def _saved(table) -> bytes:
@@ -405,6 +476,17 @@ def _lf_with_symbols(symbols: bytes) -> bytes:
     return _with_crc(raw[:90] + struct.pack("<H", len(symbols)) + symbols + raw[95:])
 
 
+def _pinned_with_records(k: int, count: int, end: int) -> bytes:
+    """PINNED_V3_FILE with record k's count and end replaced, at the same
+    widths, under a new CRC-32. Document 1 holds the starts 4, 5, 6 and 8,
+    and document 4 the start 15 of n = 16."""
+    counts, ends = (list(v) for v in PINNED_RECORDS)
+    counts[k], ends[k] = count, end
+    at = PINNED_RECORD_SPAN
+    records = reference_pack([3, 5], [list(row) for row in zip(counts, ends)])
+    return _with_crc(PINNED_V3_FILE[: at.start] + records + PINNED_V3_FILE[at.stop :])
+
+
 MALFORMED = {
     "move-5-bytes": lambda: _saved(_lf_abaaba()[1])[:5],
     "move-30-byte-header": lambda: _saved(_lf_abaaba()[1])[:30],
@@ -426,7 +508,13 @@ MALFORMED = {
         _saved(_lf_abaaba()[1])[:30] + bytes(4)),
     "move-huge-row-count": lambda: _lf_with_row_count(1 << 60),
     "move-sym-twice": _lf_with_sym_twice,
-    "move-version-3": lambda: _lf_with_header(4, b"\x03"),
+    "move-version-2": lambda: _lf_with_header(4, b"\x02"),
+    "move-version-4": lambda: _lf_with_header(4, b"\x04"),
+    "move-doc-records-truncated": lambda: _with_crc(
+        PINNED_V3_FILE[: PINNED_RECORD_SPAN.start + 2] + bytes(4)),
+    "move-doc-counts-not-r-prime": lambda: _pinned_with_records(0, 3, 3),
+    "move-doc-end-at-a-start": lambda: _pinned_with_records(1, 4, 8),
+    "move-doc-end-past-n": lambda: _pinned_with_records(4, 1, 17),
     "move-mode-tag-2": lambda: _lf_with_header(5, b"\x02"),
     "move-kind-tag-5": lambda: _lf_with_header(6, b"\x05"),
     "move-cap-zero-denominator": lambda: _lf_with_header(31, struct.pack("<QQ", 1, 0)),
@@ -442,6 +530,11 @@ MALFORMED = {
 MALFORMED_MESSAGES = {
     "rlbwt-runs-repeat-a-symbol": "malformed RLBWT: adjacent runs 0,1 share a symbol",
     "move-body-shorter-than-header": "truncated header",
+    "move-version-2": "unsupported .mv file version 2",
+    "move-doc-records-truncated": "truncated doc records",
+    "move-doc-counts-not-r-prime": "counts do not sum to r'",
+    "move-doc-end-at-a-start": "at or before a start",
+    "move-doc-end-past-n": "past n=16",
 }
 
 
@@ -540,10 +633,49 @@ def test_column_values_that_do_not_pack_are_not_written(change, error):
     assert buf.getvalue() == b""
 
 
+@pytest.mark.parametrize("column, row, value, message", [
+    ("doc", 5, 0, "the doc column decreases"),
+    ("docdist", 0, 2, "two intervals of one document name different ends"),
+    ("docdist", 10, 0, "at or before its start"),
+    ("docdist", 10, 2, "past n=16"),
+], ids=["doc-decreases", "ends-differ", "end-at-start", "end-past-n"])
+def test_doc_pairs_that_records_do_not_hold_are_not_written(column, row, value, message):
+    """A doc pair that attach_docs cannot make, or whose records load_move
+    would refuse, raises InvalidInputError before any byte is written; a
+    lone doc or docdist column is an ordinary payload column."""
+    table = attach_docs(IntervalTable(**PINNED_TABLE, source_runs=5), PINNED_DOCS)
+    values = list(table.extras[column])
+    values[row] = value
+    bad = table.replace(extras={**table.extras, column: values})
+    buf = io.BytesIO()
+    with pytest.raises(InvalidInputError, match=message):
+        save_move(bad, buf)
+    assert buf.getvalue() == b""
+    lone = table.replace(extras={column: values})
+    info = inspect_move(io.BytesIO(_saved(lone)))
+    assert info["columns"][-1] == (column, max(values).bit_length())
+    assert "doc_records" not in info
+    assert vars(roundtrip(lone)) == vars(lone)
+
+
+def test_inspect_prints_the_doc_records(tmp_path, capsys):
+    """inspect prints the record count and bytes of a file with a doc pair,
+    and no column line for the pair."""
+    path = tmp_path / "docs.mv"
+    path.write_bytes(PINNED_V3_FILE)
+    assert main(["inspect", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "doc_records=5" in lines and "doc_record_bytes=5" in lines
+    assert [x for x in lines if x.startswith("column ")] == [
+        "column len width=2", "column off width=1", "column rank width=4",
+        "column sym width=3"]
+
+
 def test_save_move_matches_a_bit_at_a_time_writer():
     """save_move packs each column in one pass. On 300 seeded runny tables in
-    both modes, with sym, doc/docdist and a 64-bit extra column, its bytes
-    equal those of a writer that packs one bit at a time."""
+    both modes, with sym, doc/docdist (as records) and a 64-bit extra
+    column, its bytes equal those of a writer that packs one bit at a
+    time."""
     rng = random.Random(33)
     for _ in range(300):
         n = rng.randint(1, 200)
@@ -600,18 +732,23 @@ def _payload_span(data: bytes) -> range:
     """Offsets of the payload that the header of data declares, read without
     a checksum check; struct.error or IndexError when the header is cut."""
     # magic and tags, seven u64 fields, the column count, then per column a
-    # name length, the name and a width, then the symbol list of a sym column
+    # name length, the name and a width, then the symbol list of a sym
+    # column, then the record count and the records of a doc pair
     (r_prime,) = struct.unpack_from("<Q", data, 15)
     (ncols,) = struct.unpack_from("<I", data, 63)
-    at, stride, names = 67, 0, []
+    at, widths = 67, {}
     for _ in range(ncols):
-        names.append(data[at + 1 : at + 1 + data[at]])
-        at += 1 + len(names[-1])
-        stride += data[at]
+        name = bytes(data[at + 1 : at + 1 + data[at]])
+        at += 1 + len(name)
+        widths[name] = data[at]
         at += 1
-    if b"sym" in names:
+    if b"sym" in widths:
         at += 2 + struct.unpack_from("<H", data, at)[0]
-    return range(at, at + (r_prime * stride + 7) // 8)
+    if b"doc" in widths and b"docdist" in widths:
+        (count,) = struct.unpack_from("<I", data, at)
+        pair = widths.pop(b"doc") + widths.pop(b"docdist")
+        at += 4 + (count * pair + 7) // 8
+    return range(at, at + (r_prime * sum(widths.values()) + 7) // 8)
 
 
 def _rechecksummed(data: bytes) -> bytes:
@@ -637,7 +774,7 @@ def _fuzz_bases() -> list[bytes]:
         _saved(lf.to_relative()),
         _saved(perm),
         _saved(capped.to_relative()),
-        PINNED_V2_FILE,
+        PINNED_V3_FILE,
     ]
 
 

@@ -204,6 +204,26 @@ def test_da_walk_that_returns_to_n_minus_1_early_fails_before_that_block(
         : 8 if block == 4 else 0]
 
 
+@pytest.mark.parametrize("block", [64, 1 << 16])
+def test_da_walk_with_a_two_byte_marker_fails_before_that_block(block, monkeypatch):
+    # A phi-inverse of two cycles, 599 -> 0 -> ... -> 299 -> 599 and
+    # 300 -> ... -> 598 -> 300, with 300 documents of two positions. The cut
+    # at n - 1 gives 599 document 300, a marker of two significant bytes,
+    # whose low byte is that of document 44; the walk meets it at step 301.
+    n = 600
+    pi = [i + 1 for i in range(n)]
+    pi[299], pi[598], pi[599] = 599, 300, 0
+    table = from_permutation(pi).replace(kind="phi_inv")
+    bounds = DocBounds(list(range(0, n, 2)))
+    monkeypatch.setattr(traversal, "_BLOCK", block)
+    sink = io.BytesIO()
+    with pytest.raises(InvalidInputError) as info:
+        enumerate_da(table, sink, bounds)
+    assert str(info.value) == (
+        "SA value 599 again at position 301; phi-inverse is not one cycle")
+    assert u64s(sink) == [299, *(v // 2 for v in range(255))][: 256 if block == 64 else 0]
+
+
 @pytest.mark.parametrize("block", [4, 1 << 16])
 def test_invert_walk_that_returns_to_row_0_early_fails_before_that_block(
     block, monkeypatch
