@@ -16,11 +16,12 @@ balancing, document columns, storage mode) names only the fields it changes,
 and replace() carries the rest. Destination ranks come from one of two
 places. interval_columns() ranks images that arrive unsorted against the
 sorted starts; only from_intervals and inverse still go through it. The
-forward-cursor builders, rlbwt.build_lf, splitting.length_cap and refine()
-(the one way to cut a table at new starts), meet their images in an order
-that only moves forward, so each carries a destination cursor and
-fast-forwards it, with no search; refine() bisects only the images that
-land in an interval it cuts, among that interval's cuts.
+forward-cursor builders, lf_columns() (the LF destinations of rlbwt.build_lf
+and of LF files, which store none), splitting.length_cap and refine() (the
+one way to cut a table at new starts), meet their images in an order that
+only moves forward, so each carries a destination cursor and fast-forwards
+it, with no search; refine() bisects only the images that land in an
+interval it cuts, among that interval's cuts.
 
 IntervalTable.validate() is the one check that a table is a permutation of
 [0, n); every builder that takes outside input (from_permutation, the phi
@@ -319,6 +320,39 @@ def interval_columns(
         "dest_rank": dest_rank,
         "dest_offset": list(map(sub, images, map(starts.__getitem__, dest_rank))),
     }
+
+
+def lf_columns(lengths: Sequence[int], sym: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The dest_rank and dest_offset of the LF table whose interval j holds
+    lengths[j] rows of the byte sym[j], in O(r') time with no sort and no
+    search; each length must be at least 1.
+
+    LF(i) = C[c] + rank_c(BWT, i) for the symbol c of row i, so LF maps the
+    intervals of c onto the rows that follow those of every smaller symbol
+    and of c's earlier intervals. Taken by symbol and then in order, the
+    intervals' images tile [0, n) one after another, and a single cursor
+    (q, off) over the intervals, advanced by each interval's length and
+    fast-forwarded over the lengths, is each interval's destination. This
+    holds for any cut of the runs into one-symbol intervals, so capped and
+    balanced LF tables derive their destinations as build_lf's do.
+    """
+    buckets: list[list[int]] = [[] for _ in range(256)]
+    for j, c in enumerate(sym):
+        buckets[c].append(j)
+    dest_rank = [0] * len(lengths)
+    dest_offset = [0] * len(lengths)
+    q = off = 0
+    ell = lengths[0] if lengths else 0  # lengths[q]
+    for bucket in buckets:
+        for j in bucket:
+            while off >= ell:
+                off -= ell
+                q += 1
+                ell = lengths[q]
+            dest_rank[j] = q
+            dest_offset[j] = off
+            off += lengths[j]
+    return dest_rank, dest_offset
 
 
 def refine(t: IntervalTable, new: Sequence[int], alpha: int = 0) -> IntervalTable:

@@ -6,7 +6,7 @@ capped tables. Both load to the same in-memory table; an absolute file's
 starts are checked through the lengths they yield, which must be >= 1 and
 sum to n.
 
-Layout of version 3, which save_move writes (all integers little-endian):
+Layout of version 4, which save_move writes (all integers little-endian):
   magic "RPMV" | version u8 | mode u8 | kind u8 | n u64 | r' u64 | L u64 |
   c numerator u64 | c denominator u64 | alpha u64 | source_runs u64 |
   column count u32 | per column: name length u8, name bytes, width u8 |
@@ -17,8 +17,18 @@ Layout of version 3, which save_move writes (all integers little-endian):
   payload (bit-packed matrix of the other columns, rows contiguous) |
   CRC-32 (zlib.crc32) u32 of every byte after the magic, and nothing after it
 
-The "sym" column holds each run's rank among the listed symbols, so it is
-as wide as the alphabet needs; load_move maps the ranks back to bytes.
+The columns are the first core column, "off" (dest_offset) and "rank"
+(dest_rank), then the extras in table order. Those three names and the
+other mode's first column are reserved: no extra column takes one. The
+"sym" column holds each run's rank among the listed symbols, so it is as
+wide as the alphabet needs; load_move maps the ranks back to bytes.
+
+An LF table with a "sym" column stores no "off" and no "rank" column: its
+destinations follow from its lengths and symbols (core.lf_columns), for
+any cut of the runs into one-symbol intervals, so load_move rebuilds them
+in O(r'). save_move refuses an LF table whose destinations are not those,
+and load_move a file of such a table that holds either column. FL, phi,
+phi-inverse and generic tables, and LF tables without "sym", store both.
 
 The document columns of rlbwt.attach_docs follow from two numbers per
 document, so a table that holds both is stored per document, not per
@@ -30,11 +40,12 @@ the last one that "doc" names. load_move repeats each k its count to make
 or "docdist" column is an ordinary payload column.
 
 Version 1 files had no source_runs field, so a capped table loaded from one
-re-capped to another L, and version 2 files stored the document columns
-per interval; both raise FormatError and need movestruct build.
+re-capped to another L, version 2 files stored the document columns per
+interval, and version 3 files stored the destinations of every LF table;
+all raise FormatError and need movestruct build.
 
 .mv and .rl files share one container, magic | version u8 | body | CRC-32
-of the version and body. Each format reads one version, 3 for .mv and 2
+of the version and body. Each format reads one version, 4 for .mv and 2
 for .rl, and refuses every other; read_framed checks the version, then the
 CRC, before any field is parsed.
 
@@ -52,7 +63,7 @@ from operator import lt, ne, sub
 from typing import BinaryIO, NamedTuple, Optional
 
 from .bitpack import ColumnSpec, PackedMatrix, min_width, pack_columns, unpack_columns
-from .core import ABSOLUTE, RELATIVE, IntervalTable
+from .core import ABSOLUTE, RELATIVE, IntervalTable, lf_columns
 from .errors import (
     BoundsError,
     FormatError,
@@ -63,7 +74,7 @@ from .errors import (
 )
 
 MOVE_MAGIC = b"RPMV"
-MOVE_VERSION = 3
+MOVE_VERSION = 4
 
 _MODES = (ABSOLUTE, RELATIVE)
 _KINDS = ("generic", "lf", "fl", "phi", "phi_inv")
@@ -75,8 +86,10 @@ _SIGMA = struct.Struct("<H")
 _RECORDS = struct.Struct("<I")
 _CRC = struct.Struct("<I")
 
-# The first core column of each mode's files; "off" and "rank" follow it.
+# The first core column of each mode's files; "off" and "rank" follow it
+# where _core_columns says. No extra column takes one of these names.
 _FIRST_COLUMN = {ABSOLUTE: "start", RELATIVE: "len"}
+_CORE_NAMES = ("start", "len", "off", "rank")
 # The document columns that a file holding both stores as records.
 _DOC_PAIR = ("doc", "docdist")
 
@@ -122,18 +135,29 @@ def _has_doc_pair(names) -> bool:
     return _DOC_PAIR[0] in names and _DOC_PAIR[1] in names
 
 
+def _core_columns(mode: str, kind: str, names) -> tuple[str, ...]:
+    """The core columns in a file of a table of this mode and kind whose
+    other columns have these names: the mode's first column, then "off"
+    and "rank", but for LF with "sym", whose destinations core.lf_columns
+    rebuilds."""
+    if kind == "lf" and "sym" in names:
+        return (_FIRST_COLUMN[mode],)
+    return (_FIRST_COLUMN[mode], "off", "rank")
+
+
 def pack_table(table: IntervalTable) -> PackedMatrix:
-    """The payload: the serialized columns in order, core columns for the
-    mode and then extras but a doc pair, which records hold, each at its
-    minimal width, which one max per column gives; sym holds symbol ranks.
+    """The payload: the serialized columns in order, the core columns that
+    the file stores and then extras but a doc pair, which records hold, each
+    at its minimal width, which one max per column gives; sym holds symbol
+    ranks.
     A column, the pair's included, that is not r' long raises BoundsError,
     a negative value ValueOverflowError, and a payload value of 2**64 or
     more InvalidSpecError."""
     first = table.starts if table.mode == ABSOLUTE else table.lengths
-    cols = {_FIRST_COLUMN[table.mode]: first, "off": table.dest_offset,
-            "rank": table.dest_rank}
+    cols = dict(zip(_core_columns(table.mode, table.kind, table.extras),
+                    [first, table.dest_offset, table.dest_rank]))
     for name, vals in table.extras.items():
-        if name in cols:
+        if name in _CORE_NAMES:
             raise FormatError(f"extra column {name!r} clashes with a core column")
         cols[name] = vals
     if "sym" in cols:
@@ -196,10 +220,11 @@ def _doc_records(table: IntervalTable) -> list[list[int]]:
 
 
 def save_move(table: IntervalTable, fp: BinaryIO) -> None:
-    """Write table to fp as a version 3 file. A header field beyond u64, an
+    """Write table to fp as a version 4 file. A header field beyond u64, an
     alpha of 1, which load_move refuses, a symbol beyond a byte, a column
-    value that is not an integer or a doc pair that _doc_records refuses
-    raises before anything is written."""
+    value that is not an integer, a doc pair that _doc_records refuses, or
+    an LF table with "sym" whose destinations are not core.lf_columns' of
+    its lengths and symbols raises before anything is written."""
     cap = table.cap if table.cap is not None else Fraction(0)
     values = (table.n, len(table), table.cap_len, cap.numerator, cap.denominator,
               table.alpha, table.source_runs)
@@ -218,9 +243,15 @@ def save_move(table: IntervalTable, fp: BinaryIO) -> None:
             records = _doc_records(table)
             for name, vals in zip(_DOC_PAIR, records):
                 width[name] = min_width(max(vals, default=0))
+        core = _core_columns(table.mode, table.kind, table.extras)
+        if "rank" not in core and (min(table.lengths, default=1) < 1 or lf_columns(
+                table.lengths, table.extras["sym"]) != (table.dest_rank, table.dest_offset)):
+            raise InvalidInputError(
+                "an LF table's dest_rank and dest_offset are not those of its lengths "
+                "and sym column, which its file stores in their place")
     except (TypeError, AttributeError):  # a float or None meets min, max or <<
         raise InvalidInputError("a column holds a value that is not an integer") from None
-    names = [_FIRST_COLUMN[table.mode], "off", "rank", *table.extras]
+    names = [*core, *table.extras]
     body = bytearray([MOVE_VERSION])
     body += _FIXED.pack(
         _MODES.index(table.mode), _KINDS.index(table.kind), *values, len(names)
@@ -325,23 +356,29 @@ def _read_header(fp: BinaryIO) -> _Header:
 
 
 def load_move(fp: BinaryIO) -> IntervalTable:
-    """Read a version 3 table and check its structure; any malformed input
-    raises FormatError."""
+    """Read a version 4 table and check its structure; any malformed input
+    raises FormatError. An LF file with "sym" gets its destinations from
+    core.lf_columns, once its lengths are checked to be >= 1 and sum to n."""
     h = _read_header(fp)
     # Every column in file order; records fill in the doc pair below.
     cols = dict.fromkeys(s.name for s in h.specs)
     cols.update(zip([s.name for s in h.payload_specs],
                     unpack_columns([s.width for s in h.payload_specs], h.r_prime,
                                    h.payload)))
-    core = (_FIRST_COLUMN[h.mode], "off", "rank")
+    core = _core_columns(h.mode, h.kind, cols)
     for name in core:
         if name not in cols:
             raise FormatError(f"file lacks core column {name!r}")
+    for name in _CORE_NAMES:
+        if name in cols and name not in core:
+            raise FormatError(
+                f"unexpected core column {name!r} in a file of kind {h.kind}, mode {h.mode}")
     if h.symbols is not None:
         ranks = cols["sym"]
         if ranks and max(ranks) >= len(h.symbols):
             raise FormatError("a sym rank is beyond the symbol list")
-        cols["sym"] = list(map(h.symbols.__getitem__, ranks))
+        # ranks below sigma <= 256 are bytes, and translate maps them
+        cols["sym"] = list(bytes(ranks).translate(h.symbols.ljust(256, b"\0")))
     extras = {k: v for k, v in cols.items() if k not in core}
     if h.mode == ABSOLUTE:
         # A bad start column shows as lengths below 1 or not summing to n.
@@ -349,12 +386,18 @@ def load_move(fp: BinaryIO) -> IntervalTable:
         lengths = list(map(sub, starts[1:] + [h.n], starts))
     else:
         lengths = cols["len"]
+    if "rank" in core:
+        dest_rank, dest_offset = cols["rank"], cols["off"]
+    elif min(lengths, default=0) < 1 or sum(lengths) != h.n:
+        raise FormatError("malformed table: a length below 1, or lengths not summing to n")
+    else:
+        dest_rank, dest_offset = lf_columns(lengths, cols["sym"])
     table = IntervalTable(
         h.n,
         h.mode,
         lengths,
-        cols["rank"],
-        cols["off"],
+        dest_rank,
+        dest_offset,
         source_runs=h.source_runs,
         kind=h.kind,
         cap=Fraction(h.c_num, h.c_den) if h.c_num else None,

@@ -25,7 +25,7 @@ from itertools import accumulate, compress, groupby
 from operator import gt, itemgetter, ne
 from typing import BinaryIO, Sequence
 
-from .core import ABSOLUTE, IntervalTable, refine
+from .core import ABSOLUTE, IntervalTable, lf_columns, refine
 from .errors import FormatError, InvalidInputError, MissingColumnError
 from .files import read_framed, write_framed
 
@@ -232,29 +232,15 @@ def build_bwt(text: bytes) -> tuple[Rlbwt, list[int]]:
 def build_lf(rl: Rlbwt) -> IntervalTable:
     """LF interval table with the run symbol attached as extra column "sym".
 
-    One pass in O(r) time, with no sort and no image list. LF maps run j onto
-    the rows of its symbol that follow those of every smaller symbol and of
-    the same symbol's earlier runs. So, taken by symbol and then in text
-    order, the runs' images tile [0, n) one after another, and a single
-    cursor (q, off) over the runs, advanced by each run's length and
-    fast-forwarded over the run lengths, is each run's destination.
+    One pass in O(r) time, with no sort and no image list: core.lf_columns
+    places each run's image by one forward cursor over the runs. Every LF
+    table that keeps "sym", capped, balanced or not, derives its
+    destinations from its lengths and symbols the same way, so a .mv file
+    stores neither column for it and load_move rebuilds both.
     """
     syms = [c for c, _ in rl.runs]
     lengths = [l for _, l in rl.runs]
-    buckets: list[list[int]] = [[] for _ in range(256)]
-    for j, c in enumerate(syms):
-        buckets[c].append(j)
-    dest_rank = [0] * rl.r
-    dest_offset = [0] * rl.r
-    q = off = 0
-    for bucket in buckets:
-        for j in bucket:
-            while off >= lengths[q]:
-                off -= lengths[q]
-                q += 1
-            dest_rank[j] = q
-            dest_offset[j] = off
-            off += lengths[j]
+    dest_rank, dest_offset = lf_columns(lengths, syms)
     return IntervalTable(
         rl.n, ABSOLUTE, lengths, dest_rank, dest_offset, kind="lf",
         extras={"sym": syms},

@@ -373,13 +373,16 @@ def reference_pack(widths: list[int], rows: list[list[int]]) -> bytes:
 
 
 def mv_file_bytes(table: IntervalTable) -> bytes:
-    """A .mv v3 file, written field by field as the layout in the files
-    module's docstring: each column at the width of its largest value, the
-    sym column as ranks, a doc pair as one record per document up to the
-    last that "doc" names, found by one scan of the intervals, and the
-    records and the payload packed by reference_pack."""
+    """A .mv v4 file, written field by field as the layout in the files
+    module's docstring: each column at the width of its largest value, no
+    off and rank columns for an LF table with sym, the sym column as ranks,
+    a doc pair as one record per document up to the last that "doc" names,
+    found by one scan of the intervals, and the records and the payload
+    packed by reference_pack."""
     first = ("start", table.starts) if table.mode == "abs" else ("len", table.lengths)
-    cols = dict([first, ("off", table.dest_offset), ("rank", table.dest_rank)])
+    cols = dict([first])
+    if not (table.kind == "lf" and "sym" in table.extras):
+        cols.update(off=table.dest_offset, rank=table.dest_rank)
     cols.update(table.extras)
     symbols = bytes(sorted(set(cols.get("sym", []))))
     if "sym" in cols:
@@ -396,7 +399,7 @@ def mv_file_bytes(table: IntervalTable) -> bytes:
               for name, vals in cols.items()}
     cap = table.cap or Fraction(0)
     kinds = ("generic", "lf", "fl", "phi", "phi_inv")
-    body = bytes([3, ("abs", "rel").index(table.mode), kinds.index(table.kind)])
+    body = bytes([4, ("abs", "rel").index(table.mode), kinds.index(table.kind)])
     body += struct.pack("<7QI", table.n, len(table), table.cap_len, cap.numerator,
                         cap.denominator, table.alpha, table.source_runs, len(cols))
     for name, width in widths.items():
