@@ -13,15 +13,18 @@ table and answer every query the same way.
 IntervalTable is a dataclass that declares its fields once. replace() is
 the one way to derive a table: every transform (inverse, length capping,
 balancing, document columns, storage mode) names only the fields it changes,
-and replace() carries the rest. Destination ranks come from one of two
-places. interval_columns() ranks images that arrive unsorted against the
-sorted starts; only from_intervals and inverse still go through it. The
-forward-cursor builders, lf_columns() (the LF destinations of rlbwt.build_lf
-and of LF files, which store none), splitting.length_cap and refine() (the
-one way to cut a table at new starts), meet their images in an order that
-only moves forward, so each carries a destination cursor and fast-forwards
-it, with no search; refine() bisects only the images that land in an
-interval it cuts, among that interval's cuts.
+and replace() carries the rest. The cap length L is not a field: the
+cap_len property derives it from n, source_runs and cap by cap_length(),
+so no table carries an L that its cap does not give. Destination ranks
+come from one of two places. interval_columns() ranks images that arrive
+unsorted against the sorted starts; only from_intervals and inverse still
+go through it. The forward-cursor builders, lf_columns() (the LF
+destinations of rlbwt.build_lf and of LF files, which store none),
+splitting.length_cap and refine() (the one way to cut a table at new
+starts), meet their images in an order that only moves forward, so each
+carries a destination cursor and fast-forwards it, with no search;
+refine() bisects only the images that land in an interval it cuts, among
+that interval's cuts.
 
 IntervalTable.validate() is the one check that a table is a permutation of
 [0, n); every builder that takes outside input (from_permutation, the phi
@@ -61,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from operator import add, itemgetter, le, lt, sub
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import BoundsError, InvalidInputError, InvalidParameterError
 
@@ -78,6 +81,32 @@ RUN_COLUMNS = ("sym",)
 _INVERSE_KIND = {
     "generic": "generic", "lf": "fl", "fl": "lf", "phi": "phi_inv", "phi_inv": "phi",
 }
+
+CapFactor = Union[int, float, str, Fraction]
+
+
+def _cap_factor(c: CapFactor) -> Fraction:
+    """c as a Fraction; InvalidParameterError unless it is a finite positive
+    rational."""
+    try:
+        c = Fraction(c)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise InvalidParameterError(
+            f"cap factor c must be a finite rational, not {c!r}"
+        ) from None
+    if c <= 0:
+        raise InvalidParameterError("cap factor c must be > 0")
+    return c
+
+
+def cap_length(n: int, r: int, c: CapFactor) -> int:
+    """Maximum interval length L = max(1, ceil(c * n / r)); r must be >= 1."""
+    c = _cap_factor(c)
+    if r < 1:
+        raise InvalidParameterError(f"run count r must be >= 1, got {r}")
+    num = c.numerator * n
+    den = c.denominator * r
+    return max(1, -(-num // den))
 
 
 @dataclass(frozen=True)
@@ -124,7 +153,6 @@ class IntervalTable:
     source_runs: Optional[int] = None
     kind: str = "generic"
     cap: Optional[Fraction] = None
-    cap_len: int = 0
     alpha: int = 0
     extras: Optional[dict[str, list[int]]] = None
 
@@ -144,6 +172,12 @@ class IntervalTable:
 
     def __len__(self) -> int:
         return len(self.lengths)
+
+    @property
+    def cap_len(self) -> int:
+        """L, the longest interval the cap allows: cap_length(n,
+        source_runs, cap), or 0 when the table is not capped."""
+        return cap_length(self.n, self.source_runs, self.cap) if self.cap else 0
 
     def materialized_starts(self) -> list[int]:
         """The interval starts; kept for the benchmark, which calls it."""

@@ -6,6 +6,17 @@ capped tables. Both load to the same in-memory table; an absolute file's
 starts are checked through the lengths they yield, which must be >= 1 and
 sum to n.
 
+The header's L is not a free field. _read_header, which inspect_move
+shares, refuses an L that is not cap_length(n, source_runs, c) of the
+header's own fields (0 when c is 0) and a cap over source_runs 0, which
+gives no L; load_move refuses a capped table with an interval longer than
+L, and save_move refuses one before it writes a byte. So a capped file
+proves its n: a larger n changes L, or lengthens an absolute file's last
+interval past it, unless it adds at most L less that interval's length.
+An uncapped absolute file has nothing to check its n against, since its
+lengths come from its starts and n, nor has a relative file whose n and
+lengths change together: both load as valid tables of other permutations.
+
 Layout of version 4, which save_move writes (all integers little-endian):
   magic "RPMV" | version u8 | mode u8 | kind u8 | n u64 | r' u64 | L u64 |
   c numerator u64 | c denominator u64 | alpha u64 | source_runs u64 |
@@ -63,7 +74,7 @@ from operator import lt, ne, sub
 from typing import BinaryIO, NamedTuple, Optional
 
 from .bitpack import ColumnSpec, PackedMatrix, min_width, pack_columns, unpack_columns
-from .core import ABSOLUTE, RELATIVE, IntervalTable, lf_columns
+from .core import ABSOLUTE, RELATIVE, IntervalTable, cap_length, lf_columns
 from .errors import (
     BoundsError,
     FormatError,
@@ -220,17 +231,22 @@ def _doc_records(table: IntervalTable) -> list[list[int]]:
 
 
 def save_move(table: IntervalTable, fp: BinaryIO) -> None:
-    """Write table to fp as a version 4 file. A header field beyond u64, an
-    alpha of 1, which load_move refuses, a symbol beyond a byte, a column
-    value that is not an integer, a doc pair that _doc_records refuses, or
-    an LF table with "sym" whose destinations are not core.lf_columns' of
-    its lengths and symbols raises before anything is written."""
+    """Write table to fp as a version 4 file, with the L that its cap_len
+    derives. A header field beyond u64, an alpha of 1, which load_move
+    refuses, an interval longer than a capped table's L, a symbol beyond a
+    byte, a column value that is not an integer, a doc pair that
+    _doc_records refuses, or an LF table with "sym" whose destinations are
+    not core.lf_columns' of its lengths and symbols raises before anything
+    is written."""
     cap = table.cap if table.cap is not None else Fraction(0)
-    values = (table.n, len(table), table.cap_len, cap.numerator, cap.denominator,
+    L = table.cap_len
+    values = (table.n, len(table), L, cap.numerator, cap.denominator,
               table.alpha, table.source_runs)
     for name, value in zip(_U64_FIELDS, values):
         if not 0 <= value < 1 << 64:
             raise ValueOverflowError(f"{name} = {value} does not fit in a u64")
+    if L and table.max_len > L:
+        raise InvalidInputError(f"interval length {table.max_len} exceeds the cap's L {L}")
     if table.alpha == 1:
         raise InvalidParameterError("alpha 1 is no balance: balancing needs alpha >= 2")
     try:
@@ -344,6 +360,12 @@ def _read_header(fp: BinaryIO) -> _Header:
         raise FormatError("header claims alpha 1, but balancing needs alpha >= 2")
     if c_num and not c_den:
         raise FormatError("cap factor has a zero denominator")
+    try:
+        L = cap_length(n, source_runs, Fraction(c_num, c_den)) if c_num else 0
+    except InvalidParameterError as e:
+        raise FormatError(f"header cap gives no L: {e}") from None
+    if cap_len != L:
+        raise FormatError(f"header L {cap_len} is not {L}, the L that n, r and c give")
     if len(names) < len(specs):
         raise FormatError("a column name is repeated")
     if symbols is not None and not all(map(lt, symbols, symbols[1:])):
@@ -357,7 +379,8 @@ def _read_header(fp: BinaryIO) -> _Header:
 
 def load_move(fp: BinaryIO) -> IntervalTable:
     """Read a version 4 table and check its structure; any malformed input
-    raises FormatError. An LF file with "sym" gets its destinations from
+    raises FormatError, a capped table with an interval longer than its L
+    included. An LF file with "sym" gets its destinations from
     core.lf_columns, once its lengths are checked to be >= 1 and sum to n."""
     h = _read_header(fp)
     # Every column in file order; records fill in the doc pair below.
@@ -401,10 +424,11 @@ def load_move(fp: BinaryIO) -> IntervalTable:
         source_runs=h.source_runs,
         kind=h.kind,
         cap=Fraction(h.c_num, h.c_den) if h.c_num else None,
-        cap_len=h.cap_len,
         alpha=h.alpha,
         extras=extras,
     )
+    if h.c_num and table.max_len > h.cap_len:
+        raise FormatError(f"interval length {table.max_len} exceeds header L {h.cap_len}")
     if h.records is not None:
         counts, ends = h.records
         if sum(counts) != h.r_prime:

@@ -24,44 +24,16 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
-from fractions import Fraction
 from itertools import accumulate, compress, repeat
-from operator import add, eq, index, le, lt, sub
-from typing import Union
+from operator import add, index, le, lt, sub
 
-from .core import IntervalTable, refine, run_columns
+from .core import CapFactor, IntervalTable, _cap_factor, cap_length, refine, run_columns
 from .errors import InvalidParameterError
 from .traversal import cycle_profile
-
-CapFactor = Union[int, float, str, Fraction]
 
 # Values per block of balance's sorted indexes: blocks start with at most
 # _BLOCK values and are cut in two when they reach 2 * _BLOCK.
 _BLOCK = 512
-
-
-def _cap_factor(c: CapFactor) -> Fraction:
-    """c as a Fraction; InvalidParameterError unless it is a finite positive
-    rational."""
-    try:
-        c = Fraction(c)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise InvalidParameterError(
-            f"cap factor c must be a finite rational, not {c!r}"
-        ) from None
-    if c <= 0:
-        raise InvalidParameterError("cap factor c must be > 0")
-    return c
-
-
-def cap_length(n: int, r: int, c: CapFactor) -> int:
-    """Maximum interval length L = max(1, ceil(c * n / r)); r must be >= 1."""
-    c = _cap_factor(c)
-    if r < 1:
-        raise InvalidParameterError(f"run count r must be >= 1, got {r}")
-    num = c.numerator * n
-    den = c.denominator * r
-    return max(1, -(-num // den))
 
 
 def length_cap(t: IntervalTable, c: CapFactor) -> IntervalTable:
@@ -109,26 +81,24 @@ def length_cap(t: IntervalTable, c: CapFactor) -> IntervalTable:
 
     return t.replace(
         lengths=new_lens, dest_rank=dest_rank, dest_offset=dest_offset,
-        extras=run_columns(t, src), cap=c, cap_len=L, alpha=0,
+        extras=run_columns(t, src), cap=c, alpha=0,
     )
 
 
 def bounds(t: IntervalTable) -> list[tuple[str, int, int, bool]]:
     """The bounds t's header claims, as (line, value, limit, holds), with
-    cycle_profile(t)'s fast forwards, in O(r'). Capping at c claims L from
-    n, r and c, lengths and per-query fast forwards up to L, and at most
-    floor(n(c+1)) in all; balancing fewer than 2*alpha per query. Intervals:
-    r, plus floor(n/L) after capping, plus ceil(R/(alpha-1)) of the R before."""
+    cycle_profile(t)'s fast forwards, in O(r'). Capping at c claims lengths
+    and per-query fast forwards up to L = t.cap_len, which follows from n, r
+    and c, and at most floor(n(c+1)) in all; balancing fewer than 2*alpha
+    per query. Intervals: r, plus floor(n/L) after capping, plus
+    ceil(R/(alpha-1)) of the R before."""
     prof = cycle_profile(t)
     ff, n, L, alpha = prof.max_fast_forwards, t.n, t.cap_len, t.alpha
-    want = cap_length(n, t.source_runs, t.cap) if t.cap else 0
-    limit = t.source_runs + (want and n // want)
-    rows = [("L {} == {} from n, r and c", L, want, eq),
-            ("max interval length {} <= L {}", t.max_len, L, le),
-            ("per-query fast forwards {} <= L {}", ff, L, le)] if t.cap or L else []
-    if t.cap:
-        rows.append(("total fast forwards {} <= n*(c+1) {}",
-                     prof.total_fast_forwards, n * (t.cap + 1) // 1, le))
+    limit = t.source_runs + (L and n // L)
+    rows = [("max interval length {} <= L {}", t.max_len, L, le),
+            ("per-query fast forwards {} <= L {}", ff, L, le),
+            ("total fast forwards {} <= n*(c+1) {}",
+             prof.total_fast_forwards, n * (t.cap + 1) // 1, le)] if t.cap else []
     if alpha >= 2:
         rows.append(("per-query fast forwards {} < 2*alpha {}", ff, 2 * alpha, lt))
         limit += -(-limit // (alpha - 1))

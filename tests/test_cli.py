@@ -26,7 +26,7 @@ from movestruct import (
     table_to_permutation,
     traverse_counted,
 )
-from movestruct import oracle, rlbwt
+from movestruct import oracle, rlbwt, splitting
 from movestruct.cli import main
 from movestruct.core import refine
 from movestruct.oracle import max_fast_forwards, naive_bwt, naive_lf, naive_sa
@@ -318,6 +318,25 @@ def test_verify_refuses_a_generic_table(ws, capsys):
     assert "cannot verify tables of kind 'generic'" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_domain_beyond_the_oracle(tmp_path, capsys, monkeypatch):
+    """The runs of a^m$ for m = MAX_ORACLE_N, written with that text's SA
+    samples, so that no suffix sort is needed: build writes the LF table in
+    O(r), and verify refuses n = m + 1 with exit 2 before it expands the
+    BWT for the oracle."""
+    m = oracle.MAX_ORACLE_N
+    rl, out = tmp_path / "a.rl", tmp_path / "a.mv"
+    rl.write_bytes(rl_file_bytes([(97, m), (0, 1)], [m, 0], [1, 0]))
+    assert main(["build", str(rl), "--cap", "0", "-o", str(out)]) == 0
+
+    def expand(self):
+        raise AssertionError("verify expanded the BWT")
+
+    monkeypatch.setattr(rlbwt.Rlbwt, "expand", expand)
+    capsys.readouterr()
+    assert main(["verify", str(out), str(rl)]) == 2
+    assert f"verify is limited to n <= {m}" in capsys.readouterr().err
+
+
 def test_cap_with_a_zero_denominator_is_a_usage_error(ws, capsys):
     out = ws / "x.mv"
     with pytest.raises(SystemExit) as e:
@@ -376,7 +395,7 @@ def test_verify_checks_L_and_the_interval_count(pieces, capsys, perm):
         limit = r
         if cap != "0":
             L = cap_length(n, r, Fraction(cap))
-            assert f"PASS L {L} == {L} from n, r and c" in lines
+            assert t.cap_len == L
             assert f"PASS max interval length {t.max_len} <= L {L}" in lines
             assert f"PASS per-query fast forwards {ff} <= L {L}" in lines
             # Every kind that build writes is one cycle, so the closed-form
@@ -395,52 +414,67 @@ def test_verify_checks_L_and_the_interval_count(pieces, capsys, perm):
         assert lines[-1] == f"PASS intervals {r_prime} <= {limit}"
 
 
-@pytest.mark.parametrize("cap, at, value, failed", [
+@pytest.mark.parametrize("cap, at, value, code, failed, err", [
     # source_runs lowered by one: the uncapped table has one interval too many.
-    ("0", 55, PIECES_R - 1, ["FAIL intervals 317 <= 316"]),
-    # L raised to n: the length and fast-forward checks against it pass.
-    ("1", 23, PIECES_N, ["FAIL L 1471 == 5 from n, r and c"]),
+    ("0", 55, PIECES_R - 1, 1, ["FAIL intervals 317 <= 316"], ""),
+    # L raised to n: not the L of n, r and c = 1, so the file does not load.
+    ("1", 23, PIECES_N, 2, [], f"header L {PIECES_N} is not 5, the L that n, r and c give"),
 ], ids=["source_runs", "L"])
-def test_verify_fails_a_header_that_lies(pieces, capsys, cap, at, value, failed):
-    """Header fields rewritten with the CRC-32 redone: the file loads, and
-    verify fails it on the L and interval-count checks alone."""
+def test_verify_fails_a_header_that_lies(pieces, capsys, cap, at, value, code, failed, err):
+    """Header fields rewritten with the CRC-32 redone. A lowered source_runs
+    loads, and verify fails it on the interval count alone; an L that n, r
+    and c do not give is refused at load, and verify exits 2."""
     out = pieces / "lie.mv"
     assert main(["build", str(pieces / "rl"), "--cap", cap, "-o", str(out)]) == 0
     _set_u64(out, at, value)
     capsys.readouterr()
-    assert main(["verify", str(out), str(pieces / "rl")]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert [line for line in lines if line.startswith("FAIL")] == failed
+    assert main(["verify", str(out), str(pieces / "rl")]) == code
+    captured = capsys.readouterr()
+    assert [line for line in captured.out.splitlines() if line.startswith("FAIL")] == failed
+    assert err in captured.err
 
 
 def test_verify_fails_a_cap_that_the_table_does_not_keep(pieces, capsys):
     """An uncapped LF file whose header claims c = 1 and the L that follows
-    from it, under a redone CRC-32: the L check passes, and the length, the
-    per-query and the amortized total checks fail, the total being that of
-    a walk over the whole cycle."""
+    from it, under a redone CRC-32: the header's L is right, but its longest
+    interval is longer, so load refuses the file and verify exits 2 with
+    nothing on stdout."""
     out = pieces / "claim.mv"
     assert main(["build", str(pieces / "rl"), "--cap", "0", "-o", str(out)]) == 0
     with open(out, "rb") as fp:
         t = load_move(fp)
     L = cap_length(PIECES_N, PIECES_R, Fraction(1))
+    assert t.max_len > L
     for at, value in ((23, L), (31, 1), (39, 1)):  # L, then c = 1/1
         _set_u64(out, at, value)
+    capsys.readouterr()
+    assert main(["verify", str(out), str(pieces / "rl")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"interval length {t.max_len} exceeds header L {L}" in captured.err
+
+
+def test_bounds_fail_a_cap_that_the_table_does_not_keep(pieces):
+    """The same uncapped LF table labelled c = 1 in memory, where no load
+    refuses it: bounds fails the length, the per-query and the amortized
+    total rows, the total being that of a walk over the whole cycle."""
+    with open(pieces / "rl", "rb") as fp:
+        t = build_lf(load_rlbwt(fp))
+    claim = t.replace(cap=Fraction(1))
+    L = claim.cap_len
     total = traverse_counted(t, (0, 0), PIECES_N)[1].total_fast_forwards
     assert total > 2 * PIECES_N
-    capsys.readouterr()
-    assert main(["verify", str(out), str(pieces / "rl")]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert f"PASS L {L} == {L} from n, r and c" in lines
-    assert [line for line in lines if line.startswith("FAIL")] == [
-        f"FAIL max interval length {t.max_len} <= L {L}",
-        f"FAIL per-query fast forwards {max_fast_forwards(t)} <= L {L}",
-        f"FAIL total fast forwards {total} <= n*(c+1) {2 * PIECES_N}",
+    assert [line for line, _value, _limit, holds in splitting.bounds(claim) if not holds] == [
+        f"max interval length {t.max_len} <= L {L}",
+        f"per-query fast forwards {max_fast_forwards(t)} <= L {L}",
+        f"total fast forwards {total} <= n*(c+1) {2 * PIECES_N}",
     ]
 
 
 def test_verify_refuses_a_capped_file_of_no_runs(pieces, capsys):
     """A source_runs field of 0 under a redone CRC-32: no L follows from it,
-    so verify reports an error in place of dividing by zero."""
+    so load refuses the file, and verify reports an error in place of
+    dividing by zero."""
     out = pieces / "norun.mv"
     assert main(["build", str(pieces / "rl"), "--cap", "1", "-o", str(out)]) == 0
     _set_u64(out, 55, 0)

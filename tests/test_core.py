@@ -345,7 +345,7 @@ def test_inverse_twice_is_identity():
 COLUMNS = {"lengths", "dest_rank", "dest_offset", "extras"}
 TRANSFORMS = {
     "inverse": (inverse, COLUMNS | {"kind", "alpha"}),
-    "length_cap": (lambda t: length_cap(t, 1), COLUMNS | {"cap", "cap_len", "alpha"}),
+    "length_cap": (lambda t: length_cap(t, 1), COLUMNS | {"cap", "alpha"}),
     "balance": (lambda t: balance(t, 2), COLUMNS | {"alpha"}),
     "attach_docs": (lambda t: attach_docs(t, DocBounds([0, 40, 90])), {"extras"}),
     "to_relative": (lambda t: t.to_relative(), {"mode"}),
@@ -360,7 +360,7 @@ def test_transforms_carry_every_other_field(name):
     transform, changes = TRANSFORMS[name]
     rl, _ = build_bwt(bytes(random.Random(5).choice(b"ab") for _ in range(150)))
     # Metadata set by hand, so that no transform under test builds the input.
-    t = build_lf(rl).replace(source_runs=9, cap=Fraction(3, 2), cap_len=7, alpha=3)
+    t = build_lf(rl).replace(source_runs=9, cap=Fraction(3, 2), alpha=3)
     for src in (t, t.to_relative()):
         out = transform(src)
         for f in dataclasses.fields(IntervalTable):

@@ -26,6 +26,7 @@ from movestruct import (
     build_bwt,
     build_lf,
     build_phi_via_lf,
+    cap_length,
     from_permutation,
     inspect_move,
     inverse,
@@ -369,7 +370,6 @@ PINNED_TABLE = dict(
     dest_rank=[0, 5, 7, 1, 8, 2, 9, 0, 10, 4, 5],
     dest_offset=[1, 1, 0, 1, 0, 0, 1, 0, 0, 0, 0],
     cap=Fraction(1),
-    cap_len=2,
     alpha=2,
     extras={"sym": [97, 98, 97, 99, 100, 255, 0, 97, 98, 1, 128]},
 )
@@ -410,13 +410,15 @@ PINNED_V3_FILE = bytes.fromhex(
     "e3a796"
 )
 # The same table as version 4 writes it. It is not of kind lf, so it keeps
-# its off and rank columns: only the version byte and the CRC-32 change.
+# its off and rank columns. The version byte, the CRC-32 and the L field at
+# 23 change: the L is now the one that c = 1, r = 5 and n = 16 give, 4, where
+# the version 3 pin held 2, an L that no builder makes of those fields.
 PINNED_V4_FILE = bytes.fromhex(
-    "52504d5604010010000000000000000b000000000000000200000000000000010000"
+    "52504d5604010010000000000000000b000000000000000400000000000000010000"
     "00000000000100000000000000020000000000000005000000000000000600000003"
     "6c656e02036f6666010472616e6b040373796d0303646f630307646f636469737405"
-    "080000016162636480ff050000001a4c74008106b9965383c24ade4440d1899232e3"
-    "816961"
+    "080000016162636480ff050000001a4c74008106b9965383c24ade4440d189923261"
+    "2179c5"
 )
 PINNED_DOCS = DocBounds([0, 3, 9, 14, 15])
 # The counts and the ends of its records, and their offsets: the 67-byte
@@ -450,7 +452,9 @@ def test_save_move_v4_bytes_are_pinned():
     table = attach_docs(IntervalTable(**PINNED_TABLE, source_runs=5), PINNED_DOCS)
     assert table.extras["doc"] == [0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 4]
     assert _saved(table) == PINNED_V4_FILE == mv_file_bytes(table)
-    assert PINNED_V4_FILE[:-4] == PINNED_V3_FILE[:4] + b"\x04" + PINNED_V3_FILE[5:-4]
+    assert table.cap_len == 4
+    assert PINNED_V4_FILE[:-4] == (PINNED_V3_FILE[:4] + b"\x04" + PINNED_V3_FILE[5:23]
+                                   + b"\x04" + PINNED_V3_FILE[24:-4])
     loaded = load_move(io.BytesIO(PINNED_V4_FILE))
     assert vars(loaded) == vars(table)
     info = inspect_move(io.BytesIO(PINNED_V4_FILE))
@@ -652,6 +656,18 @@ MALFORMED = {
     "move-name-not-utf8": lambda: _lf_with_header(68, b"\xff"),
     "move-symbols-unsorted": lambda: _lf_with_symbols(b"\x00ba"),
     "move-sym-rank-beyond-symbols": lambda: _lf_with_symbols(b"\x00a"),
+    # the uncapped file claims L = 1, where c = 0 gives none
+    "move-L-not-derived": lambda: _lf_with_header(23, struct.pack("<Q", 1)),
+    # c = 1 over source_runs 0: c_num, c_den, alpha and source_runs from 31
+    "move-cap-over-no-runs": lambda: _lf_with_header(31, struct.pack("<4Q", 1, 1, 0, 0)),
+    # L = 1 and c = 1/2, the L of n = 7 and r = 5, over intervals of length 2
+    "move-interval-longer-than-L": lambda: _lf_with_header(23, struct.pack("<3Q", 1, 1, 2)),
+    # a column count of 0, and no specs, symbols or payload after it
+    "move-no-columns": lambda: _with_crc(
+        _saved(_lf_abaaba()[1])[:63] + struct.pack("<I", 0) + bytes(4)),
+    # n = 8, against runs that sum to 7
+    "rlbwt-n-not-run-sum": lambda: _with_crc(
+        _rlbwt_bytes()[:5] + struct.pack("<Q", 8) + _rlbwt_bytes()[13:]),
 }
 
 
@@ -666,6 +682,11 @@ MALFORMED_MESSAGES = {
     "move-doc-counts-not-r-prime": "counts do not sum to r'",
     "move-doc-end-at-a-start": "at or before a start",
     "move-doc-end-past-n": "past n=16",
+    "move-L-not-derived": "header L 1 is not 0, the L that n, r and c give",
+    "move-cap-over-no-runs": "header cap gives no L: run count r must be >= 1, got 0",
+    "move-interval-longer-than-L": "interval length 2 exceeds header L 1",
+    "move-no-columns": "file lacks core column 'start'",
+    "rlbwt-n-not-run-sum": "run lengths do not sum to the declared n",
 }
 
 
@@ -739,6 +760,69 @@ def test_header_fields_that_load_move_refuses_are_not_written(alpha, error, mess
     table = from_permutation([3, 4, 5, 6, 0, 1, 2]).replace(alpha=alpha)
     buf = io.BytesIO()
     with pytest.raises(error, match=message):
+        save_move(table, buf)
+    assert buf.getvalue() == b""
+
+
+@pytest.mark.parametrize("change, error, message", [
+    ({"cap": Fraction(1)}, InvalidInputError, "interval length 11 exceeds the cap's L 4"),
+    ({"cap": Fraction(1), "source_runs": 0}, InvalidParameterError, "run count r"),
+], ids=["longer-than-L", "no-runs"])
+def test_caps_that_load_move_refuses_are_not_written(change, error, message):
+    """An uncapped LF table labelled c = 1 keeps intervals longer than its L,
+    and a cap over source_runs 0 gives no L; save_move raises on either
+    before it writes a byte."""
+    lf = build_lf(build_bwt(b"abaababbaab" * 3)[0])
+    buf = io.BytesIO()
+    with pytest.raises(error, match=message):
+        save_move(lf.replace(**change), buf)
+    assert buf.getvalue() == b""
+
+
+def _with_n(data: bytes, n: int) -> bytes:
+    """A .mv file with its header n (the u64 at 7) set to n, under a new
+    CRC-32."""
+    return _with_crc(data[:7] + struct.pack("<Q", n) + data[15:])
+
+
+def test_a_capped_file_proves_its_n(tmp_path, capsys):
+    """The capped (c = 1) absolute LF file of (abaababbaab)^3 with its header
+    n raised by 1..3000 under a new CRC-32. Its lengths come from its starts
+    and n, so the last interval takes the rise. A rise loads exactly when it
+    leaves L = cap_length(n, r, 1) as it is and the last interval no longer
+    than L, which here only a rise of 1 does; every other raises
+    FormatError, and invert exits 2 on a rise of 1000 and writes nothing."""
+    table = length_cap(build_lf(build_bwt(b"abaababbaab" * 3)[0]), 1)
+    L, last, n, r = table.cap_len, table.lengths[-1], table.n, table.source_runs
+    assert (L, last) == (4, 3)
+    data = _saved(table)
+    loaded = []
+    for rise in range(1, 3001):
+        bad = _with_n(data, n + rise)
+        if cap_length(n + rise, r, 1) == L and rise <= L - last:
+            t = load_move(io.BytesIO(bad))
+            assert (t.n, t.max_len) == (n + rise, last + rise)
+            loaded.append(rise)
+        else:
+            with pytest.raises(FormatError, match="header L"):
+                load_move(io.BytesIO(bad))
+    assert loaded == [1]
+    path, out = tmp_path / "raised.mv", tmp_path / "out"
+    path.write_bytes(_with_n(data, n + 1000))
+    capsys.readouterr()
+    assert main(["invert", str(path), "-o", str(out)]) == 2
+    assert "header L" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_document_beyond_a_u32_count_is_not_written():
+    """A doc id of 2**32 needs a record count beyond a u32: save_move raises
+    ValueOverflowError before it writes a byte, and before it makes a list
+    per document."""
+    table = from_permutation([3, 4, 5, 6, 0, 1, 2]).replace(
+        extras={"doc": [0, 2**32], "docdist": [4, 3]})
+    buf = io.BytesIO()
+    with pytest.raises(ValueOverflowError, match="u32 record count"):
         save_move(table, buf)
     assert buf.getvalue() == b""
 

@@ -24,6 +24,8 @@ from movestruct import (
     from_permutation,
     inverse,
     length_cap,
+    load_move,
+    save_move,
     table_to_permutation,
 )
 from movestruct import splitting
@@ -193,6 +195,33 @@ def test_balance_idempotent_at_fixpoint():
     twice = balance(once, 2)
     assert twice.starts == once.starts
     assert twice.dest_rank == once.dest_rank
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 300), st.integers(1, 4), st.integers(0, 2**32),
+       st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(8)]))
+def test_cap_len_is_derived_after_every_transform(n, sigma, seed, c):
+    """A table holds no L of its own: cap_len is cap_length(n, source_runs,
+    cap), or 0 uncapped, after build, length_cap, balance, inverse, refine
+    and attach_docs, in both modes, and after a save/load round trip, whose
+    header holds that L."""
+    rng = random.Random(seed)
+    rl, _ = build_bwt(bytes(rng.choice(b"abcd"[:sigma]) for _ in range(n)))
+    lf = build_lf(rl)
+    capped = length_cap(lf, c)
+    assert capped.cap_len == cap_length(rl.n, rl.r, c) >= capped.max_len
+    cuts = sorted(rng.sample(range(rl.n), min(rl.n, 5)))
+    docs = DocBounds(sorted({0, *rng.sample(range(rl.n), min(rl.n, 3))}))
+    phi_inv = build_phi_via_lf(rl, inverse=True)
+    for t in (lf, capped, balance(lf, 2), balance(capped, 2), inverse(capped),
+              refine(capped, cuts), phi_inv, attach_docs(length_cap(phi_inv, c), docs)):
+        for table in (t, t.to_relative()):
+            L = cap_length(table.n, table.source_runs, table.cap) if table.cap else 0
+            buf = io.BytesIO()
+            save_move(table, buf)
+            assert struct.unpack_from("<Q", buf.getvalue(), 23) == (L,)
+            loaded = load_move(io.BytesIO(buf.getvalue()))
+            assert table.cap_len == loaded.cap_len == L
 
 
 def test_cap_then_balance_bounds():
