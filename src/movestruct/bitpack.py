@@ -11,8 +11,8 @@ Eight rows of stride s bits span exactly s bytes, so both directions work on
 within it, one pass per column.
 
 `PackedMatrix` wraps the lists with named, checked column specs: `payload`
-and `from_payload` call the packer and the unpacker, and `set_column`
-checks each value against its column's width.
+calls the packer, and `set_column` checks each value against its column's
+width.
 """
 
 from __future__ import annotations
@@ -113,21 +113,9 @@ class PackedMatrix:
             [0] * row_count for _ in self.columns]
 
     @property
-    def payload_bits(self) -> int:
-        return self.row_count * self.row_stride_bits
-
-    @property
     def payload(self) -> bytes:
-        """The rows packed into ceil(payload_bits / 8) bytes."""
+        """The rows packed into ceil(row_count * row_stride_bits / 8) bytes."""
         return pack_columns(self._cols, [c.width for c in self.columns])
-
-    @classmethod
-    def from_payload(
-        cls, columns: Sequence[ColumnSpec], row_count: int, payload: bytes
-    ) -> "PackedMatrix":
-        """Unpack the first ceil(payload_bits / 8) bytes of payload."""
-        widths = [c.width for c in columns]
-        return cls(columns, row_count, unpack_columns(widths, row_count, payload))
 
     def column_of(self, name: str) -> int:
         try:

@@ -15,15 +15,15 @@ made one IntervalTable.move at a time; _walk_stats makes them from
 fast-forward counts. traverse_counted's counts start at _FF_SLOTS and grow
 on demand, so its fixed cost does not grow with L or r'.
 
-The three streaming walks share one block loop, which writes to a binary
-file object once per block of _BLOCK entries. Inversion emits the symbol
-column into a bytearray. The SA walk emits the positions it leaves, which
-on phi-inverse are the SA values, straight into an array("Q"); the DA walk
-emits the doc column of the table cut at its d document starts. Both write
-little-endian u64 values. Their working space is O(r'), O(r' + d) for DA,
-plus one block. Inversion walks FL (or LF, inverted first); the SA and DA
-walks chain phi-inverse from SA[0] = n - 1 and refuse any other kind before
-they write.
+The three streaming walks share one block loop, which hands each block of
+_BLOCK entries to a writer. Inversion walks LF (or FL, inverted first) from
+row 0, which meets the text back to front: it emits the symbol column into a
+bytearray and writes each block reversed at its offset in a seekable file.
+The SA walk emits the positions it leaves, which on phi-inverse are the SA
+values, straight into an array("Q"); the DA walk emits the doc column of the
+table cut at its d document starts. Both write little-endian u64 values in
+order, chain phi-inverse from SA[0] = n - 1 and refuse any other kind before
+they write. Working space is O(r'), O(r' + d) for DA, plus one block.
 
 The block loop holds the one rule that proves a walk is one cycle: a walk
 fixes one value, starts one move past it, and refuses, unwritten, any block
@@ -120,20 +120,20 @@ def cycle_profile(table: IntervalTable) -> TraversalStats:
 
 def _block_walk(
     table: IntervalTable,
-    fp: BinaryIO,
+    write: Callable[[Any], object],
     kernel: Callable[..., tuple[int, int]],
     state: tuple[int, int],
     buf: Any,
     marker: bytes,
-    error: str,
+    error: Callable[[int], str],
 ) -> TraversalStats:
     """n - 1 chained steps from state, in blocks, after any value buf holds:
     kernel(*state, size, put=...) walks a block, putting one value per step
     into buf, and returns the state the next block starts from. Each block
     is encoded, a bytearray as it is and an array("Q") little-endian,
-    written to fp, and emptied. A one-cycle walk from one move past a fixed
-    value puts the value encoded as marker at none of its steps. A block
-    whose steps hold it raises InvalidInputError, error formatted with the
+    handed to write, and emptied. A one-cycle walk from one move past a
+    fixed value puts the value encoded as marker at none of its steps. A
+    block whose steps hold it raises InvalidInputError, with error() of the
     index of the first, before it is written. So a walk that ends is one
     cycle, and the cycle_profile(table) returned is the stats of its n moves.
 
@@ -156,8 +156,8 @@ def _block_walk(
         while j != -1 and (j % width or data[j : j + width] != marker):
             j = data.find(needle, j + 1)
         if j != -1:
-            raise InvalidInputError(error.format(i + j // width))
-        fp.write(data)
+            raise InvalidInputError(error(i + j // width))
+        write(data)
         del buf[:]
     return cycle_profile(table)
 
@@ -165,19 +165,19 @@ def _block_walk(
 def invert_bwt(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
     """Write the text and then its sentinel to fp, in text order.
 
-    Walks FL from the row of suffix 0, one move from row 0, the sentinel's
-    row: each of n - 1 steps leaves the row of the next suffix, whose first
-    symbol is the "sym" column of the FL interval it leaves. An LF table is
-    inverted into FL first. Row 0's interval must hold the sentinel, or
-    InvalidInputError is raised before anything is written, as it is for a
-    symbol outside 0..255. A step that writes the sentinel has come back to
-    row 0 early: FL is not one cycle, the table is the BWT of no text, and
+    Walks LF (FL is inverted first) from row 0, the row of suffix n - 1:
+    step t leaves the row of suffix n - 1 - t, whose "sym" is text[n - 2 - t],
+    so each block is written reversed at its offset, and the sentinel last.
+    The interval that LF maps onto row 0 must hold the sentinel, symbols
+    must be bytes and fp seekable, or InvalidInputError is raised before
+    anything is written. A step that leaves the sentinel has come back to
+    row 0 early: LF is not one cycle, the table is the BWT of no text, and
     InvalidInputError is raised before that block is written. So a walk
     that ends is one cycle, and its stats are those of the walk.
     """
-    if table.kind == "lf":
+    if table.kind == "fl":
         table = inverse(table)
-    elif table.kind != "fl":
+    elif table.kind != "lf":
         raise InvalidInputError(
             f"inversion needs an LF or FL table, not kind {table.kind!r}"
         )
@@ -187,16 +187,28 @@ def invert_bwt(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
             "table lacks extra column 'sym'; inversion reads the BWT symbols")
     if min(sym) < 0 or max(sym) > 255:
         raise InvalidInputError("symbol column holds a value that is not a byte")
-    if sym[0] != rlbwt.SENTINEL:
+    if (last := sym[table.images().index(0)]) != rlbwt.SENTINEL:
         raise InvalidInputError(
-            f"row 0's interval holds symbol {sym[0]}, not the sentinel; "
-            "the table is the BWT of no text"
-        )
-    start = table.move((0, 0)).cursor
+            f"the interval that LF maps onto row 0 holds symbol {last}, not the "
+            "sentinel; the table is the BWT of no text")
+    if not fp.seekable():
+        raise InvalidInputError("inversion writes back to front; the output must be seekable")
+    n = table.n
+    end = fp.tell() + n - 1
+
+    def write(block: bytearray) -> None:
+        nonlocal end
+        block.reverse()
+        end -= len(block)
+        fp.seek(end)
+        fp.write(block)
+
     kernel = partial(walk, table.lengths, table.dest_rank, table.dest_offset, col=sym)
     stats = _block_walk(
-        table, fp, kernel, start, bytearray(), bytes([rlbwt.SENTINEL]),
-        f"sentinel at text position {{}} of {table.n}; the table is the BWT of no text")
+        table, write, kernel, (0, 0), bytearray(), bytes([rlbwt.SENTINEL]),
+        lambda t: f"sentinel at text position {n - 2 - t} of {n}; "
+                  "the table is the BWT of no text")
+    fp.seek(end + n - 1)
     fp.write(bytes([rlbwt.SENTINEL]))
     return stats
 
@@ -229,9 +241,9 @@ def enumerate_sa(table: IntervalTable, fp: BinaryIO) -> TraversalStats:
                      list(map(sub, table.images(), starts)))
     j, k = table.move(table.cursor_of(n - 1)).cursor
     return _block_walk(
-        table, fp, kernel, (j, starts[j] + k), array("Q", [n - 1]),
+        table, fp.write, kernel, (j, starts[j] + k), array("Q", [n - 1]),
         (n - 1).to_bytes(8, "little"),
-        f"SA value {n - 1} again at position {{}}; phi-inverse is not one cycle")
+        f"SA value {n - 1} again at position {{}}; phi-inverse is not one cycle".format)
 
 
 def enumerate_da(
@@ -259,9 +271,9 @@ def enumerate_da(
     start = cut.move(cut.cursor_of(n - 1)).cursor
     kernel = partial(walk, cut.lengths, cut.dest_rank, cut.dest_offset, col=doc)
     return _block_walk(
-        cut, fp, kernel, start, array("Q", [len(bounds.starts) - 1]),
+        cut, fp.write, kernel, start, array("Q", [len(bounds.starts) - 1]),
         doc[-1].to_bytes(8, "little"),
-        f"SA value {n - 1} again at position {{}}; phi-inverse is not one cycle")
+        f"SA value {n - 1} again at position {{}}; phi-inverse is not one cycle".format)
 
 
 def traverse_counted(

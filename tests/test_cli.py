@@ -3,6 +3,7 @@
 import io
 import itertools
 import math
+import os
 import random
 import struct
 import sys
@@ -51,9 +52,20 @@ def test_build_rlbwt(ws):
     assert rl.r == 5 and rl.n == 7
 
 
-def test_build_rlbwt_empty_input(tmp_path):
+def test_build_rlbwt_empty_input(tmp_path, capsys):
     (tmp_path / "empty").write_bytes(b"")
     assert main(["build-rlbwt", str(tmp_path / "empty"), "-o", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: empty text\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_build_rlbwt_refuses_a_text_holding_the_sentinel(tmp_path, capsys):
+    # Only a trailing 0x00, an inverted output's sentinel, is dropped.
+    (tmp_path / "text").write_bytes(b"a\0b")
+    assert main(["build-rlbwt", str(tmp_path / "text"), "-o", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: text must not contain the 0x00 sentinel byte\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_build_defaults_and_inspect(ws, capsys):
@@ -705,6 +717,20 @@ def test_invert_round_trip_fl(ws, mode):
     rec = ws / "rec"
     assert main(["invert", str(out), "-o", str(rec)]) == 0
     assert rec.read_bytes() == b"abaaba\x00"
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_invert_to_a_pipe_is_refused_before_it_writes(ws, capsys):
+    # Inversion writes back to front, so it needs an output that can seek.
+    lf = ws / "lf.mv"
+    assert main(["build", str(ws / "rl"), "-o", str(lf)]) == 0
+    capsys.readouterr()
+    r, w = os.pipe()
+    with os.fdopen(r, "rb") as reader:
+        with os.fdopen(w, "wb"):
+            assert main(["invert", str(lf), "-o", f"/dev/fd/{w}"]) == 2
+        assert reader.read() == b""
+    assert "seekable" in capsys.readouterr().err
 
 
 def test_invert_refuses_an_fl_whose_row_0_interval_is_not_the_sentinel(tmp_path, capsys):

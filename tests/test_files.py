@@ -51,6 +51,7 @@ from support import (
     random_text,
     reference_pack,
     repetitive_text,
+    rl_file_bytes,
     validate_by_sort,
 )
 
@@ -579,6 +580,15 @@ def _lf_with_sym_twice() -> bytes:
     return _with_crc(raw.replace(b"\x03zzz", b"\x03sym", 1))
 
 
+def _fl_with_column_name_repeated() -> bytes:
+    """abaaba's FL file with extra columns xa and xb, the second renamed xa
+    in the header, under a new CRC-32."""
+    fl = inverse(_lf_abaaba()[1])
+    raw = _saved(fl.replace(extras={**fl.extras, "xa": [1] * len(fl), "xb": [2] * len(fl)}))
+    assert raw.count(b"\x02xb") == 1
+    return _with_crc(raw.replace(b"\x02xb", b"\x02xa"))
+
+
 def _lf_with_symbols(symbols: bytes) -> bytes:
     """The abaaba LF file with its symbol list (the u16 count 3, then
     00 61 62, right before the payload) replaced by symbols, under a new
@@ -668,6 +678,11 @@ MALFORMED = {
     # n = 8, against runs that sum to 7
     "rlbwt-n-not-run-sum": lambda: _with_crc(
         _rlbwt_bytes()[:5] + struct.pack("<Q", 8) + _rlbwt_bytes()[13:]),
+    "move-magic-XXXX": lambda: b"XXXX" + _saved(_lf_abaaba()[1])[4:],
+    "move-column-name-repeated": _fl_with_column_name_repeated,
+    # a body of 6 bytes, version 2 and five zero bytes, too few for n and r
+    "rlbwt-6-byte-body": lambda: _with_crc(b"RLBW\x02" + bytes(5) + bytes(4)),
+    "rlbwt-no-runs": lambda: rl_file_bytes([], [], []),
 }
 
 
@@ -687,6 +702,10 @@ MALFORMED_MESSAGES = {
     "move-interval-longer-than-L": "interval length 2 exceeds header L 1",
     "move-no-columns": "file lacks core column 'start'",
     "rlbwt-n-not-run-sum": "run lengths do not sum to the declared n",
+    "move-magic-XXXX": "not a .mv file",
+    "move-column-name-repeated": "a column name is repeated",
+    "rlbwt-6-byte-body": "truncated RLBWT header",
+    "rlbwt-no-runs": "malformed RLBWT: RLBWT must have at least one run",
 }
 
 

@@ -106,11 +106,18 @@ def test_invert_rejects_other_kinds():
     phi_inv = inverse(build_phi_via_lf(rl))
     with pytest.raises(InvalidInputError):
         invert_bwt(phi_inv.replace(extras={"sym": [0] * len(phi_inv)}), io.BytesIO())
+    # LF relabelled generic: only the kind check stops the walk.
+    out = io.BytesIO()
+    with pytest.raises(InvalidInputError) as info:
+        invert_bwt(build_lf(rl).replace(kind="generic"), out)
+    assert str(info.value) == "inversion needs an LF or FL table, not kind 'generic'"
+    assert out.getvalue() == b""
 
 
 def test_invert_refuses_an_fl_whose_row_0_interval_is_not_the_sentinel():
-    # Two cycles of two rows each and no sentinel: the walk never meets
-    # row 0's sentinel, so only the check of sym[0] stops it writing "aaaa".
+    # Two cycles of two rows each and no sentinel: the walk never meets a
+    # sentinel, so only the check of the interval that LF maps onto row 0,
+    # FL's row-0 interval, stops it writing "aaa" and then the sentinel.
     t = from_permutation([1, 0, 3, 2]).replace(kind="fl", extras={"sym": [97] * 4})
     out = io.BytesIO()
     with pytest.raises(InvalidInputError, match="not the sentinel"):
@@ -125,6 +132,49 @@ def test_invert_refuses_an_fl_whose_row_0_interval_is_not_the_sentinel():
     with pytest.raises(InvalidInputError, match="not the sentinel"):
         invert_bwt(fl.replace(extras={"sym": sym}), out)
     assert out.getvalue() == b""
+
+
+class _Pipe(io.RawIOBase):
+    """A binary sink that cannot seek, as a pipe cannot."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.data += b
+        return len(b)
+
+
+def test_invert_refusals_hold_in_every_block_size(monkeypatch):
+    # Each table is given as LF and as FL, in blocks of one entry to one
+    # past n. An LF of two cycles, 0 <-> 1 and 2, meets no sentinel in its
+    # n - 1 steps from row 0: only the check of the interval that LF maps
+    # onto row 0 stops it writing "ba". CI's nt.rl (BWT a\0a) is one cycle
+    # that meets the sentinel at step 1, text position 0, so only a block of
+    # one entry writes step 0 first. An output that cannot seek is refused
+    # before anything is written.
+    two = from_permutation([1, 0, 2]).replace(kind="lf", extras={"sym": [97, 98, 0]})
+    fl4 = from_permutation([1, 0, 3, 2]).replace(kind="fl", extras={"sym": [97] * 4})
+    fl = inverse(build_lf(build_bwt(b"abaaba")[0]))
+    sym = list(fl.extras["sym"])
+    sym[0], sym[1] = sym[1], sym[0]
+    nt = from_permutation([1, 0, 2]).replace(kind="lf", extras={"sym": [97, 0, 97]})
+    for table, message in ((two, "symbol 98, not the sentinel"),
+                           (fl4, "symbol 97, not the sentinel"),
+                           (fl.replace(extras={"sym": sym}), "not the sentinel"),
+                           (nt, "sentinel at text position 0 of 3;"),
+                           (fl, "seekable")):
+        for block in range(1, table.n + 2):
+            monkeypatch.setattr(traversal, "_BLOCK", block)
+            for t in (table, inverse(table)):
+                out = _Pipe() if table is fl else io.BytesIO()
+                with pytest.raises(InvalidInputError, match=message):
+                    invert_bwt(t, out)
+                written = out.data if table is fl else out.getvalue()
+                assert written == (b"\0a" if table is nt and block == 1 else b"")
 
 
 def test_invert_random_sweep_with_caps():
@@ -229,21 +279,23 @@ def test_invert_walk_that_returns_to_row_0_early_fails_before_that_block(
     block, monkeypatch
 ):
     # An FL table of two cycles: 0 -> 2 -> ... -> 10 -> 1 -> 0 and
-    # 11 -> ... -> 19 -> 11. Row 0's interval holds the sentinel alone, and
-    # the walk leaves row 0 at step 10, so it writes the sentinel at text
-    # position 10: the blocks before step 8 are written and the one holding
-    # step 10 is not.
+    # 11 -> ... -> 19 -> 11, so LF runs 0 -> 1 -> 10 -> 9 -> ... -> 2 -> 0.
+    # The interval that LF maps onto row 0 holds the sentinel alone, and
+    # the LF walk leaves it at step 10, text position 20 - 2 - 10 = 8: the
+    # blocks before step 8 are written at text positions 11..18, back to
+    # front, and the one holding step 10 is not. Given as FL or as LF.
     pi = [2, 0, *range(3, 11), 1, *range(12, 20), 11]
     table = from_permutation(pi)
     assert table.starts == [0, 1, 2, 10, 11, 19]
     table = table.replace(kind="fl", extras={"sym": [0, 98, 97, 99, 100, 101]})
     monkeypatch.setattr(traversal, "_BLOCK", block)
-    sink = io.BytesIO()
-    with pytest.raises(InvalidInputError) as info:
-        invert_bwt(table, sink)
-    assert str(info.value) == (
-        "sentinel at text position 10 of 20; the table is the BWT of no text")
-    assert sink.getvalue() == (b"a" * 8 if block == 4 else b"")
+    for t in (table, inverse(table)):
+        sink = io.BytesIO()
+        with pytest.raises(InvalidInputError) as info:
+            invert_bwt(t, sink)
+        assert str(info.value) == (
+            "sentinel at text position 8 of 20; the table is the BWT of no text")
+        assert sink.getvalue() == (bytes(11) + b"aaaaaacb" if block == 4 else b"")
 
 
 def test_walks_in_every_block_size_equal_the_oracle(monkeypatch):
@@ -625,7 +677,7 @@ def test_walks_across_block_seams(monkeypatch, block):
             out = io.BytesIO()
             stats = invert_bwt(fl, out)
             assert out.getvalue() == text + b"\x00"
-            assert vars(stats) == _moved_stats(fl, (0, 0), n)[1]
+            assert vars(stats) == _moved_stats(inverse(fl), (0, 0), n)[1]
 
             pi = split(phi_inv)
             first = pi.cursor_of(n - 1)
@@ -860,7 +912,7 @@ def test_walks_grow_their_fast_forward_counts(monkeypatch, block):
     stats = invert_bwt(fl, out)
     assert out.getvalue() == text + b"\x00"
     assert stats.max_fast_forwards > slots
-    assert vars(stats) == _moved_stats(fl, (0, 0), rl.n)[1]
+    assert vars(stats) == _moved_stats(inverse(fl), (0, 0), rl.n)[1]
     assert list(stats.histogram) == sorted(stats.histogram)
 
     # The SA walk chains any phi-inverse table of one cycle from n - 1. In
@@ -966,9 +1018,12 @@ def test_streaming_walk_stats_equal_traverse_counted():
             repetitive_text(rng, copies=6, seed_len=40, mutations=2)]:
         rl, _sa = build_bwt(text)
         n = rl.n
+        # Inversion walks LF from row 0, the FL input's inverse.
+        lf = length_cap(build_lf(rl), 1)
         fl = length_cap(inverse(build_lf(rl)), 1)
-        assert invert_bwt(fl, io.BytesIO()) == traverse_counted(
-            fl, fl.move((0, 0)).cursor, n)[1]
+        for t, walked in ((lf, lf), (fl, inverse(fl))):
+            assert invert_bwt(t, io.BytesIO()) == cycle_profile(walked) == (
+                traverse_counted(walked, (0, 0), n)[1])
         pi = balance(build_phi_via_lf(rl, inverse=True), 2)
         assert enumerate_sa(pi, io.BytesIO()) == traverse_counted(
             pi, pi.cursor_of(n - 1), n)[1]
