@@ -8,7 +8,9 @@ own code what its steps need: the repetitive text and its documents, their
 RLBWT, the four move tables of the benchmark's `build` commands (LF and
 phi-inverse capped at c = 8, LF in both modes, phi-inverse relative and
 absolute with the document columns), and adversarial-split's permutation
-(n = 400,000, 8,000 blocks). Each named step then runs on both sides in
+(n = 400,000, 8,000 blocks) with its capped (c = 1) and balanced (alpha = 2)
+tables, which save_move and load_move are timed on beside the four files
+as adversarial-split saves them. Each named step then runs on both sides in
 turn, with the side that goes first alternating from repeat to repeat, and
 the best and the median of each side are printed in ms, with the ratio of
 the bests (b / a). A step timed on each file prints one line per file.
@@ -38,8 +40,8 @@ HERE = Path(__file__).resolve().parent.parent
 COPIES, SEED_LEN, MUTATIONS, CAP = 100, 1000, 10, 8
 WALK_STEPS = 20_000
 POINT_QUERIES = 2_000
-# As adversarial-split: n, blocks, and balance's alpha.
-ADV_N, ADV_BLOCKS, ADV_ALPHA = 400_000, 8_000, 2
+# As adversarial-split: n, blocks, length_cap's c and balance's alpha.
+ADV_N, ADV_BLOCKS, ADV_CAP, ADV_ALPHA = 400_000, 8_000, 1, 2
 
 
 def load_package(tree: Path, name: str):
@@ -103,9 +105,17 @@ class Side:
                 "pi_rel": self.pi.to_relative()}
 
     @functools.cached_property
+    def saved(self):
+        """The tables that save_move and load_move are timed on: the four
+        move files, and adversarial-split's capped and balanced tables."""
+        return {**self.tables,
+                "adv_capped": self.m.length_cap(self.adversarial, ADV_CAP),
+                "adv_balanced": self.m.balance(self.adversarial, ADV_ALPHA)}
+
+    @functools.cached_property
     def files(self):
         out = {}
-        for name, t in self.tables.items():
+        for name, t in self.saved.items():
             buf = io.BytesIO()
             self.m.save_move(t, buf)
             out[name] = buf.getvalue()
@@ -125,7 +135,7 @@ class Side:
 def _per_file(run):
     def thunks(s):
         s.files  # build every file before the first timed run
-        return {name: (lambda name=name: run(s, name)) for name in s.tables}
+        return {name: (lambda name=name: run(s, name)) for name in s.saved}
     return thunks
 
 
@@ -159,7 +169,7 @@ STEPS = {
     "length_cap": _one(lambda s: s.m.length_cap(s.lf, CAP), "lf"),
     "balance": _one(lambda s: s.m.balance(s.adversarial, ADV_ALPHA), "adversarial"),
     "refine": _one(lambda s: s.m.core.refine(s.pi, s.inputs.docs), "pi"),
-    "save_move": _per_file(lambda s, f: s.m.save_move(s.tables[f], io.BytesIO())),
+    "save_move": _per_file(lambda s, f: s.m.save_move(s.saved[f], io.BytesIO())),
     "load_move": _per_file(lambda s, f: s.m.load_move(io.BytesIO(s.files[f]))),
     "invert_bwt": _one(
         lambda s: s.m.invert_bwt(s.tables["lf_abs"], io.BytesIO()), "tables"),

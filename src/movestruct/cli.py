@@ -59,7 +59,16 @@ def _load_bounds(path: str) -> DocBounds:
 def _output(path: str) -> Iterator[BinaryIO]:
     """Open path for writing. If the command fails while it is open, the file
     is removed, so that a failed command leaves no partial output; devices
-    and links are left alone."""
+    and links are left alone. A path that is the file of stdout raises
+    InvalidInputError before it is opened: the command prints its stats
+    there after it writes, over the start of its output."""
+    try:
+        same = os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (AttributeError, OSError, ValueError):  # no such path, or no stdout descriptor
+        same = False
+    if same:
+        raise InvalidInputError(
+            f"output {path} is the file of stdout, where the command prints its stats")
     fp = open(path, "wb")
     try:
         with fp:

@@ -17,18 +17,17 @@ and replace() carries the rest. The cap length L is not a field: the
 cap_len property derives it from n, source_runs and cap by cap_length(),
 so no table carries an L that its cap does not give. Destination ranks
 come from one of two places. interval_columns() ranks images that arrive
-unsorted against the sorted starts; only from_intervals and inverse still
-go through it. The forward-cursor builders, lf_columns() (the LF
-destinations of rlbwt.build_lf and of LF files, which store none),
-splitting.length_cap and refine() (the one way to cut a table at new
-starts), meet their images in an order that only moves forward, so each
-carries a destination cursor and fast-forwards it, with no search;
-refine() bisects only the images that land in an interval it cuts, among
-that interval's cuts.
+unsorted against the sorted starts; only from_intervals goes through it.
+The forward-cursor builders, tile_columns() (of lengths taken in image
+order: build_lf's, inverse's and every .mv file's), splitting.length_cap
+and refine() (the one way to cut a table at new starts), meet their images
+in an order that only moves forward, so each carries a destination cursor
+and fast-forwards it, with no search; refine() bisects only the images
+that land in an interval it cuts, among that interval's cuts.
 
 IntervalTable.validate() is the one check that a table is a permutation of
-[0, n); every builder that takes outside input (from_permutation, the phi
-builders, load_move) calls it.
+[0, n); from_permutation and the phi builders, whose images come from
+outside, call it. load_move needs none (see tile_columns).
 
 A cursor is a plain tuple (j, k), since in CPython an instance of a tuple
 subclass costs several times a plain tuple to build and misses the fast
@@ -62,7 +61,7 @@ import dataclasses
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import add, itemgetter, le, lt, sub
 from typing import Callable, Optional, Sequence, Union
 
@@ -356,37 +355,36 @@ def interval_columns(
     }
 
 
-def lf_columns(lengths: Sequence[int], sym: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The dest_rank and dest_offset of the LF table whose interval j holds
-    lengths[j] rows of the byte sym[j], in O(r') time with no sort and no
-    search; each length must be at least 1.
-
-    LF(i) = C[c] + rank_c(BWT, i) for the symbol c of row i, so LF maps the
-    intervals of c onto the rows that follow those of every smaller symbol
-    and of c's earlier intervals. Taken by symbol and then in order, the
-    intervals' images tile [0, n) one after another, and a single cursor
-    (q, off) over the intervals, advanced by each interval's length and
-    fast-forwarded over the lengths, is each interval's destination. This
-    holds for any cut of the runs into one-symbol intervals, so capped and
-    balanced LF tables derive their destinations as build_lf's do.
-    """
-    buckets: list[list[int]] = [[] for _ in range(256)]
-    for j, c in enumerate(sym):
-        buckets[c].append(j)
+def tile_columns(lengths: Sequence[int], order: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The dest_rank and dest_offset of the table whose interval order[i]
+    has the i-th smallest image, in O(r'): the images tile [0, n), so one
+    cursor (q, off), advanced by each interval's length and fast-forwarded
+    over the lengths, meets them in order. For lengths >= 1 that sum to n
+    and a permutation order of [0, r'), the table is a permutation of
+    [0, n) by construction."""
     dest_rank = [0] * len(lengths)
     dest_offset = [0] * len(lengths)
     q = off = 0
     ell = lengths[0] if lengths else 0  # lengths[q]
-    for bucket in buckets:
-        for j in bucket:
-            while off >= ell:
-                off -= ell
-                q += 1
-                ell = lengths[q]
-            dest_rank[j] = q
-            dest_offset[j] = off
-            off += lengths[j]
+    for j in order:
+        while off >= ell:
+            off -= ell
+            q += 1
+            ell = lengths[q]
+        dest_rank[j] = q
+        dest_offset[j] = off
+        off += lengths[j]
     return dest_rank, dest_offset
+
+
+def lf_order(sym: Sequence[int]) -> list[int]:
+    """The image order of the LF table whose interval j holds the byte
+    sym[j], by one bucket pass: LF(i) = C[c] + rank_c(BWT, i) maps any cut
+    of the runs of c, in order, onto the rows after those of smaller symbols."""
+    buckets: list[list[int]] = [[] for _ in range(256)]
+    for j, c in enumerate(sym):
+        buckets[c].append(j)
+    return list(chain.from_iterable(buckets))
 
 
 def refine(t: IntervalTable, new: Sequence[int], alpha: int = 0) -> IntervalTable:
@@ -458,20 +456,22 @@ def refine(t: IntervalTable, new: Sequence[int], alpha: int = 0) -> IntervalTabl
 
 
 def inverse(t: IntervalTable) -> IntervalTable:
-    """Move structure of the inverse permutation, in t's storage mode.
-
-    Interval j maps [s_j, s_j + len_j) onto [v_j, v_j + len_j), so the image
-    ranges are the intervals of the inverse and map back onto the starts.
-    Lengths are unchanged, so the cap and its bounds still hold; balancing
-    does not survive, so alpha resets to 0. LF and FL swap kinds, as do phi
-    and phi-inverse.
-    """
+    """Move structure of the inverse permutation, in t's storage mode, of a
+    permutation table t. Its intervals are t's image ranges in image order,
+    and the one with the k-th smallest image comes from t's interval k, so
+    tile_columns places them by the inverse of the image order. Lengths are
+    unchanged, so the cap and its bounds still hold; balancing does not
+    survive, so alpha resets to 0. LF and FL swap kinds, as do phi and
+    phi-inverse."""
     images = t.images()
     order = sorted(range(len(images)), key=images.__getitem__)
+    back = [0] * len(order)
+    for i, j in enumerate(order):
+        back[j] = i
+    lengths = list(map(t.lengths.__getitem__, order))
+    dest_rank, dest_offset = tile_columns(lengths, back)
     return t.replace(
-        **interval_columns(
-            t.n, [images[j] for j in order], [t.starts[j] for j in order]
-        ),
+        lengths=lengths, dest_rank=dest_rank, dest_offset=dest_offset,
         kind=_INVERSE_KIND[t.kind], alpha=0, extras=run_columns(t, order),
     )
 

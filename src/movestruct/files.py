@@ -17,7 +17,7 @@ An uncapped absolute file has nothing to check its n against, since its
 lengths come from its starts and n, nor has a relative file whose n and
 lengths change together: both load as valid tables of other permutations.
 
-Layout of version 4, which save_move writes (all integers little-endian):
+Layout of version 5, which save_move writes (all integers little-endian):
   magic "RPMV" | version u8 | mode u8 | kind u8 | n u64 | r' u64 | L u64 |
   c numerator u64 | c denominator u64 | alpha u64 | source_runs u64 |
   column count u32 | per column: name length u8, name bytes, width u8 |
@@ -28,18 +28,13 @@ Layout of version 4, which save_move writes (all integers little-endian):
   payload (bit-packed matrix of the other columns, rows contiguous) |
   CRC-32 (zlib.crc32) u32 of every byte after the magic, and nothing after it
 
-The columns are the first core column, "off" (dest_offset) and "rank"
-(dest_rank), then the extras in table order. Those three names and the
-other mode's first column are reserved: no extra column takes one. The
-"sym" column holds each run's rank among the listed symbols, so it is as
-wide as the alphabet needs; load_move maps the ranks back to bytes.
-
-An LF table with a "sym" column stores no "off" and no "rank" column: its
-destinations follow from its lengths and symbols (core.lf_columns), for
-any cut of the runs into one-symbol intervals, so load_move rebuilds them
-in O(r'). save_move refuses an LF table whose destinations are not those,
-and load_move a file of such a table that holds either column. FL, phi,
-phi-inverse and generic tables, and LF tables without "sym", store both.
+No file stores a destination: a permutation's images tile [0, n), so the
+lengths and the image order fix them (core.tile_columns). The columns are
+the first core column, then "ord", whose row i is the interval with the
+i-th smallest image (an LF table with "sym" stores none: core.lf_order of
+its symbols gives it), then the extras in table order; no extra column is
+named "start", "len" or "ord". The "sym" column holds each run's rank
+among the listed symbols, so it is as wide as the alphabet needs.
 
 The document columns of rlbwt.attach_docs follow from two numbers per
 document, so a table that holds both is stored per document, not per
@@ -52,11 +47,11 @@ or "docdist" column is an ordinary payload column.
 
 Version 1 files had no source_runs field, so a capped table loaded from one
 re-capped to another L, version 2 files stored the document columns per
-interval, and version 3 files stored the destinations of every LF table;
+interval, and versions 3 and 4 the destinations of LF and of other tables;
 all raise FormatError and need movestruct build.
 
 .mv and .rl files share one container, magic | version u8 | body | CRC-32
-of the version and body. Each format reads one version, 4 for .mv and 2
+of the version and body. Each format reads one version, 5 for .mv and 2
 for .rl, and refuses every other; read_framed checks the version, then the
 CRC, before any field is parsed.
 
@@ -74,7 +69,7 @@ from operator import lt, ne, sub
 from typing import BinaryIO, NamedTuple, Optional
 
 from .bitpack import ColumnSpec, PackedMatrix, min_width, pack_columns, unpack_columns
-from .core import ABSOLUTE, RELATIVE, IntervalTable, cap_length, lf_columns
+from .core import ABSOLUTE, RELATIVE, IntervalTable, cap_length, lf_order, tile_columns
 from .errors import (
     BoundsError,
     FormatError,
@@ -85,7 +80,7 @@ from .errors import (
 )
 
 MOVE_MAGIC = b"RPMV"
-MOVE_VERSION = 4
+MOVE_VERSION = 5
 
 _MODES = (ABSOLUTE, RELATIVE)
 _KINDS = ("generic", "lf", "fl", "phi", "phi_inv")
@@ -97,10 +92,10 @@ _SIGMA = struct.Struct("<H")
 _RECORDS = struct.Struct("<I")
 _CRC = struct.Struct("<I")
 
-# The first core column of each mode's files; "off" and "rank" follow it
-# where _core_columns says. No extra column takes one of these names.
+# The first core column of each mode's files; "ord" follows it where
+# _core_columns says. No extra column takes one of these names.
 _FIRST_COLUMN = {ABSOLUTE: "start", RELATIVE: "len"}
-_CORE_NAMES = ("start", "len", "off", "rank")
+_CORE_NAMES = ("start", "len", "ord")
 # The document columns that a file holding both stores as records.
 _DOC_PAIR = ("doc", "docdist")
 
@@ -148,33 +143,48 @@ def _has_doc_pair(names) -> bool:
 
 def _core_columns(mode: str, kind: str, names) -> tuple[str, ...]:
     """The core columns in a file of a table of this mode and kind whose
-    other columns have these names: the mode's first column, then "off"
-    and "rank", but for LF with "sym", whose destinations core.lf_columns
-    rebuilds."""
+    other columns have these names: the mode's first column, then "ord",
+    but for LF with "sym", whose order core.lf_order gives."""
     if kind == "lf" and "sym" in names:
         return (_FIRST_COLUMN[mode],)
-    return (_FIRST_COLUMN[mode], "off", "rank")
+    return (_FIRST_COLUMN[mode], "ord")
 
 
 def pack_table(table: IntervalTable) -> PackedMatrix:
     """The payload: the serialized columns in order, the core columns that
     the file stores and then extras but a doc pair, which records hold, each
     at its minimal width, which one max per column gives; sym holds symbol
-    ranks.
-    A column, the pair's included, that is not r' long raises BoundsError,
-    a negative value ValueOverflowError, and a payload value of 2**64 or
-    more InvalidSpecError."""
-    first = table.starts if table.mode == ABSOLUTE else table.lengths
-    cols = dict(zip(_core_columns(table.mode, table.kind, table.extras),
-                    [first, table.dest_offset, table.dest_rank]))
-    for name, vals in table.extras.items():
+    ranks, and ord the intervals sorted by image.
+    A symbol beyond a byte, then a table that tile_columns does not rebuild
+    from its lengths and image order, raise InvalidInputError; a column,
+    the pair's included, that is not r' long raises BoundsError, a negative
+    value ValueOverflowError, and a payload value of 2**64 or more
+    InvalidSpecError."""
+    lengths, extras = table.lengths, table.extras
+    core = _core_columns(table.mode, table.kind, extras)
+    for name in extras:
         if name in _CORE_NAMES:
             raise FormatError(f"extra column {name!r} clashes with a core column")
-        cols[name] = vals
-    if "sym" in cols:
+    if "sym" in extras:
         rank_of = bytearray(256)
-        for rank, symbol in enumerate(_symbols(cols["sym"])):
+        for rank, symbol in enumerate(_symbols(extras["sym"])):
             rank_of[symbol] = rank
+    try:  # IndexError: images() on a dest_rank beyond the table, sorted on a short one
+        if "ord" in core:
+            images = table.images()
+            order = sorted(range(len(lengths)), key=images.__getitem__)
+        else:
+            order = lf_order(extras["sym"])
+        if min(lengths, default=1) < 1 or sum(lengths) != table.n or tile_columns(
+                lengths, order) != (table.dest_rank, table.dest_offset):
+            raise IndexError
+    except IndexError:
+        raise InvalidInputError("the lengths and image order, all that the file stores, "
+                                "would not rebuild this table: a length below 1, lengths "
+                                "not summing to n, or other destinations") from None
+    cols = dict(zip(core, [table.starts if table.mode == ABSOLUTE else lengths, order]))
+    cols.update(extras)
+    if "sym" in cols:
         cols["sym"] = list(map(rank_of.__getitem__, cols["sym"]))
     rows = len(table)
     pair = _DOC_PAIR if _has_doc_pair(cols) else ()
@@ -231,13 +241,12 @@ def _doc_records(table: IntervalTable) -> list[list[int]]:
 
 
 def save_move(table: IntervalTable, fp: BinaryIO) -> None:
-    """Write table to fp as a version 4 file, with the L that its cap_len
+    """Write table to fp as a version 5 file, with the L that its cap_len
     derives. A header field beyond u64, an alpha of 1, which load_move
     refuses, an interval longer than a capped table's L, a symbol beyond a
-    byte, a column value that is not an integer, a doc pair that
-    _doc_records refuses, or an LF table with "sym" whose destinations are
-    not core.lf_columns' of its lengths and symbols raises before anything
-    is written."""
+    byte, destinations that are not those of the table's lengths and image
+    order (pack_table), a column value that is not an integer, or a doc
+    pair that _doc_records refuses raises before anything is written."""
     cap = table.cap if table.cap is not None else Fraction(0)
     L = table.cap_len
     values = (table.n, len(table), L, cap.numerator, cap.denominator,
@@ -259,15 +268,9 @@ def save_move(table: IntervalTable, fp: BinaryIO) -> None:
             records = _doc_records(table)
             for name, vals in zip(_DOC_PAIR, records):
                 width[name] = min_width(max(vals, default=0))
-        core = _core_columns(table.mode, table.kind, table.extras)
-        if "rank" not in core and (min(table.lengths, default=1) < 1 or lf_columns(
-                table.lengths, table.extras["sym"]) != (table.dest_rank, table.dest_offset)):
-            raise InvalidInputError(
-                "an LF table's dest_rank and dest_offset are not those of its lengths "
-                "and sym column, which its file stores in their place")
     except (TypeError, AttributeError):  # a float or None meets min, max or <<
         raise InvalidInputError("a column holds a value that is not an integer") from None
-    names = [*core, *table.extras]
+    names = [*_core_columns(table.mode, table.kind, table.extras), *table.extras]
     body = bytearray([MOVE_VERSION])
     body += _FIXED.pack(
         _MODES.index(table.mode), _KINDS.index(table.kind), *values, len(names)
@@ -378,10 +381,9 @@ def _read_header(fp: BinaryIO) -> _Header:
 
 
 def load_move(fp: BinaryIO) -> IntervalTable:
-    """Read a version 4 table and check its structure; any malformed input
+    """Read a version 5 table and check its structure; any malformed input
     raises FormatError, a capped table with an interval longer than its L
-    included. An LF file with "sym" gets its destinations from
-    core.lf_columns, once its lengths are checked to be >= 1 and sum to n."""
+    included. Checked lengths tiled in a checked order make a permutation."""
     h = _read_header(fp)
     # Every column in file order; records fill in the doc pair below.
     cols = dict.fromkeys(s.name for s in h.specs)
@@ -409,18 +411,19 @@ def load_move(fp: BinaryIO) -> IntervalTable:
         lengths = list(map(sub, starts[1:] + [h.n], starts))
     else:
         lengths = cols["len"]
-    if "rank" in core:
-        dest_rank, dest_offset = cols["rank"], cols["off"]
-    elif min(lengths, default=0) < 1 or sum(lengths) != h.n:
+    if min(lengths, default=0) < 1 or sum(lengths) != h.n:
         raise FormatError("malformed table: a length below 1, or lengths not summing to n")
+    if "ord" in core:
+        order = cols["ord"]
+        if max(order) >= h.r_prime or len(set(order)) != h.r_prime:
+            raise FormatError("malformed table: ord is not a permutation of [0, r')")
     else:
-        dest_rank, dest_offset = lf_columns(lengths, cols["sym"])
+        order = lf_order(cols["sym"])
     table = IntervalTable(
         h.n,
         h.mode,
         lengths,
-        dest_rank,
-        dest_offset,
+        *tile_columns(lengths, order),
         source_runs=h.source_runs,
         kind=h.kind,
         cap=Fraction(h.c_num, h.c_den) if h.c_num else None,
@@ -439,10 +442,6 @@ def load_move(fp: BinaryIO) -> IntervalTable:
             raise FormatError("a doc record ends its document at or before a start in it")
         if max(compress(ends, counts), default=0) > h.n:
             raise FormatError(f"a doc record ends its document past n={h.n}")
-    try:
-        table.validate()
-    except InvalidInputError as e:
-        raise FormatError(f"malformed table: {e}") from e
     return table
 
 

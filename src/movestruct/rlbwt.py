@@ -25,7 +25,7 @@ from itertools import accumulate, compress, groupby
 from operator import gt, itemgetter, ne
 from typing import BinaryIO, Sequence
 
-from .core import ABSOLUTE, IntervalTable, lf_columns, refine
+from .core import ABSOLUTE, IntervalTable, lf_order, refine, tile_columns
 from .errors import FormatError, InvalidInputError, MissingColumnError
 from .files import read_framed, write_framed
 
@@ -232,15 +232,15 @@ def build_bwt(text: bytes) -> tuple[Rlbwt, list[int]]:
 def build_lf(rl: Rlbwt) -> IntervalTable:
     """LF interval table with the run symbol attached as extra column "sym".
 
-    One pass in O(r) time, with no sort and no image list: core.lf_columns
-    places each run's image by one forward cursor over the runs. Every LF
-    table that keeps "sym", capped, balanced or not, derives its
+    One pass in O(r) time, with no sort and no image list: core.tile_columns
+    places each run's image, in core.lf_order, by one forward cursor. Every
+    LF table that keeps "sym", capped, balanced or not, derives its
     destinations from its lengths and symbols the same way, so a .mv file
-    stores neither column for it and load_move rebuilds both.
+    stores neither them nor an order for it and load_move rebuilds both.
     """
     syms = [c for c, _ in rl.runs]
     lengths = [l for _, l in rl.runs]
-    dest_rank, dest_offset = lf_columns(lengths, syms)
+    dest_rank, dest_offset = tile_columns(lengths, lf_order(syms))
     return IntervalTable(
         rl.n, ABSOLUTE, lengths, dest_rank, dest_offset, kind="lf",
         extras={"sym": syms},

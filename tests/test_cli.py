@@ -6,12 +6,14 @@ import math
 import os
 import random
 import struct
+import subprocess
 import sys
 import zlib
 from fractions import Fraction
 
 import pytest
 
+import movestruct as ms
 from movestruct import (
     DocBounds,
     cap_length,
@@ -731,6 +733,29 @@ def test_invert_to_a_pipe_is_refused_before_it_writes(ws, capsys):
             assert main(["invert", str(lf), "-o", f"/dev/fd/{w}"]) == 2
         assert reader.read() == b""
     assert "seekable" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_output_to_the_file_of_stdout_is_refused(ws):
+    """`-o /dev/stdout > file` opens the file afresh at offset 0, so a
+    command wrote its output and then its stats line over the start of it.
+    Every command that writes and then prints exits 2 in its own process,
+    names stdout, and leaves the file with no stats line."""
+    assert main(["build", str(ws / "rl"), "-o", str(ws / "lf.mv")]) == 0
+    assert main(["build", str(ws / "rl"), "--perm", "phi-inv", "-o", str(ws / "pi.mv")]) == 0
+    src = os.path.dirname(os.path.dirname(ms.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    for argv in (["invert", "lf.mv"], ["sa", "pi.mv"], ["build", "rl"],
+                 ["build-rlbwt", "text"]):
+        out = ws / "out.txt"
+        with open(out, "wb") as fp:
+            proc = subprocess.run(
+                [sys.executable, "-m", "movestruct.cli", *argv, "-o", "/dev/stdout"],
+                cwd=ws, env=env, stdout=fp, stderr=subprocess.PIPE, timeout=60)
+        assert proc.returncode == 2, argv
+        assert b"is the file of stdout" in proc.stderr
+        assert out.read_bytes() == b""
 
 
 def test_invert_refuses_an_fl_whose_row_0_interval_is_not_the_sentinel(tmp_path, capsys):

@@ -39,8 +39,9 @@ from movestruct import (
     save_rlbwt,
     table_to_permutation,
 )
+from movestruct.bitpack import unpack_columns
 from movestruct.cli import main
-from movestruct.core import lf_columns
+from movestruct.core import lf_order, tile_columns
 from movestruct.oracle import naive_lf
 from movestruct.rlbwt import cut_at_documents
 from support import (
@@ -181,12 +182,15 @@ def test_inspect_reports_space_accounting():
         assert info["payload_bits"] == info["r_prime"] * info["row_stride_bits"]
         assert info["payload_bytes"] == (info["payload_bits"] + 7) // 8
         # the version byte, then the mode and kind tags of the file format
-        tags = [4, ("abs", "rel").index(t.mode),
+        tags = [5, ("abs", "rel").index(t.mode),
                 ("generic", "lf", "fl", "phi", "phi_inv").index(t.kind)]
         assert list(data[4:7]) == tags
-        assert (info["version"], info["r"]) == (4, loaded.source_runs)
-        # every LF table here has sym, so its file stores no destinations
-        assert ("off" in widths, "rank" in widths) == (t.kind != "lf",) * 2
+        assert (info["version"], info["r"]) == (5, loaded.source_runs)
+        # no file stores a destination; every LF table here has sym, so its
+        # file stores no image order either, and every other file does, at
+        # the width of r' - 1
+        assert "off" not in widths and "rank" not in widths
+        assert widths.get("ord") == (None if t.kind == "lf" else max(1, (len(t) - 1).bit_length()))
         # the header, the payload and the CRC-32 make up the file
         assert _payload_span(data).stop + 4 == len(data)
         assert "doc_records" not in info
@@ -195,14 +199,14 @@ def test_inspect_reports_space_accounting():
     # The doc pair is stored as records, outside the columns and the
     # payload: the file is the one without the pair, plus the pair's specs,
     # the record count and the records.
-    info = inspect_move(io.BytesIO(PINNED_V4_FILE))
-    assert info["columns"] == [("len", 2), ("off", 1), ("rank", 4), ("sym", 3)]
+    info = inspect_move(io.BytesIO(PINNED_V5_FILE))
+    assert info["columns"] == [("len", 2), ("ord", 4), ("sym", 3)]
     assert (info["row_stride_bits"], info["payload_bits"], info["payload_bytes"]) == (
-        10, 110, 14)
+        9, 99, 13)
     assert (info["doc_records"], info["doc_record_bytes"]) == (5, 5)
     plain = _saved(IntervalTable(**PINNED_TABLE, source_runs=5))
     specs = len(b"\x03doc\x03\x07docdist\x05")
-    assert len(PINNED_V4_FILE) == len(plain) + specs + 4 + 5
+    assert len(PINNED_V5_FILE) == len(plain) + specs + 4 + 5
 
 
 def test_round_trip_keeps_every_field():
@@ -229,16 +233,17 @@ def _lf_tables(text: bytes) -> tuple[bytes, list[IntervalTable]]:
 @given(st.integers(1, 300), st.integers(1, 4), st.integers(0, 2**32))
 def test_lf_files_store_no_destinations(n, sigma, seed):
     """An LF table of a random text, uncapped, capped, balanced or capped
-    then balanced, in either mode, has the destinations that lf_columns
-    gives its lengths and symbols. Its file holds no off and no rank
-    column, and loads to a table equal in every field whose permutation is
-    the text's LF."""
+    then balanced, in either mode, has the destinations that tile_columns
+    gives its lengths in the order that lf_order gives its symbols. Its
+    file holds no off, rank or ord column, and loads to a table equal in
+    every field whose permutation is the text's LF."""
     rng = random.Random(seed)
     text = bytes(rng.choice(b"abcd"[:sigma]) for _ in range(n))
     bwt, tables = _lf_tables(text)
     lf = naive_lf(bwt)
     for t in tables:
-        assert lf_columns(t.lengths, t.extras["sym"]) == (t.dest_rank, t.dest_offset)
+        assert tile_columns(t.lengths, lf_order(t.extras["sym"])) == (
+            t.dest_rank, t.dest_offset)
         data = _saved(t)
         first = "start" if t.mode == ms.ABSOLUTE else "len"
         assert [name for name, _ in inspect_move(io.BytesIO(data))["columns"]] == [
@@ -248,27 +253,121 @@ def test_lf_files_store_no_destinations(n, sigma, seed):
         assert table_to_permutation(loaded) == lf
 
 
+def _lf_sym(lengths, dest_rank, dest_offset):
+    """An absolute LF table of these columns, every interval of symbol a."""
+    return IntervalTable(sum(lengths), ms.ABSOLUTE, lengths, dest_rank, dest_offset,
+                         kind="lf", extras={"sym": [97] * len(lengths)})
+
+
 @pytest.mark.parametrize("table", [
     from_permutation([1, 0, 2]).replace(kind="lf", extras={"sym": [97, 98, 0]}),
     IntervalTable(3, ms.ABSOLUTE, [0, 3], [1, 1], [0, 0], kind="lf",
                   extras={"sym": [97, 97]}),
-], ids=["not-lf", "zero-length"])
+    _lf_sym([1, 2], [0, 0], [0, 0]),  # both images at 0
+    _lf_sym([1, 2], [2, 0], [0, 0]),  # a rank beyond the table
+    _lf_sym([1, 2], [0, 0], [2, 0]),  # image 2 by an offset past interval 0
+    _lf_sym([1, 2], [1, 0], [0, 0]).replace(n=5),  # an absolute file would load n = 5
+], ids=["not-lf", "zero-length", "images-overlap", "rank-beyond-table",
+        "offset-beyond-rank", "lengths-not-n"])
 def test_lf_tables_whose_destinations_are_not_their_own_are_not_written(table):
-    """An LF file with sym stores no destinations, so save_move refuses an
-    LF table whose destinations are not lf_columns' of its lengths and
-    symbols, or that has a zero length, before it writes a byte. The same
-    table of kind generic or fl is stored with its off and rank columns."""
-    buf = io.BytesIO()
-    with pytest.raises(InvalidInputError, match="not those of its lengths and sym column"):
-        save_move(table, buf)
-    assert buf.getvalue() == b""
-    for kind in ("generic", "fl"):
+    """No file stores a destination, so save_move refuses, before it writes
+    a byte, a table of any kind whose destinations are not tile_columns' of
+    its lengths and image order: one with a zero length, one that is not a
+    permutation, one whose image is reached by an offset past its rank's
+    interval, one whose lengths do not sum to its n, which an absolute file
+    would load as another table, and an LF table whose symbols do not give
+    its order. That permutation, labelled generic, fl, phi or phi_inv, is
+    stored with an ord column and loads to a table equal in every field."""
+    for kind in ("generic", "lf", "fl", "phi", "phi_inv"):
         other = table.replace(kind=kind)
+        buf = io.BytesIO()
+        try:
+            validate_by_sort(other)
+        except InvalidInputError:
+            own = False
+        else:
+            own = kind != "lf"
+        if not own:
+            with pytest.raises(InvalidInputError,
+                               match="would not rebuild this table"):
+                save_move(other, buf)
+            assert buf.getvalue() == b""
+            continue
         data = _saved(other)
         assert [name for name, _ in inspect_move(io.BytesIO(data))["columns"]] == [
-            "start", "off", "rank", "sym"]
-        if min(table.lengths) > 0:
-            assert vars(roundtrip(other)) == vars(other)
+            "start", "ord", "sym"]
+        assert vars(roundtrip(other)) == vars(other)
+
+
+# Every kind of table, and an LF table with sym, whose lengths and image
+# order are drawn: tile_columns makes a permutation of any such pair.
+TILED = st.lists(st.integers(1, 40), min_size=1, max_size=60).flatmap(
+    lambda lengths: st.tuples(
+        st.just(lengths),
+        st.permutations(range(len(lengths))),
+        st.lists(st.integers(0, 255), min_size=len(lengths), max_size=len(lengths)),
+        st.sampled_from([ms.ABSOLUTE, ms.RELATIVE]),
+    ))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(TILED)
+def test_tiled_tables_are_permutations(drawn):
+    """The proof that lets load_move skip validate(): for any lengths >= 1
+    and any permutation order of [0, r'), tile_columns gives a table that
+    passes validate() and whose sorted images give back order; for any byte
+    symbols, so does lf_order's order. So every file that save_move writes
+    of such a table, in either mode and of any kind, loads to a table equal
+    in every field, which save_move writes to the same bytes."""
+    lengths, order, sym, mode = drawn
+    n = sum(lengths)
+    table = IntervalTable(n, mode, lengths, *tile_columns(lengths, order))
+    table.validate()
+    images = table.images()
+    assert sorted(range(len(lengths)), key=images.__getitem__) == order
+    lf = IntervalTable(n, mode, lengths, *tile_columns(lengths, lf_order(sym)),
+                       kind="lf", extras={"sym": sym})
+    lf.validate()
+    images = lf.images()
+    assert sorted(range(len(lengths)), key=images.__getitem__) == lf_order(sym)
+    for t in (lf, *(table.replace(kind=kind) for kind in ("generic", "fl", "phi", "phi_inv"))):
+        data = _saved(t)
+        loaded = load_move(io.BytesIO(data))
+        assert vars(loaded) == vars(t)
+        assert _saved(loaded) == data
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 300), st.integers(0, 2**32),
+       st.sampled_from(["generic", "lf", "fl", "phi", "phi_inv"]),
+       st.sampled_from([ms.ABSOLUTE, ms.RELATIVE]),
+       st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(8)]),
+       st.sampled_from([0, 2]), st.booleans())
+def test_built_tables_round_trip(n, seed, kind, mode, c, alpha, docs):
+    """A table of each kind built from a random text (generic: a runny
+    permutation of its length), capped at c, balanced at alpha, in either
+    mode, with or without document columns, loads to a table equal in every
+    field, which save_move writes to the same bytes."""
+    rng = random.Random(seed)
+    text = bytes(rng.choice(b"abc") for _ in range(n - 1))
+    rl, _ = build_bwt(text)
+    if kind == "generic":
+        table = from_permutation(random_runny_permutation(rng, n, rng.randint(1, n)))
+    elif kind in ("lf", "fl"):
+        table = build_lf(rl) if kind == "lf" else inverse(build_lf(rl))
+    else:
+        table = build_phi_via_lf(rl, inverse=kind == "phi_inv")
+    if c:
+        table = length_cap(table, c)
+    if alpha:
+        table = balance(table, alpha)
+    table = table.replace(mode=mode)
+    if docs:
+        table = attach_docs(table, DocBounds(sorted({0, *rng.sample(range(n), min(n, 4))})))
+    data = _saved(table)
+    loaded = load_move(io.BytesIO(data))
+    assert vars(loaded) == vars(table)
+    assert _saved(loaded) == data
 
 
 def test_doc_pairs_round_trip_through_records():
@@ -421,22 +520,35 @@ PINNED_V4_FILE = bytes.fromhex(
     "080000016162636480ff050000001a4c74008106b9965383c24ade4440d189923261"
     "2179c5"
 )
+# The same table as version 5 writes it: the version 4 file with version
+# byte 5, column count 5, and the specs of off and rank replaced by that of
+# ord at 4 bits, the intervals by image (7 0 3 5 9 10 1 2 4 6 8); then the
+# same symbol list and records, a payload of 9-bit rows (len, ord, sym
+# rank) in 13 bytes, and the CRC-32.
+PINNED_V5_FILE = bytes.fromhex(
+    "52504d5605010010000000000000000b000000000000000400000000000000010000"
+    "00000000000100000000000000020000000000000005000000000000000500000003"
+    "6c656e02036f7264040373796d0303646f630307646f636469737405080000016162"
+    "636480ff050000001a4c7400819e8435aa68567d8144d1b48406d930f13a"
+)
 PINNED_DOCS = DocBounds([0, 3, 9, 14, 15])
-# The counts and the ends of its records, and their offsets: the 67-byte
-# fixed header, 35 bytes of specs, the symbol count and 8 symbols, then the
-# record count.
+# The counts and the ends of its records, and their offsets in the version
+# 5 file: the 67-byte fixed header, 29 bytes of specs, the symbol count and
+# 8 symbols, then the record count.
 PINNED_RECORDS = ([2, 4, 4, 0, 1], [3, 9, 14, 0, 16])
-PINNED_RECORD_SPAN = range(116, 121)
+PINNED_RECORD_SPAN = range(110, 115)
 
 
 @pytest.mark.parametrize("version, data", [
-    (1, PINNED_FILE), (2, PINNED_V2_FILE), (3, PINNED_V3_FILE)], ids=["v1", "v2", "v3"])
+    (1, PINNED_FILE), (2, PINNED_V2_FILE), (3, PINNED_V3_FILE), (4, PINNED_V4_FILE)],
+    ids=["v1", "v2", "v3", "v4"])
 def test_old_version_files_are_refused(version, data, tmp_path, capsys):
     """A version 1 file loaded with source_runs = r', so a capped table from
     one re-capped to another L, a version 2 file stored doc columns per
-    interval, and a version 3 file stored the destinations of LF tables:
-    loading or inspecting any of them raises FormatError that names the
-    command which writes a version 4 file, and the CLI exits 2 on it."""
+    interval, a version 3 file stored the destinations of LF tables, and a
+    version 4 file those of every other kind: loading or inspecting any of
+    them raises FormatError that names the command which writes a version 5
+    file, and the CLI exits 2 on it."""
     for read in (load_move, inspect_move):
         with pytest.raises(FormatError,
                            match=f"unsupported .* version {version}.*movestruct build"):
@@ -450,20 +562,37 @@ def test_old_version_files_are_refused(version, data, tmp_path, capsys):
 
 
 def test_save_move_v4_bytes_are_pinned():
+    """The reference writer still writes version 4, the layout of off and
+    rank columns that load_move refuses and criterion 8 measures against."""
     table = attach_docs(IntervalTable(**PINNED_TABLE, source_runs=5), PINNED_DOCS)
     assert table.extras["doc"] == [0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 4]
-    assert _saved(table) == PINNED_V4_FILE == mv_file_bytes(table)
+    assert mv_file_bytes(table, version=4) == PINNED_V4_FILE
     assert table.cap_len == 4
     assert PINNED_V4_FILE[:-4] == (PINNED_V3_FILE[:4] + b"\x04" + PINNED_V3_FILE[5:23]
                                    + b"\x04" + PINNED_V3_FILE[24:-4])
-    loaded = load_move(io.BytesIO(PINNED_V4_FILE))
+    # the record count and the records, after 35 bytes of specs
+    assert PINNED_V4_FILE[112:121].hex() == "050000001a4c740081"
+    assert _payload_span(PINNED_V4_FILE).start == 121
+    assert PINNED_V4_FILE[121:] == PINNED_V2_FILE[-18:-4] + PINNED_V4_FILE[-4:]
+
+
+def test_save_move_v5_bytes_are_pinned():
+    """Version 5 stores ord in place of off and rank, and every other byte
+    of version 4's header, symbol list and records as they were."""
+    table = attach_docs(IntervalTable(**PINNED_TABLE, source_runs=5), PINNED_DOCS)
+    assert _saved(table) == PINNED_V5_FILE == mv_file_bytes(table)
+    assert PINNED_V5_FILE[:63] == b"RPMV\x05" + PINNED_V4_FILE[5:63]
+    assert PINNED_V5_FILE[63:96] == struct.pack("<I", 5) + b"".join(
+        bytes([len(name)]) + name + bytes([width]) for name, width in [
+            (b"len", 2), (b"ord", 4), (b"sym", 3), (b"doc", 3), (b"docdist", 5)])
+    assert PINNED_V5_FILE[96:115] == PINNED_V4_FILE[102:121]
+    loaded = load_move(io.BytesIO(PINNED_V5_FILE))
     assert vars(loaded) == vars(table)
-    info = inspect_move(io.BytesIO(PINNED_V4_FILE))
-    assert (info["version"], info["r"], info["r_prime"]) == (4, 5, 11)
+    info = inspect_move(io.BytesIO(PINNED_V5_FILE))
+    assert (info["version"], info["r"], info["r_prime"]) == (5, 5, 11)
     at = PINNED_RECORD_SPAN
-    assert PINNED_V4_FILE[at.start - 4 : at.stop].hex() == "050000001a4c740081"
-    assert _payload_span(PINNED_V4_FILE).start == at.stop
-    assert PINNED_V4_FILE[at.stop :] == PINNED_V2_FILE[-18:-4] + PINNED_V4_FILE[-4:]
+    assert PINNED_V5_FILE[at.start - 4 : at.stop].hex() == "050000001a4c740081"
+    assert _payload_span(PINNED_V5_FILE) == range(at.stop, len(PINNED_V5_FILE) - 4)
 
 
 # abaaba's LF table (runs a, bb, a, $, aa) as version 4 writes it: kind 1,
@@ -480,19 +609,25 @@ PINNED_LF_FILE = bytes.fromhex(
 
 def test_save_move_v4_lf_bytes_are_pinned():
     """An LF file stores its lengths and symbols only; load_move rebuilds
-    the destinations. As a generic table, with off and rank, the same
-    columns take 13 bytes more: 11 of specs and 2 of payload."""
+    the destinations. Version 5 writes version 4's bytes but for the version
+    byte and the CRC-32. As a generic table, the same columns take 13 bytes
+    more in version 4, with off and rank (11 of specs and 2 of payload), and
+    6 more in version 5, with ord (5 of specs and 1 of payload)."""
     _, lf = _lf_abaaba()
     assert (lf.dest_rank, lf.dest_offset) == ([1, 4, 1, 0, 2], [0, 0, 1, 0, 0])
-    assert _saved(lf) == PINNED_LF_FILE == mv_file_bytes(lf)
+    assert mv_file_bytes(lf, version=4) == PINNED_LF_FILE
     assert PINNED_LF_FILE[79:88].hex() == "0300006162282ed200"
     assert _payload_span(PINNED_LF_FILE) == range(84, 88)
-    assert vars(load_move(io.BytesIO(PINNED_LF_FILE))) == vars(lf)
-    assert inspect_move(io.BytesIO(PINNED_LF_FILE))["columns"] == [("start", 3), ("sym", 2)]
-    generic = _saved(lf.replace(kind="generic"))
-    assert inspect_move(io.BytesIO(generic))["columns"] == [
-        ("start", 3), ("off", 1), ("rank", 3), ("sym", 2)]
-    assert len(generic) - len(PINNED_LF_FILE) == 13
+    data = _saved(lf)
+    assert data == mv_file_bytes(lf) == _with_crc(PINNED_LF_FILE[:4] + b"\x05"
+                                                   + PINNED_LF_FILE[5:])
+    assert vars(load_move(io.BytesIO(data))) == vars(lf)
+    assert inspect_move(io.BytesIO(data))["columns"] == [("start", 3), ("sym", 2)]
+    generic = lf.replace(kind="generic")
+    assert len(mv_file_bytes(generic, version=4)) - len(PINNED_LF_FILE) == 13
+    assert inspect_move(io.BytesIO(_saved(generic)))["columns"] == [
+        ("start", 3), ("ord", 3), ("sym", 2)]
+    assert len(_saved(generic)) - len(data) == 6
 
 
 def _saved(table) -> bytes:
@@ -506,15 +641,22 @@ def _lf_abaaba():
     return rl, build_lf(rl)
 
 
-def _fl_with(column: str, value) -> bytes:
-    """A checksummed file of abaaba's FL table whose last entry of a core
-    column is replaced. An LF file with sym stores no destinations, and
-    save_move refuses an LF table whose destinations are not its own; an FL
-    file stores both, and a bad one reaches validate()."""
-    fl = inverse(_lf_abaaba()[1])
-    vals = list(getattr(fl, column))
-    vals[-1] = value(fl)
-    return _saved(fl.replace(**{column: vals}))
+def _rel_fl_with(column: str, change) -> bytes:
+    """abaaba's relative FL file, whose columns are len (1 1 1 2 2 at 2
+    bits), ord (the intervals by image, 1 4 2 0 3 at 3 bits) and sym, with
+    one column changed in place by change(values), at the same widths,
+    under a new CRC-32. save_move refuses a table whose destinations are not
+    those of its lengths and order, so only a changed file holds such a
+    column."""
+    raw = _saved(inverse(_lf_abaaba()[1]).to_relative())
+    at = _payload_span(raw)
+    specs = inspect_move(io.BytesIO(raw))["columns"]
+    widths = [w for _, w in specs]
+    cols = unpack_columns(widths, 5, raw[at.start : at.stop])
+    assert cols[:2] == [[1, 1, 1, 2, 2], [1, 4, 2, 0, 3]]
+    change(cols[[name for name, _ in specs].index(column)])
+    payload = reference_pack(widths, [list(row) for row in zip(*cols)])
+    return _with_crc(raw[: at.start] + payload + raw[at.stop :])
 
 
 # Header offsets: the magic, then the version, mode and kind bytes at 4, 5
@@ -600,9 +742,9 @@ def _lf_with_symbols(symbols: bytes) -> bytes:
     return _with_crc(raw[:at] + struct.pack("<H", len(symbols)) + symbols + raw[end:])
 
 
-def _lf_with_destination_columns() -> bytes:
-    """abaaba's LF table saved as a generic table, which stores off and
-    rank, then tagged kind lf (the kind byte at 6) under a new CRC-32."""
+def _lf_with_order_column() -> bytes:
+    """abaaba's LF table saved as a generic table, which stores ord, then
+    tagged kind lf (the kind byte at 6) under a new CRC-32."""
     raw = _saved(_lf_abaaba()[1].replace(kind="generic"))
     return _with_crc(raw[:6] + b"\x01" + raw[7:])
 
@@ -617,27 +759,33 @@ def _rel_lf_with_first_length_0() -> bytes:
 
 
 def _pinned_with_records(k: int, count: int, end: int) -> bytes:
-    """PINNED_V4_FILE with record k's count and end replaced, at the same
+    """PINNED_V5_FILE with record k's count and end replaced, at the same
     widths, under a new CRC-32. Document 1 holds the starts 4, 5, 6 and 8,
     and document 4 the start 15 of n = 16."""
     counts, ends = (list(v) for v in PINNED_RECORDS)
     counts[k], ends[k] = count, end
     at = PINNED_RECORD_SPAN
     records = reference_pack([3, 5], [list(row) for row in zip(counts, ends)])
-    return _with_crc(PINNED_V4_FILE[: at.start] + records + PINNED_V4_FILE[at.stop :])
+    return _with_crc(PINNED_V5_FILE[: at.start] + records + PINNED_V5_FILE[at.stop :])
 
 
 MALFORMED = {
     "move-5-bytes": lambda: _saved(_lf_abaaba()[1])[:5],
     "move-30-byte-header": lambda: _saved(_lf_abaaba()[1])[:30],
-    "move-no-intervals": lambda: _saved(
+    # save_move refuses it, since its lengths do not sum to n
+    "move-no-intervals": lambda: mv_file_bytes(
         IntervalTable(7, ms.ABSOLUTE, [], [], [], kind="lf")
     ),
-    # these two now alter abaaba's FL file, which still stores its destinations
-    "lf-rank-beyond-table": lambda: _fl_with("dest_rank", lambda t: len(t) + 3),
-    "lf-offset-n": lambda: _fl_with("dest_offset", lambda t: t.n),
-    "lf-holds-rank-column": _lf_with_destination_columns,
+    # an ord value of r' + 2, the others distinct; a value repeated
+    "ord-beyond-table": lambda: _rel_fl_with("ord", lambda v: v.__setitem__(-1, 7)),
+    "ord-repeated": lambda: _rel_fl_with("ord", lambda v: v.__setitem__(-1, v[0])),
+    "lf-holds-ord-column": _lf_with_order_column,
     "lf-zero-length": _rel_lf_with_first_length_0,
+    # lengths 0 2 1 2 2, which still sum to n
+    "fl-zero-length-sum-n": lambda: _rel_fl_with(
+        "len", lambda v: v.__setitem__(slice(0, 2), [0, 2])),
+    # the relative FL file of abaaba, uncapped, with n = 8 for lengths of sum 7
+    "move-lengths-not-n": lambda: _with_n(_saved(inverse(_lf_abaaba()[1]).to_relative()), 8),
     "rlbwt-20-bytes": lambda: _rlbwt_bytes()[:20],
     "rlbwt-huge-run-count": lambda: _rlbwt_with_run_count(1 << 60),
     "rlbwt-crc-mismatch": _rlbwt_with_crc_flipped,
@@ -652,9 +800,9 @@ MALFORMED = {
     "move-huge-row-count": lambda: _lf_with_row_count(1 << 60),
     "move-sym-twice": _lf_with_sym_twice,
     "move-version-2": lambda: _lf_with_header(4, b"\x02"),
-    "move-version-5": lambda: _lf_with_header(4, b"\x05"),
+    "move-version-6": lambda: _lf_with_header(4, b"\x06"),
     "move-doc-records-truncated": lambda: _with_crc(
-        PINNED_V4_FILE[: PINNED_RECORD_SPAN.start + 2] + bytes(4)),
+        PINNED_V5_FILE[: PINNED_RECORD_SPAN.start + 2] + bytes(4)),
     "move-doc-counts-not-r-prime": lambda: _pinned_with_records(0, 3, 3),
     "move-doc-end-at-a-start": lambda: _pinned_with_records(1, 4, 8),
     "move-doc-end-past-n": lambda: _pinned_with_records(4, 1, 17),
@@ -691,8 +839,12 @@ MALFORMED_MESSAGES = {
     "rlbwt-runs-repeat-a-symbol": "malformed RLBWT: adjacent runs 0,1 share a symbol",
     "move-body-shorter-than-header": "truncated header",
     "move-version-2": "unsupported .mv file version 2",
-    "lf-holds-rank-column": "unexpected core column 'off' in a file of kind lf",
+    "lf-holds-ord-column": "unexpected core column 'ord' in a file of kind lf",
     "lf-zero-length": "a length below 1",
+    "fl-zero-length-sum-n": "a length below 1",
+    "move-lengths-not-n": "lengths not summing to n",
+    "ord-beyond-table": "ord is not a permutation",
+    "ord-repeated": "ord is not a permutation",
     "move-doc-records-truncated": "truncated doc records",
     "move-doc-counts-not-r-prime": "counts do not sum to r'",
     "move-doc-end-at-a-start": "at or before a start",
@@ -757,14 +909,14 @@ def test_checksum_is_checked_before_any_field(case):
                 read(io.BytesIO(data[:size]))
 
 
-@pytest.mark.parametrize("name", ["off", "x" * 256], ids=["core-name", "256-byte-name"])
+@pytest.mark.parametrize("name", ["ord", "x" * 256], ids=["core-name", "256-byte-name"])
 def test_bad_column_names_are_refused_before_writing(name):
     """An extra column named like a core column, or with a name longer than
     its length byte holds, raises FormatError before any byte is written."""
     _, lf = _lf_abaaba()
     bad = lf.replace(extras={**lf.extras, name: [0] * len(lf)})
     buf = io.BytesIO()
-    with pytest.raises(FormatError, match="clashes" if name == "off" else "too long"):
+    with pytest.raises(FormatError, match="clashes" if name == "ord" else "too long"):
         save_move(bad, buf)
     assert buf.getvalue() == b""
 
@@ -896,21 +1048,20 @@ def test_inspect_prints_the_doc_records(tmp_path, capsys):
     """inspect prints the record count and bytes of a file with a doc pair,
     and no column line for the pair."""
     path = tmp_path / "docs.mv"
-    path.write_bytes(PINNED_V4_FILE)
+    path.write_bytes(PINNED_V5_FILE)
     assert main(["inspect", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "doc_records=5" in lines and "doc_record_bytes=5" in lines
     assert [x for x in lines if x.startswith("column ")] == [
-        "column len width=2", "column off width=1", "column rank width=4",
-        "column sym width=3"]
+        "column len width=2", "column ord width=4", "column sym width=3"]
 
 
 def test_save_move_matches_a_bit_at_a_time_writer():
     """save_move packs each column in one pass. On 300 seeded runny tables in
     both modes, with sym, doc/docdist (as records) and a 64-bit extra
     column, and on the LF tables of 40 seeded texts, which the writer
-    stores without off and rank by its own rule, its bytes equal those of a
-    writer that packs one bit at a time."""
+    stores without ord by its own rule, its bytes equal those of a writer
+    that packs one bit at a time and sorts the images for ord."""
     rng = random.Random(33)
     for _ in range(300):
         n = rng.randint(1, 200)
@@ -1012,7 +1163,7 @@ def _fuzz_bases() -> list[bytes]:
         _saved(lf.to_relative()),
         _saved(perm),
         _saved(capped.to_relative()),
-        PINNED_V4_FILE,
+        PINNED_V5_FILE,
     ]
 
 
